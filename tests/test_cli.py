@@ -177,6 +177,39 @@ class TestRunCommand:
         assert summary["converged"] is True
         assert summary["runs"][0]["iterations"] <= 2
 
+    @pytest.mark.parametrize("code,charges", [
+        ("detect422", [("10", 0.1), ("20", 0.0), ("30", 0.2)]),
+        ("repetition3", [("1", 0.2), ("3", 0.5)]),
+        ("repetition3", [("1", 0.6), ("2", 0.0), ("3", 0.8)]),
+    ], ids=["two-logical-qubits", "two-axes", "pure-target"])
+    def test_warm_start_rejected(self, tmp_path, code, charges):
+        payload = {
+            "model": {"kind": "stabilizer", "code": code,
+                      "charges": [{"word": w, "target": t} for w, t in charges]},
+            "solver": {"variant": "second_classical", "max_iter": 10, "warm_start": True},
+            "oracle": {"enable": False},
+        }
+        config = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("words", [("1", "2", "3"), ("1", "3")])
+    def test_encoded_fidelity_needs_every_axis(self, tmp_path, words):
+        targets = {"1": 0.2, "2": -0.1, "3": 0.5}
+        payload = {
+            "model": {"kind": "stabilizer", "code": "repetition3",
+                      "charges": [{"word": w, "target": targets[w]} for w in words]},
+            "solver": {"variant": "second_classical", "max_iter": 30},
+            "oracle": {"enable": False},
+        }
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        fidelity = json.loads((out / "summary.json").read_text())["encoded_state_fidelity"]
+        if len(words) == 3:
+            assert isinstance(fidelity, float) and 0.0 < fidelity <= 1.0 + 1e-12
+        else:
+            assert fidelity is None
+
 
 class TestVerifyCommand:
     def test_codes_suite_passes(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from thermodual.gibbs import (
+    density_of,
     effective_hamiltonian,
     gradient,
     hessian_exact,
@@ -90,6 +91,18 @@ class TestThermalState:
         system = build_heisenberg("line", n=2)
         with pytest.raises(ValueError):
             thermal_state(system, np.zeros(3), 0.0)
+
+    @pytest.mark.parametrize("model", ["perfect5", "grid2x3"])
+    def test_density_of_matches_thermal_state_bitwise(self, model):
+        if model == "grid2x3":
+            system = build_heisenberg("grid", rows=2, cols=3, nnn=True)
+        else:
+            system = build_stabilizer_system(
+                builtin_code(model), [((1,), 0.2), ((2,), -0.1), ((3,), 0.5)]
+            )
+        mu, T = np.array([0.3, -0.2, 0.7]), 0.4
+        rho = density_of(effective_hamiltonian(system, mu), T)
+        assert np.array_equal(rho, thermal_state(system, mu, T).rho)
 
 
 class TestLogPartition:
