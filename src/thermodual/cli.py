@@ -27,9 +27,9 @@ from . import encoding, models
 from .errors import ConfigError, NumericalIntegrityError
 from .gibbs import gradient, hessian_exact, objective_f, smoothness_L, thermal_state
 from .models import ThermoSystem
-from .optimize import ExactEstimator, OptimizerConfig, run
+from .optimize import VARIANTS, ExactEstimator, OptimizerConfig, run
 from .oracle import closeness_metrics, dual_eigenvalue_solve, state_fidelity
-from .shots import ShotEstimator, derive_stream_seed
+from .shots import ESTIMATOR_MODES, ShotEstimator, derive_stream_seed
 
 SUMMARY_SCHEMA_VERSION = 1
 _REP_TAG = 1 << 23
@@ -88,7 +88,7 @@ def validate_config(raw: dict) -> dict:
     solver = dict(raw.get("solver", {}))
     _require_keys(solver, _SOLVER_KEYS, "solver")
     solver.setdefault("variant", "first_classical")
-    if solver["variant"] not in ("first_classical", "second_classical", "first_hqc", "second_hqc"):
+    if solver["variant"] not in VARIANTS:
         raise ConfigError(f"unknown solver variant {solver['variant']!r}")
     solver.setdefault("epsilon", 0.1)
     solver.setdefault("max_iter", 1000)
@@ -96,8 +96,8 @@ def validate_config(raw: dict) -> dict:
     solver.setdefault("hessian_samples_per_iteration", 10_000_000)
     solver.setdefault("estimator_mode", "generic")
     solver.setdefault("warm_start", False)
-    if solver["estimator_mode"] not in ("generic", "extensive"):
-        raise ConfigError("solver.estimator_mode must be 'generic' or 'extensive'")
+    if solver["estimator_mode"] not in ESTIMATOR_MODES:
+        raise ConfigError(f"solver.estimator_mode must be one of {list(ESTIMATOR_MODES)}")
 
     oracle_block = dict(raw.get("oracle", {"enable": True}))
     _require_keys(oracle_block, _ORACLE_KEYS, "oracle")
@@ -144,7 +144,7 @@ def build_system(model: dict) -> ThermoSystem:
     return models.build_stabilizer_system(code, spec)
 
 
-def _optimizer_config(solver: dict, seed: int) -> OptimizerConfig:
+def _optimizer_config(solver: dict) -> OptimizerConfig:
     return OptimizerConfig(
         variant=solver["variant"],
         epsilon=float(solver["epsilon"]),
@@ -156,7 +156,6 @@ def _optimizer_config(solver: dict, seed: int) -> OptimizerConfig:
         hessian_regularization_floor=float(solver.get("hessian_regularization_floor", 0.0)),
         step_cap=float(solver.get("step_cap", 1.0)),
         temperature=solver.get("temperature"),
-        seed=seed,
     )
 
 
@@ -165,19 +164,7 @@ def _logical_target_from_charges(system: ThermoSystem) -> encoding.LogicalTarget
     code = system.code
     if code is None:
         return None
-    words = {}
-    for charge, target in zip(system.charges, system.targets):
-        word = next(
-            (
-                w
-                for w in encoding.all_words(code.k)
-                if models.logical_pauli_product(code, w) == charge
-            ),
-            None,
-        )
-        if word is None:
-            return None
-        words[tuple(word)] = target
+    words = dict(zip(system.charge_words, system.targets))
     needed = {w for w in encoding.all_words(code.k) if any(i != 0 for i in w)}
     if set(words) != needed:
         return None
@@ -193,27 +180,18 @@ def _warm_start_mu(system: ThermoSystem, solver: dict, temperature: float):
     code = system.code
     if code is None or code.k != 1:
         raise ConfigError("warm_start needs a stabilizer model encoding one qubit")
-    table = {}
-    for charge, target in zip(system.charges, system.targets):
-        for w in ((1,), (2,), (3,)):
-            if models.logical_pauli_product(code, w) == charge:
-                table[w] = target
+    table = dict(zip(system.charge_words, system.targets))
     if set(table) != {(1,), (2,), (3,)}:
         raise ConfigError("warm_start needs charges on the three logical axes")
     r = np.array([table[(1,)], table[(2,)], table[(3,)]])
     if np.linalg.norm(r) >= 1.0:
         raise ConfigError("warm_start targets must describe a strictly mixed state")
     _, warm = encoding.warm_start_state(code, r, temperature)
-    words = []
-    for charge in system.charges:
-        words.append(
-            next(w for w in ((1,), (2,), (3,)) if models.logical_pauli_product(code, w) == charge)
-        )
-    return warm.chemical_potentials(temperature, words)
+    return warm.chemical_potentials(temperature, system.charge_words)
 
 
-def _make_estimator(system: ThermoSystem, solver: dict, master_seed: int):
-    if solver["variant"] in ("first_classical", "second_classical"):
+def _make_estimator(system: ThermoSystem, solver: dict, sampled: bool, master_seed: int):
+    if not sampled:
         return ExactEstimator(system)
     return ShotEstimator(
         system,
@@ -230,10 +208,10 @@ def _run_repetition(payload: dict) -> dict:
     system = build_system(config["model"])
     solver = config["solver"]
     rep_seed = derive_stream_seed(config["seed"], payload["rep"], _REP_TAG, 0)
-    opt_config = _optimizer_config(solver, rep_seed)
+    opt_config = _optimizer_config(solver)
     temperature = opt_config.resolved_temperature(system)
     mu0 = _warm_start_mu(system, solver, temperature)
-    estimator = _make_estimator(system, solver, rep_seed)
+    estimator = _make_estimator(system, solver, opt_config.is_sampled, rep_seed)
     start = time.perf_counter()
     trace = run(
         system,
@@ -331,20 +309,22 @@ def _encoded_fidelity(system: ThermoSystem, result: dict) -> float | None:
     return state_fidelity(final_state.rho, reference)
 
 
+def _reference(system: ThermoSystem, oracle_block: dict) -> tuple[float | None, bool | None]:
+    """Oracle reference energy and low-confidence flag; (None, None) when disabled."""
+    if not oracle_block["enable"]:
+        return None, None
+    solution = dual_eigenvalue_solve(
+        system,
+        system.targets,
+        iterations=int(oracle_block["iterations"]),
+        tolerance=float(oracle_block["tolerance"]),
+    )
+    return solution.value, solution.low_confidence
+
+
 def run_experiment(config: dict, out_dir: Path, workers: int = 1, strict: bool = False) -> int:
     system = build_system(config["model"])
-
-    reference_energy = None
-    oracle_low_confidence = None
-    if config["oracle"]["enable"]:
-        solution = dual_eigenvalue_solve(
-            system,
-            system.targets,
-            iterations=int(config["oracle"]["iterations"]),
-            tolerance=float(config["oracle"]["tolerance"]),
-        )
-        reference_energy = solution.value
-        oracle_low_confidence = solution.low_confidence
+    reference_energy, oracle_low_confidence = _reference(system, config["oracle"])
 
     payloads = [
         {"config": config, "rep": rep, "reference_energy": reference_energy}
@@ -542,15 +522,7 @@ def run_sweep(config: dict, parameter: str, values, out_dir: Path, workers: int 
         raise ConfigError("sweep parameter must be one of T, shots, eta")
 
     system = build_system(config["model"])
-    reference_energy = None
-    if config["oracle"]["enable"]:
-        solution = dual_eigenvalue_solve(
-            system,
-            system.targets,
-            iterations=int(config["oracle"]["iterations"]),
-            tolerance=float(config["oracle"]["tolerance"]),
-        )
-        reference_energy = solution.value
+    reference_energy, _ = _reference(system, config["oracle"])
 
     rows = []
     for v_index, value in enumerate(values):

@@ -20,18 +20,11 @@ import numpy as np
 from .errors import NumericalIntegrityError
 from .gibbs import density_of
 from .models import StabilizerCode, codespace_projector, logical_pauli_product
-from .operators import expectation
-
-_SIGMA = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+from .operators import PAULI_MATRICES, expectation
 
 
 def _word_matrix(word: tuple[int, ...]) -> np.ndarray:
-    return reduce(np.kron, [_SIGMA[i] for i in word])
+    return reduce(np.kron, [PAULI_MATRICES[i] for i in word])
 
 
 def all_words(k: int):
@@ -178,6 +171,17 @@ def exponential_coefficients(target: LogicalTarget) -> dict[tuple[int, ...], flo
     return coeffs
 
 
+def _code_gibbs_state(code: StabilizerCode, word_coeffs, T: float) -> np.ndarray:
+    """exp(-(H - T sum_w c_w L_w)/T)/Z for H = -sum S_i and (word, c_w) pairs."""
+    effective = np.zeros((2**code.n, 2**code.n), dtype=complex)
+    for g in code.stabilizer_generators:
+        effective -= g.to_dense()
+    for word, coeff in word_coeffs:
+        if coeff != 0.0:
+            effective -= T * coeff * logical_pauli_product(code, word).to_dense()
+    return density_of(effective, T)
+
+
 def warm_start_state(code: StabilizerCode, r, T: float) -> tuple[np.ndarray, WarmStart]:
     """Single-logical-qubit warm start: thermal state already meeting the constraints.
 
@@ -190,13 +194,7 @@ def warm_start_state(code: StabilizerCode, r, T: float) -> tuple[np.ndarray, War
     mu, beta = mixture_to_exponential(r)
     words = ((1,), (2,), (3,))
     warm = WarmStart(tuple((w, -beta * mu[i]) for i, w in enumerate(words)), beta)
-    effective = np.zeros((2**code.n, 2**code.n), dtype=complex)
-    for g in code.stabilizer_generators:
-        effective -= g.to_dense()
-    for word, coeff in warm.mu_words:
-        if coeff != 0.0:
-            effective -= T * coeff * logical_pauli_product(code, word).to_dense()
-    return density_of(effective, T), warm
+    return _code_gibbs_state(code, warm.mu_words, T), warm
 
 
 def optimal_encoding_state(code: StabilizerCode, target: LogicalTarget, T: float) -> np.ndarray:
@@ -208,14 +206,7 @@ def optimal_encoding_state(code: StabilizerCode, target: LogicalTarget, T: float
     """
     if target.k != code.k:
         raise ValueError(f"target has k={target.k} but code encodes k={code.k}")
-    coeffs = exponential_coefficients(target)
-    effective = np.zeros((2**code.n, 2**code.n), dtype=complex)
-    for g in code.stabilizer_generators:
-        effective -= g.to_dense()
-    for word, value in coeffs.items():
-        if value != 0.0:
-            effective -= T * value * logical_pauli_product(code, word).to_dense()
-    return density_of(effective, T)
+    return _code_gibbs_state(code, exponential_coefficients(target).items(), T)
 
 
 def encoded_state(code: StabilizerCode, target: LogicalTarget) -> np.ndarray:

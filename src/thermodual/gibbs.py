@@ -73,14 +73,18 @@ def _boltzmann_weights(eigenvalues: np.ndarray, T: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _mixture(vecs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Hermitized sum_a weights_a |v_a><v_a| over eigenvector columns."""
+    rho = (vecs * weights) @ vecs.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
 def density_of(matrix: np.ndarray, T: float) -> np.ndarray:
     """Stable Gibbs density exp(-matrix/T)/Z of an arbitrary Hermitian matrix."""
     if T <= 0:
         raise ValueError(f"temperature must be positive, got {T}")
     vals, vecs = np.linalg.eigh(matrix)
-    weights = _boltzmann_weights(vals, T)
-    rho = (vecs * weights) @ vecs.conj().T
-    return (rho + rho.conj().T) / 2.0
+    return _mixture(vecs, _boltzmann_weights(vals, T))
 
 
 def thermal_state(system: ThermoSystem, mu, T: float) -> ThermalState:
@@ -90,9 +94,7 @@ def thermal_state(system: ThermoSystem, mu, T: float) -> ThermalState:
     mu = np.asarray(mu, dtype=float)
     spectrum = SpectralDecomposition.of(effective_hamiltonian(system, mu))
     populations = _boltzmann_weights(spectrum.eigenvalues, T)
-    V = spectrum.eigenvectors
-    rho = (V * populations) @ V.conj().T
-    rho = (rho + rho.conj().T) / 2.0
+    rho = _mixture(spectrum.eigenvectors, populations)
     rho.setflags(write=False)
     pop = populations.copy()
     pop.setflags(write=False)

@@ -16,6 +16,9 @@ import numpy as np
 from .errors import ConfigError
 from .operators import Observable, PauliString, commutes, parse_pauli, pauli_product
 
+# observable id of the Hamiltonian; ids below it index the charges
+HAMILTONIAN_OBS_ID = 1 << 20
+
 
 @dataclass(frozen=True)
 class CouplingGraph:
@@ -106,15 +109,18 @@ class StabilizerCode:
 
 @dataclass(frozen=True)
 class ThermoSystem:
-    """Hamiltonian, charge tuple, and constraint targets of one problem instance."""
+    """Hamiltonian, charge tuple, and constraint targets of one problem instance.
+
+    Stabilizer systems also keep each charge's logical word in `charge_words`.
+    """
 
     hamiltonian: Observable
     charges: tuple[Observable, ...]
     targets: tuple[float, ...]
     label: str = ""
     conserved: bool = False
-    graph: CouplingGraph | None = field(default=None, compare=False)
     code: StabilizerCode | None = field(default=None, compare=False)
+    charge_words: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.targets) != len(self.charges):
@@ -143,6 +149,10 @@ class ThermoSystem:
     @property
     def n_charges(self) -> int:
         return len(self.charges)
+
+    def observable(self, obs_id: int) -> Observable:
+        """The Hamiltonian for HAMILTONIAN_OBS_ID, else charge obs_id."""
+        return self.hamiltonian if obs_id == HAMILTONIAN_OBS_ID else self.charges[obs_id]
 
 
 def _line_graph(n: int, nnn: bool, J: float, lam: float) -> CouplingGraph:
@@ -228,7 +238,6 @@ def build_heisenberg(
         tuple(float(t) for t in targets),
         label=f"heisenberg-{tag}",
         conserved=True,
-        graph=graph,
     )
 
 
@@ -340,4 +349,5 @@ def build_stabilizer_system(
         label=label or f"stabilizer-{code.name}",
         conserved=True,
         code=code,
+        charge_words=tuple(words),
     )

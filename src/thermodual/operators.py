@@ -20,7 +20,8 @@ MAX_DENSE_QUBITS = 10
 # letter encoding: 0=I, 1=X, 2=Y, 3=Z
 LETTERS = "IXYZ"
 
-_SINGLE = (
+# single-qubit I, X, Y, Z in letter order
+PAULI_MATRICES = (
     np.eye(2, dtype=complex),
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -78,7 +79,7 @@ class PauliString:
         return all(l == 0 for l in self.letters)
 
     def to_dense(self) -> np.ndarray:
-        mats = [_SINGLE[l] for l in self.letters]
+        mats = [PAULI_MATRICES[l] for l in self.letters]
         return self.phase * reduce(np.kron, mats)
 
     def __str__(self) -> str:

@@ -19,9 +19,8 @@ from typing import Protocol
 import numpy as np
 
 from .gibbs import ThermalState, hessian_exact, objective_f, smoothness_L, thermal_state
-from .models import ThermoSystem
+from .models import HAMILTONIAN_OBS_ID, ThermoSystem
 from .operators import expectation
-from .shots import HAMILTONIAN_OBS_ID
 
 VARIANTS = ("first_classical", "second_classical", "first_hqc", "second_hqc")
 
@@ -38,7 +37,6 @@ class OptimizerConfig:
     nesterov: bool | None = None
     backtrack_factor: float = 0.5
     hessian_regularization_floor: float = 0.0
-    seed: int = 0
     temperature: float | None = None
     max_backtracks: int = 30
     step_cap: float = 1.0
@@ -104,12 +102,7 @@ class ExactEstimator:
         self.system = system
 
     def expectation(self, state: ThermalState, obs_id: int, eval_index: int) -> float:
-        obs = (
-            self.system.hamiltonian
-            if obs_id == HAMILTONIAN_OBS_ID
-            else self.system.charges[obs_id]
-        )
-        return expectation(obs, state.rho)
+        return expectation(self.system.observable(obs_id), state.rho)
 
     def hessian(self, state: ThermalState, eval_index: int) -> np.ndarray:
         return hessian_exact(self.system, state.mu, state.temperature, state=state)
@@ -179,27 +172,19 @@ class _Evaluator:
     def state(self, mu) -> ThermalState:
         return thermal_state(self.system, mu, self.T)
 
-    def gradient_only(self, state) -> np.ndarray:
+    def _charges(self, state) -> tuple[int, np.ndarray]:
+        """Charge estimates under a fresh evaluation index, returned with it."""
         idx = self.eval_index
         self.eval_index += 1
-        charges = np.array(
-            [
-                self.estimator.expectation(state, i, idx)
-                for i in range(self.system.n_charges)
-            ]
-        )
-        return self.q - charges
+        estimate = self.estimator.expectation
+        return idx, np.array([estimate(state, i, idx) for i in range(self.system.n_charges)])
+
+    def gradient_only(self, state) -> np.ndarray:
+        return self.q - self._charges(state)[1]
 
     def full(self, state):
         """Charge and energy estimates plus the derived gradient and output value."""
-        idx = self.eval_index
-        self.eval_index += 1
-        charges = np.array(
-            [
-                self.estimator.expectation(state, i, idx)
-                for i in range(self.system.n_charges)
-            ]
-        )
+        idx, charges = self._charges(state)
         h_val = self.estimator.expectation(state, HAMILTONIAN_OBS_ID, idx)
         grad = self.q - charges
         mu = state.mu

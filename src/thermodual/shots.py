@@ -25,14 +25,15 @@ from scipy.special import spence
 
 from .errors import NumericalIntegrityError
 from .gibbs import ThermalState, charge_expectations, thermal_state
-from .models import ThermoSystem
-from .operators import Observable, PauliString
+from .models import HAMILTONIAN_OBS_ID, ThermoSystem
+from .operators import PAULI_MATRICES, Observable, PauliString
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-# observable-id namespaces for stream derivation
-HAMILTONIAN_OBS_ID = 1 << 20
+ESTIMATOR_MODES = ("generic", "extensive")
+
+# observable-id namespaces for stream derivation, above HAMILTONIAN_OBS_ID
 HESSIAN_ENTRY_BASE = 1 << 21
 HESSIAN_FACTOR_BASE = 1 << 22
 
@@ -184,14 +185,11 @@ def _check_extensive(system: ThermoSystem):
 def _site_components(system: ThermoSystem):
     """Per-site single-qubit matrices of each extensive charge."""
     n = system.n_qubits
-    sigma = [np.eye(2, dtype=complex)] + [
-        PauliString((l,)).to_dense() for l in (1, 2, 3)
-    ]
     comps = np.zeros((system.n_charges, n, 2, 2), dtype=complex)
     for i, q in enumerate(system.charges):
         for coeff, word in q.terms:
             site = next(k for k, l in enumerate(word.letters) if l != 0)
-            comps[i, site] += coeff * sigma[word.letters[site]]
+            comps[i, site] += coeff * PAULI_MATRICES[word.letters[site]]
     return comps
 
 
@@ -342,7 +340,6 @@ def _extensive_pairs(system, state, i, j, comps):
     n = system.n_qubits
     rho = state.rho
     pairs = []
-    sigma = [np.eye(2, dtype=complex)] + [PauliString((l,)).to_dense() for l in (1, 2, 3)]
     for site in range(n):
         scale = float(np.linalg.norm(comps[i, site], 2))
         if scale == 0.0:
@@ -354,7 +351,7 @@ def _extensive_pairs(system, state, i, j, comps):
         for cb, word_b in system.charges[j].terms:
             b_rho = word_b.to_dense() @ rho
             base = np.array(
-                [np.einsum("ij,ji->", _embed_site(s, site, n), b_rho) for s in sigma]
+                [np.einsum("ij,ji->", _embed_site(s, site, n), b_rho) for s in PAULI_MATRICES]
             )
             freq_map: dict[float, complex] = {}
             for m in range(2):
@@ -363,7 +360,7 @@ def _extensive_pairs(system, state, i, j, comps):
                     local_op = np.zeros((2, 2), dtype=complex)
                     local_op[m, nn] = a_eig[m, nn]
                     back = vecs @ local_op @ vecs.conj().T
-                    coeffs = np.array([np.trace(back @ s) / 2.0 for s in sigma])
+                    coeffs = np.array([np.trace(back @ s) / 2.0 for s in PAULI_MATRICES])
                     weight = complex(coeffs @ base)
                     freq = round(float((vals[m] - vals[nn]) / T), 12)
                     freq_map[freq] = freq_map.get(freq, 0.0) + weight
@@ -395,7 +392,7 @@ def estimate_hessian(
     """
     if time_samples < 1 or shots < 1:
         raise ValueError("time_samples and shots must be positive")
-    if mode not in ("generic", "extensive"):
+    if mode not in ESTIMATOR_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "extensive":
         _check_extensive(system)
@@ -457,7 +454,7 @@ class ShotEstimator:
         mode: str = "generic",
         sampler: TentSampler | None = None,
     ):
-        if mode not in ("generic", "extensive"):
+        if mode not in ESTIMATOR_MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.system = system
         self.master_seed = int(master_seed)
@@ -486,13 +483,10 @@ class ShotEstimator:
         self._factor_total = factor_total
 
     def expectation(self, state: ThermalState, obs_id: int, eval_index: int) -> float:
-        obs = (
-            self.system.hamiltonian
-            if obs_id == HAMILTONIAN_OBS_ID
-            else self.system.charges[obs_id]
-        )
         stream = RngStream(self.master_seed, eval_index, obs_id)
-        return estimate_observable(state.rho, obs, self.shots_per_term, stream)
+        return estimate_observable(
+            state.rho, self.system.observable(obs_id), self.shots_per_term, stream
+        )
 
     def hessian(self, state: ThermalState, eval_index: int) -> np.ndarray:
         return estimate_hessian(

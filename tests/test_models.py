@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,16 @@ class TestStabilizerSystem:
         system = build_stabilizer_system(code, spec)
         assert system.n_charges == 15
         assert system.conserved
+
+    @pytest.mark.parametrize("name", ["repetition3", "perfect5", "detect422"])
+    def test_charge_words_round_trip(self, name):
+        code = builtin_code(name)
+        words = [w for w in itertools.product(range(4), repeat=code.k) if any(w)]
+        system = build_stabilizer_system(code, [(w, 0.0) for w in words])
+        assert system.charge_words == tuple(words)
+        for word, charge in zip(system.charge_words, system.charges):
+            assert logical_pauli_product(code, word) == charge
+        assert build_heisenberg("line", n=3).charge_words is None
 
     def test_identity_charge_rejected(self):
         code = builtin_code("repetition3")

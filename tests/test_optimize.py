@@ -124,7 +124,7 @@ class TestFirstOrder:
 
     def test_determinism_bitwise(self):
         system = repetition_system()
-        cfg = OptimizerConfig(variant="first_hqc", epsilon=0.2, max_iter=40, seed=5)
+        cfg = OptimizerConfig(variant="first_hqc", epsilon=0.2, max_iter=40)
         traces = [
             run_first_order(
                 system, system.targets, cfg,
@@ -186,7 +186,7 @@ class TestSecondOrder:
         # (about 0.026 for 4000 shots per term on this system)
         system = repetition_system()
         cfg = OptimizerConfig(
-            variant="second_hqc", epsilon=0.2, max_iter=40, seed=3, delta=0.05,
+            variant="second_hqc", epsilon=0.2, max_iter=40, delta=0.05,
             hessian_regularization_floor=0.1,
         )
         estimator = ShotEstimator(
