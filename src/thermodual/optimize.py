@@ -88,8 +88,7 @@ class Estimator(Protocol):
 
     def hessian(self, state: ThermalState, eval_index: int) -> np.ndarray: ...
 
-    @property
-    def shots_per_gradient_eval(self) -> int: ...
+    shots_per_term: int  # shots drawn per measured Pauli term; 0 when exact
 
     @property
     def shots_per_hessian_eval(self) -> int: ...
@@ -97,6 +96,8 @@ class Estimator(Protocol):
 
 class ExactEstimator:
     """Noiseless estimator computing exact traces on the dense thermal state."""
+
+    shots_per_term = 0
 
     def __init__(self, system: ThermoSystem):
         self.system = system
@@ -106,10 +107,6 @@ class ExactEstimator:
 
     def hessian(self, state: ThermalState, eval_index: int) -> np.ndarray:
         return hessian_exact(self.system, state.mu, state.temperature, state=state)
-
-    @property
-    def shots_per_gradient_eval(self) -> int:
-        return 0
 
     @property
     def shots_per_hessian_eval(self) -> int:
@@ -159,7 +156,7 @@ def error_metric(E_ref: float, f_estimate: float, grad_estimate) -> float:
 
 
 class _Evaluator:
-    """Counts estimator calls so derived shot streams never collide."""
+    """Counts estimator calls so derived shot streams never collide, and the shots they draw."""
 
     def __init__(self, system, q, estimator, T, reference_energy):
         self.system = system
@@ -168,6 +165,9 @@ class _Evaluator:
         self.T = T
         self.reference_energy = reference_energy
         self.eval_index = 0
+        self.shots = 0  # drawn since the last drain_shots()
+        self._charge_shots = estimator.shots_per_term * sum(len(q.terms) for q in system.charges)
+        self._energy_shots = estimator.shots_per_term * len(system.hamiltonian.terms)
 
     def state(self, mu) -> ThermalState:
         return thermal_state(self.system, mu, self.T)
@@ -176,6 +176,7 @@ class _Evaluator:
         """Charge estimates under a fresh evaluation index, returned with it."""
         idx = self.eval_index
         self.eval_index += 1
+        self.shots += self._charge_shots
         estimate = self.estimator.expectation
         return idx, np.array([estimate(state, i, idx) for i in range(self.system.n_charges)])
 
@@ -186,6 +187,7 @@ class _Evaluator:
         """Charge and energy estimates plus the derived gradient and output value."""
         idx, charges = self._charges(state)
         h_val = self.estimator.expectation(state, HAMILTONIAN_OBS_ID, idx)
+        self.shots += self._energy_shots
         grad = self.q - charges
         mu = state.mu
         f_est = float(mu @ self.q + h_val - mu @ charges)
@@ -199,7 +201,13 @@ class _Evaluator:
     def hessian(self, state) -> np.ndarray:
         idx = self.eval_index
         self.eval_index += 1
+        self.shots += self.estimator.shots_per_hessian_eval
         return self.estimator.hessian(state, idx)
+
+    def drain_shots(self) -> int:
+        """Shots drawn since the previous call."""
+        used, self.shots = self.shots, 0
+        return used
 
 
 def _finalize(trace: Trace, ev: _Evaluator, mu):
@@ -248,10 +256,7 @@ def run_first_order(
         _, grad, f_est, err = ev.full(state)
         grad_norm = float(np.linalg.norm(grad))
         trace.records.append(
-            TraceRecord(
-                m, point.copy(), f_est, grad_norm, err, eta,
-                estimator.shots_per_gradient_eval,
-            )
+            TraceRecord(m, point.copy(), f_est, grad_norm, err, eta, ev.drain_shots())
         )
         if grad_norm <= delta:
             trace.converged = True
@@ -329,10 +334,7 @@ def run_second_order(
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= delta or m == config.max_iter:
             trace.records.append(
-                TraceRecord(
-                    m, mu.copy(), f_est, grad_norm, err, eta,
-                    estimator.shots_per_gradient_eval,
-                )
+                TraceRecord(m, mu.copy(), f_est, grad_norm, err, eta, ev.drain_shots())
             )
             if grad_norm <= delta:
                 trace.converged = True
@@ -340,7 +342,6 @@ def run_second_order(
             break
 
         hess = ev.hessian(state)
-        shots_used = estimator.shots_per_gradient_eval + estimator.shots_per_hessian_eval
         if config.variant == "second_hqc":
             hess = _regularize(hess, config.hessian_regularization_floor)
 
@@ -363,7 +364,6 @@ def run_second_order(
                 candidate = mu - trial * step
                 cand_state = ev.state(candidate)
                 cand_grad = ev.gradient_only(cand_state)
-                shots_used += estimator.shots_per_gradient_eval
                 ok = float(np.linalg.norm(cand_grad)) < grad_norm
                 if ok and exact_objective:
                     ok = f_exact(cand_state) >= f_here - 1e-12 * max(1.0, abs(f_here))
@@ -390,7 +390,6 @@ def run_second_order(
                 candidate = mu + rescue_step * grad
                 cand_state = ev.state(candidate)
                 cand_grad = ev.gradient_only(cand_state)
-                shots_used += estimator.shots_per_gradient_eval
                 if exact_objective:
                     ok = f_exact(cand_state) > f_here
                 else:
@@ -405,7 +404,7 @@ def run_second_order(
                 accepted = mu + base_step * grad
 
         trace.records.append(
-            TraceRecord(m, mu.copy(), f_est, grad_norm, err, eta, shots_used, fallback)
+            TraceRecord(m, mu.copy(), f_est, grad_norm, err, eta, ev.drain_shots(), fallback)
         )
         mu = accepted
 

@@ -464,7 +464,6 @@ class ShotEstimator:
         term_counts = [len(q.terms) for q in system.charges]
         gradient_terms = len(system.hamiltonian.terms) + sum(term_counts)
         self.shots_per_term = max(1, round(shots_per_iteration / max(1, gradient_terms)))
-        self._gradient_terms = gradient_terms
 
         c = system.n_charges
         pair_total = sum(
@@ -500,10 +499,6 @@ class ShotEstimator:
             state=state,
             sampler=self.sampler,
         )
-
-    @property
-    def shots_per_gradient_eval(self) -> int:
-        return self.shots_per_term * self._gradient_terms
 
     @property
     def shots_per_hessian_eval(self) -> int:

@@ -195,6 +195,36 @@ class TestSecondOrder:
         trace = run_second_order(system, system.targets, cfg, estimator)
         assert trace.converged
 
+    def test_shots_used_counts_every_draw(self, monkeypatch):
+        # candidate points measure only the charges, never the Hamiltonian terms
+        import thermodual.shots as shots
+
+        drawn = []
+        estimate_observable = shots.estimate_observable
+        interference_samples = shots._interference_samples
+
+        def counted_observable(rho, obs, shots_per_term, stream):
+            drawn.append(len(obs.terms) * shots_per_term)
+            return estimate_observable(rho, obs, shots_per_term, stream)
+
+        def counted_interference(w, generator):
+            drawn.append(len(w))
+            return interference_samples(w, generator)
+
+        monkeypatch.setattr(shots, "estimate_observable", counted_observable)
+        monkeypatch.setattr(shots, "_interference_samples", counted_interference)
+        system = repetition_system()
+        cfg = OptimizerConfig(variant="second_hqc", max_iter=12, delta=1e-12)
+        estimator = ShotEstimator(
+            system, 7, shots_per_iteration=10_000, hessian_samples_per_iteration=20_000
+        )
+        trace = run_second_order(system, system.targets, cfg, estimator)
+        # 5 terms: 2 Hamiltonian + 3 charges; the final evaluation is not recorded
+        final_eval = 5 * estimator.shots_per_term
+        per_iteration = final_eval + estimator.shots_per_hessian_eval
+        assert max(r.shots_used for r in trace.records) > per_iteration  # candidates ran
+        assert sum(r.shots_used for r in trace.records) == sum(drawn) - final_eval
+
     def test_variant_dispatch(self):
         system = repetition_system()
         cfg = OptimizerConfig(variant="second_classical", epsilon=0.3, max_iter=50)

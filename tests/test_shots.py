@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from thermodual.gibbs import hessian_exact, thermal_state
 from thermodual.models import build_heisenberg, build_stabilizer_system, builtin_code
 from thermodual.operators import Observable, expectation
+from thermodual.optimize import OptimizerConfig, run_first_order
 from thermodual.shots import (
     RngStream,
     ShotEstimator,
@@ -222,7 +223,9 @@ class TestShotEstimator:
         estimator = ShotEstimator(system, 1, shots_per_iteration=10_000)
         # 2 Hamiltonian terms + 3 single-word charges = 5 measured terms
         assert estimator.shots_per_term == 2000
-        assert estimator.shots_per_gradient_eval == 10_000
+        cfg = OptimizerConfig(variant="first_hqc", max_iter=0)
+        trace = run_first_order(system, system.targets, cfg, estimator)
+        assert trace.records[0].shots_used == 10_000
 
     def test_estimates_converge_with_budget(self, rng):
         system = repetition_system()
