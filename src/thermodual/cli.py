@@ -7,7 +7,8 @@ Subcommands:
   sweep   re-run one config across values of T, shots, or eta
 
 Exit codes: 0 success, 2 config error, 3 numerical-integrity error or failed
-verification, 4 non-convergence under --strict.  CSV floats carry 17
+verification, 4 non-convergence under --strict, 5 model beyond the dense
+size limit.  CSV floats carry 17
 significant digits so identical (config, seed) pairs reproduce artifacts
 byte for byte, independent of --workers.
 """
@@ -24,10 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import encoding, models
-from .errors import ConfigError, NumericalIntegrityError
+from .errors import ConfigError, NumericalIntegrityError, ResourceError
 from .gibbs import gradient, hessian_exact, objective_f, smoothness_L, thermal_state
 from .models import ThermoSystem
-from .optimize import VARIANTS, ExactEstimator, OptimizerConfig, run
+from .optimize import ExactEstimator, OptimizerConfig, run
 from .oracle import closeness_metrics, dual_eigenvalue_solve, state_fidelity
 from .shots import ESTIMATOR_MODES, ShotEstimator, derive_stream_seed
 
@@ -88,8 +89,6 @@ def validate_config(raw: dict) -> dict:
     solver = dict(raw.get("solver", {}))
     _require_keys(solver, _SOLVER_KEYS, "solver")
     solver.setdefault("variant", "first_classical")
-    if solver["variant"] not in VARIANTS:
-        raise ConfigError(f"unknown solver variant {solver['variant']!r}")
     solver.setdefault("epsilon", 0.1)
     solver.setdefault("max_iter", 1000)
     solver.setdefault("shots_per_iteration", 10_000)
@@ -98,6 +97,10 @@ def validate_config(raw: dict) -> dict:
     solver.setdefault("warm_start", False)
     if solver["estimator_mode"] not in ESTIMATOR_MODES:
         raise ConfigError(f"solver.estimator_mode must be one of {list(ESTIMATOR_MODES)}")
+    try:
+        sampled = _optimizer_config(solver).is_sampled
+    except ValueError as exc:
+        raise ConfigError(f"solver: {exc}") from None
 
     oracle_block = dict(raw.get("oracle", {"enable": True}))
     _require_keys(oracle_block, _ORACLE_KEYS, "oracle")
@@ -105,7 +108,6 @@ def validate_config(raw: dict) -> dict:
     oracle_block.setdefault("iterations", 2000)
     oracle_block.setdefault("tolerance", 1e-6)
 
-    sampled = solver["variant"] in ("first_hqc", "second_hqc")
     repetitions = raw.get("repetitions", 5 if sampled else 1)
     if not isinstance(repetitions, int) or repetitions < 1:
         raise ConfigError("repetitions must be a positive integer")
@@ -644,6 +646,9 @@ def main(argv=None) -> int:
     except NumericalIntegrityError as exc:
         print(f"numerical integrity error: {exc}", file=sys.stderr)
         return 3
+    except ResourceError as exc:
+        print(f"resource error: {exc}", file=sys.stderr)
+        return 5
     return 0
 
 

@@ -46,6 +46,8 @@ class OptimizerConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.epsilon <= 0 and self.temperature is None:
             raise ValueError("epsilon must be positive")
+        if self.temperature is not None and self.temperature <= 0:
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.eta is not None and self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.delta is not None and self.delta <= 0:

@@ -306,6 +306,37 @@ class TestSweepCommand:
         assert result.returncode == 2
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("block,key,value,code", [
+        ("model", "n", 11, 5),
+        ("solver", "temperature", -1, 2),
+        ("solver", "delta", -1, 2),
+    ])
+    def test_one_line_message_and_no_traceback(self, tmp_path, block, key, value, code):
+        payload = json.loads(json.dumps(HEISENBERG_CONFIG))
+        payload[block][key] = value
+        config = write_config(tmp_path, payload)
+        result = subprocess.run(
+            [sys.executable, "-m", "thermodual.cli", "run", "--config", str(config),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == code
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+
+    def test_sweep_rejects_negative_temperature_per_row(self, tmp_path):
+        config = write_config(tmp_path, {**HEISENBERG_CONFIG, "oracle": {"enable": False}})
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--config", str(config), "--parameter", "T",
+            "--values", "0.5,-1", "--out", str(out),
+        ]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[3] for line in lines] == ["ok", "rejected"]
+        assert lines[1].endswith("temperature must be positive, got -1.0")
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         config = write_config(tmp_path, HEISENBERG_CONFIG)

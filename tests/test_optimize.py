@@ -49,6 +49,7 @@ class TestConfig:
             dict(backtrack_factor=1.5),
             dict(hessian_regularization_floor=-0.1),
             dict(step_cap=0.0),
+            dict(temperature=-1.0),
         ):
             with pytest.raises(ValueError):
                 OptimizerConfig(**kwargs)
