@@ -7,10 +7,9 @@ Subcommands:
   sweep   re-run one config across values of T, shots, or eta
 
 Exit codes: 0 success, 2 config error, 3 numerical-integrity error or failed
-verification, 4 non-convergence under --strict, 5 model beyond the dense
-size limit.  CSV floats carry 17
-significant digits so identical (config, seed) pairs reproduce artifacts
-byte for byte, independent of --workers.
+verification, 4 non-convergence under --strict, 5 model beyond the dense size
+limit.  CSV floats carry 17 significant digits so identical (config, seed)
+pairs reproduce artifacts byte for byte, independent of --workers.
 """
 
 from __future__ import annotations

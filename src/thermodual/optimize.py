@@ -167,7 +167,7 @@ class _Evaluator:
         self.T = T
         self.reference_energy = reference_energy
         self.eval_index = 0
-        self.shots = 0  # drawn since the last drain_shots()
+        self._shots = 0  # drawn since the last drain_shots()
         self._charge_shots = estimator.shots_per_term * sum(len(q.terms) for q in system.charges)
         self._energy_shots = estimator.shots_per_term * len(system.hamiltonian.terms)
 
@@ -178,7 +178,7 @@ class _Evaluator:
         """Charge estimates under a fresh evaluation index, returned with it."""
         idx = self.eval_index
         self.eval_index += 1
-        self.shots += self._charge_shots
+        self._shots += self._charge_shots
         estimate = self.estimator.expectation
         return idx, np.array([estimate(state, i, idx) for i in range(self.system.n_charges)])
 
@@ -189,7 +189,7 @@ class _Evaluator:
         """Charge and energy estimates plus the derived gradient and output value."""
         idx, charges = self._charges(state)
         h_val = self.estimator.expectation(state, HAMILTONIAN_OBS_ID, idx)
-        self.shots += self._energy_shots
+        self._shots += self._energy_shots
         grad = self.q - charges
         mu = state.mu
         f_est = float(mu @ self.q + h_val - mu @ charges)
@@ -203,12 +203,12 @@ class _Evaluator:
     def hessian(self, state) -> np.ndarray:
         idx = self.eval_index
         self.eval_index += 1
-        self.shots += self.estimator.shots_per_hessian_eval
+        self._shots += self.estimator.shots_per_hessian_eval
         return self.estimator.hessian(state, idx)
 
     def drain_shots(self) -> int:
         """Shots drawn since the previous call."""
-        used, self.shots = self.shots, 0
+        used, self._shots = self._shots, 0
         return used
 
 
