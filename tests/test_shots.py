@@ -3,7 +3,12 @@ import pytest
 from scipy.integrate import quad
 
 from thermodual.gibbs import hessian_exact, thermal_state
-from thermodual.models import build_heisenberg, build_stabilizer_system, builtin_code
+from thermodual.models import (
+    HAMILTONIAN_OBS_ID,
+    build_heisenberg,
+    build_stabilizer_system,
+    builtin_code,
+)
 from thermodual.operators import Observable, expectation
 from thermodual.optimize import OptimizerConfig, run_first_order
 from thermodual.shots import (
@@ -246,3 +251,123 @@ class TestShotEstimator:
         est = estimator.hessian(state, 0)
         assert est.shape == (3, 3)
         assert np.array_equal(est, est.T)
+
+
+# Exact outputs of the shot layer for fixed seeds and small budgets.  Any
+# change to the estimators must leave them bit for bit as they are: a
+# rounding-level change in a probability flips an outcome only when a uniform
+# draw lands within that rounding of it.
+PINNED_OBSERVABLE = {
+    ("repetition3", 11): [
+        -1.945945945945946,
+        0.4594594594594595,
+        -0.40540540540540543,
+        0.7837837837837838,
+    ],
+    ("repetition3", 20251018): [
+        -1.8918918918918919,
+        0.24324324324324326,
+        -0.4594594594594595,
+        0.8918918918918919,
+    ],
+    ("perfect5", 11): [
+        -3.945945945945946,
+        0.4594594594594595,
+        -0.40540540540540543,
+        0.7837837837837838,
+    ],
+    ("perfect5", 20251018): [
+        -3.8378378378378377,
+        0.24324324324324326,
+        -0.4594594594594595,
+        0.8918918918918919,
+    ],
+    ("grid2x3", 11): [
+        -11.162162162162158,
+        -0.4324324324324325,
+        -0.05405405405405406,
+        -0.2702702702702703,
+    ],
+    ("grid2x3", 20251018): [
+        -10.945945945945946,
+        0.2702702702702703,
+        -0.05405405405405406,
+        0.5405405405405406,
+    ],
+}
+
+PINNED_HESSIAN = {
+    ("repetition3", "generic", 11): [
+        [-1.2378165679811786, -0.11113529813532484, 0.5339172160725583],
+        [-0.11113529813532484, -1.4446093442803405, -0.3216354548626252],
+        [0.5339172160725583, -0.3216354548626252, -0.791109838197603],
+    ],
+    ("repetition3", "generic", 20251018): [
+        [-1.2298361827903195, -0.19222897305768324, 0.5399160033447296],
+        [-0.19222897305768324, -1.4486301775801917, -0.48203036780525815],
+        [0.5399160033447296, -0.48203036780525815, -0.7777413358166024],
+    ],
+    ("perfect5", "generic", 11): [
+        [-1.2378165679811786, -0.11113529813532484, 0.5339172160725583],
+        [-0.11113529813532484, -1.4446093442803405, -0.3216354548626252],
+        [0.5339172160725583, -0.3216354548626252, -0.791109838197603],
+    ],
+    ("perfect5", "generic", 20251018): [
+        [-1.2298361827903195, -0.19222897305768324, 0.5399160033447296],
+        [-0.19222897305768324, -1.4486301775801917, -0.48203036780525815],
+        [0.5399160033447296, -0.48203036780525815, -0.7777413358166024],
+    ],
+    ("grid2x3", "generic", 11): [
+        [-0.8306483371326088, 0.9453421935582593, 0.19876097870530587],
+        [0.9453421935582593, -1.1196692942799344, -0.2310574436915905],
+        [0.19876097870530587, -0.2310574436915905, -0.47950979222877543],
+    ],
+    ("grid2x3", "extensive", 11): [
+        [0.12587340199782643, 0.5975161066017377, -0.6708042386859983],
+        [0.5975161066017377, 0.010765488328762163, -0.40497048716985135],
+        [-0.6708042386859983, -0.40497048716985135, 1.3465771642929636],
+    ],
+    ("grid2x3", "generic", 20251018): [
+        [3.10558684738165, 1.893987843819408, 0.6757729256069651],
+        [1.893987843819408, 0.46044965716510294, -2.0782523183830164],
+        [0.6757729256069651, -2.0782523183830164, -3.8985469741191725],
+    ],
+    ("grid2x3", "extensive", 20251018): [
+        [-0.1118044569661753, 1.8070313220802776, -0.19379229178433927],
+        [1.8070313220802776, 2.286536613686842, -1.3826001444699734],
+        [-0.19379229178433927, -1.3826001444699734, -2.681155669771346],
+    ],
+}
+
+
+def pinned_case(name):
+    """A system and its thermal state at a fixed, generic point."""
+    if name == "grid2x3":
+        system = build_heisenberg(
+            "grid", rows=2, cols=3, nnn=True, lam=0.5, targets=(0.5, 0.2, -0.4)
+        )
+        mu, T = np.array([0.4, -0.3, 0.25]), 0.5
+    else:
+        system = build_stabilizer_system(
+            builtin_code(name), [((1,), 0.3), ((2,), -0.2), ((3,), 0.4)]
+        )
+        mu, T = np.array([0.3, -0.2, 0.5]), 0.4
+    return system, thermal_state(system, mu, T)
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name,seed", sorted(PINNED_OBSERVABLE))
+    def test_estimate_observable(self, name, seed):
+        system, state = pinned_case(name)
+        ids = [HAMILTONIAN_OBS_ID, *range(system.n_charges)]
+        got = [
+            estimate_observable(state.rho, system.observable(k), 37, RngStream(seed, 3, k))
+            for k in ids
+        ]
+        assert got == PINNED_OBSERVABLE[(name, seed)]
+
+    @pytest.mark.parametrize("name,mode,seed", sorted(PINNED_HESSIAN))
+    def test_shot_estimator_hessian(self, name, mode, seed):
+        system, state = pinned_case(name)
+        estimator = ShotEstimator(system, seed, hessian_samples_per_iteration=20_000, mode=mode)
+        assert estimator.hessian(state, 4).tolist() == PINNED_HESSIAN[(name, mode, seed)]
