@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import sys
 import time
@@ -27,7 +28,7 @@ from . import encoding, models
 from .errors import ConfigError, NumericalIntegrityError, ResourceError
 from .gibbs import gradient, hessian_exact, objective_f, smoothness_L, thermal_state
 from .models import ThermoSystem
-from .optimize import ExactEstimator, OptimizerConfig, run
+from .optimize import ExactEstimator, OptimizerConfig, first_order_step_size, run
 from .oracle import closeness_metrics, dual_eigenvalue_solve, state_fidelity
 from .shots import ESTIMATOR_MODES, ShotEstimator, derive_stream_seed
 
@@ -76,6 +77,10 @@ def validate_config(raw: dict) -> dict:
     if kind not in _MODEL_KEYS:
         raise ConfigError(f"model.kind must be one of {sorted(_MODEL_KEYS)}")
     _require_keys(model, _MODEL_KEYS[kind], "model")
+    for key in ("n", "rows", "cols"):
+        value = model.get(key)
+        if key in model and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ConfigError(f"model.{key} must be an integer, got {value!r}")
     if kind == "stabilizer":
         charges = model.get("charges")
         if not isinstance(charges, list) or not charges:
@@ -323,8 +328,20 @@ def _reference(system: ThermoSystem, oracle_block: dict) -> tuple[float | None, 
     return solution.value, solution.low_confidence
 
 
+def _check_step_size(system: ThermoSystem, solver: dict):
+    """Reject a first-order step size the solver would refuse, before any work starts."""
+    opt_config = _optimizer_config(solver)
+    if opt_config.is_second_order:
+        return
+    try:
+        first_order_step_size(system, opt_config)
+    except ValueError as exc:
+        raise ConfigError(f"solver: {exc}") from None
+
+
 def run_experiment(config: dict, out_dir: Path, workers: int = 1, strict: bool = False) -> int:
     system = build_system(config["model"])
+    _check_step_size(system, config["solver"])
     reference_energy, oracle_low_confidence = _reference(system, config["oracle"])
 
     payloads = [
@@ -570,15 +587,17 @@ def run_sweep(config: dict, parameter: str, values, out_dir: Path, workers: int 
         "parameter", "value", "run_id", "status", "converged", "iterations",
         "final_value", "final_grad_norm", "final_error_metric", "fidelity", "detail",
     ]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join([
-            row["parameter"], _fmt(row["value"]), str(row["run_id"]), row["status"],
-            str(row["converged"]), str(row["iterations"]), _fmt(row["final_value"]),
-            _fmt(row["final_grad_norm"]), _fmt(row["final_error_metric"]),
-            _fmt(row["fidelity"]), row["detail"],
-        ]))
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    with open(out_dir / "sweep.csv", "w", newline="") as fh:
+        # quotes a free-text detail that holds a comma; other rows keep their bytes
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([
+                row["parameter"], _fmt(row["value"]), str(row["run_id"]), row["status"],
+                str(row["converged"]), str(row["iterations"]), _fmt(row["final_value"]),
+                _fmt(row["final_grad_norm"]), _fmt(row["final_error_metric"]),
+                _fmt(row["fidelity"]), row["detail"],
+            ])
     return 0
 
 

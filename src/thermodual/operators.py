@@ -139,7 +139,7 @@ class Observable:
     lexicographically on their letters so equality is structural.
     """
 
-    __slots__ = ("n", "terms", "_dense", "_spectral_norm")
+    __slots__ = ("n", "terms", "_dense", "_spectral_norm", "_action")
 
     def __init__(self, n: int, terms):
         if n < 1:
@@ -162,6 +162,7 @@ class Observable:
         )
         self._dense = None
         self._spectral_norm = None
+        self._action = None
 
     @property
     def dimension(self) -> int:
@@ -188,6 +189,37 @@ class Observable:
             acc.setflags(write=False)
             self._dense = acc
         return self._dense
+
+    def pauli_action(self) -> tuple[np.ndarray, np.ndarray]:
+        """How each term's word acts on the computational basis, without matrices.
+
+        Returns (cols, factors), each of shape (terms, 2^n): word k maps |j> to
+        factors[k, j] |cols[k, j]>.  With site 0 as the most significant bit
+        (kron order), a word with bit-flip mask x and phase mask z (Y sets both)
+        has cols = j ^ x and factors = i^(#Y) (-1)^popcount(j & z).  Built on
+        first use and cached; O(terms * 2^n) memory.
+        """
+        if self._action is None:
+            letters = np.array([w.letters for _, w in self.terms], dtype=np.int64)
+            letters = letters.reshape(len(self.terms), self.n)
+            bits = np.int64(1) << np.arange(self.n - 1, -1, -1, dtype=np.int64)
+            x = ((letters == 1) | (letters == 2)) @ bits
+            z = ((letters == 2) | (letters == 3)) @ bits
+            n_y = np.count_nonzero(letters == 2, axis=1)
+            basis = np.arange(self.dimension, dtype=np.int64)
+            cols = basis[None, :] ^ x[:, None]
+            # parity of popcount(j & z) by folding the bits onto bit 0
+            parity = basis[None, :] & z[:, None]
+            shift = 1
+            while shift < self.n:
+                parity ^= parity >> shift
+                shift <<= 1
+            signs = 1.0 - 2.0 * (parity & 1)
+            factors = np.array(_PHASE_VALUES)[n_y % 4][:, None] * signs
+            cols.setflags(write=False)
+            factors.setflags(write=False)
+            self._action = (cols, factors)
+        return self._action
 
     @property
     def spectral_norm(self) -> float:

@@ -220,6 +220,19 @@ def _finalize(trace: Trace, ev: _Evaluator, mu):
     return trace
 
 
+def first_order_step_size(system: ThermoSystem, config: OptimizerConfig) -> float:
+    """The step size of a first-order run: eta, or 0.9/L when unset.
+
+    first_classical needs eta < 1/L for its convergence guarantee and raises
+    ValueError otherwise; the sampled variant takes any positive eta.
+    """
+    L = smoothness_L(system, config.resolved_temperature(system))
+    eta = config.eta if config.eta is not None else 0.9 / L
+    if config.variant == "first_classical" and eta >= 1.0 / L:
+        raise ValueError(f"step size {eta} is not below 1/L = {1.0 / L}")
+    return eta
+
+
 def run_first_order(
     system: ThermoSystem,
     q,
@@ -237,10 +250,7 @@ def run_first_order(
     if config.is_second_order:
         raise ValueError(f"{config.variant} is not a first-order variant")
     T = config.resolved_temperature(system)
-    L = smoothness_L(system, T)
-    eta = config.eta if config.eta is not None else 0.9 / L
-    if config.variant == "first_classical" and eta >= 1.0 / L:
-        raise ValueError(f"step size {eta} is not below 1/L = {1.0 / L}")
+    eta = first_order_step_size(system, config)
     delta = config.resolved_delta()
     use_nesterov = config.resolved_nesterov()
 

@@ -26,7 +26,7 @@ from scipy.special import spence
 from .errors import NumericalIntegrityError
 from .gibbs import ThermalState, charge_expectations, thermal_state
 from .models import HAMILTONIAN_OBS_ID, ThermoSystem
-from .operators import PAULI_MATRICES, Observable, PauliString
+from .operators import PAULI_MATRICES, Observable
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -143,20 +143,17 @@ def sample_tent(sampler: TentSampler, generator: np.random.Generator) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _term_expectation(word: PauliString, rho: np.ndarray) -> float:
-    value = np.einsum("ij,ji->", word.to_dense(), rho)
-    return float(np.real(value))
-
-
 def estimate_observable(
     rho: np.ndarray, obs: Observable, shots_per_term: int, stream: RngStream
 ) -> float:
     """Unbiased shot estimate of Tr[obs rho], term by term."""
     if shots_per_term < 1:
         raise ValueError("need at least one shot per term")
+    cols, factors = obs.pauli_action()
+    # Tr[P rho] = sum_j factors[j] rho[j, cols[j]], every term in one gather
+    means = np.sum(factors * rho[np.arange(obs.dimension), cols], axis=1).real.tolist()
     total = 0.0
-    for block, (coeff, word) in enumerate(obs.terms):
-        mean = _term_expectation(word, rho)
+    for block, ((coeff, word), mean) in enumerate(zip(obs.terms, means)):
         if abs(mean) > 1.0 + 1e-9:
             raise NumericalIntegrityError(f"|<{word}>| = {abs(mean)} exceeds 1")
         prob = min(1.0, max(0.0, (1.0 + mean) / 2.0))
@@ -291,20 +288,11 @@ def hessian_fourier_quadrature(
 # ---------------------------------------------------------------------------
 
 
-def _frequency_signal(state: ThermalState, T: float, mat_a, mat_b_rho):
-    """Collapse Re Tr[U_t A U_t^dag B rho] to unique-frequency cosine/sine weights."""
-    lam = state.spectrum.eigenvalues
-    G = mat_a * mat_b_rho.T
-    omega = (lam[:, None] - lam[None, :]) / T
-    freqs, inverse = np.unique(np.round(omega.ravel(), 12), return_inverse=True)
-    weights = np.zeros(len(freqs), dtype=complex)
-    np.add.at(weights, inverse, G.ravel())
-    return freqs, weights
-
-
-def _signal_values(freqs, weights, t):
-    angles = np.outer(t, freqs)
-    return np.cos(angles) @ weights.real + np.sin(angles) @ weights.imag
+# a pair's smallest weights are dropped while their magnitudes sum to at most
+# this, so no signal value moves by more than PRUNE_TOL
+PRUNE_TOL = 1e-12
+# time-by-frequency grid cells evaluated at once (2 MB per float64 array)
+_GRID_CHUNK = 1 << 18
 
 
 def _interference_samples(w, generator):
@@ -315,22 +303,43 @@ def _interference_samples(w, generator):
     return np.where(generator.random(len(w)) < prob, 1.0, -1.0)
 
 
-def _generic_pairs(system, state, i, j):
-    """(coeff, freqs, weights) per Pauli pair of charges i and j, in the A eigenbasis."""
-    V = state.spectrum.eigenvectors
+def _pauli_rows(obs: Observable, mat: np.ndarray) -> list[np.ndarray]:
+    """P @ mat for each term's word P, from permuted, phased rows of mat."""
+    cols, factors = obs.pauli_action()
+    # row a of P @ mat is factors[cols[a]] * mat[cols[a]], as cols is an involution
+    return [f[c][:, None] * mat[c] for c, f in zip(cols, factors)]
+
+
+def _eigen_frequencies(state: ThermalState):
+    """Unique frequencies (lam_a - lam_b)/T and the index of each (a, b) among them."""
+    lam = state.spectrum.eigenvalues
+    omega = (lam[:, None] - lam[None, :]) / state.temperature
+    return np.unique(np.round(omega.ravel(), 12), return_inverse=True)
+
+
+def _generic_pairs(system, state, i, j, eig_terms, freqs, inverse):
+    """(coeff, freqs, weights) per Pauli pair of charges i and j, in the A eigenbasis.
+
+    Re Tr[U_t A U_t^dag B rho] collapses to cosine/sine weights on the unique
+    frequencies; eig_terms[k] holds V^dag P V for each term of charge k.
+    """
     p = state.populations
-    T = state.temperature
+    b_rho_t = [(wb * p[None, :]).T for wb in eig_terms[j]]
     pairs = []
-    terms_i = [(c, V.conj().T @ w.to_dense() @ V) for c, w in system.charges[i].terms]
-    terms_j = [
-        (c, (V.conj().T @ w.to_dense() @ V) * p[None, :])
-        for c, w in system.charges[j].terms
-    ]
-    for ca, wa in terms_i:
-        for cb, wb_rho in terms_j:
-            freqs, weights = _frequency_signal(state, T, wa, wb_rho)
+    for (ca, _), wa in zip(system.charges[i].terms, eig_terms[i]):
+        for (cb, _), wb_rho_t in zip(system.charges[j].terms, b_rho_t):
+            G = (wa * wb_rho_t).ravel()
+            weights = np.bincount(inverse, G.real, len(freqs)) + 1j * np.bincount(
+                inverse, G.imag, len(freqs)
+            )
             pairs.append((ca * cb, freqs, weights))
     return pairs
+
+
+def _site_block(mat: np.ndarray, site: int, n: int) -> np.ndarray:
+    """The 2x2 block of mat on one site: its partial trace over every other site."""
+    left, right = 2**site, 2 ** (n - site - 1)
+    return np.einsum("ajbaib->ji", mat.reshape(left, 2, right, left, 2, right))
 
 
 def _extensive_pairs(system, state, i, j, comps):
@@ -338,7 +347,7 @@ def _extensive_pairs(system, state, i, j, comps):
     mu = state.mu
     T = state.temperature
     n = system.n_qubits
-    rho = state.rho
+    b_rhos = _pauli_rows(system.charges[j], state.rho)
     pairs = []
     for site in range(n):
         scale = float(np.linalg.norm(comps[i, site], 2))
@@ -348,11 +357,9 @@ def _extensive_pairs(system, state, i, j, comps):
         vals, vecs = np.linalg.eigh(local)
         # unit-normalize the site component so the interference value stays in [-1, 1]
         a_eig = vecs.conj().T @ (comps[i, site] / scale) @ vecs
-        for cb, word_b in system.charges[j].terms:
-            b_rho = word_b.to_dense() @ rho
-            base = np.array(
-                [np.einsum("ij,ji->", _embed_site(s, site, n), b_rho) for s in PAULI_MATRICES]
-            )
+        for (cb, _), b_rho in zip(system.charges[j].terms, b_rhos):
+            block = _site_block(b_rho, site, n)
+            base = np.array([np.einsum("ij,ji->", s, block) for s in PAULI_MATRICES])
             freq_map: dict[float, complex] = {}
             for m in range(2):
                 for nn in range(2):
@@ -365,10 +372,54 @@ def _extensive_pairs(system, state, i, j, comps):
                     freq = round(float((vals[m] - vals[nn]) / T), 12)
                     freq_map[freq] = freq_map.get(freq, 0.0) + weight
             freqs = np.array(sorted(freq_map))
-            # conjugate flips e^{+i w t} into the e^{-i w t} convention of _signal_values
+            # conjugate flips e^{+i w t} into the e^{-i w t} convention of _entry_signals
             weights = np.conj(np.array([freq_map[f] for f in freqs]))
             pairs.append((scale * cb, freqs, weights))
     return pairs
+
+
+def _kept(weights: np.ndarray) -> np.ndarray:
+    """Sorted indices left after dropping the smallest weights whose |w| sum to <= PRUNE_TOL."""
+    mags = np.abs(weights)
+    small = np.flatnonzero(mags <= PRUNE_TOL)
+    # the weights under PRUNE_TOL / len(small) come first in sorted order and
+    # together sum to less than PRUNE_TOL, so they go without a sort
+    tiny = mags[small] < PRUNE_TOL / max(1, len(small))
+    rest = small[~tiny]
+    order = rest[np.argsort(mags[rest], kind="stable")]
+    budget = PRUNE_TOL - np.sum(mags[small[tiny]])
+    dropped = int(np.searchsorted(np.cumsum(mags[order]), budget, side="right"))
+    keep = np.ones(len(mags), dtype=bool)
+    keep[small[tiny]] = False
+    keep[order[:dropped]] = False
+    return np.flatnonzero(keep)
+
+
+def _entry_signals(pairs, t: np.ndarray) -> np.ndarray:
+    """Signal sum_f Re[w_f e^{-i f t}] of every pair at the times t, one column per pair.
+
+    Each pair's pruned weights are stacked over the union of the kept
+    frequencies, so one cosine/sine grid serves every pair of the entry.
+    """
+    kept = []
+    for _, freqs, weights in pairs:
+        idx = _kept(weights)
+        kept.append((freqs[idx], weights[idx]))
+    union = np.unique(np.concatenate([f for f, _ in kept]))
+    w_cos = np.zeros((len(union), len(pairs)))
+    w_sin = np.zeros((len(union), len(pairs)))
+    for col, (freqs, weights) in enumerate(kept):
+        rows = np.searchsorted(union, freqs)
+        w_cos[rows, col] = weights.real
+        w_sin[rows, col] = weights.imag
+    signals = np.empty((len(t), len(pairs)))
+    rows_per_chunk = max(1, _GRID_CHUNK // max(1, len(union)))
+    for lo in range(0, len(t), rows_per_chunk):
+        angles = np.outer(t[lo : lo + rows_per_chunk], union)
+        cos = np.cos(angles)
+        sin = np.sin(angles, out=angles)
+        signals[lo : lo + rows_per_chunk] = cos @ w_cos + sin @ w_sin
+    return signals
 
 
 def estimate_hessian(
@@ -400,7 +451,12 @@ def estimate_hessian(
         state = thermal_state(system, mu, T)
     if sampler is None:
         sampler = default_tent_sampler()
-    comps = _site_components(system) if mode == "extensive" else None
+    if mode == "generic":
+        V = state.spectrum.eigenvectors
+        eig_terms = [[V.conj().T @ pv for pv in _pauli_rows(q, V)] for q in system.charges]
+        freqs, inverse = _eigen_frequencies(state)
+    else:
+        comps = _site_components(system)
 
     c = system.n_charges
     hessian = np.zeros((c, c))
@@ -410,12 +466,12 @@ def estimate_hessian(
             entry_stream = stream.with_observable(entry_id)
             t = sampler.sample(entry_stream.generator(0), time_samples)
             if mode == "generic":
-                pairs = _generic_pairs(system, state, i, j)
+                pairs = _generic_pairs(system, state, i, j, eig_terms, freqs, inverse)
             else:
                 pairs = _extensive_pairs(system, state, i, j, comps)
+            signals = _entry_signals(pairs, t)
             first = 0.0
-            for block, (coeff, freqs, weights) in enumerate(pairs, start=1):
-                w = _signal_values(freqs, weights, t)
+            for block, ((coeff, _, _), w) in enumerate(zip(pairs, signals.T), start=1):
                 outcomes = _interference_samples(w, entry_stream.generator(block))
                 first += coeff * float(outcomes.mean())
             qi = estimate_observable(

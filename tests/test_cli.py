@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -65,6 +66,17 @@ class TestConfigValidation:
         once = validate_config(HEISENBERG_CONFIG)
         twice = validate_config(json.loads(json.dumps(once)))
         assert once == twice
+
+    @pytest.mark.parametrize("geometry,key,value", [
+        ("line", "n", "3"), ("line", "n", 3.0), ("grid", "rows", True), ("grid", "cols", None),
+    ])
+    def test_model_sizes_must_be_integers(self, geometry, key, value):
+        bad = json.loads(json.dumps(HEISENBERG_CONFIG))
+        bad["model"].update(geometry=geometry, rows=2, cols=2)
+        bad["model"].pop("n")
+        bad["model"][key] = value
+        with pytest.raises(ConfigError, match=f"model.{key} must be an integer"):
+            validate_config(bad)
 
     def test_build_system_from_config(self):
         system = build_system(validate_config(REPETITION_HQC_CONFIG)["model"])
@@ -309,6 +321,8 @@ class TestSweepCommand:
 class TestExitCodes:
     @pytest.mark.parametrize("block,key,value,code", [
         ("model", "n", 11, 5),
+        ("model", "n", "3", 2),
+        ("model", "n", True, 2),
         ("solver", "temperature", -1, 2),
         ("solver", "delta", -1, 2),
     ])
@@ -332,9 +346,38 @@ class TestExitCodes:
             "sweep", "--config", str(config), "--parameter", "T",
             "--values", "0.5,-1", "--out", str(out),
         ]) == 0
-        lines = (out / "sweep.csv").read_text().splitlines()[1:]
-        assert [line.split(",")[3] for line in lines] == ["ok", "rejected"]
-        assert lines[1].endswith("temperature must be positive, got -1.0")
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[3] for row in rows] == ["ok", "rejected"]
+        assert all(len(row) == 11 for row in rows)
+        assert rows[1][10] == "temperature must be positive, got -1.0"
+
+    def test_first_classical_step_size_gate(self, tmp_path):
+        payload = json.loads(json.dumps(HEISENBERG_CONFIG))
+        payload["solver"].update(variant="first_classical", eta=100)
+        config = write_config(tmp_path, payload)
+        result = subprocess.run(
+            [sys.executable, "-m", "thermodual.cli", "run", "--config", str(config),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert "step size 100 is not below 1/L" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_step_size_gate_runs_before_the_oracle(self, tmp_path, monkeypatch):
+        import thermodual.cli as cli
+
+        def oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran before the step-size gate")
+
+        monkeypatch.setattr(cli, "dual_eigenvalue_solve", oracle)
+        payload = json.loads(json.dumps(HEISENBERG_CONFIG))
+        payload["solver"].update(variant="first_classical", eta=100)
+        config = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
 
 
 class TestEntryPoint:

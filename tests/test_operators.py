@@ -138,6 +138,48 @@ class TestObservable:
             obs.to_dense()
 
 
+def action_matrix(cols, factors):
+    """Dense matrix of one word from its basis action: |j> -> factors[j] |cols[j]>."""
+    dim = len(cols)
+    out = np.zeros((dim, dim), dtype=complex)
+    out[cols, np.arange(dim)] = factors
+    return out
+
+
+class TestPauliAction:
+    def test_all_three_qubit_words_match_dense(self):
+        words = [PauliString(tuple(int(c) for c in np.base_repr(k, 4).zfill(3))) for k in range(64)]
+        obs = Observable(3, [(float(k + 1), w) for k, w in enumerate(words)])
+        cols, factors = obs.pauli_action()
+        assert cols.shape == factors.shape == (64, 8)
+        for (_, word), c, f in zip(obs.terms, cols, factors):
+            assert np.array_equal(action_matrix(c, f), word.to_dense()), str(word)
+
+    def test_random_six_qubit_words_match_dense(self, rng):
+        letters = {tuple(int(v) for v in rng.integers(0, 4, size=6)) for _ in range(40)}
+        obs = Observable(6, [(1.0, PauliString(l)) for l in sorted(letters)])
+        cols, factors = obs.pauli_action()
+        for (_, word), c, f in zip(obs.terms, cols, factors):
+            assert np.array_equal(c, np.arange(64) ^ c[0])
+            assert np.array_equal(action_matrix(c, f), word.to_dense()), str(word)
+
+    def test_cached_read_only_and_lazy(self):
+        obs = Observable.from_strings(2, [(0.5, "XY"), (1.0, "ZI")])
+        assert obs._action is None
+        first = obs.pauli_action()
+        assert obs.pauli_action() is first
+        assert not first[0].flags.writeable and not first[1].flags.writeable
+        assert obs._dense is None  # no dense matrix was built
+
+    def test_trace_against_dense(self, rng):
+        rho = random_density(rng, 16)
+        obs = Observable.from_strings(4, [(1.0, "XYZI"), (1.0, "YYII"), (1.0, "IZXZ")])
+        cols, factors = obs.pauli_action()
+        for (_, word), c, f in zip(obs.terms, cols, factors):
+            via_action = np.sum(f * rho[np.arange(16), c])
+            assert via_action == pytest.approx(np.trace(word.to_dense() @ rho), abs=1e-14)
+
+
 class TestExpectation:
     def test_z_on_ground(self):
         obs = Observable.from_strings(1, [(1.0, "Z")])

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import thermodual.shots as shots
+
 from thermodual.gibbs import hessian_exact, thermal_state
 from thermodual.models import (
     HAMILTONIAN_OBS_ID,
@@ -9,7 +11,7 @@ from thermodual.models import (
     build_stabilizer_system,
     builtin_code,
 )
-from thermodual.operators import Observable, expectation
+from thermodual.operators import PAULI_MATRICES, Observable, expectation
 from thermodual.optimize import OptimizerConfig, run_first_order
 from thermodual.shots import (
     RngStream,
@@ -220,6 +222,117 @@ class TestHessianEstimate:
         assert np.array_equal(a, b)
         c = estimate_hessian(system, np.zeros(3), 0.5, 100, 100, RngStream(42, iteration=10))
         assert not np.array_equal(a, c)
+
+
+
+def dense_signal(A, b_rho, U):
+    """Re Tr[U A U^dag B rho] with dense matrices."""
+    return float(np.real(np.trace(U @ A @ U.conj().T @ b_rho)))
+
+
+class TestSharedGrid:
+    """The pruned shared-grid signals against the full sums and the dense time evolution.
+
+    Pruning moves a signal by at most 1e-12.  Against the dense path the
+    frequencies' rounding to 12 decimals adds up to 5e-13 |t| of phase per
+    weight, whose magnitudes sum to at most 1 here, hence the |t| term.
+    """
+
+    T_SAMPLES = np.array([0.0, 0.013, -0.4, 1.7, -5.2, 11.9])
+
+    @staticmethod
+    def tolerance(t):
+        return 1e-12 + 1e-12 * abs(t)
+
+    @pytest.mark.parametrize("T", [0.5, 0.1 / (6 * np.log(2))])
+    def test_generic_signals_match_dense(self, T):
+        system = build_heisenberg("grid", rows=2, cols=3, nnn=True, lam=0.5)
+        state = thermal_state(system, np.array([0.4, -0.3, 0.25]), T)
+        V = state.spectrum.eigenvectors
+        lam = state.spectrum.eigenvalues
+        eig_terms = [
+            [V.conj().T @ pv for pv in shots._pauli_rows(q, V)] for q in system.charges
+        ]
+        freqs, inverse = shots._eigen_frequencies(state)
+        if T == 0.5:
+            # pruning drops weights that are not exactly zero here
+            pairs = shots._generic_pairs(system, state, 0, 1, eig_terms, freqs, inverse)
+            dropped = [w[np.setdiff1d(np.arange(len(w)), shots._kept(w))] for _, _, w in pairs]
+            assert max(np.max(np.abs(d)) for d in dropped) > 0.0
+        for i, j in ((0, 1), (2, 2)):
+            pairs = shots._generic_pairs(system, state, i, j, eig_terms, freqs, inverse)
+            signals = shots._entry_signals(pairs, self.T_SAMPLES)
+            angles = np.outer(self.T_SAMPLES, freqs)
+            full = np.stack(
+                [np.cos(angles) @ w.real + np.sin(angles) @ w.imag for _, _, w in pairs], axis=1
+            )
+            assert np.max(np.abs(signals - full)) <= 1e-12
+            words = [
+                (a.to_dense(), b.to_dense() @ state.rho)
+                for _, a in system.charges[i].terms
+                for _, b in system.charges[j].terms
+            ]
+            assert signals.shape == (len(self.T_SAMPLES), len(words))
+            for row, t in enumerate(self.T_SAMPLES):
+                U = (V * np.exp(-1j * lam * t / T)) @ V.conj().T
+                for col, (A, b_rho) in enumerate(words):
+                    assert abs(signals[row, col] - dense_signal(A, b_rho, U)) <= self.tolerance(t)
+
+    def test_extensive_signals_match_dense(self):
+        system = build_heisenberg("grid", rows=2, cols=3, nnn=True, lam=0.5)
+        mu = np.array([0.4, -0.3, 0.25])
+        T = 0.5
+        state = thermal_state(system, mu, T)
+        comps = shots._site_components(system)
+        n = system.n_qubits
+        for i, j in ((0, 2), (1, 1)):
+            pairs = shots._extensive_pairs(system, state, i, j, comps)
+            signals = shots._entry_signals(pairs, self.T_SAMPLES)
+            b_rhos = [b.to_dense() @ state.rho for _, b in system.charges[j].terms]
+            for row, t in enumerate(self.T_SAMPLES):
+                col = 0
+                for site in range(n):
+                    scale = float(np.linalg.norm(comps[i, site], 2))
+                    vals, vecs = np.linalg.eigh(np.tensordot(mu, comps[:, site], axes=(0, 0)))
+                    local_u = (vecs * np.exp(1j * vals * t / T)) @ vecs.conj().T
+                    u = shots._embed_site(local_u, site, n)
+                    A = shots._embed_site(comps[i, site] / scale, site, n)
+                    for b_rho in b_rhos:
+                        value = dense_signal(A, b_rho, u)
+                        assert abs(signals[row, col] - value) <= self.tolerance(t)
+                        col += 1
+            assert col == signals.shape[1]
+
+    def test_site_block_trace_matches_embedding(self, rng):
+        n = 4
+        mat = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        for site in range(n):
+            block = shots._site_block(mat, site, n)
+            for sigma in PAULI_MATRICES + (rng.normal(size=(2, 2)),):
+                expected = np.einsum("ij,ji->", shots._embed_site(sigma, site, n), mat)
+                assert np.einsum("ij,ji->", sigma, block) == pytest.approx(expected, abs=1e-12)
+
+    def test_pruning_bound(self):
+        weights = np.array([3e-13, -4e-13j, 0.5, 2e-13, 0.0, 1e-3 + 1e-3j, 5e-13])
+        kept = shots._kept(weights)
+        dropped = np.setdiff1d(np.arange(len(weights)), kept)
+        assert np.sum(np.abs(weights[dropped])) <= 1e-12
+        # the smallest weight kept would push the dropped sum past the bound
+        assert np.sum(np.abs(weights[dropped])) + np.min(np.abs(weights[kept])) > 1e-12
+        assert list(kept) == sorted(kept)
+
+    def test_pruning_matches_full_sort(self, rng):
+        def by_full_sort(weights):
+            mags = np.abs(weights)
+            order = np.argsort(mags, kind="stable")
+            dropped = np.searchsorted(np.cumsum(mags[order]), 1e-12, side="right")
+            return np.sort(order[dropped:])
+
+        for _ in range(500):
+            size = int(rng.integers(1, 60))
+            scale = 10.0 ** rng.uniform(-18, -10, size)
+            weights = scale * rng.choice([0.0, 1.0, 1j, -1.0], size)
+            assert np.array_equal(shots._kept(weights), by_full_sort(weights))
 
 
 class TestShotEstimator:
