@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad
 
 import thermodual.shots as shots
-
 from thermodual.gibbs import hessian_exact, thermal_state
 from thermodual.models import (
     HAMILTONIAN_OBS_ID,
@@ -222,7 +221,6 @@ class TestHessianEstimate:
         assert np.array_equal(a, b)
         c = estimate_hessian(system, np.zeros(3), 0.5, 100, 100, RngStream(42, iteration=10))
         assert not np.array_equal(a, c)
-
 
 
 def dense_signal(A, b_rho, U):
