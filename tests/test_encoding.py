@@ -3,6 +3,7 @@ import pytest
 
 from thermodual.encoding import (
     LogicalTarget,
+    all_words,
     encoded_state,
     exponential_coefficients,
     exponential_to_mixture,
@@ -237,3 +238,32 @@ class TestEncodedState:
         # gap Delta = 2 for this system; fidelity is bounded below accordingly
         for T, fid in zip((1.0, 0.3, 0.1, 0.03), fidelities):
             assert fid >= 1.0 / (1.0 + np.exp(-2.0 / T) * (32 - 2) / 2) - 1e-6
+
+
+class TestCodeGibbsStateIsThermalState:
+    """The code-level Gibbs states are thermal states of the matching stabilizer system."""
+
+    @pytest.mark.parametrize("name", ["repetition3", "perfect5"])
+    def test_warm_start_bitwise(self, name):
+        code = builtin_code(name)
+        r, T = np.array([0.2, -0.3, 0.5]), 0.05
+        rho, warm = warm_start_state(code, r, T)
+        words = [(1,), (2,), (3,)]
+        system = build_stabilizer_system(code, [(w, 0.0) for w in words])
+        state = thermal_state(system, warm.chemical_potentials(T, words), T)
+        assert np.array_equal(rho, state.rho)
+
+    def test_optimal_encoding_detect422_bitwise(self):
+        code = builtin_code("detect422")
+        rng = np.random.default_rng(11)
+        words = [w for w in all_words(2) if any(w)]
+        target = LogicalTarget.from_coefficients(
+            2, {w: float(v) for w, v in zip(words, rng.uniform(-0.05, 0.05, len(words)))}
+        )
+        T = 0.1
+        rho = optimal_encoding_state(code, target, T)
+        coeffs = exponential_coefficients(target)
+        assert len(coeffs) == 15
+        system = build_stabilizer_system(code, [(w, 0.0) for w in coeffs])
+        state = thermal_state(system, np.array([T * c for c in coeffs.values()]), T)
+        assert np.array_equal(rho, state.rho)
