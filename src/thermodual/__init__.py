@@ -22,7 +22,6 @@ from .errors import ConfigError, NumericalIntegrityError, ResourceError
 from .gibbs import (
     SpectralDecomposition,
     ThermalState,
-    density_of,
     gradient,
     hessian_exact,
     log_partition,

@@ -49,6 +49,18 @@ _SOLVER_KEYS = {
 _ORACLE_KEYS = {"enable", "iterations", "tolerance"}
 _TOP_KEYS = {"label", "model", "solver", "oracle", "repetitions", "seed"}
 
+# JSON type of each typed field; a bool is not taken for a number
+_MODEL_TYPES = {"n": int, "rows": int, "cols": int}
+_SOLVER_TYPES = {
+    "epsilon": float, "eta": float, "delta": float, "max_iter": int, "nesterov": bool,
+    "backtrack_factor": float, "hessian_regularization_floor": float, "step_cap": float,
+    "temperature": float, "shots_per_iteration": int, "hessian_samples_per_iteration": int,
+    "warm_start": bool,
+}
+_ORACLE_TYPES = {"enable": bool, "iterations": int, "tolerance": float}
+# fields where null means "use the variant's default"
+_NULLABLE = {"eta", "delta", "temperature", "nesterov"}
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -64,6 +76,21 @@ def _require_keys(block: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _require_types(block: dict, types: dict, where: str):
+    for key, kind in types.items():
+        if key not in block or (block[key] is None and key in _NULLABLE):
+            continue
+        value = block[key]
+        if kind is bool:
+            ok = isinstance(value, bool)
+        else:
+            accepted = int if kind is int else (int, float)
+            ok = isinstance(value, accepted) and not isinstance(value, bool)
+        if not ok:
+            name = {bool: "a boolean", int: "an integer", float: "a number"}[kind]
+            raise ConfigError(f"{where}.{key} must be {name}, got {value!r}")
+
+
 def validate_config(raw: dict) -> dict:
     """Strict-schema validation; returns the config with defaults filled in."""
     if not isinstance(raw, dict):
@@ -77,10 +104,7 @@ def validate_config(raw: dict) -> dict:
     if kind not in _MODEL_KEYS:
         raise ConfigError(f"model.kind must be one of {sorted(_MODEL_KEYS)}")
     _require_keys(model, _MODEL_KEYS[kind], "model")
-    for key in ("n", "rows", "cols"):
-        value = model.get(key)
-        if key in model and (not isinstance(value, int) or isinstance(value, bool)):
-            raise ConfigError(f"model.{key} must be an integer, got {value!r}")
+    _require_types(model, _MODEL_TYPES, "model")
     if kind == "stabilizer":
         charges = model.get("charges")
         if not isinstance(charges, list) or not charges:
@@ -92,6 +116,7 @@ def validate_config(raw: dict) -> dict:
 
     solver = dict(raw.get("solver", {}))
     _require_keys(solver, _SOLVER_KEYS, "solver")
+    _require_types(solver, _SOLVER_TYPES, "solver")
     solver.setdefault("variant", "first_classical")
     solver.setdefault("epsilon", 0.1)
     solver.setdefault("max_iter", 1000)
@@ -108,12 +133,14 @@ def validate_config(raw: dict) -> dict:
 
     oracle_block = dict(raw.get("oracle", {"enable": True}))
     _require_keys(oracle_block, _ORACLE_KEYS, "oracle")
+    _require_types(oracle_block, _ORACLE_TYPES, "oracle")
     oracle_block.setdefault("enable", True)
     oracle_block.setdefault("iterations", 2000)
     oracle_block.setdefault("tolerance", 1e-6)
 
+    _require_types(raw, {"repetitions": int, "seed": int}, "config")
     repetitions = raw.get("repetitions", 5 if sampled else 1)
-    if not isinstance(repetitions, int) or repetitions < 1:
+    if repetitions < 1:
         raise ConfigError("repetitions must be a positive integer")
 
     return {
@@ -122,7 +149,7 @@ def validate_config(raw: dict) -> dict:
         "solver": solver,
         "oracle": oracle_block,
         "repetitions": repetitions,
-        "seed": int(raw.get("seed", 0)),
+        "seed": raw.get("seed", 0),
     }
 
 
@@ -451,22 +478,23 @@ def _verify_gradients(seed: int):
         system = _random_system(rng)
         T = float(rng.uniform(0.5, 2.0))
         mu = rng.normal(scale=0.5, size=3)
-        g = gradient(system, system.targets, mu, T)
+        state = thermal_state(system, mu, T)
+        g = gradient(system, system.targets, state)
         for i in range(3):
             e = np.zeros(3)
             e[i] = 1e-5
             fd = (
-                objective_f(system, system.targets, mu + e, T)
-                - objective_f(system, system.targets, mu - e, T)
+                objective_f(system.targets, thermal_state(system, mu + e, T))
+                - objective_f(system.targets, thermal_state(system, mu - e, T))
             ) / 2e-5
             worst_grad = max(worst_grad, abs(fd - g[i]))
-        hess = hessian_exact(system, mu, T)
+        hess = hessian_exact(system, state)
         for i in range(3):
             e = np.zeros(3)
             e[i] = 1e-4
             fd = (
-                gradient(system, system.targets, mu + e, T)
-                - gradient(system, system.targets, mu - e, T)
+                gradient(system, system.targets, thermal_state(system, mu + e, T))
+                - gradient(system, system.targets, thermal_state(system, mu - e, T))
             ) / 2e-4
             worst_hess = max(worst_hess, float(np.max(np.abs(fd - hess[:, i]))))
         eigs = np.linalg.eigvalsh(hess)

@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .errors import NumericalIntegrityError
-from .gibbs import density_of
-from .models import StabilizerCode, codespace_projector, logical_pauli_product
-from .operators import PAULI_MATRICES, expectation
-
-
-def _word_matrix(word: tuple[int, ...]) -> np.ndarray:
-    return reduce(np.kron, [PAULI_MATRICES[i] for i in word])
+from .gibbs import thermal_state
+from .models import (
+    StabilizerCode,
+    build_stabilizer_system,
+    codespace_projector,
+    logical_pauli_product,
+)
+from .operators import PauliString, expectation
 
 
 def all_words(k: int):
@@ -79,7 +79,7 @@ class LogicalTarget:
         acc = np.zeros((2**self.k, 2**self.k), dtype=complex)
         for word, value in self.coefficients:
             if value != 0.0:
-                acc += value * _word_matrix(word)
+                acc += value * PauliString(word).to_dense()
         return acc / 2**self.k
 
 
@@ -159,7 +159,7 @@ def exponential_coefficients(target: LogicalTarget) -> dict[tuple[int, ...], flo
     coeffs = {}
     residual = log_rho.copy()
     for word in all_words(target.k):
-        mat = _word_matrix(word)
+        mat = PauliString(word).to_dense()
         value = float(np.real(np.einsum("ij,ji->", mat, log_rho))) / dim
         residual -= value * mat
         if any(i != 0 for i in word):
@@ -172,14 +172,14 @@ def exponential_coefficients(target: LogicalTarget) -> dict[tuple[int, ...], flo
 
 
 def _code_gibbs_state(code: StabilizerCode, word_coeffs, T: float) -> np.ndarray:
-    """exp(-(H - T sum_w c_w L_w)/T)/Z for H = -sum S_i and (word, c_w) pairs."""
-    effective = np.zeros((2**code.n, 2**code.n), dtype=complex)
-    for g in code.stabilizer_generators:
-        effective -= g.to_dense()
-    for word, coeff in word_coeffs:
-        if coeff != 0.0:
-            effective -= T * coeff * logical_pauli_product(code, word).to_dense()
-    return density_of(effective, T)
+    """exp(-(H - T sum_w c_w L_w)/T)/Z for H = -sum S_i and (word, c_w) pairs.
+
+    This is the thermal state at mu_w = T c_w of the stabilizer system whose
+    charges are the words.
+    """
+    words, coeffs = zip(*word_coeffs)
+    system = build_stabilizer_system(code, [(w, 0.0) for w in words])
+    return thermal_state(system, [T * c for c in coeffs], T).rho
 
 
 def warm_start_state(code: StabilizerCode, r, T: float) -> tuple[np.ndarray, WarmStart]:

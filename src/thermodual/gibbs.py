@@ -1,7 +1,8 @@
 """Thermal states of H - mu.Q and the dual objective with its derivatives.
 
-All quantities are evaluated through one spectral decomposition of the
-effective Hamiltonian A = H - mu.Q.  Boltzmann weights are shifted so the
+`thermal_state` is the one place that builds and diagonalizes the effective
+Hamiltonian A = H - mu.Q; every derived quantity takes the ThermalState it
+returns and reads mu and T from it.  Boltzmann weights are shifted so the
 largest is exactly 1 before normalization, which keeps everything finite at
 temperatures far below the spectral gap; weights that underflow are treated
 as exact zeros, and entropies use the 0*ln(0) = 0 convention.
@@ -66,70 +67,40 @@ def effective_hamiltonian(system: ThermoSystem, mu) -> np.ndarray:
     return acc
 
 
-def _boltzmann_weights(eigenvalues: np.ndarray, T: float) -> np.ndarray:
-    shifted = (eigenvalues - eigenvalues[0]) / T
-    weights = np.exp(-shifted)
-    weights[weights < WEIGHT_FLOOR] = 0.0
-    return weights / weights.sum()
-
-
-def _mixture(vecs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Hermitized sum_a weights_a |v_a><v_a| over eigenvector columns."""
-    rho = (vecs * weights) @ vecs.conj().T
-    return (rho + rho.conj().T) / 2.0
-
-
-def density_of(matrix: np.ndarray, T: float) -> np.ndarray:
-    """Stable Gibbs density exp(-matrix/T)/Z of an arbitrary Hermitian matrix."""
-    if T <= 0:
-        raise ValueError(f"temperature must be positive, got {T}")
-    vals, vecs = np.linalg.eigh(matrix)
-    return _mixture(vecs, _boltzmann_weights(vals, T))
-
-
 def thermal_state(system: ThermoSystem, mu, T: float) -> ThermalState:
     """Parameterized thermal state at chemical potentials mu and temperature T > 0."""
     if T <= 0:
         raise ValueError(f"temperature must be positive, got {T}")
-    mu = np.asarray(mu, dtype=float)
+    mu = np.array(mu, dtype=float)
     spectrum = SpectralDecomposition.of(effective_hamiltonian(system, mu))
-    populations = _boltzmann_weights(spectrum.eigenvalues, T)
-    rho = _mixture(spectrum.eigenvectors, populations)
-    rho.setflags(write=False)
-    pop = populations.copy()
-    pop.setflags(write=False)
-    mu_frozen = mu.copy()
-    mu_frozen.setflags(write=False)
-    return ThermalState(mu_frozen, float(T), rho, spectrum, pop)
+    lam, vecs = spectrum.eigenvalues, spectrum.eigenvectors
+    weights = np.exp(-((lam - lam[0]) / T))
+    weights[weights < WEIGHT_FLOOR] = 0.0
+    populations = weights / weights.sum()
+    rho = (vecs * populations) @ vecs.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    for array in (mu, rho, populations):
+        array.setflags(write=False)
+    return ThermalState(mu, float(T), rho, spectrum, populations)
 
 
-def log_partition(system: ThermoSystem, mu, T: float, state: ThermalState | None = None) -> float:
-    """ln Tr[exp(-(H - mu.Q)/T)], evaluated shift-stably over the spectrum."""
-    if T <= 0:
-        raise ValueError(f"temperature must be positive, got {T}")
-    eigenvalues = (
-        state.spectrum.eigenvalues
-        if state is not None
-        else np.linalg.eigvalsh(effective_hamiltonian(system, mu))
-    )
-    return float(logsumexp(-eigenvalues / T))
+def log_partition(state: ThermalState) -> float:
+    """ln Tr[exp(-(H - mu.Q)/T)], evaluated shift-stably over the state's spectrum."""
+    return float(logsumexp(-state.spectrum.eigenvalues / state.temperature))
 
 
-def objective_f(system: ThermoSystem, q, mu, T: float, state: ThermalState | None = None) -> float:
-    """Dual objective mu.q - T ln Z_T(mu)."""
-    mu = np.asarray(mu, dtype=float)
+def objective_f(q, state: ThermalState) -> float:
+    """Dual objective mu.q - T ln Z_T(mu) at the state's mu and T."""
     q = np.asarray(q, dtype=float)
-    return float(mu @ q) - T * log_partition(system, mu, T, state=state)
+    return float(state.mu @ q) - state.temperature * log_partition(state)
 
 
 def charge_expectations(system: ThermoSystem, state: ThermalState) -> np.ndarray:
     return np.array([expectation(qi, state.rho) for qi in system.charges])
 
 
-def gradient(system: ThermoSystem, q, mu, T: float, state: ThermalState | None = None) -> np.ndarray:
+def gradient(system: ThermoSystem, q, state: ThermalState) -> np.ndarray:
     """Gradient of the dual objective: component i is q_i - Tr[Q_i rho_T(mu)]."""
-    if state is None:
-        state = thermal_state(system, mu, T)
     return np.asarray(q, dtype=float) - charge_expectations(system, state)
 
 
@@ -145,15 +116,13 @@ def _logarithmic_mean_matrix(p: np.ndarray) -> np.ndarray:
     return lm
 
 
-def hessian_exact(system: ThermoSystem, mu, T: float, state: ThermalState | None = None) -> np.ndarray:
+def hessian_exact(system: ThermoSystem, state: ThermalState) -> np.ndarray:
     """Exact dual Hessian via the logarithmic mean of Boltzmann populations.
 
     Entry (i,j) is -(1/T) sum_ab LM(p_a, p_b) <a|Q_i|b><b|Q_j|a>
     + (1/T) <Q_i><Q_j>; the result is real, symmetric, and negative
     semi-definite.
     """
-    if state is None:
-        state = thermal_state(system, mu, T)
     V = state.spectrum.eigenvectors
     p = state.populations
     lm = _logarithmic_mean_matrix(p)
@@ -162,7 +131,7 @@ def hessian_exact(system: ThermoSystem, mu, T: float, state: ThermalState | None
     )
     means = np.einsum("iaa,a->i", charge_mats, p).real
     correlations = np.einsum("ab,iab,jba->ij", lm, charge_mats, charge_mats)
-    hessian = (-correlations.real + np.outer(means, means)) / T
+    hessian = (-correlations.real + np.outer(means, means)) / state.temperature
     return (hessian + hessian.T) / 2.0
 
 

@@ -168,16 +168,16 @@ class Observable:
     def dimension(self) -> int:
         return 2**self.n
 
-    def to_dense(self, max_qubits: int = MAX_DENSE_QUBITS) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         """Dense 2^n x 2^n Hermitian matrix; cached, so repeat calls are free.
 
         The cache fill is idempotent (same bits every time), which keeps
         first-writer-wins races between readers harmless.
         """
         if self._dense is None:
-            if self.n > max_qubits:
+            if self.n > MAX_DENSE_QUBITS:
                 raise ResourceError(
-                    f"{self.n} qubits exceeds the dense limit of {max_qubits}"
+                    f"{self.n} qubits exceeds the dense limit of {MAX_DENSE_QUBITS}"
                 )
             dim = self.dimension
             acc = np.zeros((dim, dim), dtype=complex)

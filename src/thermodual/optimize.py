@@ -24,6 +24,9 @@ from .operators import expectation
 
 VARIANTS = ("first_classical", "second_classical", "first_hqc", "second_hqc")
 
+# step sizes a second-order iteration tries when backtracking, and again in the fallback
+MAX_BACKTRACKS = 30
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -38,7 +41,6 @@ class OptimizerConfig:
     backtrack_factor: float = 0.5
     hessian_regularization_floor: float = 0.0
     temperature: float | None = None
-    max_backtracks: int = 30
     step_cap: float = 1.0
 
     def __post_init__(self):
@@ -52,6 +54,8 @@ class OptimizerConfig:
             raise ValueError("eta must be positive")
         if self.delta is not None and self.delta <= 0:
             raise ValueError("delta must be positive")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ValueError("backtrack_factor must lie in (0, 1)")
         if self.hessian_regularization_floor < 0:
@@ -108,7 +112,7 @@ class ExactEstimator:
         return expectation(self.system.observable(obs_id), state.rho)
 
     def hessian(self, state: ThermalState, eval_index: int) -> np.ndarray:
-        return hessian_exact(self.system, state.mu, state.temperature, state=state)
+        return hessian_exact(self.system, state)
 
     @property
     def shots_per_hessian_eval(self) -> int:
@@ -337,9 +341,6 @@ def run_second_order(
     mu = np.zeros(c) if mu0 is None else np.asarray(mu0, dtype=float).copy()
     clean_steps = 0
 
-    def f_exact(state) -> float:
-        return objective_f(system, ev.q, state.mu, T, state=state)
-
     for m in range(config.max_iter + 1):
         state = ev.state(mu)
         _, grad, f_est, err = ev.full(state)
@@ -357,7 +358,7 @@ def run_second_order(
         if config.variant == "second_hqc":
             hess = _regularize(hess, config.hessian_regularization_floor)
 
-        f_here = f_exact(state) if exact_objective else None
+        f_here = objective_f(ev.q, state) if exact_objective else None
         accepted = None
         fallback = False
         try:
@@ -372,13 +373,13 @@ def run_second_order(
             step_norm = float(np.linalg.norm(step))
             trial = min(eta, config.step_cap / step_norm) if step_norm > 0 else eta
             backtracks = 0
-            while backtracks < config.max_backtracks:
+            while backtracks < MAX_BACKTRACKS:
                 candidate = mu - trial * step
                 cand_state = ev.state(candidate)
                 cand_grad = ev.gradient_only(cand_state)
                 ok = float(np.linalg.norm(cand_grad)) < grad_norm
                 if ok and exact_objective:
-                    ok = f_exact(cand_state) >= f_here - 1e-12 * max(1.0, abs(f_here))
+                    ok = objective_f(ev.q, cand_state) >= f_here - 1e-12 * max(1.0, abs(f_here))
                 if ok:
                     accepted = candidate
                     break
@@ -398,12 +399,12 @@ def run_second_order(
             # safeguarded gradient ascent with a persistent adaptive step
             fallback = True
             clean_steps = 0
-            for _ in range(config.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 candidate = mu + rescue_step * grad
                 cand_state = ev.state(candidate)
                 cand_grad = ev.gradient_only(cand_state)
                 if exact_objective:
-                    ok = f_exact(cand_state) > f_here
+                    ok = objective_f(ev.q, cand_state) > f_here
                 else:
                     ok = float(np.linalg.norm(cand_grad)) < grad_norm
                 if ok:

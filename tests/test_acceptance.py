@@ -112,13 +112,13 @@ def test_criterion_02_gradient_matches_finite_differences():
         system = random_hermitian_system(rng)
         T = float(rng.uniform(0.1, 2.0))
         mu = rng.normal(scale=0.5, size=3)
-        g = gradient(system, system.targets, mu, T)
+        g = gradient(system, system.targets, thermal_state(system, mu, T))
         for i in range(3):
             e = np.zeros(3)
             e[i] = 1e-5
             fd = (
-                objective_f(system, system.targets, mu + e, T)
-                - objective_f(system, system.targets, mu - e, T)
+                objective_f(system.targets, thermal_state(system, mu + e, T))
+                - objective_f(system.targets, thermal_state(system, mu - e, T))
             ) / 2e-5
             worst = max(worst, abs(fd - g[i]))
     report(2, worst <= 1e-6, f"max |grad - FD| = {worst:.2e}")
@@ -133,13 +133,13 @@ def test_criterion_03_hessian_correctness_and_concavity():
         system = random_hermitian_system(rng)
         T = float(rng.uniform(0.5, 2.0))
         mu = rng.normal(scale=0.5, size=3)
-        hess = hessian_exact(system, mu, T)
+        hess = hessian_exact(system, thermal_state(system, mu, T))
         for i in range(3):
             e = np.zeros(3)
             e[i] = 1e-4
             fd = (
-                gradient(system, system.targets, mu + e, T)
-                - gradient(system, system.targets, mu - e, T)
+                gradient(system, system.targets, thermal_state(system, mu + e, T))
+                - gradient(system, system.targets, thermal_state(system, mu - e, T))
             ) / 2e-4
             worst_fd = max(worst_fd, float(np.max(np.abs(fd - hess[:, i]))))
 
@@ -149,7 +149,7 @@ def test_criterion_03_hessian_correctness_and_concavity():
         system = random_hermitian_system(rng)
         T = float(rng.uniform(0.1, 2.0))
         mu = rng.normal(size=3)
-        eigs = np.linalg.eigvalsh(hessian_exact(system, mu, T))
+        eigs = np.linalg.eigvalsh(hessian_exact(system, thermal_state(system, mu, T)))
         worst_eig = max(worst_eig, float(eigs[-1]))
         worst_slack = max(worst_slack, float(np.max(np.abs(eigs))) - smoothness_L(system, T))
     ok = worst_fd <= 1e-5 and worst_eig <= 1e-10 and worst_slack <= 0.0
@@ -166,15 +166,17 @@ def test_criterion_04_fourier_form_equivalence():
         system = random_hermitian_system(rng, n=2, n_charges=2)
         T = float(rng.uniform(0.4, 1.5))
         mu = rng.normal(scale=0.5, size=2)
-        exact = hessian_exact(system, mu, T)
-        quad_form = hessian_fourier_quadrature(system, mu, T)
+        state = thermal_state(system, mu, T)
+        exact = hessian_exact(system, state)
+        quad_form = hessian_fourier_quadrature(system, state)
         worst_quad = max(worst_quad, float(np.max(np.abs(quad_form - exact))))
 
     heis = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
     worst_mode = 0.0
     for mu, T in (([0.3, -0.2, 0.1], 0.7), ([0.0, 0.4, -0.5], 1.1)):
-        generic = hessian_fourier_quadrature(heis, np.array(mu), T, mode="generic")
-        extensive = hessian_fourier_quadrature(heis, np.array(mu), T, mode="extensive")
+        state = thermal_state(heis, np.array(mu), T)
+        generic = hessian_fourier_quadrature(heis, state, mode="generic")
+        extensive = hessian_fourier_quadrature(heis, state, mode="extensive")
         worst_mode = max(worst_mode, float(np.max(np.abs(generic - extensive))))
     ok = worst_quad <= 1e-3 and worst_mode <= 1e-6
     report(4, ok, f"quadrature vs exact={worst_quad:.2e}, generic vs extensive={worst_mode:.2e}")
@@ -221,7 +223,7 @@ def test_criterion_06_duality_identities(heisenberg_references):
         energy = float(np.real(np.einsum("ij,ji->", A, state.rho)))
         p = state.populations[state.populations > 0]
         entropy = float(-np.sum(p * np.log(p)))
-        lhs = objective_f(system, system.targets, mu, T, state=state)
+        lhs = objective_f(system.targets, state)
         rhs = float(mu @ np.array(system.targets)) + energy - T * entropy
         worst = max(worst, abs(lhs - rhs))
     identity_ok = worst <= 1e-10
@@ -231,7 +233,7 @@ def test_criterion_06_duality_identities(heisenberg_references):
     for T in (0.5, 0.2, 0.05):
         cfg = OptimizerConfig(variant="second_classical", temperature=T, max_iter=2000, delta=1e-9)
         trace = run_second_order(system, system.targets, cfg, ExactEstimator(system))
-        F_T = objective_f(system, system.targets, trace.final_mu, T)
+        F_T = objective_f(system.targets, thermal_state(system, trace.final_mu, T))
         slack = 2e-5
         sandwich_ok &= trace.converged and (E >= F_T - slack) and (
             F_T >= E - 3 * T * math.log(2) - slack
@@ -250,7 +252,7 @@ def test_criterion_07_warm_start_and_closed_form_encoding():
         T = cfg.resolved_temperature(system)
         _, warm = warm_start_state(code, r, T)
         mu0 = warm.chemical_potentials(T, [(1,), (2,), (3,)])
-        g = gradient(system, system.targets, mu0, T)
+        g = gradient(system, system.targets, thermal_state(system, mu0, T))
         grad_ok &= float(np.linalg.norm(g)) <= 1e-8
         trace = run_second_order(system, system.targets, cfg, ExactEstimator(system), mu0=mu0)
         iter_ok &= trace.converged and trace.iterations <= 1

@@ -52,6 +52,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="solver"):
             validate_config(bad)
 
+    def test_null_keeps_its_meaning(self):
+        raw = json.loads(json.dumps(HEISENBERG_CONFIG))
+        raw["solver"].update(eta=None, delta=None, temperature=None, nesterov=None)
+        solver = validate_config(raw)["solver"]
+        assert all(solver[key] is None for key in ("eta", "delta", "temperature", "nesterov"))
+        raw["solver"] = {**HEISENBERG_CONFIG["solver"], "warm_start": None}
+        with pytest.raises(ConfigError, match="warm_start must be a boolean"):
+            validate_config(raw)
+
     def test_malformed_charge_word(self):
         bad = json.loads(json.dumps(REPETITION_HQC_CONFIG))
         bad["model"]["charges"][0]["word"] = "24"
@@ -325,10 +334,18 @@ class TestExitCodes:
         ("model", "n", True, 2),
         ("solver", "temperature", -1, 2),
         ("solver", "delta", -1, 2),
+        ("solver", "max_iter", 7.9, 2),
+        ("solver", "max_iter", "10", 2),
+        ("solver", "max_iter", -3, 2),
+        ("solver", "nesterov", "no", 2),
+        ("solver", "epsilon", True, 2),
+        ("oracle", "iterations", 600.0, 2),
+        ("oracle", "enable", 1, 2),
+        (None, "seed", "21", 2),
     ])
     def test_one_line_message_and_no_traceback(self, tmp_path, block, key, value, code):
         payload = json.loads(json.dumps(HEISENBERG_CONFIG))
-        payload[block][key] = value
+        (payload if block is None else payload[block])[key] = value
         config = write_config(tmp_path, payload)
         result = subprocess.run(
             [sys.executable, "-m", "thermodual.cli", "run", "--config", str(config),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from thermodual.encoding import (
     LogicalTarget,
@@ -13,7 +14,7 @@ from thermodual.encoding import (
     optimal_encoding_state,
     warm_start_state,
 )
-from thermodual.gibbs import density_of, gradient, primal_free_energy, thermal_state
+from thermodual.gibbs import gradient, primal_free_energy, thermal_state
 from thermodual.models import build_stabilizer_system, builtin_code, codespace_projector
 from thermodual.oracle import state_fidelity
 from thermodual.optimize import ExactEstimator, OptimizerConfig, run_second_order
@@ -63,7 +64,8 @@ class TestCoordinateMaps:
         sigma = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
         reference = (np.eye(2) + sum(r[i] * sigma[i] for i in range(3))) / 2
         for mu, beta in (mixture_to_exponential(r), mixture_to_exponential_normalized(r)):
-            built = density_of(beta * sum(mu[i] * sigma[i] for i in range(3)).astype(complex), 1.0)
+            exp = scipy.linalg.expm(-beta * sum(mu[i] * sigma[i] for i in range(3)))
+            built = exp / np.trace(exp)
             assert np.max(np.abs(built - reference)) < 1e-12
 
 
@@ -91,7 +93,7 @@ class TestWarmStart:
         system = bloch_system(code, r)
         rho, warm = warm_start_state(code, r, T)
         mu0 = warm.chemical_potentials(T, [(1,), (2,), (3,)])
-        g = gradient(system, system.targets, mu0, T)
+        g = gradient(system, system.targets, thermal_state(system, mu0, T))
         assert np.linalg.norm(g) <= 1e-9
 
     @pytest.mark.parametrize("name", ["repetition3", "perfect5"])
@@ -191,7 +193,8 @@ class TestOptimalEncodingState:
             (3,): np.diag([1.0 + 0j, -1.0]),
         }
         exponent = sum(coeffs[w] * sigma[w] for w in sigma)
-        rebuilt = density_of(-exponent, 1.0)
+        exp = scipy.linalg.expm(exponent)
+        rebuilt = exp / np.trace(exp)
         assert np.max(np.abs(rebuilt - target.to_matrix())) < 1e-12
 
 

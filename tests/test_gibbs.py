@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 from thermodual.gibbs import (
-    density_of,
     effective_hamiltonian,
     gradient,
     hessian_exact,
@@ -92,27 +91,16 @@ class TestThermalState:
         with pytest.raises(ValueError):
             thermal_state(system, np.zeros(3), 0.0)
 
-    @pytest.mark.parametrize("model", ["perfect5", "grid2x3"])
-    def test_density_of_matches_thermal_state_bitwise(self, model):
-        if model == "grid2x3":
-            system = build_heisenberg("grid", rows=2, cols=3, nnn=True)
-        else:
-            system = build_stabilizer_system(
-                builtin_code(model), [((1,), 0.2), ((2,), -0.1), ((3,), 0.5)]
-            )
-        mu, T = np.array([0.3, -0.2, 0.7]), 0.4
-        rho = density_of(effective_hamiltonian(system, mu), T)
-        assert np.array_equal(rho, thermal_state(system, mu, T).rho)
-
 
 class TestLogPartition:
     def test_trivial_hamiltonian(self):
         system = ThermoSystem(Observable(3, []), (), (), label="free")
-        assert log_partition(system, [], 1.0) == pytest.approx(3 * math.log(2), abs=1e-12)
+        state = thermal_state(system, [], 1.0)
+        assert log_partition(state) == pytest.approx(3 * math.log(2), abs=1e-12)
 
     def test_single_qubit_closed_form(self):
         system = single_qubit_system([(-1.0, "Z")], [])
-        assert log_partition(system, [], 1.0) == pytest.approx(
+        assert log_partition(thermal_state(system, [], 1.0)) == pytest.approx(
             math.log(math.e + 1.0 / math.e), abs=1e-12
         )
 
@@ -121,14 +109,15 @@ class TestLogPartition:
         mu = rng.normal(size=3)
         A = effective_hamiltonian(system, mu)
         direct = math.log(np.trace(scipy.linalg.expm(-A)).real)
-        assert log_partition(system, mu, 1.0) == pytest.approx(direct, abs=1e-10)
+        assert log_partition(thermal_state(system, mu, 1.0)) == pytest.approx(direct, abs=1e-10)
 
 
 class TestObjective:
     def test_at_zero_mu(self, rng):
         system = random_system(rng)
-        assert objective_f(system, system.targets, np.zeros(3), 0.7) == pytest.approx(
-            -0.7 * log_partition(system, np.zeros(3), 0.7), abs=1e-12
+        state = thermal_state(system, np.zeros(3), 0.7)
+        assert objective_f(system.targets, state) == pytest.approx(
+            -0.7 * log_partition(state), abs=1e-12
         )
 
     def test_energy_entropy_identity(self, rng):
@@ -143,7 +132,7 @@ class TestObjective:
             p = state.populations[state.populations > 0]
             entropy = float(-np.sum(p * np.log(p)))
             rhs = float(mu @ np.array(system.targets)) + energy - T * entropy
-            assert objective_f(system, system.targets, mu, T) == pytest.approx(rhs, abs=1e-10)
+            assert objective_f(system.targets, state) == pytest.approx(rhs, abs=1e-10)
 
     def test_concavity_along_segments(self, rng):
         system = random_system(rng)
@@ -151,9 +140,9 @@ class TestObjective:
         for _ in range(20):
             a = rng.normal(size=3)
             b = rng.normal(size=3)
-            fa = objective_f(system, system.targets, a, T)
-            fb = objective_f(system, system.targets, b, T)
-            fm = objective_f(system, system.targets, (a + b) / 2, T)
+            fa = objective_f(system.targets, thermal_state(system, a, T))
+            fb = objective_f(system.targets, thermal_state(system, b, T))
+            fm = objective_f(system.targets, thermal_state(system, (a + b) / 2, T))
             assert fm >= (fa + fb) / 2 - 1e-10
 
 
@@ -163,7 +152,7 @@ class TestGradient:
         mu = np.zeros(3)
         state = thermal_state(system, mu, 0.5)
         q = [expectation(qi, state.rho) for qi in system.charges]
-        g = gradient(system, q, mu, 0.5, state=state)
+        g = gradient(system, q, state)
         assert np.max(np.abs(g)) < 1e-12
 
     def test_matches_finite_differences(self, rng):
@@ -171,13 +160,13 @@ class TestGradient:
             system = random_system(rng)
             mu = rng.normal(scale=0.5, size=3)
             T = float(rng.uniform(0.1, 2.0))
-            g = gradient(system, system.targets, mu, T)
+            g = gradient(system, system.targets, thermal_state(system, mu, T))
             for i in range(3):
                 e = np.zeros(3)
                 e[i] = 1e-5
                 fd = (
-                    objective_f(system, system.targets, mu + e, T)
-                    - objective_f(system, system.targets, mu - e, T)
+                    objective_f(system.targets, thermal_state(system, mu + e, T))
+                    - objective_f(system.targets, thermal_state(system, mu - e, T))
                 ) / 2e-5
                 assert abs(fd - g[i]) < 1e-6
 
@@ -187,7 +176,7 @@ class TestHessian:
         # H = 0, Q = Z, T = 1, mu = 0: the only surviving term is the
         # diagonal population variance, giving exactly -1
         system = single_qubit_system([], [(1.0, "Z")])
-        hess = hessian_exact(system, np.zeros(1), 1.0)
+        hess = hessian_exact(system, thermal_state(system, np.zeros(1), 1.0))
         assert hess[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_gradient_differences(self, rng):
@@ -195,13 +184,13 @@ class TestHessian:
             system = random_system(rng)
             mu = rng.normal(scale=0.5, size=3)
             T = float(rng.uniform(0.5, 2.0))
-            hess = hessian_exact(system, mu, T)
+            hess = hessian_exact(system, thermal_state(system, mu, T))
             for i in range(3):
                 e = np.zeros(3)
                 e[i] = 1e-4
                 fd = (
-                    gradient(system, system.targets, mu + e, T)
-                    - gradient(system, system.targets, mu - e, T)
+                    gradient(system, system.targets, thermal_state(system, mu + e, T))
+                    - gradient(system, system.targets, thermal_state(system, mu - e, T))
                 ) / 2e-4
                 assert np.max(np.abs(fd - hess[:, i])) < 1e-5
 
@@ -210,7 +199,7 @@ class TestHessian:
             system = random_system(rng)
             mu = rng.normal(size=3)
             T = float(rng.uniform(0.1, 2.0))
-            hess = hessian_exact(system, mu, T)
+            hess = hessian_exact(system, thermal_state(system, mu, T))
             eigs = np.linalg.eigvalsh(hess)
             assert eigs[-1] <= 1e-10
             assert np.max(np.abs(eigs)) <= smoothness_L(system, T) + 1e-9
@@ -236,7 +225,7 @@ class TestPrimalFreeEnergy:
         state = thermal_state(system, mu, T)
         q = [expectation(qi, state.rho) for qi in system.charges]
         lhs = primal_free_energy(system, state.rho, T)
-        rhs = objective_f(system, q, mu, T, state=state)
+        rhs = objective_f(q, state)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -263,7 +252,7 @@ class TestSandwichBound:
             )
             trace = run_second_order(system, system.targets, cfg, ExactEstimator(system))
             assert trace.converged
-            F_T = objective_f(system, system.targets, trace.final_mu, T)
+            F_T = objective_f(system.targets, thermal_state(system, trace.final_mu, T))
             slack = 2e-5
             assert E >= F_T - slack
             assert F_T >= E - 3 * T * math.log(2) - slack

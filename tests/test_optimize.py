@@ -93,7 +93,7 @@ class TestFirstOrder:
         trace = run_first_order(system, system.targets, cfg, ExactEstimator(system))
         T = cfg.resolved_temperature(system)
         values = [
-            objective_f(system, system.targets, rec.mu, T) for rec in trace.records
+            objective_f(system.targets, thermal_state(system, rec.mu, T)) for rec in trace.records
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -162,7 +162,9 @@ class TestSecondOrder:
         trace = run_second_order(system, system.targets, cfg, ExactEstimator(system))
         assert trace.converged
         T = cfg.resolved_temperature(system)
-        values = [objective_f(system, system.targets, r.mu, T) for r in trace.records]
+        values = [
+            objective_f(system.targets, thermal_state(system, r.mu, T)) for r in trace.records
+        ]
         assert all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
 
     def test_fewer_iterations_than_first_order_on_2d_model(self):

@@ -56,7 +56,7 @@ class TestDualSolve:
         cfg = OptimizerConfig(variant="second_classical", temperature=T, max_iter=3000, delta=1e-8)
         trace = run_second_order(system, system.targets, cfg, ExactEstimator(system))
         assert trace.converged
-        F_T = objective_f(system, system.targets, trace.final_mu, T)
+        F_T = objective_f(system.targets, thermal_state(system, trace.final_mu, T))
         assert F_T - 1e-5 <= solution.value <= F_T + 3 * T * math.log(2) + 1e-5
 
     def test_weak_duality_against_feasible_states(self):

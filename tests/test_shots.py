@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -154,30 +156,43 @@ class TestHessianQuadrature:
             system = random_system(rng, n=2, n_charges=2, hamiltonian_terms=4)
             mu = rng.normal(scale=0.5, size=2)
             T = float(rng.uniform(0.4, 1.2))
-            exact = hessian_exact(system, mu, T)
-            quadrature = hessian_fourier_quadrature(system, mu, T)
+            state = thermal_state(system, mu, T)
+            exact = hessian_exact(system, state)
+            quadrature = hessian_fourier_quadrature(system, state)
             assert np.max(np.abs(quadrature - exact)) <= 1e-3
 
     def test_extensive_matches_generic_on_heisenberg(self):
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
         mu = np.array([0.3, -0.2, 0.1])
         T = 0.7
-        generic = hessian_fourier_quadrature(system, mu, T, mode="generic")
-        extensive = hessian_fourier_quadrature(system, mu, T, mode="extensive")
+        state = thermal_state(system, mu, T)
+        generic = hessian_fourier_quadrature(system, state, mode="generic")
+        extensive = hessian_fourier_quadrature(system, state, mode="extensive")
         assert np.max(np.abs(generic - extensive)) <= 1e-6
 
     def test_channel_output_hermitian(self):
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
         mu = np.array([0.2, 0.1, -0.3])
         for mode in ("generic", "extensive"):
-            out = channel_on_charge(system, mu, 0.5, 0, mode=mode)
+            out = channel_on_charge(system, thermal_state(system, mu, 0.5), 0, mode=mode)
             assert np.max(np.abs(out - out.conj().T)) <= 1e-10
 
     def test_extensive_requires_extensive_charges(self):
         code = builtin_code("repetition3")
         system = build_stabilizer_system(code, [((1,), 0.0)])
         with pytest.raises(ValueError, match="extensive"):
-            hessian_fourier_quadrature(system, np.zeros(1), 0.5, mode="extensive")
+            hessian_fourier_quadrature(
+                system, thermal_state(system, np.zeros(1), 0.5), mode="extensive"
+            )
+
+    def test_extensive_requires_conserved_system(self):
+        heis = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
+        system = dataclasses.replace(heis, conserved=False)
+        state = thermal_state(system, np.zeros(3), 0.5)
+        with pytest.raises(ValueError, match="conserved"):
+            estimate_hessian(system, state, 10, 10, RngStream(1), mode="extensive")
+        with pytest.raises(ValueError, match="conserved"):
+            hessian_fourier_quadrature(system, state, mode="extensive")
 
 
 class TestHessianEstimate:
@@ -185,9 +200,10 @@ class TestHessianEstimate:
         system = repetition_system()
         mu = np.array([0.3, -0.1, 0.2])
         T = 0.5
-        exact = hessian_exact(system, mu, T)
+        state = thermal_state(system, mu, T)
+        exact = hessian_exact(system, state)
         estimates = np.array([
-            estimate_hessian(system, mu, T, 400, 400, RngStream(12345, iteration=k))
+            estimate_hessian(system, state, 400, 400, RngStream(12345, iteration=k))
             for k in range(50)
         ])
         mean = estimates.mean(axis=0)
@@ -198,11 +214,10 @@ class TestHessianEstimate:
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
         mu = np.array([0.2, 0.0, -0.1])
         T = 0.8
-        exact = hessian_exact(system, mu, T)
+        state = thermal_state(system, mu, T)
+        exact = hessian_exact(system, state)
         estimates = np.array([
-            estimate_hessian(
-                system, mu, T, 500, 500, RngStream(7, iteration=k), mode="extensive"
-            )
+            estimate_hessian(system, state, 500, 500, RngStream(7, iteration=k), mode="extensive")
             for k in range(30)
         ])
         mean = estimates.mean(axis=0)
@@ -211,15 +226,17 @@ class TestHessianEstimate:
 
     def test_exactly_symmetric(self):
         system = repetition_system()
-        est = estimate_hessian(system, np.zeros(3), 0.5, 50, 50, RngStream(3))
+        state = thermal_state(system, np.zeros(3), 0.5)
+        est = estimate_hessian(system, state, 50, 50, RngStream(3))
         assert np.array_equal(est, est.T)
 
     def test_deterministic_given_stream(self):
         system = repetition_system()
-        a = estimate_hessian(system, np.zeros(3), 0.5, 100, 100, RngStream(42, iteration=9))
-        b = estimate_hessian(system, np.zeros(3), 0.5, 100, 100, RngStream(42, iteration=9))
+        state = thermal_state(system, np.zeros(3), 0.5)
+        a = estimate_hessian(system, state, 100, 100, RngStream(42, iteration=9))
+        b = estimate_hessian(system, state, 100, 100, RngStream(42, iteration=9))
         assert np.array_equal(a, b)
-        c = estimate_hessian(system, np.zeros(3), 0.5, 100, 100, RngStream(42, iteration=10))
+        c = estimate_hessian(system, state, 100, 100, RngStream(42, iteration=10))
         assert not np.array_equal(a, c)
 
 
