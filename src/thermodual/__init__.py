@@ -63,12 +63,9 @@ from .oracle import (
 from .shots import (
     RngStream,
     ShotEstimator,
-    TentSampler,
     estimate_hessian,
     estimate_observable,
     hessian_fourier_quadrature,
-    sample_tent,
-    tent_cdf,
     tent_density,
 )
 

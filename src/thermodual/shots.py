@@ -1,12 +1,19 @@
 """Simulated quantum measurement with reproducible shot noise.
 
 Expectations are estimated at the Pauli-term level: each term is measured as
-a +-1 Bernoulli variable with success probability (1 + <P>)/2, which is
-statistically identical to measuring the corresponding circuit at this scale.
+a +-1 outcome with success probability (1 + <P>)/2, which is statistically
+identical to measuring the corresponding circuit at this scale.  The number
+of +1 outcomes among N shots is exactly Binomial(N, (1 + <P>)/2), so each
+term costs one binomial draw, whatever N.
+
 The Hessian estimator follows the time-averaged-conjugation form of the dual
-Hessian: times are drawn from the heavy-peaked density
-p(t) = (2/pi) ln|coth(pi t/2)| through a tabulated inverse CDF, and each
-(time, Pauli pair) contributes one simulated interference-test outcome.
+Hessian: each Pauli pair runs interference tests at its own times drawn from
+p(t) = (2/pi) ln|coth(pi t/2)|.  At a random time a test's outcome is +1
+with probability (1 + wbar)/2, where wbar is the p(t)-average of the pair's
+signal.  A signal is a sum of Re[w e^{-i omega t}] over eigenfrequencies
+omega, and the average of cos(omega t) under p(t) is the density's
+characteristic function tanh(omega/2)/(omega/2), so wbar is exact and each
+pair's count of +1 outcomes is again one binomial draw.
 
 Randomness is organized as derived streams: a 64-bit mix of
 (master seed, iteration, observable-or-entry id, block) seeds an independent
@@ -17,11 +24,10 @@ evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 from scipy.integrate import quad_vec
-from scipy.special import spence
 
 from .errors import NumericalIntegrityError
 # thermal_state is not called here; benchmarks/tracer.py hooks this module's name for it
@@ -72,10 +78,10 @@ class RngStream:
 
 
 # ---------------------------------------------------------------------------
-# heavy-peaked time density and its sampler
+# heavy-peaked time density
 # ---------------------------------------------------------------------------
 
-# time cut of the sampler table and the quadratures; the density's mass beyond it is below 1e-15
+# time cut of the quadratures; the density's mass beyond it is below 1e-15
 T_CUT = 12.0
 
 
@@ -87,59 +93,25 @@ def tent_density(t) -> np.ndarray:
         return (2.0 / np.pi) * (np.log1p(decay) - np.log1p(-decay))
 
 
-def _dilog(x):
-    return spence(1.0 - np.asarray(x, dtype=float))
+def tent_characteristic(omega) -> np.ndarray:
+    """phi(omega) = E[cos(omega t)] under the tent density: tanh(omega/2)/(omega/2), phi(0) = 1."""
+    half = np.asarray(omega, dtype=float) / 2.0
+    zero = half == 0.0
+    return np.where(zero, 1.0, np.tanh(half) / np.where(zero, 1.0, half))
 
 
-def tent_cdf(t) -> np.ndarray:
-    """Exact CDF of the tent density, in dilogarithm closed form."""
-    t = np.asarray(t, dtype=float)
-    x = np.exp(-np.pi * np.abs(t))
-    upper = 1.0 + (2.0 / np.pi**2) * (_dilog(-x) - _dilog(x))
-    return np.where(t >= 0, upper, 1.0 - upper)
+def _binomial_means(values: np.ndarray, shots: int, stream: RngStream) -> np.ndarray:
+    """Mean of `shots` +-1 outcomes with P(+1) = (1 + v)/2, for each v in values.
 
-
-class TentSampler:
-    """Inverse-CDF sampler for the tent density on [-t_cut, t_cut].
-
-    The table holds the exact CDF on a uniform grid plus a denser sub-grid
-    across the log singularity at 0; draws interpolate the tabulated quantile
-    linearly.
+    The count of +1 outcomes is one Binomial(shots, (1 + v)/2) draw; value k
+    draws from stream.generator(k).
     """
-
-    def __init__(
-        self,
-        t_cut: float = T_CUT,
-        base_knots: int = 1 << 16,
-        refine_knots: int = 1 << 12,
-        refine_halfwidth: float = 1e-2,
-    ):
-        base = np.linspace(-t_cut, t_cut, base_knots)
-        refine = np.linspace(-refine_halfwidth, refine_halfwidth, refine_knots)
-        knots = np.unique(np.concatenate([base, refine]))
-        cdf = tent_cdf(knots)
-        if cdf[0] > 1e-10 or 1.0 - cdf[-1] > 1e-10:
-            raise NumericalIntegrityError("tent CDF table endpoints drifted from {0,1}")
-        self.t_cut = t_cut
-        self.knots = knots
-        self.cdf = cdf
-
-    def table_cdf(self, t) -> np.ndarray:
-        return np.interp(t, self.knots, self.cdf)
-
-    def sample(self, generator: np.random.Generator, size: int | None = None):
-        u = generator.random(size)
-        return np.interp(u, self.cdf, self.knots)
-
-
-@lru_cache(maxsize=1)
-def default_tent_sampler() -> TentSampler:
-    return TentSampler()
-
-
-def sample_tent(sampler: TentSampler, generator: np.random.Generator) -> float:
-    """One draw from the tabulated inverse CDF."""
-    return float(sampler.sample(generator))
+    bad = np.flatnonzero(np.abs(values) > 1.0 + 1e-9)
+    if len(bad):
+        raise NumericalIntegrityError(f"outcome mean {values[bad[0]]} exceeds 1 in magnitude")
+    probs = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
+    counts = np.array([stream.generator(k).binomial(shots, p) for k, p in enumerate(probs)])
+    return 2.0 * counts / shots - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +127,9 @@ def estimate_observable(
         raise ValueError("need at least one shot per term")
     cols, factors = obs.pauli_action()
     # Tr[P rho] = sum_j factors[j] rho[j, cols[j]], every term in one gather
-    means = np.sum(factors * rho[np.arange(obs.dimension), cols], axis=1).real.tolist()
-    total = 0.0
-    for block, ((coeff, word), mean) in enumerate(zip(obs.terms, means)):
-        if abs(mean) > 1.0 + 1e-9:
-            raise NumericalIntegrityError(f"|<{word}>| = {abs(mean)} exceeds 1")
-        prob = min(1.0, max(0.0, (1.0 + mean) / 2.0))
-        draws = stream.generator(block).random(shots_per_term)
-        outcomes = np.where(draws < prob, 1.0, -1.0)
-        total += coeff * float(outcomes.mean())
-    return total
+    means = np.sum(factors * rho[np.arange(obs.dimension), cols], axis=1).real
+    coeffs = np.array([coeff for coeff, _ in obs.terms])
+    return float(coeffs @ _binomial_means(means, shots_per_term, stream))
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +239,6 @@ def hessian_fourier_quadrature(
 # ---------------------------------------------------------------------------
 
 
-# a pair's smallest weights are dropped while their magnitudes sum to at most
-# this, so no signal value moves by more than PRUNE_TOL
-PRUNE_TOL = 1e-12
-# time-by-frequency grid cells evaluated at once (2 MB per float64 array)
-_GRID_CHUNK = 1 << 18
-
-
-def _interference_samples(w, generator):
-    """One +-1 outcome per time sample with P(+1) = (1 + w)/2."""
-    if np.max(np.abs(w)) > 1.0 + 1e-9:
-        raise NumericalIntegrityError(f"interference value {np.max(np.abs(w))} exceeds 1")
-    prob = np.clip((1.0 + w) / 2.0, 0.0, 1.0)
-    return np.where(generator.random(len(w)) < prob, 1.0, -1.0)
-
-
 def _pauli_rows(obs: Observable, mat: np.ndarray) -> list[np.ndarray]:
     """P @ mat for each term's word P, from permuted, phased rows of mat."""
     cols, factors = obs.pauli_action()
@@ -296,30 +246,18 @@ def _pauli_rows(obs: Observable, mat: np.ndarray) -> list[np.ndarray]:
     return [f[c][:, None] * mat[c] for c, f in zip(cols, factors)]
 
 
-def _eigen_frequencies(state: ThermalState):
-    """Unique frequencies (lam_a - lam_b)/T and the index of each (a, b) among them."""
-    lam = state.spectrum.eigenvalues
-    omega = (lam[:, None] - lam[None, :]) / state.temperature
-    return np.unique(np.round(omega.ravel(), 12), return_inverse=True)
+def _generic_pairs(system, i, j, eig_terms, kernel):
+    """(coeffs, wbar) of every Pauli pair (P, P') of charges i and j, in the A eigenbasis.
 
-
-def _generic_pairs(system, state, i, j, eig_terms, freqs, inverse):
-    """(coeff, freqs, weights) per Pauli pair of charges i and j, in the A eigenbasis.
-
-    Re Tr[U_t A U_t^dag B rho] collapses to cosine/sine weights on the unique
-    frequencies; eig_terms[k] holds V^dag P V for each term of charge k.
+    The pair's signal Re Tr[U_t P U_t^dag P' rho] is sum_ab Re[G_ab e^{-i omega_ab t}]
+    with G_ab = <a|P|b><b|P'|a> p_a, so wbar = sum_ab Re[G_ab] phi(omega_ab).
+    eig_terms[k] stacks V^dag P V over the terms of charge k, and kernel holds
+    p_a phi(omega_ab).
     """
-    p = state.populations
-    b_rho_t = [(wb * p[None, :]).T for wb in eig_terms[j]]
-    pairs = []
-    for (ca, _), wa in zip(system.charges[i].terms, eig_terms[i]):
-        for (cb, _), wb_rho_t in zip(system.charges[j].terms, b_rho_t):
-            G = (wa * wb_rho_t).ravel()
-            weights = np.bincount(inverse, G.real, len(freqs)) + 1j * np.bincount(
-                inverse, G.imag, len(freqs)
-            )
-            pairs.append((ca * cb, freqs, weights))
-    return pairs
+    coeffs = np.outer(*([c for c, _ in system.charges[k].terms] for k in (i, j)))
+    a = (eig_terms[i] * kernel).reshape(len(eig_terms[i]), -1)
+    b = eig_terms[j].transpose(0, 2, 1).reshape(len(eig_terms[j]), -1)
+    return coeffs.ravel(), (a @ b.T).real.ravel()
 
 
 def _site_block(mat: np.ndarray, site: int, n: int) -> np.ndarray:
@@ -329,83 +267,48 @@ def _site_block(mat: np.ndarray, site: int, n: int) -> np.ndarray:
 
 
 def _extensive_pairs(system, state, i, j, comps):
-    """Per (site of Q_i, term of Q_j) signals under single-site conjugation."""
-    mu = state.mu
+    """(coeffs, wbar) per (site of Q_i, term P' of Q_j) under single-site conjugation.
+
+    In the eigenbasis of the site's generator mu.Q (eigenvalues v), element
+    (m, n) of the conjugated component rotates at omega_mn = (v_m - v_n)/T, so
+    wbar = sum_mn Re[a_mn c_nm] phi(omega_mn), with a the component and c the
+    site block of P' rho, both in that basis.
+    """
     T = state.temperature
     n = system.n_qubits
     b_rhos = _pauli_rows(system.charges[j], state.rho)
-    pairs = []
+    coeffs, wbar = [], []
     for site in range(n):
         scale = float(np.linalg.norm(comps[i, site], 2))
         if scale == 0.0:
             continue
-        local = np.tensordot(mu, comps[:, site], axes=(0, 0))
-        vals, vecs = np.linalg.eigh(local)
-        # unit-normalize the site component so the interference value stays in [-1, 1]
+        vals, vecs = np.linalg.eigh(np.tensordot(state.mu, comps[:, site], axes=(0, 0)))
+        # unit-normalize the site component so |wbar| stays at most 1
         a_eig = vecs.conj().T @ (comps[i, site] / scale) @ vecs
+        weights = a_eig * tent_characteristic((vals[:, None] - vals[None, :]) / T)
         for (cb, _), b_rho in zip(system.charges[j].terms, b_rhos):
-            block = _site_block(b_rho, site, n)
-            base = np.array([np.einsum("ij,ji->", s, block) for s in PAULI_MATRICES])
-            freq_map: dict[float, complex] = {}
-            for m in range(2):
-                for nn in range(2):
-                    # the (m,nn) element of u C u^dag rotates at e^{+i(vals_m-vals_nn)t/T}
-                    local_op = np.zeros((2, 2), dtype=complex)
-                    local_op[m, nn] = a_eig[m, nn]
-                    back = vecs @ local_op @ vecs.conj().T
-                    coeffs = np.array([np.trace(back @ s) / 2.0 for s in PAULI_MATRICES])
-                    weight = complex(coeffs @ base)
-                    freq = round(float((vals[m] - vals[nn]) / T), 12)
-                    freq_map[freq] = freq_map.get(freq, 0.0) + weight
-            freqs = np.array(sorted(freq_map))
-            # conjugate flips e^{+i w t} into the e^{-i w t} convention of _entry_signals
-            weights = np.conj(np.array([freq_map[f] for f in freqs]))
-            pairs.append((scale * cb, freqs, weights))
-    return pairs
+            c_eig = vecs.conj().T @ _site_block(b_rho, site, n) @ vecs
+            coeffs.append(scale * cb)
+            wbar.append(np.sum(weights * c_eig.T).real)
+    return np.array(coeffs), np.array(wbar)
 
 
-def _kept(weights: np.ndarray) -> np.ndarray:
-    """Sorted indices left after dropping the smallest weights whose |w| sum to <= PRUNE_TOL."""
-    mags = np.abs(weights)
-    small = np.flatnonzero(mags <= PRUNE_TOL)
-    # the weights under PRUNE_TOL / len(small) come first in sorted order and
-    # together sum to less than PRUNE_TOL, so they go without a sort
-    tiny = mags[small] < PRUNE_TOL / max(1, len(small))
-    rest = small[~tiny]
-    order = rest[np.argsort(mags[rest], kind="stable")]
-    budget = PRUNE_TOL - np.sum(mags[small[tiny]])
-    dropped = int(np.searchsorted(np.cumsum(mags[order]), budget, side="right"))
-    keep = np.ones(len(mags), dtype=bool)
-    keep[small[tiny]] = False
-    keep[order[:dropped]] = False
-    return np.flatnonzero(keep)
+def _pair_means(system: ThermoSystem, state: ThermalState, mode: str):
+    """The function (i, j) -> (coeffs, wbar) over the Pauli pairs of entry (i, j).
 
-
-def _entry_signals(pairs, t: np.ndarray) -> np.ndarray:
-    """Signal sum_f Re[w_f e^{-i f t}] of every pair at the times t, one column per pair.
-
-    Each pair's pruned weights are stacked over the union of the kept
-    frequencies, so one cosine/sine grid serves every pair of the entry.
+    What every entry shares is built once: the charge terms in the A
+    eigenbasis and the kernel p_a phi(omega_ab) in generic mode, the per-site
+    charge components in extensive mode.
     """
-    kept = []
-    for _, freqs, weights in pairs:
-        idx = _kept(weights)
-        kept.append((freqs[idx], weights[idx]))
-    union = np.unique(np.concatenate([f for f, _ in kept]))
-    w_cos = np.zeros((len(union), len(pairs)))
-    w_sin = np.zeros((len(union), len(pairs)))
-    for col, (freqs, weights) in enumerate(kept):
-        rows = np.searchsorted(union, freqs)
-        w_cos[rows, col] = weights.real
-        w_sin[rows, col] = weights.imag
-    signals = np.empty((len(t), len(pairs)))
-    rows_per_chunk = max(1, _GRID_CHUNK // max(1, len(union)))
-    for lo in range(0, len(t), rows_per_chunk):
-        angles = np.outer(t[lo : lo + rows_per_chunk], union)
-        cos = np.cos(angles)
-        sin = np.sin(angles, out=angles)
-        signals[lo : lo + rows_per_chunk] = cos @ w_cos + sin @ w_sin
-    return signals
+    if mode == "extensive":
+        comps = _site_components(system)
+        return lambda i, j: _extensive_pairs(system, state, i, j, comps)
+    V = state.spectrum.eigenvectors
+    lam = state.spectrum.eigenvalues
+    eig_terms = [np.stack([V.conj().T @ pv for pv in _pauli_rows(q, V)]) for q in system.charges]
+    omega = (lam[:, None] - lam[None, :]) / state.temperature
+    kernel = state.populations[:, None] * tent_characteristic(omega)
+    return lambda i, j: _generic_pairs(system, i, j, eig_terms, kernel)
 
 
 def estimate_hessian(
@@ -418,11 +321,12 @@ def estimate_hessian(
 ) -> np.ndarray:
     """Shot-level stochastic estimate of the dual Hessian.
 
-    Each upper-triangle entry draws `time_samples` times from the tent
-    density; every (time, Pauli pair) yields one simulated +-1 interference
-    outcome, scaled by the pair's coefficients.  The mean-product term uses
-    two independent `shots`-per-term estimates of <Q_i> and <Q_j>.  The
-    matrix is mirrored across the diagonal, so it is exactly symmetric.
+    Each Pauli pair of an upper-triangle entry runs `time_samples`
+    interference tests at its own tent-distributed times; their +1 count is
+    one Binomial(time_samples, (1 + wbar)/2) draw, and the pair's mean
+    outcome is scaled by its coefficients.  The mean-product term uses two
+    independent `shots`-per-term estimates of <Q_i> and <Q_j>.  The matrix
+    is mirrored across the diagonal, so it is exactly symmetric.
     """
     if time_samples < 1 or shots < 1:
         raise ValueError("time_samples and shots must be positive")
@@ -430,30 +334,15 @@ def estimate_hessian(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "extensive":
         _check_extensive(system)
-    sampler = default_tent_sampler()
-    if mode == "generic":
-        V = state.spectrum.eigenvectors
-        eig_terms = [[V.conj().T @ pv for pv in _pauli_rows(q, V)] for q in system.charges]
-        freqs, inverse = _eigen_frequencies(state)
-    else:
-        comps = _site_components(system)
+    pairs = _pair_means(system, state, mode)
 
     c = system.n_charges
     hessian = np.zeros((c, c))
     for i in range(c):
         for j in range(i, c):
-            entry_id = HESSIAN_ENTRY_BASE + i * c + j
-            entry_stream = stream.with_observable(entry_id)
-            t = sampler.sample(entry_stream.generator(0), time_samples)
-            if mode == "generic":
-                pairs = _generic_pairs(system, state, i, j, eig_terms, freqs, inverse)
-            else:
-                pairs = _extensive_pairs(system, state, i, j, comps)
-            signals = _entry_signals(pairs, t)
-            first = 0.0
-            for block, ((coeff, _, _), w) in enumerate(zip(pairs, signals.T), start=1):
-                outcomes = _interference_samples(w, entry_stream.generator(block))
-                first += coeff * float(outcomes.mean())
+            coeffs, wbar = pairs(i, j)
+            entry_stream = stream.with_observable(HESSIAN_ENTRY_BASE + i * c + j)
+            first = float(coeffs @ _binomial_means(wbar, time_samples, entry_stream))
             qi = estimate_observable(
                 state.rho,
                 system.charges[i],
@@ -491,6 +380,12 @@ class ShotEstimator:
     ):
         if mode not in ESTIMATOR_MODES:
             raise ValueError(f"unknown mode {mode!r}")
+        for name, budget in (
+            ("shots_per_iteration", shots_per_iteration),
+            ("hessian_samples_per_iteration", hessian_samples_per_iteration),
+        ):
+            if budget < 1:
+                raise ValueError(f"{name} must be at least 1, got {budget}")
         self.system = system
         self.master_seed = int(master_seed)
         self.mode = mode

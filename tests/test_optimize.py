@@ -203,19 +203,14 @@ class TestSecondOrder:
         import thermodual.shots as shots
 
         drawn = []
-        estimate_observable = shots.estimate_observable
-        interference_samples = shots._interference_samples
+        binomial_means = shots._binomial_means
 
-        def counted_observable(rho, obs, shots_per_term, stream):
-            drawn.append(len(obs.terms) * shots_per_term)
-            return estimate_observable(rho, obs, shots_per_term, stream)
+        def counted_trials(values, trials, stream):
+            # one binomial draw of `trials` outcomes per Pauli term or Hessian pair
+            drawn.append(len(values) * trials)
+            return binomial_means(values, trials, stream)
 
-        def counted_interference(w, generator):
-            drawn.append(len(w))
-            return interference_samples(w, generator)
-
-        monkeypatch.setattr(shots, "estimate_observable", counted_observable)
-        monkeypatch.setattr(shots, "_interference_samples", counted_interference)
+        monkeypatch.setattr(shots, "_binomial_means", counted_trials)
         system = repetition_system()
         cfg = OptimizerConfig(variant="second_hqc", max_iter=12, delta=1e-12)
         estimator = ShotEstimator(

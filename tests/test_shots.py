@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import binom, chisquare
 
 import thermodual.shots as shots
-from thermodual.gibbs import hessian_exact, thermal_state
+from thermodual.gibbs import charge_expectations, hessian_exact, thermal_state
 from thermodual.models import (
     HAMILTONIAN_OBS_ID,
     build_heisenberg,
@@ -17,15 +18,12 @@ from thermodual.optimize import OptimizerConfig, run_first_order
 from thermodual.shots import (
     RngStream,
     ShotEstimator,
-    TentSampler,
     channel_on_charge,
     derive_stream_seed,
-    default_tent_sampler,
     estimate_hessian,
     estimate_observable,
     hessian_fourier_quadrature,
-    sample_tent,
-    tent_cdf,
+    tent_characteristic,
     tent_density,
 )
 
@@ -104,48 +102,25 @@ class TestEstimateObservable:
 
 
 class TestTentSampler:
+    """The density of the interference-test times and its characteristic function."""
+
     def test_density_normalized(self):
         mass, _ = quad(lambda t: float(tent_density(t)), 0, 40, points=[0], limit=300)
         assert 2 * mass == pytest.approx(1.0, abs=1e-6)
-
-    def test_cdf_table_endpoints(self):
-        sampler = default_tent_sampler()
-        assert sampler.cdf[0] <= 1e-10
-        assert 1.0 - sampler.cdf[-1] <= 1e-10
 
     def test_tail_mass_below_cut(self):
         # p(t) ~ (4/pi) e^{-pi t} for large t, so the tail integrates to
         # (4/pi^2) e^{-12 pi} per side
         tail = 2 * (4 / np.pi**2) * np.exp(-12 * np.pi)
         assert tail <= 1e-15
-        assert 2 * (1.0 - tent_cdf(12.0)) <= 1e-15
 
-    def test_kolmogorov_smirnov_against_table(self):
-        sampler = default_tent_sampler()
-        draws = sampler.sample(RngStream(99).generator(0), 100_000)
-        draws = np.sort(draws)
-        empirical = np.arange(1, len(draws) + 1) / len(draws)
-        model = sampler.table_cdf(draws)
-        ks = float(np.max(np.abs(empirical - model)))
-        assert ks <= 0.01
-
-    def test_symmetric_mean(self):
-        sampler = default_tent_sampler()
-        draws = sampler.sample(RngStream(123).generator(0), 1_000_000)
-        sigma = draws.std(ddof=1) / np.sqrt(len(draws))
-        assert abs(draws.mean()) <= 4 * sigma
-
-    def test_single_draw(self):
-        sampler = default_tent_sampler()
-        value = sample_tent(sampler, RngStream(5).generator(0))
-        assert -12.0 <= value <= 12.0
-
-    def test_refinement_improves_center(self):
-        coarse = TentSampler(base_knots=1 << 12, refine_knots=1 << 10)
-        u = np.linspace(0.45, 0.55, 1001)
-        t = np.interp(u, coarse.cdf, coarse.knots)
-        # quantiles near the median must stay within the refined window
-        assert np.max(np.abs(t)) < 0.05
+    @pytest.mark.parametrize("omega", [0.0, 0.1, 1.0, 3.0, 7.5, -2.0])
+    def test_characteristic_function_matches_quadrature(self, omega):
+        value, _ = quad(
+            lambda t: 2.0 * float(tent_density(t)) * np.cos(omega * t),
+            0, 40, points=[0], limit=400, epsabs=1e-13, epsrel=1e-13,
+        )
+        assert float(tent_characteristic(omega)) == pytest.approx(value, abs=1.2e-12)
 
 
 class TestHessianQuadrature:
@@ -240,83 +215,38 @@ class TestHessianEstimate:
         assert not np.array_equal(a, c)
 
 
-def dense_signal(A, b_rho, U):
-    """Re Tr[U A U^dag B rho] with dense matrices."""
-    return float(np.real(np.trace(U @ A @ U.conj().T @ b_rho)))
+def pinned_case(name):
+    """A system and its thermal state at a fixed, generic point."""
+    if name == "grid2x3":
+        system = build_heisenberg(
+            "grid", rows=2, cols=3, nnn=True, lam=0.5, targets=(0.5, 0.2, -0.4)
+        )
+        mu, T = np.array([0.4, -0.3, 0.25]), 0.5
+    else:
+        system = build_stabilizer_system(
+            builtin_code(name), [((1,), 0.3), ((2,), -0.2), ((3,), 0.4)]
+        )
+        mu, T = np.array([0.3, -0.2, 0.5]), 0.4
+    return system, thermal_state(system, mu, T)
 
 
-class TestSharedGrid:
-    """The pruned shared-grid signals against the full sums and the dense time evolution.
+class TestExactLaw:
+    """Per-pair interference means and binomial shot counts against their exact law."""
 
-    Pruning moves a signal by at most 1e-12.  Against the dense path the
-    frequencies' rounding to 12 decimals adds up to 5e-13 |t| of phase per
-    weight, whose magnitudes sum to at most 1 here, hence the |t| term.
-    """
-
-    T_SAMPLES = np.array([0.0, 0.013, -0.4, 1.7, -5.2, 11.9])
-
-    @staticmethod
-    def tolerance(t):
-        return 1e-12 + 1e-12 * abs(t)
-
-    @pytest.mark.parametrize("T", [0.5, 0.1 / (6 * np.log(2))])
-    def test_generic_signals_match_dense(self, T):
-        system = build_heisenberg("grid", rows=2, cols=3, nnn=True, lam=0.5)
-        state = thermal_state(system, np.array([0.4, -0.3, 0.25]), T)
-        V = state.spectrum.eigenvectors
-        lam = state.spectrum.eigenvalues
-        eig_terms = [
-            [V.conj().T @ pv for pv in shots._pauli_rows(q, V)] for q in system.charges
-        ]
-        freqs, inverse = shots._eigen_frequencies(state)
-        if T == 0.5:
-            # pruning drops weights that are not exactly zero here
-            pairs = shots._generic_pairs(system, state, 0, 1, eig_terms, freqs, inverse)
-            dropped = [w[np.setdiff1d(np.arange(len(w)), shots._kept(w))] for _, _, w in pairs]
-            assert max(np.max(np.abs(d)) for d in dropped) > 0.0
-        for i, j in ((0, 1), (2, 2)):
-            pairs = shots._generic_pairs(system, state, i, j, eig_terms, freqs, inverse)
-            signals = shots._entry_signals(pairs, self.T_SAMPLES)
-            angles = np.outer(self.T_SAMPLES, freqs)
-            full = np.stack(
-                [np.cos(angles) @ w.real + np.sin(angles) @ w.imag for _, _, w in pairs], axis=1
-            )
-            assert np.max(np.abs(signals - full)) <= 1e-12
-            words = [
-                (a.to_dense(), b.to_dense() @ state.rho)
-                for _, a in system.charges[i].terms
-                for _, b in system.charges[j].terms
-            ]
-            assert signals.shape == (len(self.T_SAMPLES), len(words))
-            for row, t in enumerate(self.T_SAMPLES):
-                U = (V * np.exp(-1j * lam * t / T)) @ V.conj().T
-                for col, (A, b_rho) in enumerate(words):
-                    assert abs(signals[row, col] - dense_signal(A, b_rho, U)) <= self.tolerance(t)
-
-    def test_extensive_signals_match_dense(self):
-        system = build_heisenberg("grid", rows=2, cols=3, nnn=True, lam=0.5)
-        mu = np.array([0.4, -0.3, 0.25])
-        T = 0.5
-        state = thermal_state(system, mu, T)
-        comps = shots._site_components(system)
-        n = system.n_qubits
-        for i, j in ((0, 2), (1, 1)):
-            pairs = shots._extensive_pairs(system, state, i, j, comps)
-            signals = shots._entry_signals(pairs, self.T_SAMPLES)
-            b_rhos = [b.to_dense() @ state.rho for _, b in system.charges[j].terms]
-            for row, t in enumerate(self.T_SAMPLES):
-                col = 0
-                for site in range(n):
-                    scale = float(np.linalg.norm(comps[i, site], 2))
-                    vals, vecs = np.linalg.eigh(np.tensordot(mu, comps[:, site], axes=(0, 0)))
-                    local_u = (vecs * np.exp(1j * vals * t / T)) @ vecs.conj().T
-                    u = shots._embed_site(local_u, site, n)
-                    A = shots._embed_site(comps[i, site] / scale, site, n)
-                    for b_rho in b_rhos:
-                        value = dense_signal(A, b_rho, u)
-                        assert abs(signals[row, col] - value) <= self.tolerance(t)
-                        col += 1
-            assert col == signals.shape[1]
+    @pytest.mark.parametrize(
+        "name,mode", [("repetition3", "generic"), ("grid2x3", "generic"), ("grid2x3", "extensive")]
+    )
+    def test_pair_means_sum_to_exact_hessian(self, name, mode):
+        system, state = pinned_case(name)
+        exact = hessian_exact(system, state)
+        means = charge_expectations(system, state)
+        pairs = shots._pair_means(system, state, mode)
+        for i in range(system.n_charges):
+            for j in range(i, system.n_charges):
+                coeffs, wbar = pairs(i, j)
+                assert np.all(np.abs(wbar) <= 1.0 + 1e-12)
+                target = -state.temperature * exact[i, j] + means[i] * means[j]
+                assert abs(coeffs @ wbar - target) <= 1e-12
 
     def test_site_block_trace_matches_embedding(self, rng):
         n = 4
@@ -327,27 +257,48 @@ class TestSharedGrid:
                 expected = np.einsum("ij,ji->", shots._embed_site(sigma, site, n), mat)
                 assert np.einsum("ij,ji->", sigma, block) == pytest.approx(expected, abs=1e-12)
 
-    def test_pruning_bound(self):
-        weights = np.array([3e-13, -4e-13j, 0.5, 2e-13, 0.0, 1e-3 + 1e-3j, 5e-13])
-        kept = shots._kept(weights)
-        dropped = np.setdiff1d(np.arange(len(weights)), kept)
-        assert np.sum(np.abs(weights[dropped])) <= 1e-12
-        # the smallest weight kept would push the dropped sum past the bound
-        assert np.sum(np.abs(weights[dropped])) + np.min(np.abs(weights[kept])) > 1e-12
-        assert list(kept) == sorted(kept)
+    def test_term_counts_follow_binomial_pmf(self):
+        # every term of H and the charges: |<P>| from 0.3 to 0.99
+        system, state = pinned_case("repetition3")
+        rho = state.rho
+        shots_per_term = 12
+        ids = (HAMILTONIAN_OBS_ID, *range(system.n_charges))
+        words = [word for k in ids for _, word in system.observable(k).terms]
+        for word in words:
+            obs = Observable(system.n_qubits, [(1.0, word)])
+            p = (1.0 + expectation(obs, rho)) / 2.0
+            counts = [
+                round((estimate_observable(rho, obs, shots_per_term, RngStream(31, k)) + 1.0)
+                      * shots_per_term / 2.0)
+                for k in range(4000)
+            ]
+            observed = np.bincount(counts, minlength=shots_per_term + 1)
+            expected = len(counts) * binom.pmf(np.arange(shots_per_term + 1), shots_per_term, p)
+            # pool the sparse tails into one cell
+            keep = expected >= 5.0
+            observed = np.append(observed[keep], observed[~keep].sum())
+            expected = np.append(expected[keep], expected[~keep].sum())
+            assert chisquare(observed, expected).pvalue > 1e-4, str(word)
 
-    def test_pruning_matches_full_sort(self, rng):
-        def by_full_sort(weights):
-            mags = np.abs(weights)
-            order = np.argsort(mags, kind="stable")
-            dropped = np.searchsorted(np.cumsum(mags[order]), 1e-12, side="right")
-            return np.sort(order[dropped:])
-
-        for _ in range(500):
-            size = int(rng.integers(1, 60))
-            scale = 10.0 ** rng.uniform(-18, -10, size)
-            weights = scale * rng.choice([0.0, 1.0, 1j, -1.0], size)
-            assert np.array_equal(shots._kept(weights), by_full_sort(weights))
+    def test_hessian_entry_variance_matches_binomial_formula(self):
+        # one Pauli term per charge, so entry (i, j) has one pair with
+        # wbar = -T H_ij + <Q_i><Q_j>; the two factor estimates are independent
+        system, state = pinned_case("repetition3")
+        time_samples, shots_per_term, T = 30, 20, state.temperature
+        exact = hessian_exact(system, state)
+        m = charge_expectations(system, state)
+        wbar = -T * exact + np.outer(m, m)
+        second = m**2 + (1.0 - m**2) / shots_per_term
+        predicted = (
+            (1.0 - wbar**2) / time_samples + np.outer(second, second) - np.outer(m, m) ** 2
+        ) / T**2
+        estimates = np.array([
+            estimate_hessian(system, state, time_samples, shots_per_term, RngStream(8, k))
+            for k in range(3000)
+        ])
+        se = estimates.std(axis=0, ddof=1) / np.sqrt(len(estimates))
+        assert np.all(np.abs(estimates.mean(axis=0) - exact) <= 4 * se)
+        assert estimates.var(axis=0, ddof=1) == pytest.approx(predicted, rel=0.12)
 
 
 class TestShotEstimator:
@@ -359,6 +310,17 @@ class TestShotEstimator:
         cfg = OptimizerConfig(variant="first_hqc", max_iter=0)
         trace = run_first_order(system, system.targets, cfg, estimator)
         assert trace.records[0].shots_used == 10_000
+        # a positive budget below the term count still measures each term once
+        assert ShotEstimator(system, 1, shots_per_iteration=3).shots_per_term == 1
+
+    @pytest.mark.parametrize("budget", [
+        {"shots_per_iteration": 0},
+        {"shots_per_iteration": -50},
+        {"hessian_samples_per_iteration": -5},
+    ])
+    def test_refuses_non_positive_budgets(self, budget):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            ShotEstimator(repetition_system(), 1, **budget)
 
     def test_estimates_converge_with_budget(self, rng):
         system = repetition_system()
@@ -383,104 +345,89 @@ class TestShotEstimator:
 
 # Exact outputs of the shot layer for fixed seeds and small budgets.  Any
 # change to the estimators must leave them bit for bit as they are: a
-# rounding-level change in a probability flips an outcome only when a uniform
-# draw lands within that rounding of it.
+# rounding-level change in a probability moves a binomial count only when one
+# of the sampler's uniform draws lands within that rounding of a threshold.
 PINNED_OBSERVABLE = {
     ("repetition3", 11): [
-        -1.945945945945946,
-        0.4594594594594595,
-        -0.40540540540540543,
-        0.7837837837837838,
+        -2.0,
+        0.45945945945945943,
+        -0.2432432432432432,
+        0.8378378378378379,
     ],
     ("repetition3", 20251018): [
-        -1.8918918918918919,
-        0.24324324324324326,
-        -0.4594594594594595,
-        0.8918918918918919,
-    ],
-    ("perfect5", 11): [
-        -3.945945945945946,
-        0.4594594594594595,
-        -0.40540540540540543,
+        -2.0,
+        0.6216216216216217,
+        -0.29729729729729726,
         0.7837837837837838,
     ],
+    ("perfect5", 11): [
+        -4.0,
+        0.45945945945945943,
+        -0.2432432432432432,
+        0.8378378378378379,
+    ],
     ("perfect5", 20251018): [
-        -3.8378378378378377,
-        0.24324324324324326,
-        -0.4594594594594595,
-        0.8918918918918919,
+        -4.0,
+        0.6216216216216217,
+        -0.29729729729729726,
+        0.7837837837837838,
     ],
     ("grid2x3", 11): [
-        -11.162162162162158,
-        -0.4324324324324325,
-        -0.05405405405405406,
-        -0.2702702702702703,
+        -10.351351351351349,
+        0.108108108108108,
+        -0.054054054054053946,
+        0.21621621621621623,
     ],
     ("grid2x3", 20251018): [
-        -10.945945945945946,
+        -11.351351351351353,
+        0.2702702702702704,
         0.2702702702702703,
-        -0.05405405405405406,
-        0.5405405405405406,
+        0.43243243243243235,
     ],
 }
 
 PINNED_HESSIAN = {
     ("repetition3", "generic", 11): [
-        [-1.2378165679811786, -0.11113529813532484, 0.5339172160725583],
-        [-0.11113529813532484, -1.4446093442803405, -0.3216354548626252],
-        [0.5339172160725583, -0.3216354548626252, -0.791109838197603],
+        [-1.1610013269990467, -0.2762194124386242, 0.5015399269801386],
+        [-0.2762194124386242, -1.320279273121624, -0.04403518558994492],
+        [0.5015399269801386, -0.04403518558994492, -0.8125487999739824],
     ],
     ("repetition3", "generic", 20251018): [
-        [-1.2298361827903195, -0.19222897305768324, 0.5399160033447296],
-        [-0.19222897305768324, -1.4486301775801917, -0.48203036780525815],
-        [0.5399160033447296, -0.48203036780525815, -0.7777413358166024],
+        [-1.268689668000202, -0.2438132873245927, 0.6270859609965314],
+        [-0.2438132873245927, -1.3896563896293084, -0.4459565220589649],
+        [0.6270859609965314, -0.4459565220589649, -0.7880509808032645],
     ],
     ("perfect5", "generic", 11): [
-        [-1.2378165679811786, -0.11113529813532484, 0.5339172160725583],
-        [-0.11113529813532484, -1.4446093442803405, -0.3216354548626252],
-        [0.5339172160725583, -0.3216354548626252, -0.791109838197603],
+        [-1.1610013269990467, -0.2762194124386242, 0.5015399269801386],
+        [-0.2762194124386242, -1.320279273121624, -0.04403518558994492],
+        [0.5015399269801386, -0.04403518558994492, -0.8125487999739824],
     ],
     ("perfect5", "generic", 20251018): [
-        [-1.2298361827903195, -0.19222897305768324, 0.5399160033447296],
-        [-0.19222897305768324, -1.4486301775801917, -0.48203036780525815],
-        [0.5399160033447296, -0.48203036780525815, -0.7777413358166024],
+        [-1.268689668000202, -0.2438132873245927, 0.6270859609965314],
+        [-0.2438132873245927, -1.3896563896293084, -0.4459565220589649],
+        [0.6270859609965314, -0.4459565220589649, -0.7880509808032645],
     ],
     ("grid2x3", "generic", 11): [
-        [-0.8306483371326088, 0.9453421935582593, 0.19876097870530587],
-        [0.9453421935582593, -1.1196692942799344, -0.2310574436915905],
-        [0.19876097870530587, -0.2310574436915905, -0.47950979222877543],
+        [1.3813579727397312, -0.6782617696896582, 1.0973102031355844],
+        [-0.6782617696896582, -1.994617255835619, -0.10186258250202991],
+        [1.0973102031355844, -0.10186258250202991, 3.4231867555689557],
     ],
     ("grid2x3", "extensive", 11): [
-        [0.12587340199782643, 0.5975161066017377, -0.6708042386859983],
-        [0.5975161066017377, 0.010765488328762163, -0.40497048716985135],
-        [-0.6708042386859983, -0.40497048716985135, 1.3465771642929636],
+        [0.4248362336092975, -0.5913052479505283, 1.0973102031355828],
+        [-0.5913052479505283, 1.8314697006861194, 0.07205046097623018],
+        [1.0973102031355828, 0.07205046097623018, -3.011595853126694],
     ],
     ("grid2x3", "generic", 20251018): [
-        [3.10558684738165, 1.893987843819408, 0.6757729256069651],
-        [1.893987843819408, 0.46044965716510294, -2.0782523183830164],
-        [0.6757729256069651, -2.0782523183830164, -3.8985469741191725],
+        [-1.7797125452593818, 2.2281500417432714, -1.2306366355148586],
+        [2.2281500417432714, -3.6115963031889167, 0.21532326844186303],
+        [-1.2306366355148586, 0.21532326844186303, -0.4521775135412471],
     ],
     ("grid2x3", "extensive", 20251018): [
-        [-0.1118044569661753, 1.8070313220802776, -0.19379229178433927],
-        [1.8070313220802776, 2.286536613686842, -1.3826001444699734],
-        [-0.19379229178433927, -1.3826001444699734, -2.681155669771346],
+        [0.9159396286536616, 2.3151065634824013, -1.23063663551486],
+        [2.3151065634824013, 3.257968914202389, 0.30227979018099405],
+        [-1.23063663551486, 0.30227979018099405, 0.3304311821109263],
     ],
 }
-
-
-def pinned_case(name):
-    """A system and its thermal state at a fixed, generic point."""
-    if name == "grid2x3":
-        system = build_heisenberg(
-            "grid", rows=2, cols=3, nnn=True, lam=0.5, targets=(0.5, 0.2, -0.4)
-        )
-        mu, T = np.array([0.4, -0.3, 0.25]), 0.5
-    else:
-        system = build_stabilizer_system(
-            builtin_code(name), [((1,), 0.3), ((2,), -0.2), ((3,), 0.4)]
-        )
-        mu, T = np.array([0.3, -0.2, 0.5]), 0.4
-    return system, thermal_state(system, mu, T)
 
 
 class TestPinnedOutputs:
