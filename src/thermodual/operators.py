@@ -1,15 +1,15 @@
 """Pauli-string algebra and dense Hermitian observables for n-qubit systems.
 
 Phases are carried as exact integer powers of i, so products and commutation
-checks never accumulate floating-point drift.  Dense matrices are built on
-demand and cached; systems are capped at a configurable qubit count because
-everything downstream works with full 2^n x 2^n arrays.
+checks never accumulate floating-point drift.  A word acts on each basis
+state as a bit flip and a phase; every dense matrix is scattered from that
+action, built on demand and cached.  Systems are capped at a configurable
+qubit count because everything downstream works with full 2^n x 2^n arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -48,6 +48,30 @@ for _a in range(4):
 _PHASE_VALUES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
+def _basis_action(letters: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, factors) of shape (words, 2^n): word k maps |j> to factors[k, j] |cols[k, j]>.
+
+    Each row of letters is one n-site word, phase excluded.  With site 0 as
+    the most significant bit (kron order), a word with bit-flip mask x and
+    phase mask z (Y sets both) has cols = j ^ x and
+    factors = i^(#Y) (-1)^popcount(j & z).
+    """
+    bits = np.int64(1) << np.arange(n - 1, -1, -1, dtype=np.int64)
+    x = ((letters == 1) | (letters == 2)) @ bits
+    z = ((letters == 2) | (letters == 3)) @ bits
+    n_y = np.count_nonzero(letters == 2, axis=1)
+    basis = np.arange(2**n, dtype=np.int64)
+    cols = basis[None, :] ^ x[:, None]
+    # parity of popcount(j & z) by folding the bits onto bit 0
+    parity = basis[None, :] & z[:, None]
+    shift = 1
+    while shift < n:
+        parity ^= parity >> shift
+        shift <<= 1
+    signs = 1.0 - 2.0 * (parity & 1)
+    return cols, np.array(_PHASE_VALUES)[n_y % 4][:, None] * signs
+
+
 @dataclass(frozen=True)
 class PauliString:
     """A signed n-site Pauli word: i^phase_power times a tensor product of I/X/Y/Z."""
@@ -79,8 +103,12 @@ class PauliString:
         return all(l == 0 for l in self.letters)
 
     def to_dense(self) -> np.ndarray:
-        mats = [PAULI_MATRICES[l] for l in self.letters]
-        return self.phase * reduce(np.kron, mats)
+        """Dense 2^n x 2^n matrix, scattered from the word's action on basis states."""
+        cols, factors = _basis_action(np.array([self.letters]), self.n)
+        dim = 2**self.n
+        dense = np.zeros((dim, dim), dtype=complex)
+        dense[cols[0], np.arange(dim)] = self.phase * factors[0]
+        return dense
 
     def __str__(self) -> str:
         sign = {0: "+", 1: "+i", 2: "-", 3: "-i"}[self.phase_power]
@@ -171,8 +199,9 @@ class Observable:
     def to_dense(self) -> np.ndarray:
         """Dense 2^n x 2^n Hermitian matrix; cached, so repeat calls are free.
 
-        The cache fill is idempotent (same bits every time), which keeps
-        first-writer-wins races between readers harmless.
+        Each term's word is scattered from its basis action (`pauli_action`),
+        in term order.  The cache fill is idempotent (same bits every time),
+        which keeps first-writer-wins races between readers harmless.
         """
         if self._dense is None:
             if self.n > MAX_DENSE_QUBITS:
@@ -180,9 +209,10 @@ class Observable:
                     f"{self.n} qubits exceeds the dense limit of {MAX_DENSE_QUBITS}"
                 )
             dim = self.dimension
+            basis = np.arange(dim)
             acc = np.zeros((dim, dim), dtype=complex)
-            for coeff, word in self.terms:
-                acc += coeff * word.to_dense()
+            for (coeff, _), cols, factors in zip(self.terms, *self.pauli_action()):
+                acc[cols, basis] += coeff * factors
             herm_err = np.max(np.abs(acc - acc.conj().T)) if self.terms else 0.0
             if herm_err > 1e-12:
                 raise NumericalIntegrityError(f"dense matrix not Hermitian: {herm_err}")
@@ -194,28 +224,12 @@ class Observable:
         """How each term's word acts on the computational basis, without matrices.
 
         Returns (cols, factors), each of shape (terms, 2^n): word k maps |j> to
-        factors[k, j] |cols[k, j]>.  With site 0 as the most significant bit
-        (kron order), a word with bit-flip mask x and phase mask z (Y sets both)
-        has cols = j ^ x and factors = i^(#Y) (-1)^popcount(j & z).  Built on
-        first use and cached; O(terms * 2^n) memory.
+        factors[k, j] |cols[k, j]> (see `_basis_action`).  Built on first use
+        and cached; O(terms * 2^n) memory.
         """
         if self._action is None:
             letters = np.array([w.letters for _, w in self.terms], dtype=np.int64)
-            letters = letters.reshape(len(self.terms), self.n)
-            bits = np.int64(1) << np.arange(self.n - 1, -1, -1, dtype=np.int64)
-            x = ((letters == 1) | (letters == 2)) @ bits
-            z = ((letters == 2) | (letters == 3)) @ bits
-            n_y = np.count_nonzero(letters == 2, axis=1)
-            basis = np.arange(self.dimension, dtype=np.int64)
-            cols = basis[None, :] ^ x[:, None]
-            # parity of popcount(j & z) by folding the bits onto bit 0
-            parity = basis[None, :] & z[:, None]
-            shift = 1
-            while shift < self.n:
-                parity ^= parity >> shift
-                shift <<= 1
-            signs = 1.0 - 2.0 * (parity & 1)
-            factors = np.array(_PHASE_VALUES)[n_y % 4][:, None] * signs
+            cols, factors = _basis_action(letters.reshape(len(self.terms), self.n), self.n)
             cols.setflags(write=False)
             factors.setflags(write=False)
             self._action = (cols, factors)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermodual.errors import NumericalIntegrityError, ResourceError
+from thermodual.models import build_heisenberg
 from thermodual.operators import (
     Observable,
     PauliString,
@@ -138,6 +139,14 @@ class TestObservable:
             obs.to_dense()
 
 
+def kron_sum(obs):
+    """Reference dense matrix of an observable: its terms' kron products, added in term order."""
+    out = np.zeros((obs.dimension, obs.dimension), dtype=complex)
+    for coeff, word in obs.terms:
+        out += coeff * dense_word(word.letters)
+    return out
+
+
 def action_matrix(cols, factors):
     """Dense matrix of one word from its basis action: |j> -> factors[j] |cols[j]>."""
     dim = len(cols)
@@ -153,15 +162,27 @@ class TestPauliAction:
         cols, factors = obs.pauli_action()
         assert cols.shape == factors.shape == (64, 8)
         for (_, word), c, f in zip(obs.terms, cols, factors):
-            assert np.array_equal(action_matrix(c, f), word.to_dense()), str(word)
+            reference = dense_word(word.letters)
+            assert np.array_equal(action_matrix(c, f), reference), str(word)
+            assert np.array_equal(word.to_dense(), reference), str(word)
+        assert np.array_equal(obs.to_dense(), kron_sum(obs))
 
     def test_random_six_qubit_words_match_dense(self, rng):
         letters = {tuple(int(v) for v in rng.integers(0, 4, size=6)) for _ in range(40)}
         obs = Observable(6, [(1.0, PauliString(l)) for l in sorted(letters)])
         cols, factors = obs.pauli_action()
         for (_, word), c, f in zip(obs.terms, cols, factors):
+            reference = dense_word(word.letters)
             assert np.array_equal(c, np.arange(64) ^ c[0])
-            assert np.array_equal(action_matrix(c, f), word.to_dense()), str(word)
+            assert np.array_equal(action_matrix(c, f), reference), str(word)
+            for phase_power in range(4):
+                signed = PauliString(word.letters, phase_power)
+                assert np.array_equal(signed.to_dense(), dense_word(word.letters, signed.phase))
+
+    def test_line8_observables_match_kron_sum(self):
+        system = build_heisenberg("line", n=8, nnn=True, lam=0.5)
+        for obs in (system.hamiltonian, system.charges[1]):
+            assert np.array_equal(obs.to_dense(), kron_sum(obs))
 
     def test_cached_read_only_and_lazy(self):
         obs = Observable.from_strings(2, [(0.5, "XY"), (1.0, "ZI")])
