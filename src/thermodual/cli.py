@@ -50,7 +50,12 @@ _ORACLE_KEYS = {"enable", "iterations", "tolerance"}
 _TOP_KEYS = {"label", "model", "solver", "oracle", "repetitions", "seed"}
 
 # JSON type of each typed field; a bool is not taken for a number
-_MODEL_TYPES = {"n": int, "rows": int, "cols": int}
+_VECTOR3 = "a list of 3 numbers"
+_MODEL_TYPES = {
+    "n": int, "rows": int, "cols": int, "nnn": bool, "J": float, "lambda": float,
+    "targets": _VECTOR3,
+}
+_CHARGE_TYPES = {"word": str, "target": float}
 _SOLVER_TYPES = {
     "epsilon": float, "eta": float, "delta": float, "max_iter": int, "nesterov": bool,
     "backtrack_factor": float, "hessian_regularization_floor": float, "step_cap": float,
@@ -76,19 +81,26 @@ def _require_keys(block: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require_types(block: dict, types: dict, where: str):
     for key, kind in types.items():
         if key not in block or (block[key] is None and key in _NULLABLE):
             continue
         value = block[key]
-        if kind is bool:
-            ok = isinstance(value, bool)
+        if kind is bool or kind is str:
+            ok = isinstance(value, kind)
+        elif kind is int:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        elif kind is float:
+            ok = _is_number(value)
         else:
-            accepted = int if kind is int else (int, float)
-            ok = isinstance(value, accepted) and not isinstance(value, bool)
+            ok = isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))
         if not ok:
-            name = {bool: "a boolean", int: "an integer", float: "a number"}[kind]
-            raise ConfigError(f"{where}.{key} must be {name}, got {value!r}")
+            name = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+            raise ConfigError(f"{where}.{key} must be {name.get(kind, kind)}, got {value!r}")
 
 
 def validate_config(raw: dict) -> dict:
@@ -111,12 +123,18 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError("stabilizer model needs a non-empty 'charges' list")
         code = models.builtin_code(model.get("code", ""))
         for entry in charges:
-            _require_keys(dict(entry), {"word", "target"}, "model.charges[]")
-            models.charge_word_from_string(code, str(entry["word"]))
+            if not isinstance(entry, dict) or not set(_CHARGE_TYPES) <= set(entry):
+                raise ConfigError(f"model.charges[] needs 'word' and 'target', got {entry!r}")
+            _require_keys(entry, set(_CHARGE_TYPES), "model.charges[]")
+            _require_types(entry, _CHARGE_TYPES, "model.charges[]")
+            models.charge_word_from_string(code, entry["word"])
 
     solver = dict(raw.get("solver", {}))
     _require_keys(solver, _SOLVER_KEYS, "solver")
     _require_types(solver, _SOLVER_TYPES, "solver")
+    for key in ("shots_per_iteration", "hessian_samples_per_iteration"):
+        if solver.get(key, 1) < 1:
+            raise ConfigError(f"solver.{key} must be at least 1, got {solver[key]}")
     solver.setdefault("variant", "first_classical")
     solver.setdefault("epsilon", 0.1)
     solver.setdefault("max_iter", 1000)
@@ -164,14 +182,14 @@ def build_system(model: dict) -> ThermoSystem:
             n=model.get("n"),
             rows=model.get("rows"),
             cols=model.get("cols"),
-            nnn=bool(model.get("nnn", False)),
-            J=float(model.get("J", 1.0)),
-            lam=float(model.get("lambda", 0.5)),
-            targets=tuple(float(t) for t in targets),
+            nnn=model.get("nnn", False),
+            J=model.get("J", 1.0),
+            lam=model.get("lambda", 0.5),
+            targets=tuple(targets),
         )
     code = models.builtin_code(model["code"])
     spec = [
-        (models.charge_word_from_string(code, str(entry["word"])), float(entry["target"]))
+        (models.charge_word_from_string(code, entry["word"]), entry["target"])
         for entry in model["charges"]
     ]
     return models.build_stabilizer_system(code, spec)

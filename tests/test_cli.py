@@ -327,6 +327,11 @@ class TestSweepCommand:
         assert result.returncode == 2
 
 
+def repetition_model(charge):
+    """The repetition-code model with `charge` as its one charge entry."""
+    return {**REPETITION_HQC_CONFIG["model"], "charges": [charge]}
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("block,key,value,code", [
         ("model", "n", 11, 5),
@@ -342,6 +347,18 @@ class TestExitCodes:
         ("oracle", "iterations", 600.0, 2),
         ("oracle", "enable", 1, 2),
         (None, "seed", "21", 2),
+        ("model", "J", "1.5", 2),
+        ("model", "lambda", True, 2),
+        ("model", "nnn", "no", 2),
+        ("model", "targets", ["1", 0, True], 2),
+        ("model", "targets", [1.0, 0.0], 2),
+        (None, "model", repetition_model({"word": "1", "target": "0.2"}), 2),
+        (None, "model", repetition_model({"word": 1, "target": 0.2}), 2),
+        (None, "model", repetition_model({"word": "1"}), 2),
+        (None, "model", repetition_model(5), 2),
+        ("solver", "shots_per_iteration", 0, 2),
+        ("solver", "shots_per_iteration", -50, 2),
+        ("solver", "hessian_samples_per_iteration", -5, 2),
     ])
     def test_one_line_message_and_no_traceback(self, tmp_path, block, key, value, code):
         payload = json.loads(json.dumps(HEISENBERG_CONFIG))
@@ -368,6 +385,19 @@ class TestExitCodes:
         assert [row[3] for row in rows] == ["ok", "rejected"]
         assert all(len(row) == 11 for row in rows)
         assert rows[1][10] == "temperature must be positive, got -1.0"
+
+    def test_sweep_rejects_zero_shots_per_row(self, tmp_path):
+        payload = {**REPETITION_HQC_CONFIG, "oracle": {"enable": False}, "repetitions": 1}
+        payload["solver"] = {**payload["solver"], "max_iter": 5}
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--config", str(write_config(tmp_path, payload)), "--parameter", "shots",
+            "--values", "0,1000", "--out", str(out),
+        ]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[3] for row in rows] == ["rejected", "ok"]
+        assert rows[0][10] == "shots_per_iteration must be at least 1, got 0"
 
     def test_first_classical_step_size_gate(self, tmp_path):
         payload = json.loads(json.dumps(HEISENBERG_CONFIG))
