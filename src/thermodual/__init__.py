@@ -3,8 +3,8 @@
 The library solves min Tr[H rho] subject to Tr[Q_i rho] = q_i (and its
 free-energy relaxation at temperature T) by maximizing the concave dual over
 the chemical potentials mu, with exact or shot-noise-simulated expectation
-estimates, and verifies results against an independent dual-eigenvalue
-reference solver.
+estimates, and scores results against the constrained minimum energy,
+which is known in closed form for the built-in model families.
 """
 
 from .encoding import (
@@ -54,9 +54,12 @@ from .optimize import (
 from .oracle import (
     ClosenessReport,
     DualSolution,
+    ReferenceEnergy,
+    check_feasible,
     closeness_metrics,
     complementary_slackness_residual,
     dual_eigenvalue_solve,
+    reference_energy,
     state_fidelity,
     trace_distance,
 )

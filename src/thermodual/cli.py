@@ -3,13 +3,14 @@
 Subcommands:
   run     one experiment from a JSON config; writes runs.csv, aggregate.csv
           (for repeated runs), and summary.json into the output directory
-  verify  self-check suites (formulas, gradients, codes)
+  verify  self-check suites (formulas, gradients, codes, references)
   sweep   re-run one config across values of T, shots, or eta
 
-Exit codes: 0 success, 2 config error, 3 numerical-integrity error or failed
-verification, 4 non-convergence under --strict, 5 model beyond the dense size
-limit.  CSV floats carry 17 significant digits so identical (config, seed)
-pairs reproduce artifacts byte for byte, independent of --workers.
+Exit codes: 0 success, 2 config error (infeasible targets included), 3
+numerical-integrity error or failed verification, 4 non-convergence under
+--strict, 5 model beyond the dense size limit.  CSV floats carry 17
+significant digits so identical (config, seed) pairs reproduce artifacts
+byte for byte, independent of --workers.
 """
 
 from __future__ import annotations
@@ -24,15 +25,21 @@ from pathlib import Path
 
 import numpy as np
 
-from . import encoding, models
+from . import encoding, models, oracle
 from .errors import ConfigError, NumericalIntegrityError, ResourceError
 from .gibbs import gradient, hessian_exact, objective_f, smoothness_L, thermal_state
 from .models import ThermoSystem
 from .optimize import ExactEstimator, OptimizerConfig, first_order_step_size, run
-from .oracle import closeness_metrics, dual_eigenvalue_solve, state_fidelity
+from .oracle import (
+    ReferenceEnergy,
+    check_feasible,
+    closeness_metrics,
+    reference_energy,
+    state_fidelity,
+)
 from .shots import ESTIMATOR_MODES, ShotEstimator, derive_stream_seed
 
-SUMMARY_SCHEMA_VERSION = 1
+SUMMARY_SCHEMA_VERSION = 2
 _REP_TAG = 1 << 23
 _SWEEP_TAG = 1 << 24
 
@@ -46,6 +53,8 @@ _SOLVER_KEYS = {
     "temperature", "shots_per_iteration", "hessian_samples_per_iteration",
     "estimator_mode", "warm_start",
 }
+# iterations and tolerance are still accepted and type-checked, but the
+# closed-form reference reads neither
 _ORACLE_KEYS = {"enable", "iterations", "tolerance"}
 _TOP_KEYS = {"label", "model", "solver", "oracle", "repetitions", "seed"}
 
@@ -360,17 +369,12 @@ def _encoded_fidelity(system: ThermoSystem, result: dict) -> float | None:
     return state_fidelity(final_state.rho, reference)
 
 
-def _reference(system: ThermoSystem, oracle_block: dict) -> tuple[float | None, bool | None]:
-    """Oracle reference energy and low-confidence flag; (None, None) when disabled."""
+def _reference(system: ThermoSystem, oracle_block: dict) -> ReferenceEnergy | None:
+    """Closed-form reference energy, None when disabled; infeasible targets raise either way."""
     if not oracle_block["enable"]:
-        return None, None
-    solution = dual_eigenvalue_solve(
-        system,
-        system.targets,
-        iterations=int(oracle_block["iterations"]),
-        tolerance=float(oracle_block["tolerance"]),
-    )
-    return solution.value, solution.low_confidence
+        check_feasible(system)
+        return None
+    return reference_energy(system)
 
 
 def _check_step_size(system: ThermoSystem, solver: dict):
@@ -387,10 +391,11 @@ def _check_step_size(system: ThermoSystem, solver: dict):
 def run_experiment(config: dict, out_dir: Path, workers: int = 1, strict: bool = False) -> int:
     system = build_system(config["model"])
     _check_step_size(system, config["solver"])
-    reference_energy, oracle_low_confidence = _reference(system, config["oracle"])
+    reference = _reference(system, config["oracle"])
+    energy = None if reference is None else reference.value
 
     payloads = [
-        {"config": config, "rep": rep, "reference_energy": reference_energy}
+        {"config": config, "rep": rep, "reference_energy": energy}
         for rep in range(config["repetitions"])
     ]
     results = _map_repetitions(payloads, workers)
@@ -409,8 +414,10 @@ def run_experiment(config: dict, out_dir: Path, workers: int = 1, strict: bool =
         "repetitions": config["repetitions"],
         "temperature": results[0]["temperature"],
         "epsilon": config["solver"]["epsilon"],
-        "reference_energy": reference_energy,
-        "oracle_low_confidence": oracle_low_confidence,
+        "reference_energy": energy,
+        "reference_method": None if reference is None else reference.method,
+        # a closed form is exact; the key predates it
+        "oracle_low_confidence": None if reference is None else False,
         "converged": all(r["converged"] for r in results),
         "encoded_state_fidelity": fidelity,
         "runs": [
@@ -546,11 +553,46 @@ def _verify_codes(seed: int):
     return checks
 
 
+def _verify_references(seed: int):
+    """Closed-form reference energies against the supergradient dual solve."""
+    rng = np.random.default_rng(seed)
+
+    def direction(norm):
+        v = rng.normal(size=3)
+        return norm * v / np.linalg.norm(v)
+
+    systems = [
+        models.build_heisenberg("line", n=6, nnn=True, targets=direction(rng.uniform(0.5, 5.0))),
+        models.build_heisenberg("grid", rows=2, cols=3, nnn=True, targets=direction(rng.uniform(0.5, 5.0))),
+    ]
+    for name in ("repetition3", "perfect5", "detect422"):
+        code = models.builtin_code(name)
+        spec = []
+        for qubit in range(code.k):
+            for axis, target in enumerate(direction(rng.uniform(0.1, 0.9)), start=1):
+                word = [0] * code.k
+                word[qubit] = axis
+                spec.append((tuple(word), target))
+        systems.append(models.build_stabilizer_system(code, spec))
+    checks = []
+    for system in systems:
+        closed = reference_energy(system)
+        solved = oracle.dual_eigenvalue_solve(system, system.targets, iterations=300)
+        gap = abs(closed.value - solved.value)
+        checks.append((
+            f"{system.label} {closed.method} reference matches dual solve <= 1e-8",
+            gap <= 1e-8,
+            f"closed {closed.value:.12g}, dual {solved.value:.12g}, gap {gap:.2e}",
+        ))
+    return checks
+
+
 def run_verify(suite: str, seed: int, out_path: Path | None) -> int:
     suites = {
         "formulas": _verify_formulas,
         "gradients": _verify_gradients,
         "codes": _verify_codes,
+        "references": _verify_references,
     }
     if suite == "all":
         names = list(suites)
@@ -586,7 +628,9 @@ def run_sweep(config: dict, parameter: str, values, out_dir: Path, workers: int 
         raise ConfigError("sweep parameter must be one of T, shots, eta")
 
     system = build_system(config["model"])
-    reference_energy, _ = _reference(system, config["oracle"])
+    # the targets are the same for every value, so infeasible ones reject the whole sweep
+    reference = _reference(system, config["oracle"])
+    energy = None if reference is None else reference.value
 
     rows = []
     for v_index, value in enumerate(values):
@@ -600,7 +644,7 @@ def run_sweep(config: dict, parameter: str, values, out_dir: Path, workers: int 
         sub["seed"] = derive_stream_seed(config["seed"], v_index, _SWEEP_TAG, 0)
 
         payloads = [
-            {"config": sub, "rep": rep, "reference_energy": reference_energy}
+            {"config": sub, "rep": rep, "reference_energy": energy}
             for rep in range(sub["repetitions"])
         ]
         try:
@@ -680,7 +724,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--workers", type=int, default=1)
 
     p_verify = sub.add_parser("verify", help="run a self-check suite")
-    p_verify.add_argument("suite", choices=["formulas", "gradients", "codes", "all"])
+    p_verify.add_argument("suite", choices=["formulas", "gradients", "codes", "references", "all"])
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", default=None)
 

@@ -112,6 +112,9 @@ class ThermoSystem:
     """Hamiltonian, charge tuple, and constraint targets of one problem instance.
 
     Stabilizer systems also keep each charge's logical word in `charge_words`.
+    `su2_symmetric` marks a Hamiltonian that commutes with global spin
+    rotations and charges that are the total magnetizations 2 S^x, 2 S^y,
+    2 S^z, in that order.
     """
 
     hamiltonian: Observable
@@ -121,6 +124,7 @@ class ThermoSystem:
     conserved: bool = False
     code: StabilizerCode | None = field(default=None, compare=False)
     charge_words: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
+    su2_symmetric: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if len(self.targets) != len(self.charges):
@@ -238,6 +242,7 @@ def build_heisenberg(
         tuple(float(t) for t in targets),
         label=f"heisenberg-{tag}",
         conserved=True,
+        su2_symmetric=True,
     )
 
 

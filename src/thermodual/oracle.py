@@ -1,8 +1,12 @@
-"""Independent reference solutions: nonsmooth dual solve and closeness metrics.
+"""Reference solutions: constrained minimum energies, target feasibility, closeness.
 
-The dual solve maximizes mu.q + lambda_min(H - mu.Q) by supergradient ascent
-with Polyak averaging; by strong duality its value equals the constrained
-minimum energy, so it serves as the reference E in the solver error metric.
+By strong duality the constrained minimum energy E* = min Tr[H rho] subject
+to Tr[Q_i rho] = q_i equals max_mu mu.q + lambda_min(H - mu.Q); it is the
+reference E in the solver error metric.  `reference_energy` evaluates it in
+closed form for the two built-in model families, and `check_feasible`
+decides whether any state meets the targets at all.
+`dual_eigenvalue_solve` maximizes the dual by supergradient ascent for any
+system; it is the independent cross-check of the closed forms.
 The closeness report compares a Gibbs state against the maximally mixed state
 on the ground space, both by direct computation and by the closed forms that
 hold because the two states commute.
@@ -10,12 +14,170 @@ hold because the two states commute.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError, NumericalIntegrityError
 from .gibbs import effective_hamiltonian
 from .models import ThermoSystem
+from .operators import PauliString
+
+# targets this far outside the attainable set still count as feasible
+FEASIBILITY_TOLERANCE = 1e-9
+# weight of S^2 in the labelling eigensolve; irrational so that distinct
+# (energy, spin) levels do not collide
+_SPIN_SPLIT = 0.01 * np.sqrt(2.0)
+
+
+@dataclass(frozen=True)
+class ReferenceEnergy:
+    """Constrained minimum energy and the closed form that gave it."""
+
+    value: float
+    method: str  # "stabilizer" or "su2"
+
+
+def _family(system: ThermoSystem) -> str:
+    if system.code is not None:
+        return "stabilizer"
+    if system.su2_symmetric:
+        return "su2"
+    raise ValueError(
+        f"no closed-form reference for {system.label or 'this system'}: "
+        "it is neither a stabilizer nor an SU(2)-symmetric system"
+    )
+
+
+def _logical_margin(k: int, words, targets) -> float:
+    """Feasibility margin of k-qubit Pauli targets: non-negative iff a state meets them.
+
+    The margin is max_x lambda_min(M(x)) with M(x) = I + sum_w q_w P_w +
+    sum_v x_v P_v, v running over the other nontrivial Pauli words, so
+    M(x) / 2^k is a state exactly when its lambda_min is non-negative.  The
+    zero completion x = 0 is tried first; when M(0) is positive semidefinite
+    its lambda_min is returned, and for k = 1 it is the maximum, 1 - |q|.
+    Otherwise a log-barrier method maximizes t subject to M(x) - t I > 0, and
+    the value returned is the dual bound 1 + y.q read off the final barrier
+    point: Y = (I + sum_w y_w P_w) / 2^k is a state, so a negative margin
+    certifies that the targets are infeasible.
+    """
+    dim = 2**k
+    q = np.asarray(targets, dtype=float)
+    given = np.array([PauliString(w).to_dense() for w in words])
+    base = np.eye(dim, dtype=complex) + np.tensordot(q, given, axes=1)
+    zero_completion = float(np.linalg.eigvalsh(base)[0])
+    if zero_completion >= 0.0 or k == 1:
+        return zero_completion
+    # F(z) = base + sum_i z_i A_i with z = (x, t)
+    given_words = set(words)
+    A = np.array([
+        PauliString(w).to_dense()
+        for w in itertools.product(range(4), repeat=k)
+        if any(w) and w not in given_words
+    ] + [-np.eye(dim, dtype=complex)])
+    z = np.zeros(len(A))
+    z[-1] = zero_completion - 1.0
+
+    def barrier(z, s):
+        vals = np.linalg.eigvalsh(base + np.tensordot(z, A, axes=1))
+        return np.inf if vals[0] <= 0 else -s * z[-1] - float(np.sum(np.log(vals)))
+
+    for s in 10.0 ** np.arange(13):
+        for _ in range(50):
+            K = np.linalg.inv(base + np.tensordot(z, A, axes=1)) @ A
+            grad = -np.real(np.trace(K, axis1=1, axis2=2))
+            grad[-1] -= s
+            hess = np.real(np.einsum("iab,jba->ij", K, K))
+            step = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+            decrement = float(-grad @ step)
+            if decrement <= 1e-10:
+                break
+            alpha, current = 1.0, barrier(z, s)
+            while alpha > 1e-12 and barrier(z + alpha * step, s) > current - 0.25 * alpha * decrement:
+                alpha *= 0.5
+            z = z + alpha * step
+    G = np.linalg.inv(base + np.tensordot(z, A, axes=1))
+    y = np.real(np.einsum("ab,wba->w", G, given)) / np.real(np.trace(G))
+    scale = max(1.0, float(np.linalg.eigvalsh(-np.tensordot(y, given, axes=1))[-1]))
+    return 1.0 + float(y @ q) / scale
+
+
+def check_feasible(system: ThermoSystem):
+    """Raise ConfigError unless some state meets every target of the system.
+
+    SU(2) systems: the charges are 2 S^x, 2 S^y, 2 S^z, so the targets must
+    satisfy |q| <= n.  Stabilizer systems: the charges act as k-qubit Paulis
+    on the logical factor, so q must be the Pauli-expectation vector of some
+    2^k-dim state, decided on that small problem.
+    """
+    q = np.asarray(system.targets, dtype=float)
+    if _family(system) == "su2":
+        n = system.n_qubits
+        if np.linalg.norm(q) > n * (1.0 + FEASIBILITY_TOLERANCE):
+            raise ConfigError(
+                f"infeasible targets: |q| = {np.linalg.norm(q):.6g} exceeds n = {n}"
+            )
+        return
+    margin = _logical_margin(system.code.k, system.charge_words, q)
+    if margin < -FEASIBILITY_TOLERANCE:
+        raise ConfigError(
+            "infeasible targets: no logical state of "
+            f"{system.code.name} has these expectations (margin {margin:.3g})"
+        )
+
+
+def spin_levels(system: ThermoSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Energy E_a and total spin S_a of every eigenvector of an SU(2)-symmetric H.
+
+    One eigh of H + eps S^2 with S^2 = sum_a (Q_a / 2)^2: H commutes with
+    S^2, so each eigenvector carries a definite spin.
+    """
+    h = system.hamiltonian.to_dense()
+    s2 = sum(q @ q for q in (c.to_dense() for c in system.charges)) / 4.0
+    vals, vecs = np.linalg.eigh(h + _SPIN_SPLIT * s2)
+    spin_sq = np.real(np.einsum("ia,ij,ja->a", vecs.conj(), s2, vecs))
+    spins = np.round(2.0 * (np.sqrt(0.25 + spin_sq) - 0.5)) / 2.0
+    if np.max(np.abs(spin_sq - spins * (spins + 1.0))) > 1e-8:
+        raise NumericalIntegrityError("eigenvectors of H + eps S^2 carry no definite spin")
+    return vals - _SPIN_SPLIT * spins * (spins + 1.0), spins
+
+
+def _su2_reference(system: ThermoSystem) -> float:
+    """E* = max_{r >= 0} r|q| + min_a (E_a - 2 r S_a).
+
+    With mu = r q/|q| the spectrum of H - mu.Q is {E_a - 2 r m : |m| <= S_a}.
+    The objective is concave and piecewise linear in r, so its maximum sits
+    at r = 0 or where two of the lines E_S - 2 r S cross (E_S the lowest
+    energy of spin S).
+    """
+    energies, spins = spin_levels(system)
+    S = np.unique(spins)
+    E = np.array([energies[spins == s].min() for s in S])
+    norm = float(np.linalg.norm(system.targets))
+    crossings = [
+        (E[a] - E[b]) / (2.0 * (S[a] - S[b]))
+        for a in range(len(S))
+        for b in range(a + 1, len(S))
+    ]
+    r = np.array([0.0] + [c for c in crossings if c > 0.0])
+    return float(np.max(r * norm + np.min(E[None, :] - 2.0 * r[:, None] * S[None, :], axis=1)))
+
+
+def reference_energy(system: ThermoSystem) -> ReferenceEnergy:
+    """Closed-form constrained minimum energy of a stabilizer or SU(2) system.
+
+    Stabilizer systems: H = -sum S_i and every charge is a logical Pauli, so
+    a codespace state meets any feasible target and E* = -(n - k).
+    SU(2) systems: see `_su2_reference`.  Raises ConfigError for infeasible
+    targets and ValueError for a system of neither family.
+    """
+    check_feasible(system)
+    if _family(system) == "stabilizer":
+        code = system.code
+        return ReferenceEnergy(-float(code.n - code.k), "stabilizer")
+    return ReferenceEnergy(_su2_reference(system), "su2")
 
 
 @dataclass(frozen=True)

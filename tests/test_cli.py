@@ -101,9 +101,11 @@ class TestRunCommand:
         assert runs[0] == "run_id,iter,f_estimate,grad_norm,error_metric,mu_0,mu_1,mu_2,shots_used"
         assert len(runs) > 2
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["schema_version"] == 1
+        assert summary["schema_version"] == 2
         assert summary["converged"] is True
-        assert summary["reference_energy"] == pytest.approx(-2.7574, abs=1e-3)
+        # 3 sqrt(2) - 7: the crossing of the spin-1/2 and spin-3/2 lines
+        assert summary["reference_energy"] == pytest.approx(3 * np.sqrt(2) - 7, abs=1e-12)
+        assert summary["reference_method"] == "su2"
         assert not (out / "aggregate.csv").exists()  # single repetition
 
     def test_repeated_runs_write_aggregate(self, tmp_path):
@@ -126,7 +128,7 @@ class TestRunCommand:
 
     def test_strict_flags_non_convergence(self, tmp_path):
         stuck = json.loads(json.dumps(HEISENBERG_CONFIG))
-        stuck["model"]["targets"] = [4.0, 0.0, 0.0]  # infeasible
+        stuck["model"]["targets"] = [2.9, 0.0, 0.0]  # feasible, but near |q| = n
         stuck["solver"] = {"variant": "first_classical", "epsilon": 0.3, "max_iter": 20}
         stuck["oracle"] = {"enable": False}
         config = write_config(tmp_path, stuck)
@@ -246,6 +248,18 @@ class TestVerifyCommand:
 
     def test_gradients_suite_passes(self):
         assert main(["verify", "gradients", "--seed", "2"]) == 0
+
+    def test_references_suite_passes(self, capsys):
+        assert main(["verify", "references", "--seed", "3"]) == 0
+        printed = capsys.readouterr().out
+        assert printed.count("PASS [references]") == 5
+
+    def test_references_suite_exits_3_on_mismatch(self, monkeypatch):
+        import thermodual.cli as cli
+        from thermodual.oracle import ReferenceEnergy
+
+        monkeypatch.setattr(cli, "reference_energy", lambda system: ReferenceEnergy(1.0, "su2"))
+        assert main(["verify", "references"]) == 3
 
 
 class TestSweepCommand:
@@ -418,13 +432,117 @@ class TestExitCodes:
         import thermodual.cli as cli
 
         def oracle(*args, **kwargs):
-            raise AssertionError("the oracle ran before the step-size gate")
+            raise AssertionError("reference work ran before the step-size gate")
 
-        monkeypatch.setattr(cli, "dual_eigenvalue_solve", oracle)
+        monkeypatch.setattr(cli, "reference_energy", oracle)
+        monkeypatch.setattr(cli, "check_feasible", oracle)
         payload = json.loads(json.dumps(HEISENBERG_CONFIG))
         payload["solver"].update(variant="first_classical", eta=100)
         config = write_config(tmp_path, payload)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+
+
+INFEASIBLE_MODELS = {
+    "line3-beyond-n": {"kind": "heisenberg", "geometry": "line", "n": 3, "targets": [5.0, 0.0, 0.0]},
+    "repetition3-beyond-bloch": {
+        "kind": "stabilizer", "code": "repetition3",
+        "charges": [{"word": "1", "target": 0.9}, {"word": "3", "target": 0.9}],
+    },
+    "detect422-correlations": {
+        "kind": "stabilizer", "code": "detect422",
+        "charges": [{"word": "10", "target": 0.9}, {"word": "01", "target": 0.9},
+                    {"word": "11", "target": -0.9}],
+    },
+}
+
+
+class TestInfeasibleTargets:
+    @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "no-oracle"])
+    @pytest.mark.parametrize("name", sorted(INFEASIBLE_MODELS))
+    def test_run_exits_2_with_one_line(self, tmp_path, name, oracle):
+        payload = {**HEISENBERG_CONFIG, "model": INFEASIBLE_MODELS[name], "oracle": {"enable": oracle}}
+        config = write_config(tmp_path, payload)
+        result = subprocess.run(
+            [sys.executable, "-m", "thermodual.cli", "run", "--config", str(config),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert "infeasible targets" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", sorted(INFEASIBLE_MODELS))
+    def test_rejected_before_any_solve(self, tmp_path, monkeypatch, name):
+        import thermodual.cli as cli
+
+        def solve(*args, **kwargs):
+            raise AssertionError("a solve started on infeasible targets")
+
+        monkeypatch.setattr(cli, "_map_repetitions", solve)
+        payload = {**HEISENBERG_CONFIG, "model": INFEASIBLE_MODELS[name]}
+        config = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert main([
+            "sweep", "--config", str(config), "--parameter", "T", "--values", "0.5,1",
+            "--out", str(tmp_path / "sweep"),
+        ]) == 2
+        assert not (tmp_path / "sweep").exists()
+
+    def test_boundary_target_still_runs(self, tmp_path):
+        payload = json.loads(json.dumps(HEISENBERG_CONFIG))
+        payload["model"]["targets"] = [0.0, 3.0, 0.0]  # |q| = n: the fully polarized state
+        payload["solver"]["max_iter"] = 20
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        # the spin-3/2 multiplet: each of the two bonds contributes J = 1
+        assert summary["reference_energy"] == pytest.approx(2.0, abs=1e-12)
+
+
+SUMMARY_KEYS = {
+    "schema_version", "label", "variant", "seed", "repetitions", "temperature", "epsilon",
+    "reference_energy", "reference_method", "oracle_low_confidence", "converged",
+    "encoded_state_fidelity", "runs",
+}
+
+
+class TestReferenceInSummary:
+    @pytest.mark.parametrize("payload,method,energy", [
+        (HEISENBERG_CONFIG, "su2", 3 * np.sqrt(2) - 7),
+        ({**REPETITION_HQC_CONFIG, "repetitions": 1}, "stabilizer", -2.0),
+        ({**HEISENBERG_CONFIG, "oracle": {"enable": False}}, None, None),
+    ], ids=["su2", "stabilizer", "disabled"])
+    def test_keys_and_method(self, tmp_path, payload, method, energy):
+        payload = json.loads(json.dumps(payload))
+        payload["solver"]["max_iter"] = 5
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == SUMMARY_KEYS
+        assert summary["schema_version"] == 2
+        assert summary["reference_method"] == method
+        assert summary["oracle_low_confidence"] is (None if method is None else False)
+        if energy is None:
+            assert summary["reference_energy"] is None
+        else:
+            assert summary["reference_energy"] == pytest.approx(energy, abs=1e-12)
+
+    def test_run_experiment_never_calls_dual_solve(self, tmp_path, monkeypatch):
+        import thermodual.cli as cli
+        import thermodual.oracle as oracle
+
+        def dual_solve(*args, **kwargs):
+            raise AssertionError("run called the iterative dual solve")
+
+        monkeypatch.setattr(oracle, "dual_eigenvalue_solve", dual_solve)
+        assert not hasattr(cli, "dual_eigenvalue_solve")
+        for i, payload in enumerate((HEISENBERG_CONFIG, REPETITION_HQC_CONFIG)):
+            config = validate_config(payload)
+            config["solver"]["max_iter"] = 5
+            assert cli.run_experiment(config, tmp_path / str(i)) == 0
 
 
 class TestEntryPoint:

@@ -1,13 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from thermodual.errors import ConfigError
 from thermodual.gibbs import effective_hamiltonian, thermal_state
 from thermodual.models import ThermoSystem, build_heisenberg, build_stabilizer_system, builtin_code
+from thermodual.operators import PauliString
 from thermodual.oracle import (
+    _logical_margin,
     beta_for_relative_entropy,
     beta_for_trace_distance,
+    check_feasible,
     closeness_metrics,
     complementary_slackness_residual,
     dual_eigenvalue_solve,
@@ -15,6 +20,8 @@ from thermodual.oracle import (
     petz_renyi,
     relative_entropy,
     sandwiched_renyi,
+    reference_energy,
+    spin_levels,
     state_fidelity,
     trace_distance,
 )
@@ -201,3 +208,169 @@ class TestComplementarySlackness:
         td_bound = math.exp(-gap / T) * (dim - d_g) / d_g
         norm = float(np.max(np.abs(vals)))
         assert residual <= 2 * td_bound * norm + 1e-9
+
+
+def random_direction(rng, norm):
+    v = rng.normal(size=3)
+    return norm * v / np.linalg.norm(v)
+
+
+def ray_maximum(system, iterations=100):
+    """Golden-section maximum of r|q| + lambda_min(H - r q.Q/|q|) over r >= 0, dense.
+
+    The dual is concave and, by rotation symmetry, maximal along q, so this
+    is an independent evaluation of E* that reads no spin labels.
+    """
+    q = np.array(system.targets)
+    norm = np.linalg.norm(q)
+    h = system.hamiltonian.to_dense()
+    vals = np.linalg.eigvalsh(h)
+    dual = lambda r: r * norm + np.linalg.eigvalsh(effective_hamiltonian(system, r * q / norm))[0]
+    lo, hi = 0.0, (vals[-1] - vals[0]) / 2 + 1.0  # crossings sit below (E_max - E_min) / 2
+    golden = (math.sqrt(5) - 1) / 2
+    for _ in range(iterations):
+        a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
+        if dual(a) < dual(b):
+            lo = a
+        else:
+            hi = b
+    return max(dual(0.0), dual(lo))
+
+
+def heisenberg_case(geometry, size, nnn, J, fraction, seed):
+    rng = np.random.default_rng(seed)
+    if geometry == "line":
+        kwargs, n = {"n": size}, size
+    else:
+        kwargs, n = {"rows": size[0], "cols": size[1]}, size[0] * size[1]
+    return build_heisenberg(
+        geometry, nnn=nnn, J=J, targets=random_direction(rng, fraction * n), **kwargs
+    )
+
+
+def spin_count(n, S):
+    """Number of n-spin-1/2 states of total spin S."""
+    up = int(round(n / 2 - S))
+    return int((2 * S + 1) * (math.comb(n, up) - (math.comb(n, up - 1) if up > 0 else 0)))
+
+
+def state_expectations(rng, k, words, rank):
+    raw = rng.normal(size=(2**k, rank)) + 1j * rng.normal(size=(2**k, rank))
+    rho = raw @ raw.conj().T
+    rho /= np.trace(rho).real
+    return [float(np.real(np.trace(rho @ PauliString(w).to_dense()))) for w in words]
+
+
+class TestClosedFormReference:
+    # even n: the dual solve reaches the kink of the dual; J < 0 is ferromagnetic
+    @pytest.mark.parametrize("seed,geometry,size,nnn,J,fraction", [
+        (0, "line", 4, False, 1.0, 0.3), (1, "line", 4, True, -1.0, 0.9),
+        (2, "line", 4, False, 1.5, 0.999), (3, "line", 6, False, -1.0, 0.5),
+        (4, "line", 6, True, 1.5, 0.6), (5, "line", 6, True, 1.0, 0.99),
+        (6, "grid", (2, 2), True, 1.0, 0.4), (7, "grid", (2, 2), True, -1.0, 0.95),
+        (8, "grid", (2, 3), True, 1.5, 0.2), (9, "grid", (2, 3), True, -1.0, 0.98),
+    ])
+    def test_heisenberg_matches_dual_solve(self, seed, geometry, size, nnn, J, fraction):
+        system = heisenberg_case(geometry, size, nnn, J, fraction, seed)
+        closed = reference_energy(system)
+        assert closed.method == "su2"
+        solved = dual_eigenvalue_solve(system, system.targets, iterations=300)
+        assert closed.value == pytest.approx(solved.value, abs=1e-9)
+
+    def test_line8_matches_dual_solve(self):
+        system = heisenberg_case("line", 8, True, 1.0, 0.45, seed=8)
+        # the polish phase does the work; a short first phase keeps this to seconds
+        solved = dual_eigenvalue_solve(system, system.targets, iterations=5)
+        assert reference_energy(system).value == pytest.approx(solved.value, abs=1e-9)
+
+    # odd n: the dual solve stalls short of the kink (about 1e-5 below it at
+    # 300 iterations on line 5), so the closed form is checked against a
+    # dense search along q and must bound the dual solve from above
+    @pytest.mark.parametrize("n,nnn,J,fraction", [
+        (3, False, 1.0, 0.95), (3, True, -1.0, 0.5), (5, False, 1.0, 0.3),
+        (5, True, 1.5, 0.97), (7, False, 1.0, 0.3), (7, True, -1.0, 0.8),
+    ])
+    def test_odd_lines_match_ray_search(self, n, nnn, J, fraction):
+        system = heisenberg_case("line", n, nnn, J, fraction, seed=n)
+        closed = reference_energy(system).value
+        assert closed == pytest.approx(ray_maximum(system), abs=1e-9)
+        solved = dual_eigenvalue_solve(system, system.targets, iterations=100)
+        assert solved.value <= closed + 1e-9
+
+    @pytest.mark.parametrize("code,words", [
+        ("repetition3", ("1", "2", "3")), ("repetition3", ("2",)),
+        ("perfect5", ("1", "2", "3")), ("perfect5", ("1", "3")),
+        ("detect422", ("10", "20", "30", "01", "02", "03")),
+        ("detect422", ("10", "03", "22")), ("detect422", ("11", "22", "33", "12")),
+    ])
+    def test_codes_match_dual_solve(self, code, words):
+        code = builtin_code(code)
+        indices = [tuple(int(c) for c in w) for w in words]
+        rng = np.random.default_rng(len(words) + code.n)
+        targets = state_expectations(rng, code.k, indices, rank=2)
+        system = build_stabilizer_system(code, list(zip(indices, targets)))
+        closed = reference_energy(system)
+        assert closed.method == "stabilizer"
+        assert closed.value == -(code.n - code.k)
+        solved = dual_eigenvalue_solve(system, system.targets, iterations=300)
+        assert closed.value == pytest.approx(solved.value, abs=1e-9)
+
+    @pytest.mark.parametrize("geometry,size,nnn", [
+        ("line", 5, False), ("line", 6, True), ("grid", (2, 3), True),
+    ])
+    def test_spin_labels_give_multiplets(self, geometry, size, nnn):
+        system = heisenberg_case(geometry, size, nnn, 1.0, 0.5, seed=0)
+        energies, spins = spin_levels(system)
+        n = system.n_qubits
+        for S in np.unique(spins):
+            assert np.sum(spins == S) == spin_count(n, S)
+            levels = energies[spins == S]
+            # each level of spin S is a multiplet of 2S + 1 states
+            for energy in np.unique(np.round(levels, 8)):
+                assert np.sum(np.abs(levels - energy) < 1e-8) % (2 * S + 1) == 0
+
+    def test_neither_family_raises(self, rng):
+        from conftest import random_system
+
+        with pytest.raises(ValueError, match="neither"):
+            reference_energy(random_system(rng))
+
+
+class TestFeasibility:
+    def test_heisenberg_boundary_is_feasible(self):
+        check_feasible(build_heisenberg("line", n=4, targets=(0.0, 4.0, 0.0)))
+        check_feasible(build_heisenberg("line", n=4, targets=random_direction(np.random.default_rng(1), 4.0)))
+        with pytest.raises(ConfigError, match="infeasible"):
+            check_feasible(build_heisenberg("line", n=4, targets=(0.0, 4.0 + 1e-6, 0.0)))
+
+    def test_single_logical_qubit_margin_is_one_minus_norm(self):
+        rng = np.random.default_rng(4)
+        for words in (((1,), (2,), (3,)), ((1,), (3,)), ((2,),)):
+            for _ in range(5):
+                q = rng.uniform(-1, 1, size=len(words))
+                assert _logical_margin(1, words, q) == pytest.approx(1 - np.linalg.norm(q), abs=1e-12)
+
+    @pytest.mark.parametrize("words,targets,feasible", [
+        (((1, 0), (0, 1), (1, 1)), (0.9, 0.9, -0.9), False),
+        (((1, 0), (0, 1), (1, 1)), (0.9, 0.9, 0.81), True),
+        (((1, 1), (2, 2), (3, 3)), (1.0, 1.0, 1.0), False),
+        (((1, 1), (2, 2), (3, 3)), (1.0, -1.0, 1.0), True),
+        (((1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)), (0.6, 0.8, 0, 0, 0.8, 0.6), True),
+        (((1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)), (0.6, 0.9, 0, 0, 0.8, 0.6), False),
+    ])
+    def test_two_logical_qubits(self, words, targets, feasible):
+        assert (_logical_margin(2, words, targets) >= -1e-9) is feasible
+
+    def test_states_are_never_rejected(self):
+        rng = np.random.default_rng(7)
+        nontrivial = [w for w in itertools.product(range(4), repeat=2) if any(w)]
+        for trial in range(40):
+            words = [nontrivial[i] for i in rng.choice(15, size=int(rng.integers(1, 16)), replace=False)]
+            targets = state_expectations(rng, 2, words, rank=1 + trial % 4)
+            assert _logical_margin(2, words, targets) >= -1e-9
+
+    def test_infeasible_code_targets_raise(self):
+        code = builtin_code("detect422")
+        system = build_stabilizer_system(code, [((1, 0), 0.9), ((0, 1), 0.9), ((1, 1), -0.9)])
+        with pytest.raises(ConfigError, match="infeasible"):
+            reference_energy(system)
