@@ -18,9 +18,11 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import inspect
 import json
 import sys
 import time
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from . import encoding, models, oracle
 from .errors import ConfigError, NumericalIntegrityError, ResourceError
 from .gibbs import gradient, hessian_exact, objective_f, smoothness_L, thermal_state
 from .models import ThermoSystem
-from .optimize import ExactEstimator, OptimizerConfig, first_order_step_size, run
+from .optimize import ExactEstimator, OptimizerConfig, Trace, first_order_step_size, run
 from .oracle import (
     ReferenceEnergy,
     check_feasible,
@@ -43,37 +45,56 @@ SUMMARY_SCHEMA_VERSION = 2
 _REP_TAG = 1 << 23
 _SWEEP_TAG = 1 << 24
 
-_MODEL_KEYS = {
-    "heisenberg": {"kind", "geometry", "n", "rows", "cols", "nnn", "J", "lambda", "targets"},
-    "stabilizer": {"kind", "code", "charges"},
+# JSON types of the schema tables that have no Python type; a tuple lists the allowed strings
+_VECTOR3 = "a list of 3 finite numbers"
+_BUDGET = "an integer from 1 to 2^63 - 1"
+_TYPE_NAMES = {
+    bool: "a boolean", int: "an integer", float: "a finite number", str: "a string",
+    dict: "a JSON object", list: "a list",
 }
-_SOLVER_KEYS = {
-    "variant", "epsilon", "eta", "delta", "max_iter", "nesterov",
-    "backtrack_factor", "hessian_regularization_floor", "step_cap",
-    "temperature", "shots_per_iteration", "hessian_samples_per_iteration",
-    "estimator_mode", "warm_start",
-}
-# iterations and tolerance are still accepted and type-checked, but the
-# closed-form reference reads neither
-_ORACLE_KEYS = {"enable", "iterations", "tolerance"}
-_TOP_KEYS = {"label", "model", "solver", "oracle", "repetitions", "seed"}
 
-# JSON type of each typed field; a bool is not taken for a number
-_VECTOR3 = "a list of 3 numbers"
-_MODEL_TYPES = {
-    "n": int, "rows": int, "cols": int, "nnn": bool, "J": float, "lambda": float,
-    "targets": _VECTOR3,
+# every allowed key of each block with its JSON type; a bool is never taken for a number
+_TOP = {
+    "label": str, "model": dict, "solver": dict, "oracle": dict, "repetitions": int, "seed": int,
 }
-_CHARGE_TYPES = {"word": str, "target": float}
-_SOLVER_TYPES = {
-    "epsilon": float, "eta": float, "delta": float, "max_iter": int, "nesterov": bool,
-    "backtrack_factor": float, "hessian_regularization_floor": float, "step_cap": float,
-    "temperature": float, "shots_per_iteration": int, "hessian_samples_per_iteration": int,
-    "warm_start": bool,
+_MODELS = {
+    "heisenberg": {
+        "kind": str, "geometry": str, "n": int, "rows": int, "cols": int, "nnn": bool,
+        "J": float, "lambda": float, "targets": _VECTOR3,
+    },
+    "stabilizer": {"kind": str, "code": str, "charges": list},
 }
-_ORACLE_TYPES = {"enable": bool, "iterations": int, "tolerance": float}
-# fields where null means "use the variant's default"
-_NULLABLE = {"eta", "delta", "temperature", "nesterov"}
+_CHARGE = {"word": str, "target": float}
+_SOLVER = {
+    "variant": str, "epsilon": float, "eta": float, "delta": float, "max_iter": int,
+    "nesterov": bool, "hessian_regularization_floor": float, "temperature": float,
+    "shots_per_iteration": _BUDGET, "hessian_samples_per_iteration": _BUDGET,
+    "estimator_mode": ESTIMATOR_MODES, "warm_start": bool,
+}
+# the closed-form reference reads neither iterations nor tolerance
+_ORACLE = {"enable": bool, "iterations": int, "tolerance": float}
+
+# solver keys the shot estimator takes, with its argument names
+_ESTIMATOR_ARGS = {
+    "shots_per_iteration": "shots_per_iteration",
+    "hessian_samples_per_iteration": "hessian_samples_per_iteration",
+    "estimator_mode": "mode",
+}
+# solver defaults come from the optimizer's fields and the shot estimator's signature
+_SOLVER_DEFAULTS = {
+    **{f.name: f.default for f in fields(OptimizerConfig)},
+    **{
+        key: inspect.signature(ShotEstimator).parameters[arg].default
+        for key, arg in _ESTIMATOR_ARGS.items()
+    },
+    "warm_start": False,
+}
+# null means "use the variant's default"
+_NULLABLE = {key for key, default in _SOLVER_DEFAULTS.items() if default is None}
+# model keys build_heisenberg names differently
+_HEISENBERG_ARGS = {"lambda": "lam"}
+# sweep parameter -> the solver key it sets
+_SWEEP_KEYS = {"T": "temperature", "shots": "shots_per_iteration", "eta": "eta"}
 
 
 def _fmt(value) -> str:
@@ -84,139 +105,94 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _require_keys(block: dict, allowed: set, where: str):
-    unknown = set(block) - allowed
+def _fits(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return value in kind
+    if kind in (int, _BUDGET):
+        whole = isinstance(value, int) and not isinstance(value, bool)
+        return whole and (kind is int or 1 <= value < 2**63)
+    if kind is float:
+        # NaN and the infinities, which json accepts, fail the comparison
+        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return is_number and abs(value) <= sys.float_info.max
+    if kind is _VECTOR3:
+        return isinstance(value, list) and len(value) == 3 and all(_fits(v, float) for v in value)
+    return isinstance(value, kind)
+
+
+def _check_block(block, schema: dict, where: str) -> dict:
+    """The block itself, once every key is in the schema with a value of its type."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
+    unknown = set(block) - set(schema)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+    for key, value in block.items():
+        kind = schema[key]
+        if not (value is None and key in _NULLABLE or _fits(value, kind)):
+            name = f"one of {list(kind)}" if isinstance(kind, tuple) else _TYPE_NAMES.get(kind, kind)
+            raise ConfigError(f"{where}.{key} must be {name}, got {value!r}")
+    return block
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _require_types(block: dict, types: dict, where: str):
-    for key, kind in types.items():
-        if key not in block or (block[key] is None and key in _NULLABLE):
-            continue
-        value = block[key]
-        if kind is bool or kind is str:
-            ok = isinstance(value, kind)
-        elif kind is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        elif kind is float:
-            ok = _is_number(value)
-        else:
-            ok = isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))
-        if not ok:
-            name = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
-            raise ConfigError(f"{where}.{key} must be {name.get(kind, kind)}, got {value!r}")
+def _optimizer(solver: dict) -> OptimizerConfig:
+    return OptimizerConfig(**{f.name: solver[f.name] for f in fields(OptimizerConfig)})
 
 
 def validate_config(raw: dict) -> dict:
     """Strict-schema validation; returns the config with defaults filled in."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(raw, _TOP_KEYS, "config")
+    _check_block(raw, _TOP, "config")
     if "model" not in raw or "solver" not in raw:
         raise ConfigError("config needs 'model' and 'solver' blocks")
 
-    model = dict(raw["model"])
+    model = raw["model"]
     kind = model.get("kind")
-    if kind not in _MODEL_KEYS:
-        raise ConfigError(f"model.kind must be one of {sorted(_MODEL_KEYS)}")
-    _require_keys(model, _MODEL_KEYS[kind], "model")
-    _require_types(model, _MODEL_TYPES, "model")
+    if kind not in list(_MODELS):
+        raise ConfigError(f"model.kind must be one of {sorted(_MODELS)}")
+    _check_block(model, _MODELS[kind], "model")
     if kind == "stabilizer":
-        charges = model.get("charges")
-        if not isinstance(charges, list) or not charges:
-            raise ConfigError("stabilizer model needs a non-empty 'charges' list")
         code = models.builtin_code(model.get("code", ""))
-        for entry in charges:
-            if not isinstance(entry, dict) or not set(_CHARGE_TYPES) <= set(entry):
+        if not model.get("charges"):
+            raise ConfigError("stabilizer model needs a non-empty 'charges' list")
+        for entry in model["charges"]:
+            if set(_check_block(entry, _CHARGE, "model.charges[]")) != set(_CHARGE):
                 raise ConfigError(f"model.charges[] needs 'word' and 'target', got {entry!r}")
-            _require_keys(entry, set(_CHARGE_TYPES), "model.charges[]")
-            _require_types(entry, _CHARGE_TYPES, "model.charges[]")
             models.charge_word_from_string(code, entry["word"])
 
-    solver = dict(raw.get("solver", {}))
-    _require_keys(solver, _SOLVER_KEYS, "solver")
-    _require_types(solver, _SOLVER_TYPES, "solver")
-    for key in ("shots_per_iteration", "hessian_samples_per_iteration"):
-        if solver.get(key, 1) < 1:
-            raise ConfigError(f"solver.{key} must be at least 1, got {solver[key]}")
-    solver.setdefault("variant", "first_classical")
-    solver.setdefault("epsilon", 0.1)
-    solver.setdefault("max_iter", 1000)
-    solver.setdefault("shots_per_iteration", 10_000)
-    solver.setdefault("hessian_samples_per_iteration", 10_000_000)
-    solver.setdefault("estimator_mode", "generic")
-    solver.setdefault("warm_start", False)
-    if solver["estimator_mode"] not in ESTIMATOR_MODES:
-        raise ConfigError(f"solver.estimator_mode must be one of {list(ESTIMATOR_MODES)}")
+    solver = {**_SOLVER_DEFAULTS, **_check_block(raw["solver"], _SOLVER, "solver")}
     try:
-        sampled = _optimizer_config(solver).is_sampled
+        sampled = _optimizer(solver).is_sampled
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from None
 
-    oracle_block = dict(raw.get("oracle", {"enable": True}))
-    _require_keys(oracle_block, _ORACLE_KEYS, "oracle")
-    _require_types(oracle_block, _ORACLE_TYPES, "oracle")
-    oracle_block.setdefault("enable", True)
-    oracle_block.setdefault("iterations", 2000)
-    oracle_block.setdefault("tolerance", 1e-6)
-
-    _require_types(raw, {"repetitions": int, "seed": int}, "config")
     repetitions = raw.get("repetitions", 5 if sampled else 1)
     if repetitions < 1:
         raise ConfigError("repetitions must be a positive integer")
 
     return {
         "label": raw.get("label", ""),
-        "model": model,
+        "model": dict(model),
         "solver": solver,
-        "oracle": oracle_block,
+        "oracle": {"enable": True, **_check_block(raw.get("oracle", {}), _ORACLE, "oracle")},
         "repetitions": repetitions,
         "seed": raw.get("seed", 0),
     }
 
 
 def build_system(model: dict) -> ThermoSystem:
+    """The model's system; Heisenberg keys left out take build_heisenberg's defaults."""
     if model["kind"] == "heisenberg":
-        geometry = model.get("geometry", "line")
-        targets = model.get("targets")
-        if targets is None or len(targets) != 3:
+        if "targets" not in model:
             raise ConfigError("heisenberg model needs 3 magnetization targets")
-        return models.build_heisenberg(
-            geometry=geometry,
-            n=model.get("n"),
-            rows=model.get("rows"),
-            cols=model.get("cols"),
-            nnn=model.get("nnn", False),
-            J=model.get("J", 1.0),
-            lam=model.get("lambda", 0.5),
-            targets=tuple(targets),
-        )
+        return models.build_heisenberg(**{
+            _HEISENBERG_ARGS.get(key, key): value for key, value in model.items() if key != "kind"
+        })
     code = models.builtin_code(model["code"])
     spec = [
         (models.charge_word_from_string(code, entry["word"]), entry["target"])
         for entry in model["charges"]
     ]
     return models.build_stabilizer_system(code, spec)
-
-
-def _optimizer_config(solver: dict) -> OptimizerConfig:
-    return OptimizerConfig(
-        variant=solver["variant"],
-        epsilon=float(solver["epsilon"]),
-        eta=solver.get("eta"),
-        delta=solver.get("delta"),
-        max_iter=int(solver["max_iter"]),
-        nesterov=solver.get("nesterov"),
-        backtrack_factor=float(solver.get("backtrack_factor", 0.5)),
-        hessian_regularization_floor=float(solver.get("hessian_regularization_floor", 0.0)),
-        step_cap=float(solver.get("step_cap", 1.0)),
-        temperature=solver.get("temperature"),
-    )
 
 
 def _logical_target_from_charges(system: ThermoSystem) -> encoding.LogicalTarget | None:
@@ -234,9 +210,7 @@ def _logical_target_from_charges(system: ThermoSystem) -> encoding.LogicalTarget
         return None
 
 
-def _warm_start_mu(system: ThermoSystem, solver: dict, temperature: float):
-    if not solver.get("warm_start"):
-        return None
+def _warm_start_mu(system: ThermoSystem, temperature: float):
     code = system.code
     if code is None or code.k != 1:
         raise ConfigError("warm_start needs a stabilizer model encoding one qubit")
@@ -246,95 +220,88 @@ def _warm_start_mu(system: ThermoSystem, solver: dict, temperature: float):
     r = np.array([table[(1,)], table[(2,)], table[(3,)]])
     if np.linalg.norm(r) >= 1.0:
         raise ConfigError("warm_start targets must describe a strictly mixed state")
-    _, warm = encoding.warm_start_state(code, r, temperature)
-    return warm.chemical_potentials(temperature, system.charge_words)
+    return encoding.warm_start(r).chemical_potentials(temperature, system.charge_words)
 
 
-def _make_estimator(system: ThermoSystem, solver: dict, sampled: bool, master_seed: int):
-    if not sampled:
-        return ExactEstimator(system)
-    return ShotEstimator(
-        system,
-        master_seed=master_seed,
-        shots_per_iteration=int(solver["shots_per_iteration"]),
-        hessian_samples_per_iteration=int(solver["hessian_samples_per_iteration"]),
-        mode=solver["estimator_mode"],
-    )
+@dataclass
+class _Experiment:
+    """What the repetitions of one experiment share; they differ only in their shot seed."""
+
+    system: ThermoSystem
+    optimizer: OptimizerConfig
+    estimator: ExactEstimator | ShotEstimator
+    mu0: np.ndarray | None
+    seed: int
+    reference_energy: float | None = None
 
 
-def _run_repetition(payload: dict) -> dict:
-    """One repetition; top-level so process pools can pickle it."""
-    config = payload["config"]
-    system = build_system(config["model"])
-    solver = config["solver"]
-    rep_seed = derive_stream_seed(config["seed"], payload["rep"], _REP_TAG, 0)
-    opt_config = _optimizer_config(solver)
-    temperature = opt_config.resolved_temperature(system)
-    mu0 = _warm_start_mu(system, solver, temperature)
-    estimator = _make_estimator(system, solver, opt_config.is_sampled, rep_seed)
+def _prepare(system: ThermoSystem, solver: dict, seed: int) -> _Experiment:
+    """Build the solver's inputs once, or raise ConfigError for settings it would refuse."""
+    try:
+        optimizer = _optimizer(solver)
+        if not optimizer.is_second_order:
+            first_order_step_size(system, optimizer)
+        if optimizer.is_sampled:
+            args = {arg: solver[key] for key, arg in _ESTIMATOR_ARGS.items()}
+            estimator = ShotEstimator(system, seed, **args)
+        else:
+            estimator = ExactEstimator(system)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    temperature = optimizer.resolved_temperature(system)
+    mu0 = _warm_start_mu(system, temperature) if solver["warm_start"] else None
+    return _Experiment(system, optimizer, estimator, mu0, seed)
+
+
+def _run_repetition(task) -> tuple[Trace, float]:
+    """One repetition and its wall time; top-level so process pools can pickle it."""
+    experiment, rep = task
+    estimator = experiment.estimator
+    if isinstance(estimator, ShotEstimator):
+        estimator = estimator.reseeded(derive_stream_seed(experiment.seed, rep, _REP_TAG, 0))
+    system = experiment.system
     start = time.perf_counter()
     trace = run(
         system,
         system.targets,
-        opt_config,
+        experiment.optimizer,
         estimator,
-        mu0=mu0,
-        reference_energy=payload.get("reference_energy"),
+        mu0=experiment.mu0,
+        reference_energy=experiment.reference_energy,
     )
-    wall = time.perf_counter() - start
-    return {
-        "rep": payload["rep"],
-        "converged": trace.converged,
-        "iterations": trace.iterations,
-        "final_value": trace.final_value,
-        "final_grad_norm": trace.final_grad_norm,
-        "final_error_metric": trace.final_error_metric,
-        "final_mu": [float(x) for x in trace.final_mu],
-        "temperature": trace.temperature,
-        "wall_time_s": wall,
-        "records": [
-            {
-                "iter": r.iteration,
-                "f_estimate": r.f_estimate,
-                "grad_norm": r.grad_norm,
-                "error_metric": r.error_metric,
-                "mu": [float(x) for x in r.mu],
-                "shots_used": r.shots_used,
-            }
-            for r in trace.records
-        ],
-    }
+    return trace, time.perf_counter() - start
 
 
-def _map_repetitions(payloads, workers: int):
-    if workers <= 1 or len(payloads) == 1:
-        return [_run_repetition(p) for p in payloads]
+def _map_repetitions(experiment: _Experiment, repetitions: int, workers: int):
+    tasks = [(experiment, rep) for rep in range(repetitions)]
+    if workers <= 1 or repetitions == 1:
+        return [_run_repetition(task) for task in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_repetition, payloads))
+        return list(pool.map(_run_repetition, tasks))
 
 
-def _write_runs_csv(path: Path, results, n_charges: int):
+def _write_runs_csv(path: Path, traces: list[Trace], n_charges: int):
     header = ["run_id", "iter", "f_estimate", "grad_norm", "error_metric"]
     header += [f"mu_{i}" for i in range(n_charges)]
     header += ["shots_used"]
     lines = [",".join(header)]
-    for result in results:
-        for rec in result["records"]:
+    for run_id, trace in enumerate(traces):
+        for rec in trace.records:
             row = [
-                str(result["rep"]),
-                str(rec["iter"]),
-                _fmt(rec["f_estimate"]),
-                _fmt(rec["grad_norm"]),
-                _fmt(rec["error_metric"]),
+                str(run_id),
+                str(rec.iteration),
+                _fmt(rec.f_estimate),
+                _fmt(rec.grad_norm),
+                _fmt(rec.error_metric),
             ]
-            row += [_fmt(v) for v in rec["mu"]]
-            row += [str(rec["shots_used"])]
+            row += [_fmt(v) for v in rec.mu]
+            row += [str(rec.shots_used)]
             lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_aggregate_csv(path: Path, results):
-    max_len = max(len(r["records"]) for r in results)
+def _write_aggregate_csv(path: Path, traces: list[Trace]):
+    max_len = max(trace.iterations for trace in traces)
     header = [
         "iter", "n_runs",
         "f_estimate_mean", "f_estimate_std",
@@ -343,10 +310,10 @@ def _write_aggregate_csv(path: Path, results):
     ]
     lines = [",".join(header)]
     for it in range(max_len):
-        rows = [r["records"][it] for r in results if it < len(r["records"])]
-        fs = np.array([r["f_estimate"] for r in rows])
-        gs = np.array([r["grad_norm"] for r in rows])
-        errs = [r["error_metric"] for r in rows]
+        rows = [trace.records[it] for trace in traces if it < trace.iterations]
+        fs = np.array([r.f_estimate for r in rows])
+        gs = np.array([r.grad_norm for r in rows])
+        errs = [r.error_metric for r in rows]
         have_err = all(e is not None for e in errs)
         es = np.array(errs, dtype=float) if have_err else None
         line = [
@@ -360,11 +327,11 @@ def _write_aggregate_csv(path: Path, results):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _encoded_fidelity(system: ThermoSystem, result: dict) -> float | None:
+def _encoded_fidelity(system: ThermoSystem, trace: Trace) -> float | None:
     target = _logical_target_from_charges(system)
     if target is None:
         return None
-    final_state = thermal_state(system, np.array(result["final_mu"]), result["temperature"])
+    final_state = thermal_state(system, trace.final_mu, trace.temperature)
     reference = encoding.encoded_state(system.code, target)
     return state_fidelity(final_state.rho, reference)
 
@@ -377,61 +344,48 @@ def _reference(system: ThermoSystem, oracle_block: dict) -> ReferenceEnergy | No
     return reference_energy(system)
 
 
-def _check_step_size(system: ThermoSystem, solver: dict):
-    """Reject a first-order step size the solver would refuse, before any work starts."""
-    opt_config = _optimizer_config(solver)
-    if opt_config.is_second_order:
-        return
-    try:
-        first_order_step_size(system, opt_config)
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from None
-
-
 def run_experiment(config: dict, out_dir: Path, workers: int = 1, strict: bool = False) -> int:
     system = build_system(config["model"])
-    _check_step_size(system, config["solver"])
+    experiment = _prepare(system, config["solver"], config["seed"])
+    # after the step-size gate in _prepare, so a refused solver never waits on it
     reference = _reference(system, config["oracle"])
-    energy = None if reference is None else reference.value
+    if reference is not None:
+        experiment.reference_energy = reference.value
 
-    payloads = [
-        {"config": config, "rep": rep, "reference_energy": energy}
-        for rep in range(config["repetitions"])
-    ]
-    results = _map_repetitions(payloads, workers)
+    results = _map_repetitions(experiment, config["repetitions"], workers)
+    traces = [trace for trace, _ in results]
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_runs_csv(out_dir / "runs.csv", results, system.n_charges)
-    if len(results) > 1:
-        _write_aggregate_csv(out_dir / "aggregate.csv", results)
+    _write_runs_csv(out_dir / "runs.csv", traces, system.n_charges)
+    if len(traces) > 1:
+        _write_aggregate_csv(out_dir / "aggregate.csv", traces)
 
-    fidelity = _encoded_fidelity(system, results[0])
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "label": config["label"] or system.label,
         "variant": config["solver"]["variant"],
         "seed": config["seed"],
         "repetitions": config["repetitions"],
-        "temperature": results[0]["temperature"],
+        "temperature": traces[0].temperature,
         "epsilon": config["solver"]["epsilon"],
-        "reference_energy": energy,
+        "reference_energy": experiment.reference_energy,
         "reference_method": None if reference is None else reference.method,
         # a closed form is exact; the key predates it
         "oracle_low_confidence": None if reference is None else False,
-        "converged": all(r["converged"] for r in results),
-        "encoded_state_fidelity": fidelity,
+        "converged": all(trace.converged for trace in traces),
+        "encoded_state_fidelity": _encoded_fidelity(system, traces[0]),
         "runs": [
             {
-                "run_id": r["rep"],
-                "converged": r["converged"],
-                "iterations": r["iterations"],
-                "final_value": r["final_value"],
-                "final_grad_norm": r["final_grad_norm"],
-                "final_error_metric": r["final_error_metric"],
-                "final_mu": r["final_mu"],
-                "wall_time_s": r["wall_time_s"],
+                "run_id": run_id,
+                "converged": trace.converged,
+                "iterations": trace.iterations,
+                "final_value": trace.final_value,
+                "final_grad_norm": trace.final_grad_norm,
+                "final_error_metric": trace.final_error_metric,
+                "final_mu": trace.final_mu.tolist(),
+                "wall_time_s": wall,
             }
-            for r in results
+            for run_id, (trace, wall) in enumerate(results)
         ],
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -624,53 +578,37 @@ def run_verify(suite: str, seed: int, out_path: Path | None) -> int:
 
 
 def run_sweep(config: dict, parameter: str, values, out_dir: Path, workers: int = 1) -> int:
-    if parameter not in ("T", "shots", "eta"):
+    if parameter not in _SWEEP_KEYS:
         raise ConfigError("sweep parameter must be one of T, shots, eta")
+    for value in values:
+        if not _fits(value, float):
+            raise ConfigError(f"sweep values must be finite numbers, got {value!r}")
+        if parameter == "shots" and not (float(value).is_integer() and value < 2**63):
+            raise ConfigError(f"shots values must be integers below 2^63, got {value!r}")
 
     system = build_system(config["model"])
     # the targets are the same for every value, so infeasible ones reject the whole sweep
     reference = _reference(system, config["oracle"])
-    energy = None if reference is None else reference.value
 
     rows = []
     for v_index, value in enumerate(values):
-        sub = json.loads(json.dumps(config))
-        if parameter == "T":
-            sub["solver"]["temperature"] = float(value)
-        elif parameter == "shots":
-            sub["solver"]["shots_per_iteration"] = int(value)
-        else:
-            sub["solver"]["eta"] = float(value)
-        sub["seed"] = derive_stream_seed(config["seed"], v_index, _SWEEP_TAG, 0)
-
-        payloads = [
-            {"config": sub, "rep": rep, "reference_energy": energy}
-            for rep in range(sub["repetitions"])
-        ]
+        setting = int(value) if parameter == "shots" else float(value)
+        solver = {**config["solver"], _SWEEP_KEYS[parameter]: setting}
+        seed = derive_stream_seed(config["seed"], v_index, _SWEEP_TAG, 0)
         try:
-            results = _map_repetitions(payloads, workers)
-        except (ValueError, ConfigError) as exc:
-            rows.append({
-                "parameter": parameter, "value": value, "run_id": 0, "status": "rejected",
-                "converged": False, "iterations": 0, "final_value": None,
-                "final_grad_norm": None, "final_error_metric": None, "fidelity": None,
-                "detail": str(exc),
-            })
+            experiment = _prepare(system, solver, seed)
+            if reference is not None:
+                experiment.reference_energy = reference.value
+            results = _map_repetitions(experiment, config["repetitions"], workers)
+        except ValueError as exc:
+            rows.append([parameter, _fmt(value), "0", "rejected", "False", "0", "", "", "", "", str(exc)])
             continue
-        for result in results:
-            rows.append({
-                "parameter": parameter,
-                "value": value,
-                "run_id": result["rep"],
-                "status": "ok",
-                "converged": result["converged"],
-                "iterations": result["iterations"],
-                "final_value": result["final_value"],
-                "final_grad_norm": result["final_grad_norm"],
-                "final_error_metric": result["final_error_metric"],
-                "fidelity": _encoded_fidelity(system, result),
-                "detail": "",
-            })
+        for run_id, (trace, _) in enumerate(results):
+            rows.append([
+                parameter, _fmt(value), str(run_id), "ok", str(trace.converged),
+                str(trace.iterations), _fmt(trace.final_value), _fmt(trace.final_grad_norm),
+                _fmt(trace.final_error_metric), _fmt(_encoded_fidelity(system, trace)), "",
+            ])
 
     out_dir.mkdir(parents=True, exist_ok=True)
     header = [
@@ -681,13 +619,7 @@ def run_sweep(config: dict, parameter: str, values, out_dir: Path, workers: int 
         # quotes a free-text detail that holds a comma; other rows keep their bytes
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([
-                row["parameter"], _fmt(row["value"]), str(row["run_id"]), row["status"],
-                str(row["converged"]), str(row["iterations"]), _fmt(row["final_value"]),
-                _fmt(row["final_grad_norm"]), _fmt(row["final_error_metric"]),
-                _fmt(row["fidelity"]), row["detail"],
-            ])
+        writer.writerows(rows)
     return 0
 
 
@@ -707,6 +639,13 @@ def _load_config(path: str, seed_override: int | None) -> dict:
     if seed_override is not None:
         config["seed"] = seed_override
     return config
+
+
+def _sweep_values(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"--values must be comma-separated numbers, got {text!r}") from None
 
 
 def main(argv=None) -> int:
@@ -730,7 +669,7 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="re-run a config across parameter values")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--parameter", required=True, choices=["T", "shots", "eta"])
+    p_sweep.add_argument("--parameter", required=True, choices=list(_SWEEP_KEYS))
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--out", default="out")
     p_sweep.add_argument("--seed", type=int, default=None)
@@ -746,7 +685,7 @@ def main(argv=None) -> int:
             return run_verify(args.suite, args.seed, out)
         if args.command == "sweep":
             config = _load_config(args.config, args.seed)
-            values = [float(v) for v in args.values.split(",") if v.strip()]
+            values = _sweep_values(args.values)
             return run_sweep(config, args.parameter, values, Path(args.out), workers=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

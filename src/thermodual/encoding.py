@@ -182,6 +182,12 @@ def _code_gibbs_state(code: StabilizerCode, word_coeffs, T: float) -> np.ndarray
     return thermal_state(system, [T * c for c in coeffs], T).rho
 
 
+def warm_start(r) -> WarmStart:
+    """Exponential coefficients of the single-logical-qubit warm start for Bloch vector r."""
+    mu, beta = mixture_to_exponential(r)
+    return WarmStart(tuple(((axis,), -beta * mu[axis - 1]) for axis in (1, 2, 3)), beta)
+
+
 def warm_start_state(code: StabilizerCode, r, T: float) -> tuple[np.ndarray, WarmStart]:
     """Single-logical-qubit warm start: thermal state already meeting the constraints.
 
@@ -191,9 +197,7 @@ def warm_start_state(code: StabilizerCode, r, T: float) -> tuple[np.ndarray, War
     """
     if code.k != 1:
         raise ValueError("warm start applies only to codes encoding a single qubit")
-    mu, beta = mixture_to_exponential(r)
-    words = ((1,), (2,), (3,))
-    warm = WarmStart(tuple((w, -beta * mu[i]) for i, w in enumerate(words)), beta)
+    warm = warm_start(r)
     return _code_gibbs_state(code, warm.mu_words, T), warm
 
 

@@ -26,6 +26,10 @@ VARIANTS = ("first_classical", "second_classical", "first_hqc", "second_hqc")
 
 # step sizes a second-order iteration tries when backtracking, and again in the fallback
 MAX_BACKTRACKS = 30
+# factor each second-order backtrack shrinks the step size by
+BACKTRACK_FACTOR = 0.5
+# largest move in mu-space of one second-order step
+STEP_CAP = 1.0
 
 
 @dataclass(frozen=True)
@@ -38,10 +42,8 @@ class OptimizerConfig:
     delta: float | None = None
     max_iter: int = 1000
     nesterov: bool | None = None
-    backtrack_factor: float = 0.5
     hessian_regularization_floor: float = 0.0
     temperature: float | None = None
-    step_cap: float = 1.0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -56,12 +58,8 @@ class OptimizerConfig:
             raise ValueError("delta must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
         if self.hessian_regularization_floor < 0:
             raise ValueError("hessian_regularization_floor must be >= 0")
-        if self.step_cap <= 0:
-            raise ValueError("step_cap must be positive")
 
     @property
     def is_second_order(self) -> bool:
@@ -311,14 +309,14 @@ def run_second_order(
     """Newton-style ascent: solve Hessian . step = gradient, update mu -= eta step.
 
     If the gradient norm at the candidate exceeds the one at the current
-    iterate, eta is shrunk by backtrack_factor and the candidate recomputed;
+    iterate, eta is shrunk by BACKTRACK_FACTOR and the candidate recomputed;
     after two consecutive clean steps eta grows back toward its initial
     value.  The sampled variant first shifts the Hessian estimate negative
     semi-definite.
 
     Two safeguards handle the near-linear regions the dual develops at low
     temperature, where the curvature collapses and raw Newton steps blow up:
-    the move per iteration is capped at `step_cap` in mu-space, and when the
+    the move per iteration is capped at STEP_CAP in mu-space, and when the
     solve fails or backtracking runs out the iteration takes an adaptive
     safeguarded gradient step instead (recorded with the fallback flag).  The
     exact variant additionally refuses candidates that lower the objective
@@ -371,7 +369,7 @@ def run_second_order(
 
         if step is not None:
             step_norm = float(np.linalg.norm(step))
-            trial = min(eta, config.step_cap / step_norm) if step_norm > 0 else eta
+            trial = min(eta, STEP_CAP / step_norm) if step_norm > 0 else eta
             backtracks = 0
             while backtracks < MAX_BACKTRACKS:
                 candidate = mu - trial * step
@@ -383,17 +381,17 @@ def run_second_order(
                 if ok:
                     accepted = candidate
                     break
-                trial *= config.backtrack_factor
+                trial *= BACKTRACK_FACTOR
                 backtracks += 1
             if accepted is not None:
                 if backtracks == 0:
                     clean_steps += 1
                     if clean_steps >= 2:
-                        eta = min(eta / config.backtrack_factor, eta_init)
+                        eta = min(eta / BACKTRACK_FACTOR, eta_init)
                 else:
                     clean_steps = 0
                     # remember the scale that worked, but keep it recoverable
-                    eta = max(trial, config.backtrack_factor**6 * eta_init)
+                    eta = max(trial, BACKTRACK_FACTOR**6 * eta_init)
 
         if accepted is None:
             # safeguarded gradient ascent with a persistent adaptive step

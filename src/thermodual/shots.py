@@ -23,6 +23,7 @@ evaluation order.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -409,6 +410,12 @@ class ShotEstimator:
         )
         self._pair_total = pair_total
         self._factor_total = factor_total
+
+    def reseeded(self, master_seed: int) -> "ShotEstimator":
+        """The same estimator drawing its shots from another master seed."""
+        other = copy.copy(self)
+        other.master_seed = int(master_seed)
+        return other
 
     def expectation(self, state: ThermalState, obs_id: int, eval_index: int) -> float:
         stream = RngStream(self.master_seed, eval_index, obs_id)

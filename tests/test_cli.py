@@ -1,7 +1,9 @@
 import csv
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +88,35 @@ class TestConfigValidation:
         bad["model"][key] = value
         with pytest.raises(ConfigError, match=f"model.{key} must be an integer"):
             validate_config(bad)
+
+    def test_budgets_below_two_to_the_63(self):
+        raw = json.loads(json.dumps(REPETITION_HQC_CONFIG))
+        raw["solver"]["hessian_samples_per_iteration"] = 2**63 - 1
+        assert validate_config(raw)["solver"]["hessian_samples_per_iteration"] == 2**63 - 1
+        raw["solver"]["hessian_samples_per_iteration"] = 2**63
+        with pytest.raises(ConfigError, match="hessian_samples_per_iteration must be an integer"):
+            validate_config(raw)
+
+    def test_solver_defaults_are_the_owners(self):
+        import inspect
+
+        from thermodual.optimize import OptimizerConfig
+        from thermodual.shots import ShotEstimator
+
+        solver = validate_config({**HEISENBERG_CONFIG, "solver": {}})["solver"]
+        assert OptimizerConfig(**{k: solver[k] for k in OptimizerConfig.__dataclass_fields__}) == OptimizerConfig()
+        defaults = inspect.signature(ShotEstimator).parameters
+        assert solver["shots_per_iteration"] == defaults["shots_per_iteration"].default
+        assert solver["hessian_samples_per_iteration"] == defaults["hessian_samples_per_iteration"].default
+        assert solver["estimator_mode"] == defaults["mode"].default
+        assert solver["warm_start"] is False
+
+    def test_readme_configs_validate(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert blocks
+        for block in blocks:
+            validate_config(json.loads(block))
 
     def test_build_system_from_config(self):
         system = build_system(validate_config(REPETITION_HQC_CONFIG)["model"])
@@ -199,6 +230,25 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is True
         assert summary["runs"][0]["iterations"] <= 2
+
+    def test_repetitions_share_one_system_and_warm_start(self, tmp_path, monkeypatch):
+        import thermodual.encoding as encoding
+        import thermodual.models as models
+
+        built = []
+        build = models.build_stabilizer_system
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(models, "build_stabilizer_system", counted)
+        monkeypatch.setattr(encoding, "build_stabilizer_system", counted)
+        payload = json.loads(json.dumps(REPETITION_HQC_CONFIG))
+        payload["solver"].update(max_iter=5, warm_start=True)
+        config = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert len(built) == 1  # three repetitions, one system, no warm-start Gibbs state
 
     @pytest.mark.parametrize("code,charges", [
         ("detect422", [("10", 0.1), ("20", 0.0), ("30", 0.2)]),
@@ -373,6 +423,23 @@ class TestExitCodes:
         ("solver", "shots_per_iteration", 0, 2),
         ("solver", "shots_per_iteration", -50, 2),
         ("solver", "hessian_samples_per_iteration", -5, 2),
+        # non-object blocks and non-string names
+        (None, "model", "abc", 2),
+        (None, "oracle", "x", 2),
+        (None, "solver", 5, 2),
+        ("model", "kind", ["h"], 2),
+        (None, "model", {**REPETITION_HQC_CONFIG["model"], "code": ["x"]}, 2),
+        (None, "label", ["x"], 2),
+        # non-finite numbers and budgets beyond int64
+        ("solver", "eta", float("nan"), 2),
+        ("model", "J", float("inf"), 2),
+        (None, "model", repetition_model({"word": "1", "target": float("nan")}), 2),
+        ("model", "targets", [float("nan"), 0, 0], 2),
+        ("solver", "temperature", float("nan"), 2),
+        ("solver", "epsilon", float("inf"), 2),
+        ("solver", "delta", float("nan"), 2),
+        ("solver", "shots_per_iteration", 10**30, 2),
+        ("solver", "hessian_samples_per_iteration", 2**63, 2),
     ])
     def test_one_line_message_and_no_traceback(self, tmp_path, block, key, value, code):
         payload = json.loads(json.dumps(HEISENBERG_CONFIG))
@@ -386,6 +453,53 @@ class TestExitCodes:
         assert result.returncode == code
         assert len(result.stderr.splitlines()) == 1
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("block,key,value", [
+        ("solver", "delta", float("nan")),
+        ("solver", "epsilon", float("-inf")),
+        ("model", "lambda", float("nan")),
+        ("solver", "shots_per_iteration", 2**63),
+        (None, "oracle", [True]),
+    ])
+    def test_refused_before_any_solve(self, tmp_path, monkeypatch, block, key, value):
+        import thermodual.cli as cli
+
+        def solve(*args, **kwargs):
+            raise AssertionError("a solve started on a malformed config")
+
+        monkeypatch.setattr(cli, "_map_repetitions", solve)
+        payload = json.loads(json.dumps(HEISENBERG_CONFIG))
+        (payload if block is None else payload[block])[key] = value
+        config = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("parameter,values", [
+        ("shots", "inf"),
+        ("shots", "nan"),
+        ("shots", "1000,1e30"),
+        ("shots", "2.5"),
+        ("shots", "1000,9223372036854775808"),
+        ("T", "inf"),
+        ("T", "0.5,nan"),
+        ("eta", "0.001,-inf"),
+        ("T", "0.5,abc"),
+    ])
+    def test_sweep_values_checked_before_any_run(self, tmp_path, monkeypatch, capsys, parameter, values):
+        import thermodual.cli as cli
+
+        def solve(*args, **kwargs):
+            raise AssertionError("a sweep value ran before every value was checked")
+
+        monkeypatch.setattr(cli, "_map_repetitions", solve)
+        config = write_config(tmp_path, REPETITION_HQC_CONFIG)
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--config", str(config), "--parameter", parameter, "--values", values,
+            "--out", str(out),
+        ]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
 
     def test_sweep_rejects_negative_temperature_per_row(self, tmp_path):
         config = write_config(tmp_path, {**HEISENBERG_CONFIG, "oracle": {"enable": False}})

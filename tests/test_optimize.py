@@ -46,9 +46,7 @@ class TestConfig:
         for kwargs in (
             dict(eta=-1.0),
             dict(delta=0.0),
-            dict(backtrack_factor=1.5),
             dict(hessian_regularization_floor=-0.1),
-            dict(step_cap=0.0),
             dict(temperature=-1.0),
         ):
             with pytest.raises(ValueError):
