@@ -198,8 +198,8 @@ def heisenberg_graph(
             raise ConfigError("line geometry needs n >= 2")
         return _line_graph(n, nnn, J, lam)
     if geometry == "grid":
-        if rows is None or cols is None or rows * cols < 2:
-            raise ConfigError("grid geometry needs rows and cols with rows*cols >= 2")
+        if rows is None or cols is None or min(rows, cols) < 1 or rows * cols < 2:
+            raise ConfigError("grid geometry needs rows, cols >= 1 with rows*cols >= 2")
         return _grid_graph(rows, cols, nnn, J, lam)
     raise ConfigError(f"unknown geometry {geometry!r}")
 

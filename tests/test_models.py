@@ -82,6 +82,11 @@ class TestHeisenberg:
         with pytest.raises(ConfigError):
             build_heisenberg("grid", rows=1, cols=4, nnn=True)
 
+    @pytest.mark.parametrize("rows,cols", [(-1, -2), (-2, -3), (0, 3), (2, -1)])
+    def test_grid_sizes_must_be_positive(self, rows, cols):
+        with pytest.raises(ConfigError, match="rows, cols >= 1"):
+            build_heisenberg("grid", rows=rows, cols=cols)
+
     def test_lambda_range(self):
         with pytest.raises(ConfigError):
             build_heisenberg("line", n=3, lam=1.5)
