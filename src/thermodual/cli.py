@@ -258,7 +258,7 @@ def _run_repetition(task) -> tuple[Trace, float]:
     experiment, rep = task
     estimator = experiment.estimator
     if isinstance(estimator, ShotEstimator):
-        estimator = estimator.reseeded(derive_stream_seed(experiment.seed, rep, _REP_TAG, 0))
+        estimator = estimator.reseeded(derive_stream_seed(experiment.seed, rep, _REP_TAG))
     system = experiment.system
     start = time.perf_counter()
     trace = run(
@@ -594,7 +594,7 @@ def run_sweep(config: dict, parameter: str, values, out_dir: Path, workers: int 
     for v_index, value in enumerate(values):
         setting = int(value) if parameter == "shots" else float(value)
         solver = {**config["solver"], _SWEEP_KEYS[parameter]: setting}
-        seed = derive_stream_seed(config["seed"], v_index, _SWEEP_TAG, 0)
+        seed = derive_stream_seed(config["seed"], v_index, _SWEEP_TAG)
         try:
             experiment = _prepare(system, solver, seed)
             if reference is not None:

@@ -16,9 +16,9 @@ characteristic function tanh(omega/2)/(omega/2), so wbar is exact and each
 pair's count of +1 outcomes is again one binomial draw.
 
 Randomness is organized as derived streams: a 64-bit mix of
-(master seed, iteration, observable-or-entry id, block) seeds an independent
-generator per logical measurement block, making results independent of
-evaluation order.
+(master seed, iteration, observable-or-entry id) seeds one generator per
+measurement call, which draws every term's or pair's count at once, making
+results independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -54,17 +54,17 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_stream_seed(master_seed: int, iteration: int, obs_id: int, block: int) -> int:
-    """Pure 64-bit derivation; distinct (iteration, id, block) give distinct streams."""
+def derive_stream_seed(master_seed: int, iteration: int, obs_id: int) -> int:
+    """Pure 64-bit derivation; distinct (iteration, id) give distinct streams."""
     x = _mix64(master_seed & _MASK64)
-    for value in (iteration, obs_id, block):
+    for value in (iteration, obs_id):
         x = _mix64((x + _GAMMA) ^ _mix64(value & _MASK64))
     return x
 
 
 @dataclass(frozen=True)
 class RngStream:
-    """A point in the derived-stream tree; generators hang off (obs_id, block)."""
+    """A point in the derived-stream tree; one generator hangs off each obs_id."""
 
     master_seed: int
     iteration: int = 0
@@ -73,8 +73,8 @@ class RngStream:
     def with_observable(self, obs_id: int) -> "RngStream":
         return replace(self, obs_id=obs_id)
 
-    def generator(self, block: int = 0) -> np.random.Generator:
-        seed = derive_stream_seed(self.master_seed, self.iteration, self.obs_id, block)
+    def generator(self) -> np.random.Generator:
+        seed = derive_stream_seed(self.master_seed, self.iteration, self.obs_id)
         return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -104,14 +104,14 @@ def tent_characteristic(omega) -> np.ndarray:
 def _binomial_means(values: np.ndarray, shots: int, stream: RngStream) -> np.ndarray:
     """Mean of `shots` +-1 outcomes with P(+1) = (1 + v)/2, for each v in values.
 
-    The count of +1 outcomes is one Binomial(shots, (1 + v)/2) draw; value k
-    draws from stream.generator(k).
+    The count of +1 outcomes is one Binomial(shots, (1 + v)/2) draw per value,
+    all drawn from one stream.generator().
     """
     bad = np.flatnonzero(np.abs(values) > 1.0 + 1e-9)
     if len(bad):
         raise NumericalIntegrityError(f"outcome mean {values[bad[0]]} exceeds 1 in magnitude")
     probs = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
-    counts = np.array([stream.generator(k).binomial(shots, p) for k, p in enumerate(probs)])
+    counts = stream.generator().binomial(shots, probs)
     return 2.0 * counts / shots - 1.0
 
 

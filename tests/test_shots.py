@@ -40,20 +40,19 @@ def repetition_system(targets=(0.2, 0.0, 0.5)):
 class TestStreamDerivation:
     def test_pure_and_distinct(self):
         seen = {}
-        for iteration in range(8):
-            for obs in range(8):
-                for block in range(8):
-                    seed = derive_stream_seed(987654321, iteration, obs, block)
-                    assert seed == derive_stream_seed(987654321, iteration, obs, block)
-                    assert seed not in seen, f"collision with {seen.get(seed)}"
-                    seen[seed] = (iteration, obs, block)
+        for iteration in range(24):
+            for obs in range(24):
+                seed = derive_stream_seed(987654321, iteration, obs)
+                assert seed == derive_stream_seed(987654321, iteration, obs)
+                assert seed not in seen, f"collision with {seen.get(seed)}"
+                seen[seed] = (iteration, obs)
 
     def test_generators_reproducible(self):
         stream = RngStream(1234, iteration=5, obs_id=2)
-        a = stream.generator(3).random(10)
-        b = stream.generator(3).random(10)
+        a = stream.generator().random(10)
+        b = stream.generator().random(10)
         assert np.array_equal(a, b)
-        c = stream.generator(4).random(10)
+        c = stream.with_observable(3).generator().random(10)
         assert not np.array_equal(a, c)
 
 
@@ -351,81 +350,81 @@ PINNED_OBSERVABLE = {
     ("repetition3", 11): [
         -2.0,
         0.45945945945945943,
-        -0.2432432432432432,
-        0.8378378378378379,
+        -0.45945945945945943,
+        0.7837837837837838,
     ],
     ("repetition3", 20251018): [
         -2.0,
-        0.6216216216216217,
+        0.45945945945945943,
         -0.29729729729729726,
-        0.7837837837837838,
+        0.6756756756756757,
     ],
     ("perfect5", 11): [
-        -4.0,
+        -3.945945945945946,
         0.45945945945945943,
-        -0.2432432432432432,
-        0.8378378378378379,
+        -0.45945945945945943,
+        0.7837837837837838,
     ],
     ("perfect5", 20251018): [
         -4.0,
-        0.6216216216216217,
+        0.45945945945945943,
         -0.29729729729729726,
-        0.7837837837837838,
+        0.6756756756756757,
     ],
     ("grid2x3", 11): [
-        -10.351351351351349,
-        0.108108108108108,
-        -0.054054054054053946,
-        0.21621621621621623,
+        -10.297297297297295,
+        -0.108108108108108,
+        0.05405405405405417,
+        0.10810810810810811,
     ],
     ("grid2x3", 20251018): [
-        -11.351351351351353,
-        0.2702702702702704,
-        0.2702702702702703,
-        0.43243243243243235,
+        -11.35135135135135,
+        -0.2702702702702704,
+        0.16216216216216228,
+        0.05405405405405417,
     ],
 }
 
 PINNED_HESSIAN = {
     ("repetition3", "generic", 11): [
-        [-1.1610013269990467, -0.2762194124386242, 0.5015399269801386],
-        [-0.2762194124386242, -1.320279273121624, -0.04403518558994492],
-        [0.5015399269801386, -0.04403518558994492, -0.8125487999739824],
+        [-1.2807178897328566, -0.1581241032568942, 0.44074669888522694],
+        [-0.1581241032568942, -1.2734652131671491, -0.29678636444917234],
+        [0.44074669888522694, -0.29678636444917234, -0.764367451806624],
     ],
     ("repetition3", "generic", 20251018): [
-        [-1.268689668000202, -0.2438132873245927, 0.6270859609965314],
-        [-0.2438132873245927, -1.3896563896293084, -0.4459565220589649],
-        [0.6270859609965314, -0.4459565220589649, -0.7880509808032645],
+        [-1.1876860802501443, -0.1240462410206429, 0.5858959972596074],
+        [-0.1240462410206429, -1.3821029470039747, -0.22987725866784442],
+        [0.5858959972596074, -0.22987725866784442, -0.7281548810653384],
     ],
     ("perfect5", "generic", 11): [
-        [-1.1610013269990467, -0.2762194124386242, 0.5015399269801386],
-        [-0.2762194124386242, -1.320279273121624, -0.04403518558994492],
-        [0.5015399269801386, -0.04403518558994492, -0.8125487999739824],
+        [-1.2807178897328566, -0.1581241032568942, 0.44074669888522694],
+        [-0.1581241032568942, -1.2734652131671491, -0.29678636444917234],
+        [0.44074669888522694, -0.29678636444917234, -0.764367451806624],
     ],
     ("perfect5", "generic", 20251018): [
-        [-1.268689668000202, -0.2438132873245927, 0.6270859609965314],
-        [-0.2438132873245927, -1.3896563896293084, -0.4459565220589649],
-        [0.6270859609965314, -0.4459565220589649, -0.7880509808032645],
+        [-1.1876860802501443, -0.1240462410206429, 0.5858959972596074],
+        [-0.1240462410206429, -1.3821029470039747, -0.22987725866784442],
+        [0.5858959972596074, -0.22987725866784442, -0.7281548810653384],
     ],
     ("grid2x3", "generic", 11): [
-        [1.3813579727397312, -0.6782617696896582, 1.0973102031355844],
-        [-0.6782617696896582, -1.994617255835619, -0.10186258250202991],
-        [1.0973102031355844, -0.10186258250202991, 3.4231867555689557],
+        [0.7089020057022881, -0.0960657810942362, 0.018632575953626457],
+        [-0.0960657810942362, 6.42898580728786, 2.1283667467027327],
+        [0.018632575953626457, 2.1283667467027327, 1.8099387240285976],
     ],
     ("grid2x3", "extensive", 11): [
-        [0.4248362336092975, -0.5913052479505283, 1.0973102031355828],
-        [-0.5913052479505283, 1.8314697006861194, 0.07205046097623018],
-        [1.0973102031355828, 0.07205046097623018, -3.011595853126694],
+        [-1.2041414725585824, 0.07784726238402521, 0.1925456194318879],
+        [0.07784726238402521, -6.266666366625184, 1.8674971814853414],
+        [0.1925456194318879, 1.8674971814853414, -2.190061275971403],
     ],
     ("grid2x3", "generic", 20251018): [
-        [-1.7797125452593818, 2.2281500417432714, -1.2306366355148586],
-        [2.2281500417432714, -3.6115963031889167, 0.21532326844186303],
-        [-1.2306366355148586, 0.21532326844186303, -0.4521775135412471],
+        [-1.831060144064917, 0.31428745023999727, 2.716359536705951],
+        [0.31428745023999727, -2.828983106914531, -0.9283568453338675],
+        [2.716359536705951, -0.9283568453338675, 0.6807461131501432],
     ],
     ("grid2x3", "extensive", 20251018): [
-        [0.9159396286536616, 2.3151065634824013, -1.23063663551486],
-        [2.3151065634824013, 3.257968914202389, 0.30227979018099405],
-        [-1.23063663551486, 0.30227979018099405, 0.3304311821109263],
+        [1.4732876820220386, 0.31428745023999616, 2.6294030149668193],
+        [0.31428745023999616, 2.475364719172426, -0.6674872801164757],
+        [2.6294030149668193, -0.6674872801164757, -1.058384321632466],
     ],
 }
 
