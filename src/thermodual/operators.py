@@ -245,6 +245,14 @@ class Observable:
                 self._spectral_norm = float(np.max(np.abs(eigs)))
         return self._spectral_norm
 
+    def __getstate__(self):
+        # the caches refill on demand with the same bits, so a pickle carries only the terms
+        return self.n, self.terms
+
+    def __setstate__(self, state):
+        self.n, self.terms = state
+        self._dense = self._spectral_norm = self._action = None
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Observable)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,15 @@ class TestObservable:
         obs = Observable.from_strings(2, [(0.5, "XZ")])
         first = obs.to_dense()
         assert obs.to_dense() is first
+
+    def test_pickle_carries_terms_not_caches(self):
+        system = build_heisenberg("line", n=8)
+        obs = system.hamiltonian
+        dense, norm = obs.to_dense(), obs.spectral_norm
+        copy = pickle.loads(pickle.dumps(obs))
+        assert copy == obs
+        assert len(pickle.dumps(obs)) < 10_000  # the dense matrix alone is 1 MiB
+        assert np.array_equal(copy.to_dense(), dense) and copy.spectral_norm == norm
 
     def test_canonical_merge_and_order(self):
         a = Observable.from_strings(2, [(1.0, "ZI"), (2.0, "XI"), (0.5, "ZI")])
