@@ -347,7 +347,7 @@ def _reference(system: ThermoSystem, oracle_block: dict) -> ReferenceEnergy | No
 def run_experiment(config: dict, out_dir: Path, workers: int = 1, strict: bool = False) -> int:
     system = build_system(config["model"])
     experiment = _prepare(system, config["solver"], config["seed"])
-    # after the step-size gate in _prepare, so a refused solver never waits on it
+    # after _prepare's step-size gate: a refused solver exits before any reference work
     reference = _reference(system, config["oracle"])
     if reference is not None:
         experiment.reference_energy = reference.value
