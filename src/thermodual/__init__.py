@@ -48,8 +48,6 @@ from .optimize import (
     TraceRecord,
     error_metric,
     run,
-    run_first_order,
-    run_second_order,
 )
 from .oracle import (
     ClosenessReport,

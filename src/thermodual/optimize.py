@@ -1,9 +1,10 @@
-"""First- and second-order drivers for dual chemical-potential maximization.
+"""One dual-ascent driver, `run`, for all four solver variants.
 
-All variants share one loop shape: estimate the charge expectations at the
-current point, stop once the gradient-estimate norm falls below delta,
-otherwise update mu.  First order ascends along the gradient (optionally with
-Nesterov acceleration); second order solves the Newton system against the
+Each iteration estimates the charge expectations and the energy at the
+current point, records them, and stops once the gradient-estimate norm falls
+below delta; otherwise the variant's step rule picks the next point.  First
+order ascends along the gradient with a fixed step (optionally with Nesterov
+acceleration); second order solves the Newton system against the
 (estimated) Hessian, with gradient-norm backtracking on the step size and,
 for the sampled variant, a shift that forces the Hessian estimate negative
 semi-definite.  The returned value is mu.q + H_est - sum_i mu_i Q_est_i,
@@ -214,14 +215,6 @@ class _Evaluator:
         return used
 
 
-def _finalize(trace: Trace, ev: _Evaluator, mu):
-    state = ev.state(mu)
-    _, _, f_est, _ = ev.full(state)
-    trace.final_mu = np.asarray(mu, dtype=float).copy()
-    trace.final_value = f_est
-    return trace
-
-
 def first_order_step_size(system: ThermoSystem, config: OptimizerConfig) -> float:
     """The step size of a first-order run: eta, or 0.9/L when unset.
 
@@ -235,58 +228,28 @@ def first_order_step_size(system: ThermoSystem, config: OptimizerConfig) -> floa
     return eta
 
 
-def run_first_order(
-    system: ThermoSystem,
-    q,
-    config: OptimizerConfig,
-    estimator: Estimator,
-    mu0=None,
-    reference_energy: float | None = None,
-) -> Trace:
-    """Gradient ascent on the dual objective, plain or Nesterov-accelerated.
+class _GradientStep:
+    """Ascent along the gradient with a fixed step size, plain or Nesterov-accelerated.
 
-    Stops once the gradient-estimate norm is at most delta, or after
-    max_iter updates; infeasible targets are not detected up front and simply
-    show up as a gradient norm that never crosses the threshold.
+    Under Nesterov the evaluated point is the look-ahead; the iterate itself
+    and the momentum are kept here.
     """
-    if config.is_second_order:
-        raise ValueError(f"{config.variant} is not a first-order variant")
-    T = config.resolved_temperature(system)
-    eta = first_order_step_size(system, config)
-    delta = config.resolved_delta()
-    use_nesterov = config.resolved_nesterov()
 
-    ev = _Evaluator(system, q, estimator, T, reference_energy)
-    trace = Trace(config.variant, T, reference_energy=reference_energy)
+    def __init__(self, system: ThermoSystem, config: OptimizerConfig, mu0: np.ndarray):
+        self.eta = first_order_step_size(system, config)
+        self.nesterov = config.resolved_nesterov()
+        self.mu = mu0
+        self.momentum = 1.0
 
-    c = system.n_charges
-    mu = np.zeros(c) if mu0 is None else np.asarray(mu0, dtype=float).copy()
-    lookahead = mu.copy()
-    momentum = 1.0
-
-    for m in range(config.max_iter + 1):
-        point = lookahead if use_nesterov else mu
-        state = ev.state(point)
-        _, grad, f_est, err = ev.full(state)
-        grad_norm = float(np.linalg.norm(grad))
-        trace.records.append(
-            TraceRecord(m, point.copy(), f_est, grad_norm, err, eta, ev.drain_shots())
-        )
-        if grad_norm <= delta:
-            trace.converged = True
-            return _finalize(trace, ev, point)
-        if m == config.max_iter:
-            break
-        if use_nesterov:
-            new_mu = lookahead + eta * grad
-            momentum_next = (1.0 + math.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
-            lookahead = new_mu + ((momentum - 1.0) / momentum_next) * (new_mu - mu)
-            mu = new_mu
-            momentum = momentum_next
-        else:
-            mu = mu + eta * grad
-
-    return _finalize(trace, ev, lookahead if use_nesterov else mu)
+    def __call__(self, point, state, grad, grad_norm):
+        new_mu = point + self.eta * grad
+        if not self.nesterov:
+            return new_mu, self.eta, False
+        momentum_next = (1.0 + math.sqrt(1.0 + 4.0 * self.momentum**2)) / 2.0
+        lookahead = new_mu + ((self.momentum - 1.0) / momentum_next) * (new_mu - self.mu)
+        self.mu = new_mu
+        self.momentum = momentum_next
+        return lookahead, self.eta, False
 
 
 def _regularize(hess: np.ndarray, floor: float) -> np.ndarray:
@@ -298,14 +261,19 @@ def _regularize(hess: np.ndarray, floor: float) -> np.ndarray:
     return hess
 
 
-def run_second_order(
-    system: ThermoSystem,
-    q,
-    config: OptimizerConfig,
-    estimator: Estimator,
-    mu0=None,
-    reference_energy: float | None = None,
-) -> Trace:
+def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
+    """The solution of hess . step = grad, or None unless -step ascends."""
+    try:
+        step = np.linalg.solve(hess, grad)
+    except np.linalg.LinAlgError:
+        return None
+    # singular/garbage solve, or -step is not an ascent direction
+    if not np.all(np.isfinite(step)) or float(step @ grad) >= 0.0:
+        return None
+    return step
+
+
+class _NewtonStep:
     """Newton-style ascent: solve Hessian . step = gradient, update mu -= eta step.
 
     If the gradient norm at the candidate exceeds the one at the current
@@ -322,104 +290,75 @@ def run_second_order(
     exact variant additionally refuses candidates that lower the objective
     itself, which is free to evaluate classically.
     """
-    if not config.is_second_order:
-        raise ValueError(f"{config.variant} is not a second-order variant")
-    T = config.resolved_temperature(system)
-    delta = config.resolved_delta()
-    eta_init = config.eta if config.eta is not None else 1.0
-    eta = eta_init
-    exact_objective = config.variant == "second_classical"
-    base_step = 0.9 / smoothness_L(system, T)
-    rescue_step = base_step
 
-    ev = _Evaluator(system, q, estimator, T, reference_energy)
-    trace = Trace(config.variant, T, reference_energy=reference_energy)
+    def __init__(self, system: ThermoSystem, config: OptimizerConfig, ev: _Evaluator):
+        self.ev = ev
+        self.eta_init = config.eta if config.eta is not None else 1.0
+        self.eta = self.eta_init
+        self.clean_steps = 0
+        self.base_step = 0.9 / smoothness_L(system, ev.T)
+        self.rescue_step = self.base_step
+        self.exact_objective = config.variant == "second_classical"
+        self.regularize = config.variant == "second_hqc"
+        self.floor = config.hessian_regularization_floor
 
-    c = system.n_charges
-    mu = np.zeros(c) if mu0 is None else np.asarray(mu0, dtype=float).copy()
-    clean_steps = 0
+    def __call__(self, mu, state, grad, grad_norm):
+        hess = self.ev.hessian(state)
+        if self.regularize:
+            hess = _regularize(hess, self.floor)
+        f_here = objective_f(self.ev.q, state) if self.exact_objective else None
+        step = _newton_direction(hess, grad)
+        accepted = None if step is None else self._backtrack(mu, step, grad_norm, f_here)
+        fallback = accepted is None
+        if fallback:
+            self.clean_steps = 0
+            accepted = self._rescue(mu, grad, grad_norm, f_here)
+        return accepted, self.eta, fallback
 
-    for m in range(config.max_iter + 1):
-        state = ev.state(mu)
-        _, grad, f_est, err = ev.full(state)
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= delta or m == config.max_iter:
-            trace.records.append(
-                TraceRecord(m, mu.copy(), f_est, grad_norm, err, eta, ev.drain_shots())
-            )
-            if grad_norm <= delta:
-                trace.converged = True
-                return _finalize(trace, ev, mu)
-            break
+    def _backtrack(self, mu, step, grad_norm, f_here):
+        """The capped Newton candidate after backtracking, or None when none passes."""
+        ev = self.ev
+        step_norm = float(np.linalg.norm(step))
+        trial = min(self.eta, STEP_CAP / step_norm) if step_norm > 0 else self.eta
+        for backtracks in range(MAX_BACKTRACKS):
+            candidate = mu - trial * step
+            cand_state = ev.state(candidate)
+            cand_grad = ev.gradient_only(cand_state)
+            ok = float(np.linalg.norm(cand_grad)) < grad_norm
+            if ok and self.exact_objective:
+                ok = objective_f(ev.q, cand_state) >= f_here - 1e-12 * max(1.0, abs(f_here))
+            if ok:
+                break
+            trial *= BACKTRACK_FACTOR
+        else:
+            return None
+        if backtracks == 0:
+            self.clean_steps += 1
+            if self.clean_steps >= 2:
+                self.eta = min(self.eta / BACKTRACK_FACTOR, self.eta_init)
+        else:
+            self.clean_steps = 0
+            # remember the scale that worked, but keep it recoverable
+            self.eta = max(trial, BACKTRACK_FACTOR**6 * self.eta_init)
+        return candidate
 
-        hess = ev.hessian(state)
-        if config.variant == "second_hqc":
-            hess = _regularize(hess, config.hessian_regularization_floor)
-
-        f_here = objective_f(ev.q, state) if exact_objective else None
-        accepted = None
-        fallback = False
-        try:
-            step = np.linalg.solve(hess, grad)
-            if not np.all(np.isfinite(step)) or float(step @ grad) >= 0.0:
-                # singular/garbage solve, or -step is not an ascent direction
-                step = None
-        except np.linalg.LinAlgError:
-            step = None
-
-        if step is not None:
-            step_norm = float(np.linalg.norm(step))
-            trial = min(eta, STEP_CAP / step_norm) if step_norm > 0 else eta
-            backtracks = 0
-            while backtracks < MAX_BACKTRACKS:
-                candidate = mu - trial * step
-                cand_state = ev.state(candidate)
-                cand_grad = ev.gradient_only(cand_state)
+    def _rescue(self, mu, grad, grad_norm, f_here):
+        """Safeguarded gradient ascent with a persistent adaptive step."""
+        ev = self.ev
+        for _ in range(MAX_BACKTRACKS):
+            candidate = mu + self.rescue_step * grad
+            cand_state = ev.state(candidate)
+            cand_grad = ev.gradient_only(cand_state)
+            if self.exact_objective:
+                ok = objective_f(ev.q, cand_state) > f_here
+            else:
                 ok = float(np.linalg.norm(cand_grad)) < grad_norm
-                if ok and exact_objective:
-                    ok = objective_f(ev.q, cand_state) >= f_here - 1e-12 * max(1.0, abs(f_here))
-                if ok:
-                    accepted = candidate
-                    break
-                trial *= BACKTRACK_FACTOR
-                backtracks += 1
-            if accepted is not None:
-                if backtracks == 0:
-                    clean_steps += 1
-                    if clean_steps >= 2:
-                        eta = min(eta / BACKTRACK_FACTOR, eta_init)
-                else:
-                    clean_steps = 0
-                    # remember the scale that worked, but keep it recoverable
-                    eta = max(trial, BACKTRACK_FACTOR**6 * eta_init)
-
-        if accepted is None:
-            # safeguarded gradient ascent with a persistent adaptive step
-            fallback = True
-            clean_steps = 0
-            for _ in range(MAX_BACKTRACKS):
-                candidate = mu + rescue_step * grad
-                cand_state = ev.state(candidate)
-                cand_grad = ev.gradient_only(cand_state)
-                if exact_objective:
-                    ok = objective_f(ev.q, cand_state) > f_here
-                else:
-                    ok = float(np.linalg.norm(cand_grad)) < grad_norm
-                if ok:
-                    accepted = candidate
-                    rescue_step *= 2.0
-                    break
-                rescue_step = max(rescue_step / 2.0, 1e-6 * base_step)
-            if accepted is None:
-                # no vetted move found; take the conservative smooth-ascent step
-                accepted = mu + base_step * grad
-
-        trace.records.append(
-            TraceRecord(m, mu.copy(), f_est, grad_norm, err, eta, ev.drain_shots(), fallback)
-        )
-        mu = accepted
-
-    return _finalize(trace, ev, mu)
+            if ok:
+                self.rescue_step *= 2.0
+                return candidate
+            self.rescue_step = max(self.rescue_step / 2.0, 1e-6 * self.base_step)
+        # no vetted move found; take the conservative smooth-ascent step
+        return mu + self.base_step * grad
 
 
 def run(
@@ -430,6 +369,43 @@ def run(
     mu0=None,
     reference_energy: float | None = None,
 ) -> Trace:
-    """Dispatch to the first- or second-order driver based on the variant."""
-    driver = run_second_order if config.is_second_order else run_first_order
-    return driver(system, q, config, estimator, mu0=mu0, reference_energy=reference_energy)
+    """Maximize the dual over mu with the variant's step rule.
+
+    Each iteration estimates the charges and the energy at the current
+    point and records them; the run stops once the gradient-estimate norm
+    is at most delta, or after max_iter updates.  Otherwise the step rule,
+    gradient for first order and Newton for second order, picks the next
+    point.  Infeasible targets are not detected here and simply show up as
+    a gradient norm that never crosses the threshold.  The output value is
+    a fresh estimate at the last point.
+    """
+    T = config.resolved_temperature(system)
+    delta = config.resolved_delta()
+    ev = _Evaluator(system, q, estimator, T, reference_energy)
+    trace = Trace(config.variant, T, reference_energy=reference_energy)
+
+    point = np.zeros(system.n_charges) if mu0 is None else np.asarray(mu0, dtype=float).copy()
+    if config.is_second_order:
+        step = _NewtonStep(system, config, ev)
+    else:
+        step = _GradientStep(system, config, point)
+
+    for m in range(config.max_iter + 1):
+        state = ev.state(point)
+        _, grad, f_est, err = ev.full(state)
+        grad_norm = float(np.linalg.norm(grad))
+        trace.converged = grad_norm <= delta
+        if trace.converged or m == config.max_iter:
+            next_point, eta, fallback = None, step.eta, False
+        else:
+            next_point, eta, fallback = step(point, state, grad, grad_norm)
+        trace.records.append(
+            TraceRecord(m, point.copy(), f_est, grad_norm, err, eta, ev.drain_shots(), fallback)
+        )
+        if next_point is None:
+            break
+        point = next_point
+
+    _, _, trace.final_value, _ = ev.full(ev.state(point))
+    trace.final_mu = point.copy()
+    return trace

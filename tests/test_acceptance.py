@@ -27,7 +27,7 @@ from thermodual.gibbs import (
 )
 from thermodual.models import ThermoSystem, build_heisenberg, build_stabilizer_system, builtin_code
 from thermodual.operators import Observable, PauliString
-from thermodual.optimize import ExactEstimator, OptimizerConfig, run_first_order, run_second_order
+from thermodual.optimize import ExactEstimator, OptimizerConfig, run
 from thermodual.oracle import closeness_metrics, dual_eigenvalue_solve
 from thermodual.shots import hessian_fourier_quadrature
 
@@ -89,7 +89,7 @@ def test_criterion_01_stabilizer_ground_energy():
     oracle_ok = abs(solution.value - (-4.0)) <= 1e-3
 
     config = OptimizerConfig(variant="second_classical", epsilon=0.1, max_iter=300)
-    trace = run_second_order(
+    trace = run(
         system, system.targets, config, ExactEstimator(system),
         reference_energy=solution.value,
     )
@@ -232,7 +232,7 @@ def test_criterion_06_duality_identities(heisenberg_references):
     sandwich_ok = True
     for T in (0.5, 0.2, 0.05):
         cfg = OptimizerConfig(variant="second_classical", temperature=T, max_iter=2000, delta=1e-9)
-        trace = run_second_order(system, system.targets, cfg, ExactEstimator(system))
+        trace = run(system, system.targets, cfg, ExactEstimator(system))
         F_T = objective_f(system.targets, thermal_state(system, trace.final_mu, T))
         slack = 2e-5
         sandwich_ok &= trace.converged and (E >= F_T - slack) and (
@@ -254,7 +254,7 @@ def test_criterion_07_warm_start_and_closed_form_encoding():
         mu0 = warm.chemical_potentials(T, [(1,), (2,), (3,)])
         g = gradient(system, system.targets, thermal_state(system, mu0, T))
         grad_ok &= float(np.linalg.norm(g)) <= 1e-8
-        trace = run_second_order(system, system.targets, cfg, ExactEstimator(system), mu0=mu0)
+        trace = run(system, system.targets, cfg, ExactEstimator(system), mu0=mu0)
         iter_ok &= trace.converged and trace.iterations <= 1
 
     code = builtin_code("detect422")
@@ -275,12 +275,12 @@ def test_criterion_08_solver_convergence_orderings(heisenberg_references):
     details = []
     for key in ("1d3", "1d5"):
         system, E = heisenberg_references[key]
-        first = run_first_order(
+        first = run(
             system, system.targets,
             OptimizerConfig(variant="first_classical", epsilon=0.1, max_iter=30000),
             ExactEstimator(system), reference_energy=E,
         )
-        second = run_second_order(
+        second = run(
             system, system.targets,
             OptimizerConfig(variant="second_classical", epsilon=0.1, max_iter=1000),
             ExactEstimator(system), reference_energy=E,
@@ -292,12 +292,12 @@ def test_criterion_08_solver_convergence_orderings(heisenberg_references):
 
     # (b) second order strictly fewer iterations on the 2D six-qubit model
     system, E = heisenberg_references["2d6"]
-    first = run_first_order(
+    first = run(
         system, system.targets,
         OptimizerConfig(variant="first_classical", epsilon=0.1, max_iter=30000),
         ExactEstimator(system), reference_energy=E,
     )
-    second = run_second_order(
+    second = run(
         system, system.targets,
         OptimizerConfig(variant="second_classical", epsilon=0.1, max_iter=1000),
         ExactEstimator(system), reference_energy=E,
@@ -309,7 +309,7 @@ def test_criterion_08_solver_convergence_orderings(heisenberg_references):
     counts = {}
     for n in (3, 5, 6):
         system = build_heisenberg("line", n=n, nnn=True, lam=0.5, targets=(1.0, 0.0, 1.0))
-        trace = run_first_order(
+        trace = run(
             system, system.targets,
             OptimizerConfig(variant="first_classical", epsilon=0.1, max_iter=60000),
             ExactEstimator(system),

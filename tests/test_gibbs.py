@@ -244,13 +244,13 @@ class TestSandwichBound:
     def test_free_energy_brackets_minimum_energy(self):
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
         E = dual_eigenvalue_solve(system, system.targets, iterations=1200).value
-        from thermodual.optimize import ExactEstimator, OptimizerConfig, run_second_order
+        from thermodual.optimize import ExactEstimator, OptimizerConfig, run
 
         for T in (0.5, 0.2, 0.05):
             cfg = OptimizerConfig(
                 variant="second_classical", temperature=T, max_iter=2000, delta=1e-9
             )
-            trace = run_second_order(system, system.targets, cfg, ExactEstimator(system))
+            trace = run(system, system.targets, cfg, ExactEstimator(system))
             assert trace.converged
             F_T = objective_f(system.targets, thermal_state(system, trace.final_mu, T))
             slack = 2e-5

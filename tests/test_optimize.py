@@ -10,8 +10,6 @@ from thermodual.optimize import (
     error_metric,
     first_order_step_size,
     run,
-    run_first_order,
-    run_second_order,
 )
 from thermodual.oracle import dual_eigenvalue_solve
 from thermodual.shots import ShotEstimator
@@ -57,7 +55,7 @@ class TestConfig:
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
         cfg = OptimizerConfig(variant="first_classical", epsilon=0.1, eta=1.0)
         with pytest.raises(ValueError, match="1/L"):
-            run_first_order(system, system.targets, cfg, ExactEstimator(system))
+            run(system, system.targets, cfg, ExactEstimator(system))
 
 
 class TestFirstOrder:
@@ -67,7 +65,7 @@ class TestFirstOrder:
         state = thermal_state(system, np.zeros(3), T)
         q = [expectation(qi, state.rho) for qi in system.charges]
         cfg = OptimizerConfig(variant="first_classical", epsilon=0.1, max_iter=10)
-        trace = run_first_order(system, q, cfg, ExactEstimator(system))
+        trace = run(system, q, cfg, ExactEstimator(system))
         assert trace.converged and trace.iterations == 1
         energy = expectation(system.hamiltonian, state.rho)
         assert trace.final_value == pytest.approx(energy, abs=1e-9)
@@ -75,7 +73,7 @@ class TestFirstOrder:
     def test_converges_and_satisfies_constraints(self):
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
         cfg = OptimizerConfig(variant="first_classical", epsilon=0.3, max_iter=6000, delta=1e-5)
-        trace = run_first_order(system, system.targets, cfg, ExactEstimator(system))
+        trace = run(system, system.targets, cfg, ExactEstimator(system))
         assert trace.converged
         T = cfg.resolved_temperature(system)
         state = thermal_state(system, trace.final_mu, T)
@@ -89,7 +87,7 @@ class TestFirstOrder:
         cfg = OptimizerConfig(
             variant="first_classical", epsilon=0.5, max_iter=300, nesterov=False, delta=1e-6
         )
-        trace = run_first_order(system, system.targets, cfg, ExactEstimator(system))
+        trace = run(system, system.targets, cfg, ExactEstimator(system))
         T = cfg.resolved_temperature(system)
         values = [
             objective_f(system.targets, thermal_state(system, rec.mu, T)) for rec in trace.records
@@ -99,7 +97,7 @@ class TestFirstOrder:
     def test_trace_shape_and_record_budget(self):
         system = repetition_system((0.9, 0.0, 0.0))
         cfg = OptimizerConfig(variant="first_classical", epsilon=0.5, max_iter=25, delta=1e-12)
-        trace = run_first_order(system, system.targets, cfg, ExactEstimator(system))
+        trace = run(system, system.targets, cfg, ExactEstimator(system))
         assert not trace.converged
         assert trace.iterations <= cfg.max_iter + 1
         assert all(r.shots_used == 0 for r in trace.records)
@@ -109,7 +107,7 @@ class TestFirstOrder:
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
         E = dual_eigenvalue_solve(system, system.targets, iterations=1200).value
         cfg = OptimizerConfig(variant="first_classical", epsilon=0.1, max_iter=20000)
-        trace = run_first_order(system, system.targets, cfg, ExactEstimator(system))
+        trace = run(system, system.targets, cfg, ExactEstimator(system))
         assert trace.converged
         T = cfg.resolved_temperature(system)
         assert trace.final_value <= E + 1e-2
@@ -118,7 +116,7 @@ class TestFirstOrder:
     def test_infeasible_targets_reported_not_raised(self):
         system = repetition_system((2.0, 0.0, 0.0))  # |<X>| <= 1 is unattainable
         cfg = OptimizerConfig(variant="first_classical", epsilon=0.5, max_iter=60)
-        trace = run_first_order(system, system.targets, cfg, ExactEstimator(system))
+        trace = run(system, system.targets, cfg, ExactEstimator(system))
         assert not trace.converged
         assert trace.final_grad_norm > cfg.resolved_delta()
 
@@ -126,7 +124,7 @@ class TestFirstOrder:
         system = repetition_system()
         cfg = OptimizerConfig(variant="first_hqc", epsilon=0.2, max_iter=40)
         traces = [
-            run_first_order(
+            run(
                 system, system.targets, cfg,
                 ShotEstimator(system, 5, shots_per_iteration=500),
             )
@@ -150,7 +148,7 @@ class TestSecondOrder:
         T = cfg.resolved_temperature(system)
         _, warm = warm_start_state(code, [0.2, 0.0, 0.5], T)
         mu0 = warm.chemical_potentials(T, [(1,), (2,), (3,)])
-        trace = run_second_order(system, system.targets, cfg, ExactEstimator(system), mu0=mu0)
+        trace = run(system, system.targets, cfg, ExactEstimator(system), mu0=mu0)
         assert trace.converged and trace.iterations == 1
 
     def test_each_accepted_step_increases_objective(self):
@@ -158,7 +156,7 @@ class TestSecondOrder:
 
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
         cfg = OptimizerConfig(variant="second_classical", epsilon=0.4, max_iter=100, delta=1e-8)
-        trace = run_second_order(system, system.targets, cfg, ExactEstimator(system))
+        trace = run(system, system.targets, cfg, ExactEstimator(system))
         assert trace.converged
         T = cfg.resolved_temperature(system)
         values = [
@@ -170,12 +168,12 @@ class TestSecondOrder:
         system = build_heisenberg(
             "grid", rows=2, cols=3, nnn=True, lam=0.5, targets=(0.5, 0.5, 0.5)
         )
-        first = run_first_order(
+        first = run(
             system, system.targets,
             OptimizerConfig(variant="first_classical", epsilon=0.1, max_iter=30000),
             ExactEstimator(system),
         )
-        second = run_second_order(
+        second = run(
             system, system.targets,
             OptimizerConfig(variant="second_classical", epsilon=0.1, max_iter=1000),
             ExactEstimator(system),
@@ -194,7 +192,7 @@ class TestSecondOrder:
         estimator = ShotEstimator(
             system, 3, shots_per_iteration=20_000, hessian_samples_per_iteration=500_000
         )
-        trace = run_second_order(system, system.targets, cfg, estimator)
+        trace = run(system, system.targets, cfg, estimator)
         assert trace.converged
 
     def test_shots_used_counts_every_draw(self, monkeypatch):
@@ -215,7 +213,7 @@ class TestSecondOrder:
         estimator = ShotEstimator(
             system, 7, shots_per_iteration=10_000, hessian_samples_per_iteration=20_000
         )
-        trace = run_second_order(system, system.targets, cfg, estimator)
+        trace = run(system, system.targets, cfg, estimator)
         # 5 terms: 2 Hamiltonian + 3 charges; the final evaluation is not recorded
         final_eval = 5 * estimator.shots_per_term
         per_iteration = final_eval + estimator.shots_per_hessian_eval
@@ -227,12 +225,6 @@ class TestSecondOrder:
         cfg = OptimizerConfig(variant="second_classical", epsilon=0.3, max_iter=50)
         trace = run(system, system.targets, cfg, ExactEstimator(system))
         assert trace.variant == "second_classical"
-        with pytest.raises(ValueError):
-            run_second_order(
-                system, system.targets,
-                OptimizerConfig(variant="first_classical"),
-                ExactEstimator(system),
-            )
 
 
 class TestStepRecords:
@@ -278,7 +270,7 @@ class TestErrorMetric:
         system = repetition_system()
         E = dual_eigenvalue_solve(system, system.targets, iterations=500).value
         cfg = OptimizerConfig(variant="second_classical", epsilon=0.05, max_iter=100, delta=1e-10)
-        trace = run_second_order(
+        trace = run(
             system, system.targets, cfg, ExactEstimator(system), reference_energy=E
         )
         assert trace.converged
@@ -290,7 +282,7 @@ class TestErrorMetric:
         cfg = OptimizerConfig(
             variant="first_classical", epsilon=0.3, max_iter=4000, nesterov=False, delta=1e-7
         )
-        trace = run_first_order(
+        trace = run(
             system, system.targets, cfg, ExactEstimator(system), reference_energy=E
         )
         errors = [r.error_metric for r in trace.records]

@@ -57,11 +57,11 @@ class TestDualSolve:
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
         solution = dual_eigenvalue_solve(system, system.targets, iterations=1500)
         from thermodual.gibbs import objective_f
-        from thermodual.optimize import ExactEstimator, OptimizerConfig, run_second_order
+        from thermodual.optimize import ExactEstimator, OptimizerConfig, run
 
         T = 1e-3 / (3 * math.log(2))
         cfg = OptimizerConfig(variant="second_classical", temperature=T, max_iter=3000, delta=1e-8)
-        trace = run_second_order(system, system.targets, cfg, ExactEstimator(system))
+        trace = run(system, system.targets, cfg, ExactEstimator(system))
         assert trace.converged
         F_T = objective_f(system.targets, thermal_state(system, trace.final_mu, T))
         assert F_T - 1e-5 <= solution.value <= F_T + 3 * T * math.log(2) + 1e-5
