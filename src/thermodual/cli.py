@@ -16,12 +16,12 @@ byte for byte, independent of --workers.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import inspect
 import json
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -71,8 +71,8 @@ _SOLVER = {
     "shots_per_iteration": _BUDGET, "hessian_samples_per_iteration": _BUDGET,
     "estimator_mode": ESTIMATOR_MODES, "warm_start": bool,
 }
-# the closed-form reference reads neither iterations nor tolerance
-_ORACLE = {"enable": bool, "iterations": int, "tolerance": float}
+# the closed-form reference does not read iterations
+_ORACLE = {"enable": bool, "iterations": int}
 
 # solver keys the shot estimator takes, with its argument names
 _ESTIMATOR_ARGS = {
@@ -276,7 +276,8 @@ def _map_repetitions(experiment: _Experiment, repetitions: int, workers: int):
     tasks = [(experiment, rep) for rep in range(repetitions)]
     if workers <= 1 or repetitions == 1:
         return [_run_repetition(task) for task in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    # a forked pool starts all its workers at the first submit, so it gets no idle ones
+    with ProcessPoolExecutor(max_workers=min(workers, repetitions)) as pool:
         return list(pool.map(_run_repetition, tasks))
 
 

@@ -3,8 +3,8 @@
 Phases are carried as exact integer powers of i, so products and commutation
 checks never accumulate floating-point drift.  A word acts on each basis
 state as a bit flip and a phase; every dense matrix is scattered from that
-action, built on demand and cached.  Systems are capped at a configurable
-qubit count because everything downstream works with full 2^n x 2^n arrays.
+action, built on demand and cached.  Systems are capped at MAX_DENSE_QUBITS
+qubits because everything downstream works with full 2^n x 2^n arrays.
 """
 
 from __future__ import annotations

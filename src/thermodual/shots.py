@@ -368,7 +368,8 @@ class ShotEstimator:
     The gradient/value budget is split evenly over every Pauli term measured
     in one iteration (the Hamiltonian plus all charges); the Hessian budget
     is split half onto time samples over the pair estimates and half onto the
-    mean-product factor estimates.
+    mean-product factor estimates.  Extensive mode is checked against the
+    system's charges when the estimator is built, before any Hessian.
     """
 
     def __init__(
@@ -381,6 +382,8 @@ class ShotEstimator:
     ):
         if mode not in ESTIMATOR_MODES:
             raise ValueError(f"unknown mode {mode!r}")
+        if mode == "extensive":
+            _check_extensive(system)
         for name, budget in (
             ("shots_per_iteration", shots_per_iteration),
             ("hessian_samples_per_iteration", hessian_samples_per_iteration),

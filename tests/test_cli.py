@@ -176,6 +176,33 @@ class TestRunCommand:
         assert (out1 / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
         assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
 
+    def test_pool_has_no_more_workers_than_repetitions(self, tmp_path, monkeypatch):
+        import thermodual.cli as cli
+
+        sizes = []
+
+        class InlinePool:
+            """Records its size and runs the tasks in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        payload = {**REPETITION_HQC_CONFIG, "repetitions": 2}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out), "--workers", "8"]) == 0
+        assert sizes == [2]
+
     def test_seed_override_changes_sampled_runs(self, tmp_path):
         config = write_config(tmp_path, REPETITION_HQC_CONFIG)
         out1 = tmp_path / "a"
@@ -440,6 +467,8 @@ class TestExitCodes:
         ("solver", "delta", float("nan"), 2),
         ("solver", "shots_per_iteration", 10**30, 2),
         ("solver", "hessian_samples_per_iteration", 2**63, 2),
+        # nothing reads a tolerance, so the key is unknown
+        ("oracle", "tolerance", 1e-6, 2),
     ])
     def test_one_line_message_and_no_traceback(self, tmp_path, block, key, value, code):
         payload = json.loads(json.dumps(HEISENBERG_CONFIG))
@@ -460,6 +489,12 @@ class TestExitCodes:
         ("model", "lambda", float("nan")),
         ("solver", "shots_per_iteration", 2**63),
         (None, "oracle", [True]),
+        # a whole config: extensive Hessian sampling on a code's multi-site charges
+        (None, None, {
+            **REPETITION_HQC_CONFIG,
+            "model": repetition_model({"word": "1", "target": 0.2}),
+            "solver": {"variant": "second_hqc", "estimator_mode": "extensive"},
+        }),
     ])
     def test_refused_before_any_solve(self, tmp_path, monkeypatch, block, key, value):
         import thermodual.cli as cli
@@ -468,8 +503,11 @@ class TestExitCodes:
             raise AssertionError("a solve started on a malformed config")
 
         monkeypatch.setattr(cli, "_map_repetitions", solve)
-        payload = json.loads(json.dumps(HEISENBERG_CONFIG))
-        (payload if block is None else payload[block])[key] = value
+        if key is None:
+            payload = value
+        else:
+            payload = json.loads(json.dumps(HEISENBERG_CONFIG))
+            (payload if block is None else payload[block])[key] = value
         config = write_config(tmp_path, payload)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()

@@ -321,6 +321,11 @@ class TestShotEstimator:
         with pytest.raises(ValueError, match="must be at least 1"):
             ShotEstimator(repetition_system(), 1, **budget)
 
+    def test_refuses_extensive_mode_on_multi_site_charges(self):
+        # checked when the estimator is built, before any Hessian is drawn
+        with pytest.raises(ValueError, match="not extensive"):
+            ShotEstimator(repetition_system(), 1, mode="extensive")
+
     def test_estimates_converge_with_budget(self, rng):
         system = repetition_system()
         state = thermal_state(system, np.array([0.1, 0.0, 0.2]), 0.5)
