@@ -189,7 +189,7 @@ class _Evaluator:
         return self.q - self._charges(state)[1]
 
     def full(self, state):
-        """Charge and energy estimates plus the derived gradient and output value."""
+        """The gradient and output-value estimates, and the error metric when a reference is set."""
         idx, charges = self._charges(state)
         h_val = self.estimator.expectation(state, HAMILTONIAN_OBS_ID, idx)
         self._shots += self._energy_shots
@@ -201,7 +201,7 @@ class _Evaluator:
             if self.reference_energy is not None
             else None
         )
-        return charges, grad, f_est, err
+        return grad, f_est, err
 
     def hessian(self, state) -> np.ndarray:
         idx = self.eval_index
@@ -392,7 +392,7 @@ def run(
 
     for m in range(config.max_iter + 1):
         state = ev.state(point)
-        _, grad, f_est, err = ev.full(state)
+        grad, f_est, err = ev.full(state)
         grad_norm = float(np.linalg.norm(grad))
         trace.converged = grad_norm <= delta
         if trace.converged or m == config.max_iter:
@@ -406,6 +406,6 @@ def run(
             break
         point = next_point
 
-    _, _, trace.final_value, _ = ev.full(ev.state(point))
+    _, trace.final_value, _ = ev.full(ev.state(point))
     trace.final_mu = point.copy()
     return trace

@@ -158,6 +158,9 @@ class TestHessianQuadrature:
             hessian_fourier_quadrature(
                 system, thermal_state(system, np.zeros(1), 0.5), mode="extensive"
             )
+        # the shot estimator refuses the mode when it is built, before any Hessian
+        with pytest.raises(ValueError, match="not extensive"):
+            ShotEstimator(system, 1, mode="extensive")
 
     def test_extensive_requires_conserved_system(self):
         heis = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
@@ -320,11 +323,6 @@ class TestShotEstimator:
     def test_refuses_non_positive_budgets(self, budget):
         with pytest.raises(ValueError, match="must be at least 1"):
             ShotEstimator(repetition_system(), 1, **budget)
-
-    def test_refuses_extensive_mode_on_multi_site_charges(self):
-        # checked when the estimator is built, before any Hessian is drawn
-        with pytest.raises(ValueError, match="not extensive"):
-            ShotEstimator(repetition_system(), 1, mode="extensive")
 
     def test_estimates_converge_with_budget(self, rng):
         system = repetition_system()
