@@ -16,12 +16,12 @@ byte for byte, independent of --workers.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import csv
 import inspect
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -277,7 +277,7 @@ def _map_repetitions(experiment: _Experiment, repetitions: int, workers: int):
     if workers <= 1 or repetitions == 1:
         return [_run_repetition(task) for task in tasks]
     # a forked pool starts all its workers at the first submit, so it gets no idle ones
-    with ProcessPoolExecutor(max_workers=min(workers, repetitions)) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, repetitions)) as pool:
         return list(pool.map(_run_repetition, tasks))
 
 

@@ -196,7 +196,7 @@ class TestRunCommand:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
         payload = {**REPETITION_HQC_CONFIG, "repetitions": 2}
         config = write_config(tmp_path, payload)
         out = tmp_path / "out"
