@@ -48,6 +48,89 @@ class TestCouplingGraph:
         assert all(w == pytest.approx(0.5) for _, _, w in nnn_edges)
 
 
+def _brute_force_couplings(positions, nnn, J, lam):
+    """{(i, j): coupling} over every site pair: J at distance 1, lam * J at the nnn distance.
+
+    positions are (row, col) coordinates; the nnn pairs are distance 2 along
+    a line and the unit-cell diagonals on a grid.
+    """
+    on_line = all(r == 0 for r, _ in positions)
+    couplings = {}
+    for i, j in itertools.combinations(range(len(positions)), 2):
+        dr = abs(positions[i][0] - positions[j][0])
+        dc = abs(positions[i][1] - positions[j][1])
+        if dr + dc == 1:
+            couplings[(i, j)] = J
+        elif nnn and ((on_line and (dr, dc) == (0, 2)) or (not on_line and (dr, dc) == (1, 1))):
+            couplings[(i, j)] = lam * J
+    return couplings
+
+
+def _heisenberg_terms(kwargs) -> dict:
+    """{letters: coefficient} of the exchange Hamiltonian, built pair by pair."""
+    if kwargs["geometry"] == "line":
+        positions = [(0, c) for c in range(kwargs["n"])]
+    else:
+        positions = [(r, c) for r in range(kwargs["rows"]) for c in range(kwargs["cols"])]
+    couplings = _brute_force_couplings(
+        positions, kwargs.get("nnn", False), kwargs.get("J", 1.0), kwargs.get("lam", 0.5)
+    )
+    terms = {}
+    for (i, j), w in couplings.items():
+        for letter in (1, 2, 3):
+            word = [0] * len(positions)
+            word[i] = word[j] = letter
+            terms[tuple(word)] = w
+    return terms
+
+
+def _coupled_pairs(system) -> dict:
+    """{(i, j): coupling} read off the Hamiltonian's XX terms."""
+    pairs = {}
+    for coeff, word in system.hamiltonian.terms:
+        if set(word.letters) == {0, 1}:
+            i, j = (k for k, letter in enumerate(word.letters) if letter)
+            pairs[(i, j)] = coeff
+    return pairs
+
+
+class TestHeisenbergTerms:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(geometry="grid", rows=2, cols=3),
+            dict(geometry="line", n=4, nnn=True, J=2.0, lam=0.25),
+            dict(geometry="line", n=6, nnn=True),
+            dict(geometry="grid", rows=2, cols=3, nnn=True),
+            dict(geometry="line", n=8, J=-1.5),
+            dict(geometry="grid", rows=3, cols=3),
+        ],
+        ids=["grid-2x3", "line-4-nnn", "line-6-nnn", "grid-2x3-nnn", "line-8-J-1.5", "grid-3x3"],
+    )
+    def test_terms_match_brute_force(self, kwargs):
+        terms = build_heisenberg(**kwargs).hamiltonian.terms
+        assert {word.letters: coeff for coeff, word in terms} == _heisenberg_terms(kwargs)
+
+    def test_grid_2x3_nearest_neighbor_edges(self):
+        system = build_heisenberg("grid", rows=2, cols=3)
+        # brute-force adjacency count: 4 horizontal + 3 vertical
+        expected = set()
+        for r in range(2):
+            for c in range(3):
+                if c + 1 < 3:
+                    expected.add((r * 3 + c, r * 3 + c + 1))
+                if r + 1 < 2:
+                    expected.add((r * 3 + c, (r + 1) * 3 + c))
+        assert set(_coupled_pairs(system)) == expected and len(expected) == 7
+        assert len(system.hamiltonian.terms) == 3 * 7
+
+    def test_line_nnn_weights(self):
+        system = build_heisenberg("line", n=4, nnn=True, J=2.0, lam=0.25)
+        nnn = {pair: w for pair, w in _coupled_pairs(system).items() if pair[1] - pair[0] == 2}
+        assert set(nnn) == {(0, 2), (1, 3)}
+        assert all(w == pytest.approx(0.5) for w in nnn.values())
+
+
 class TestHeisenberg:
     def test_two_site_ground_energy(self):
         system = build_heisenberg("line", n=2, J=1.0)
