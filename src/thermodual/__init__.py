@@ -31,7 +31,6 @@ from .gibbs import (
     thermal_state,
 )
 from .models import (
-    CouplingGraph,
     StabilizerCode,
     ThermoSystem,
     build_heisenberg,

@@ -263,7 +263,6 @@ def _run_repetition(task) -> tuple[Trace, float]:
     start = time.perf_counter()
     trace = run(
         system,
-        system.targets,
         experiment.optimizer,
         estimator,
         mu0=experiment.mu0,
@@ -401,19 +400,19 @@ def run_experiment(config: dict, out_dir: Path, workers: int = 1, strict: bool =
 # ---------------------------------------------------------------------------
 
 
-def _random_system(rng: np.random.Generator, n: int = 3, n_charges: int = 3) -> ThermoSystem:
+def _random_system(rng: np.random.Generator) -> ThermoSystem:
     from .operators import Observable, PauliString
 
     def random_pauli_sum(terms: int) -> Observable:
         entries = []
         for _ in range(terms):
-            letters = tuple(rng.integers(0, 4, size=n))
+            letters = tuple(rng.integers(0, 4, size=3))
             entries.append((float(rng.uniform(-1, 1)), PauliString(letters)))
-        return Observable(n, entries)
+        return Observable(3, entries)
 
     hamiltonian = random_pauli_sum(6)
-    charges = tuple(random_pauli_sum(int(rng.integers(2, 5))) for _ in range(n_charges))
-    targets = tuple(float(t) for t in rng.uniform(-0.3, 0.3, size=n_charges))
+    charges = tuple(random_pauli_sum(int(rng.integers(2, 5))) for _ in range(3))
+    targets = tuple(float(t) for t in rng.uniform(-0.3, 0.3, size=3))
     return ThermoSystem(hamiltonian, charges, targets, label="random")
 
 
@@ -459,13 +458,13 @@ def _verify_gradients(seed: int):
         T = float(rng.uniform(0.5, 2.0))
         mu = rng.normal(scale=0.5, size=3)
         state = thermal_state(system, mu, T)
-        g = gradient(system, system.targets, state)
+        g = gradient(system, state)
         for i in range(3):
             e = np.zeros(3)
             e[i] = 1e-5
             fd = (
-                objective_f(system.targets, thermal_state(system, mu + e, T))
-                - objective_f(system.targets, thermal_state(system, mu - e, T))
+                objective_f(system, thermal_state(system, mu + e, T))
+                - objective_f(system, thermal_state(system, mu - e, T))
             ) / 2e-5
             worst_grad = max(worst_grad, abs(fd - g[i]))
         hess = hessian_exact(system, state)
@@ -473,8 +472,8 @@ def _verify_gradients(seed: int):
             e = np.zeros(3)
             e[i] = 1e-4
             fd = (
-                gradient(system, system.targets, thermal_state(system, mu + e, T))
-                - gradient(system, system.targets, thermal_state(system, mu - e, T))
+                gradient(system, thermal_state(system, mu + e, T))
+                - gradient(system, thermal_state(system, mu - e, T))
             ) / 2e-4
             worst_hess = max(worst_hess, float(np.max(np.abs(fd - hess[:, i]))))
         eigs = np.linalg.eigvalsh(hess)
@@ -532,7 +531,7 @@ def _verify_references(seed: int):
     checks = []
     for system in systems:
         closed = reference_energy(system)
-        solved = oracle.dual_eigenvalue_solve(system, system.targets, iterations=300)
+        solved = oracle.dual_eigenvalue_solve(system, iterations=300)
         gap = abs(closed.value - solved.value)
         checks.append((
             f"{system.label} {closed.method} reference matches dual solve <= 1e-8",

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .models import ThermoSystem
 from .operators import expectation
@@ -85,13 +84,18 @@ def thermal_state(system: ThermoSystem, mu, T: float) -> ThermalState:
 
 
 def log_partition(state: ThermalState) -> float:
-    """ln Tr[exp(-(H - mu.Q)/T)], evaluated shift-stably over the state's spectrum."""
-    return float(logsumexp(-state.spectrum.eigenvalues / state.temperature))
+    """ln Tr[exp(-(H - mu.Q)/T)], read off the state's normalizer.
+
+    The lowest level's shifted weight is exactly 1, so its population is
+    1/sum(w) and ln Z = -lambda_0/T - ln p_0.
+    """
+    lam0 = state.spectrum.eigenvalues[0]
+    return float(-lam0 / state.temperature - np.log(state.populations[0]))
 
 
-def objective_f(q, state: ThermalState) -> float:
-    """Dual objective mu.q - T ln Z_T(mu) at the state's mu and T."""
-    q = np.asarray(q, dtype=float)
+def objective_f(system: ThermoSystem, state: ThermalState) -> float:
+    """Dual objective mu.q - T ln Z_T(mu) at the state's mu and T, q the system's targets."""
+    q = np.asarray(system.targets, dtype=float)
     return float(state.mu @ q) - state.temperature * log_partition(state)
 
 
@@ -99,9 +103,9 @@ def charge_expectations(system: ThermoSystem, state: ThermalState) -> np.ndarray
     return np.array([expectation(qi, state.rho) for qi in system.charges])
 
 
-def gradient(system: ThermoSystem, q, state: ThermalState) -> np.ndarray:
-    """Gradient of the dual objective: component i is q_i - Tr[Q_i rho_T(mu)]."""
-    return np.asarray(q, dtype=float) - charge_expectations(system, state)
+def gradient(system: ThermoSystem, state: ThermalState) -> np.ndarray:
+    """Gradient of the dual objective: component i is q_i - Tr[Q_i rho_T(mu)], q the system's targets."""
+    return np.asarray(system.targets, dtype=float) - charge_expectations(system, state)
 
 
 def _logarithmic_mean_matrix(p: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Model builders: Heisenberg systems on coupling graphs and stabilizer systems.
+"""Model builders: Heisenberg systems on lines and grids, and stabilizer systems.
 
 A ThermoSystem bundles a Hamiltonian, a tuple of Hermitian charges, and the
 constraint targets the optimizer should meet.  Heisenberg models take the
@@ -18,26 +18,6 @@ from .operators import Observable, PauliString, commutes, parse_pauli, pauli_pro
 
 # observable id of the Hamiltonian; ids below it index the charges
 HAMILTONIAN_OBS_ID = 1 << 20
-
-
-@dataclass(frozen=True)
-class CouplingGraph:
-    """Undirected weighted graph carrying the exchange couplings."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for i, j, _ in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < self.vertex_count and 0 <= j < self.vertex_count):
-                raise ValueError(f"edge ({i},{j}) out of range")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
 
 
 @dataclass(frozen=True)
@@ -86,7 +66,7 @@ class StabilizerCode:
             for idx, g in enumerate(gens):
                 if mask & (1 << idx):
                     prod = pauli_product(prod, g)
-            if prod.is_identity() and mask.bit_count() > 1:
+            if prod.is_identity():
                 raise ValueError("stabilizer generators are not independent")
 
     def logical_y(self, i: int) -> PauliString:
@@ -159,14 +139,19 @@ class ThermoSystem:
         return self.hamiltonian if obs_id == HAMILTONIAN_OBS_ID else self.charges[obs_id]
 
 
-def _line_graph(n: int, nnn: bool, J: float, lam: float) -> CouplingGraph:
-    edges = [(i, i + 1, J) for i in range(n - 1)]
-    if nnn:
-        edges += [(i, i + 2, lam * J) for i in range(n - 2)]
-    return CouplingGraph(n, tuple(edges))
-
-
-def _grid_graph(rows: int, cols: int, nnn: bool, J: float, lam: float) -> CouplingGraph:
+def _heisenberg_edges(geometry, n, rows, cols, nnn, J, lam) -> tuple[int, list]:
+    """Site count and (i, j, coupling) edges of a line of n sites or a rows x cols lattice."""
+    if geometry == "line":
+        if n is None or n < 2:
+            raise ConfigError("line geometry needs n >= 2")
+        edges = [(i, i + 1, J) for i in range(n - 1)]
+        if nnn:
+            edges += [(i, i + 2, lam * J) for i in range(n - 2)]
+        return n, edges
+    if geometry != "grid":
+        raise ConfigError(f"unknown geometry {geometry!r}")
+    if rows is None or cols is None or min(rows, cols) < 1 or rows * cols < 2:
+        raise ConfigError("grid geometry needs rows, cols >= 1 with rows*cols >= 2")
     if nnn and (rows < 2 or cols < 2):
         raise ConfigError("diagonal neighbors need at least a 2x2 grid")
     idx = lambda r, c: r * cols + c
@@ -180,28 +165,7 @@ def _grid_graph(rows: int, cols: int, nnn: bool, J: float, lam: float) -> Coupli
             if nnn and r + 1 < rows and c + 1 < cols:
                 edges.append((idx(r, c), idx(r + 1, c + 1), lam * J))
                 edges.append((idx(r, c + 1), idx(r + 1, c), lam * J))
-    return CouplingGraph(rows * cols, tuple(edges))
-
-
-def heisenberg_graph(
-    geometry: str,
-    n: int | None = None,
-    rows: int | None = None,
-    cols: int | None = None,
-    nnn: bool = False,
-    J: float = 1.0,
-    lam: float = 0.5,
-) -> CouplingGraph:
-    """Coupling graph for a line of n sites or a rows x cols square lattice."""
-    if geometry == "line":
-        if n is None or n < 2:
-            raise ConfigError("line geometry needs n >= 2")
-        return _line_graph(n, nnn, J, lam)
-    if geometry == "grid":
-        if rows is None or cols is None or min(rows, cols) < 1 or rows * cols < 2:
-            raise ConfigError("grid geometry needs rows, cols >= 1 with rows*cols >= 2")
-        return _grid_graph(rows, cols, nnn, J, lam)
-    raise ConfigError(f"unknown geometry {geometry!r}")
+    return rows * cols, edges
 
 
 def build_heisenberg(
@@ -221,10 +185,9 @@ def build_heisenberg(
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"coupling ratio {lam} outside [0, 1]")
-    graph = heisenberg_graph(geometry, n=n, rows=rows, cols=cols, nnn=nnn, J=J, lam=lam)
-    sites = graph.vertex_count
+    sites, edges = _heisenberg_edges(geometry, n, rows, cols, nnn, J, lam)
     terms = []
-    for i, j, w in graph.edges:
+    for i, j, w in edges:
         for letter in (1, 2, 3):
             word = [0] * sites
             word[i] = letter
@@ -321,11 +284,7 @@ def charge_word_from_string(code: StabilizerCode, digits: str) -> tuple[int, ...
     return tuple(int(ch) for ch in digits)
 
 
-def build_stabilizer_system(
-    code: StabilizerCode,
-    charge_spec,
-    label: str | None = None,
-) -> ThermoSystem:
+def build_stabilizer_system(code: StabilizerCode, charge_spec) -> ThermoSystem:
     """System with H = -sum S_i and one logical-product charge per charge_spec entry.
 
     charge_spec is an iterable of (indices, target) pairs, indices being a
@@ -351,7 +310,7 @@ def build_stabilizer_system(
         hamiltonian,
         charges,
         tuple(targets),
-        label=label or f"stabilizer-{code.name}",
+        label=f"stabilizer-{code.name}",
         conserved=True,
         code=code,
         charge_words=tuple(words),

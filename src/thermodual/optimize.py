@@ -140,7 +140,6 @@ class Trace:
     converged: bool = False
     final_mu: np.ndarray | None = None
     final_value: float | None = None
-    reference_energy: float | None = None
 
     @property
     def iterations(self) -> int:
@@ -163,9 +162,9 @@ def error_metric(E_ref: float, f_estimate: float, grad_estimate) -> float:
 class _Evaluator:
     """Counts estimator calls so derived shot streams never collide, and the shots they draw."""
 
-    def __init__(self, system, q, estimator, T, reference_energy):
+    def __init__(self, system, estimator, T, reference_energy):
         self.system = system
-        self.q = np.asarray(q, dtype=float)
+        self.q = np.asarray(system.targets, dtype=float)
         self.estimator = estimator
         self.T = T
         self.reference_energy = reference_energy
@@ -306,7 +305,7 @@ class _NewtonStep:
         hess = self.ev.hessian(state)
         if self.regularize:
             hess = _regularize(hess, self.floor)
-        f_here = objective_f(self.ev.q, state) if self.exact_objective else None
+        f_here = objective_f(self.ev.system, state) if self.exact_objective else None
         step = _newton_direction(hess, grad)
         accepted = None if step is None else self._backtrack(mu, step, grad_norm, f_here)
         fallback = accepted is None
@@ -326,7 +325,7 @@ class _NewtonStep:
             cand_grad = ev.gradient_only(cand_state)
             ok = float(np.linalg.norm(cand_grad)) < grad_norm
             if ok and self.exact_objective:
-                ok = objective_f(ev.q, cand_state) >= f_here - 1e-12 * max(1.0, abs(f_here))
+                ok = objective_f(ev.system, cand_state) >= f_here - 1e-12 * max(1.0, abs(f_here))
             if ok:
                 break
             trial *= BACKTRACK_FACTOR
@@ -350,7 +349,7 @@ class _NewtonStep:
             cand_state = ev.state(candidate)
             cand_grad = ev.gradient_only(cand_state)
             if self.exact_objective:
-                ok = objective_f(ev.q, cand_state) > f_here
+                ok = objective_f(ev.system, cand_state) > f_here
             else:
                 ok = float(np.linalg.norm(cand_grad)) < grad_norm
             if ok:
@@ -363,13 +362,12 @@ class _NewtonStep:
 
 def run(
     system: ThermoSystem,
-    q,
     config: OptimizerConfig,
     estimator: Estimator,
     mu0=None,
     reference_energy: float | None = None,
 ) -> Trace:
-    """Maximize the dual over mu with the variant's step rule.
+    """Maximize the dual over mu toward the system's targets with the variant's step rule.
 
     Each iteration estimates the charges and the energy at the current
     point and records them; the run stops once the gradient-estimate norm
@@ -381,8 +379,8 @@ def run(
     """
     T = config.resolved_temperature(system)
     delta = config.resolved_delta()
-    ev = _Evaluator(system, q, estimator, T, reference_energy)
-    trace = Trace(config.variant, T, reference_energy=reference_energy)
+    ev = _Evaluator(system, estimator, T, reference_energy)
+    trace = Trace(config.variant, T)
 
     point = np.zeros(system.n_charges) if mu0 is None else np.asarray(mu0, dtype=float).copy()
     if config.is_second_order:

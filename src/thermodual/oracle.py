@@ -29,6 +29,14 @@ FEASIBILITY_TOLERANCE = 1e-9
 # weight of S^2 in the labelling eigensolve; irrational so that distinct
 # (energy, spin) levels do not collide
 _SPIN_SPLIT = 0.01 * np.sqrt(2.0)
+# the supergradient phase steps _DUAL_STEP / sqrt(m) at iteration m
+_DUAL_STEP = 1.0
+# adaptive-step ascent iterations that polish the best averaged iterate
+_POLISH_ITERATIONS = 400
+# a best dual value still rising by more than this near the end is low-confidence
+_CONVERGENCE_TOLERANCE = 1e-6
+# Renyi orders of the closeness report
+RENYI_ALPHAS = (0.5, 2.0, 3.0)
 
 
 @dataclass(frozen=True)
@@ -187,42 +195,31 @@ class DualSolution:
     ground_multiplicity: int
     ground_projector: np.ndarray
     low_confidence: bool
-    iterations: int
 
 
-def _ground_space(matrix: np.ndarray, tol: float | None = None):
+def _ground_space(matrix: np.ndarray):
     vals, vecs = np.linalg.eigh(matrix)
-    if tol is None:
-        spread = float(vals[-1] - vals[0])
-        tol = max(1e-8, 1e-10 * spread)
+    tol = max(1e-8, 1e-10 * float(vals[-1] - vals[0]))
     mask = vals <= vals[0] + tol
     basis = vecs[:, mask]
     return float(vals[0]), basis @ basis.conj().T, int(mask.sum())
 
 
-def dual_eigenvalue_solve(
-    system: ThermoSystem,
-    q,
-    iterations: int = 2000,
-    tolerance: float = 1e-6,
-    eta0: float = 1.0,
-    polish_iterations: int = 400,
-) -> DualSolution:
-    """Maximize the nonsmooth dual mu.q + lambda_min(H - mu.Q).
+def dual_eigenvalue_solve(system: ThermoSystem, iterations: int = 2000) -> DualSolution:
+    """Maximize the nonsmooth dual mu.q + lambda_min(H - mu.Q), q the system's targets.
 
     Supergradient at mu: q - <psi|Q|psi> for a minimum-eigenvalue eigenvector
     psi (the eigensolver's first column when degenerate).  The first phase
-    takes eta0/sqrt(m) steps and tracks the dual value along the running
-    average of the iterates; the second phase polishes the best averaged
-    iterate with monotone adaptive-step ascent, which converges quickly
-    wherever the minimum eigenvalue is simple.  If the best value is still
-    improving by more than `tolerance` near the end of the budget, the
-    solution is flagged low-confidence.
+    takes `iterations` steps of size _DUAL_STEP/sqrt(m) and tracks the dual
+    value along the running average of the iterates; the second phase
+    polishes the best averaged iterate with up to _POLISH_ITERATIONS steps of
+    monotone adaptive-step ascent, which converges quickly wherever the
+    minimum eigenvalue is simple.  If the best value is still improving by
+    more than _CONVERGENCE_TOLERANCE near the end of the budget, the solution
+    is flagged low-confidence.
     """
-    q = np.asarray(q, dtype=float)
+    q = np.asarray(system.targets, dtype=float)
     c = system.n_charges
-    if q.shape != (c,):
-        raise ValueError(f"targets have shape {q.shape}, expected ({c},)")
     charge_dense = [qi.to_dense() for qi in system.charges]
 
     def dual_value(mu):
@@ -248,12 +245,12 @@ def dual_eigenvalue_solve(
             best_value = value
             best_mu = averaged.copy()
         best_history.append(best_value)
-        mu = mu + (eta0 / np.sqrt(m)) * supergradient(mu)
+        mu = mu + (_DUAL_STEP / np.sqrt(m)) * supergradient(mu)
 
     step = 0.25
     mu = best_mu.copy()
     settled = False
-    for _ in range(polish_iterations):
+    for _ in range(_POLISH_ITERATIONS):
         candidate = mu + step * supergradient(mu)
         value = dual_value(candidate)
         if value > best_value:
@@ -273,7 +270,7 @@ def dual_eigenvalue_solve(
         low_confidence = False
     else:
         tail = max(25, len(best_history) // 20)
-        low_confidence = bool(best_history[-1] - best_history[-tail] > tolerance)
+        low_confidence = bool(best_history[-1] - best_history[-tail] > _CONVERGENCE_TOLERANCE)
 
     lam_min, projector, multiplicity = _ground_space(
         effective_hamiltonian(system, best_mu)
@@ -284,7 +281,6 @@ def dual_eigenvalue_solve(
         ground_multiplicity=multiplicity,
         ground_projector=projector,
         low_confidence=low_confidence,
-        iterations=iterations,
     )
 
 
@@ -392,8 +388,11 @@ def _grouped_levels(eigenvalues: np.ndarray):
     return [(float(lam), int(deg)) for lam, deg in levels]
 
 
-def closeness_metrics(H: np.ndarray, beta: float, alphas=(0.5, 2.0, 3.0)) -> ClosenessReport:
-    """Direct and closed-form closeness of the Gibbs state to the ground space."""
+def closeness_metrics(H: np.ndarray, beta: float) -> ClosenessReport:
+    """Direct and closed-form closeness of the Gibbs state to the ground space.
+
+    The Renyi divergences are reported at each order in RENYI_ALPHAS.
+    """
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
     vals = np.linalg.eigvalsh(H)
@@ -412,7 +411,7 @@ def closeness_metrics(H: np.ndarray, beta: float, alphas=(0.5, 2.0, 3.0)) -> Clo
     sigma = np.diag(ground).astype(complex)
 
     if len(levels) == 1:
-        zero = {float(a): 0.0 for a in alphas}
+        zero = {float(a): 0.0 for a in RENYI_ALPHAS}
         return ClosenessReport(
             beta, d, d_g, 0.0, 0.0, 1.0, 0.0, zero, dict(zero), dict(zero),
             0.0, 1.0, 0.0, 0.0,
@@ -429,9 +428,9 @@ def closeness_metrics(H: np.ndarray, beta: float, alphas=(0.5, 2.0, 3.0)) -> Clo
         trace_distance=trace_distance(rho, sigma),
         fidelity=state_fidelity(rho, sigma),
         relative_entropy=relative_entropy(sigma, rho),
-        renyi_petz={float(a): petz_renyi(sigma, rho, a) for a in alphas},
-        renyi_sandwiched={float(a): sandwiched_renyi(sigma, rho, a) for a in alphas},
-        renyi_geometric={float(a): geometric_renyi(sigma, rho, a) for a in alphas},
+        renyi_petz={float(a): petz_renyi(sigma, rho, a) for a in RENYI_ALPHAS},
+        renyi_sandwiched={float(a): sandwiched_renyi(sigma, rho, a) for a in RENYI_ALPHAS},
+        renyi_geometric={float(a): geometric_renyi(sigma, rho, a) for a in RENYI_ALPHAS},
         trace_distance_closed=1.0 / (1.0 + d_g / excited),
         fidelity_closed=1.0 / (1.0 + excited / d_g),
         relative_entropy_closed=float(np.log1p(excited / d_g)),

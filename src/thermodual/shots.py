@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .errors import NumericalIntegrityError
 # thermal_state is not called here; benchmarks/tracer.py hooks this module's name for it
@@ -192,6 +191,9 @@ def channel_on_charge(
     system: ThermoSystem, state: ThermalState, charge_index: int, mode: str = "generic"
 ) -> np.ndarray:
     """Quadrature evaluation of the p(t)-averaged conjugation applied to one charge."""
+    # imported here so that the solver path loads NumPy alone
+    from scipy.integrate import quad_vec
+
     if mode == "extensive":
         _check_extensive(system)
 
@@ -213,6 +215,8 @@ def hessian_fourier_quadrature(
     over [-T_CUT, T_CUT] plus (1/T) <Q_i><Q_j>; used to cross-check the
     spectral (logarithmic-mean) Hessian.
     """
+    from scipy.integrate import quad_vec
+
     if mode == "extensive":
         _check_extensive(system)
     c = system.n_charges

@@ -77,7 +77,7 @@ def heisenberg_references():
         "2d6": dict(geometry="grid", rows=2, cols=3, nnn=True, lam=0.5, targets=(0.5, 0.5, 0.5)),
     }.items():
         system = build_heisenberg(**kwargs)
-        solution = dual_eigenvalue_solve(system, system.targets, iterations=1500)
+        solution = dual_eigenvalue_solve(system, iterations=1500)
         cache[key] = (system, solution.value)
     return cache
 
@@ -85,12 +85,12 @@ def heisenberg_references():
 def test_criterion_01_stabilizer_ground_energy():
     start = time.perf_counter()
     system = bloch_system("perfect5", (0.2, 0.0, 0.5))
-    solution = dual_eigenvalue_solve(system, system.targets, iterations=1000)
+    solution = dual_eigenvalue_solve(system, iterations=1000)
     oracle_ok = abs(solution.value - (-4.0)) <= 1e-3
 
     config = OptimizerConfig(variant="second_classical", epsilon=0.1, max_iter=300)
     trace = run(
-        system, system.targets, config, ExactEstimator(system),
+        system, config, ExactEstimator(system),
         reference_energy=solution.value,
     )
     T = config.resolved_temperature(system)
@@ -112,13 +112,13 @@ def test_criterion_02_gradient_matches_finite_differences():
         system = random_hermitian_system(rng)
         T = float(rng.uniform(0.1, 2.0))
         mu = rng.normal(scale=0.5, size=3)
-        g = gradient(system, system.targets, thermal_state(system, mu, T))
+        g = gradient(system, thermal_state(system, mu, T))
         for i in range(3):
             e = np.zeros(3)
             e[i] = 1e-5
             fd = (
-                objective_f(system.targets, thermal_state(system, mu + e, T))
-                - objective_f(system.targets, thermal_state(system, mu - e, T))
+                objective_f(system, thermal_state(system, mu + e, T))
+                - objective_f(system, thermal_state(system, mu - e, T))
             ) / 2e-5
             worst = max(worst, abs(fd - g[i]))
     report(2, worst <= 1e-6, f"max |grad - FD| = {worst:.2e}")
@@ -138,8 +138,8 @@ def test_criterion_03_hessian_correctness_and_concavity():
             e = np.zeros(3)
             e[i] = 1e-4
             fd = (
-                gradient(system, system.targets, thermal_state(system, mu + e, T))
-                - gradient(system, system.targets, thermal_state(system, mu - e, T))
+                gradient(system, thermal_state(system, mu + e, T))
+                - gradient(system, thermal_state(system, mu - e, T))
             ) / 2e-4
             worst_fd = max(worst_fd, float(np.max(np.abs(fd - hess[:, i]))))
 
@@ -190,7 +190,7 @@ def test_criterion_05_closeness_identities():
         raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         H = (raw + raw.conj().T) / 2
         for beta in (0.1, 1.0, 10.0):
-            rep = closeness_metrics(H, beta, alphas=(0.5, 2.0, 3.0))
+            rep = closeness_metrics(H, beta)
             worst_direct = max(
                 worst_direct,
                 abs(rep.trace_distance - rep.trace_distance_closed),
@@ -223,7 +223,7 @@ def test_criterion_06_duality_identities(heisenberg_references):
         energy = float(np.real(np.einsum("ij,ji->", A, state.rho)))
         p = state.populations[state.populations > 0]
         entropy = float(-np.sum(p * np.log(p)))
-        lhs = objective_f(system.targets, state)
+        lhs = objective_f(system, state)
         rhs = float(mu @ np.array(system.targets)) + energy - T * entropy
         worst = max(worst, abs(lhs - rhs))
     identity_ok = worst <= 1e-10
@@ -232,8 +232,8 @@ def test_criterion_06_duality_identities(heisenberg_references):
     sandwich_ok = True
     for T in (0.5, 0.2, 0.05):
         cfg = OptimizerConfig(variant="second_classical", temperature=T, max_iter=2000, delta=1e-9)
-        trace = run(system, system.targets, cfg, ExactEstimator(system))
-        F_T = objective_f(system.targets, thermal_state(system, trace.final_mu, T))
+        trace = run(system, cfg, ExactEstimator(system))
+        F_T = objective_f(system, thermal_state(system, trace.final_mu, T))
         slack = 2e-5
         sandwich_ok &= trace.converged and (E >= F_T - slack) and (
             F_T >= E - 3 * T * math.log(2) - slack
@@ -252,9 +252,9 @@ def test_criterion_07_warm_start_and_closed_form_encoding():
         T = cfg.resolved_temperature(system)
         _, warm = warm_start_state(code, r, T)
         mu0 = warm.chemical_potentials(T, [(1,), (2,), (3,)])
-        g = gradient(system, system.targets, thermal_state(system, mu0, T))
+        g = gradient(system, thermal_state(system, mu0, T))
         grad_ok &= float(np.linalg.norm(g)) <= 1e-8
-        trace = run(system, system.targets, cfg, ExactEstimator(system), mu0=mu0)
+        trace = run(system, cfg, ExactEstimator(system), mu0=mu0)
         iter_ok &= trace.converged and trace.iterations <= 1
 
     code = builtin_code("detect422")
@@ -276,12 +276,12 @@ def test_criterion_08_solver_convergence_orderings(heisenberg_references):
     for key in ("1d3", "1d5"):
         system, E = heisenberg_references[key]
         first = run(
-            system, system.targets,
+            system,
             OptimizerConfig(variant="first_classical", epsilon=0.1, max_iter=30000),
             ExactEstimator(system), reference_energy=E,
         )
         second = run(
-            system, system.targets,
+            system,
             OptimizerConfig(variant="second_classical", epsilon=0.1, max_iter=1000),
             ExactEstimator(system), reference_energy=E,
         )
@@ -293,12 +293,12 @@ def test_criterion_08_solver_convergence_orderings(heisenberg_references):
     # (b) second order strictly fewer iterations on the 2D six-qubit model
     system, E = heisenberg_references["2d6"]
     first = run(
-        system, system.targets,
+        system,
         OptimizerConfig(variant="first_classical", epsilon=0.1, max_iter=30000),
         ExactEstimator(system), reference_energy=E,
     )
     second = run(
-        system, system.targets,
+        system,
         OptimizerConfig(variant="second_classical", epsilon=0.1, max_iter=1000),
         ExactEstimator(system), reference_energy=E,
     )
@@ -310,7 +310,7 @@ def test_criterion_08_solver_convergence_orderings(heisenberg_references):
     for n in (3, 5, 6):
         system = build_heisenberg("line", n=n, nnn=True, lam=0.5, targets=(1.0, 0.0, 1.0))
         trace = run(
-            system, system.targets,
+            system,
             OptimizerConfig(variant="first_classical", epsilon=0.1, max_iter=60000),
             ExactEstimator(system),
         )

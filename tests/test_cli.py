@@ -709,3 +709,13 @@ class TestEntryPoint:
 
     def test_missing_config_is_config_error(self):
         assert main(["run", "--config", "/nonexistent/config.json"]) == 2
+
+    def test_import_loads_no_scipy(self):
+        # run, sweep and verify need NumPy alone; SciPy serves the quadrature references
+        probe = (
+            "import sys, thermodual, thermodual.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -93,7 +93,7 @@ class TestWarmStart:
         system = bloch_system(code, r)
         rho, warm = warm_start_state(code, r, T)
         mu0 = warm.chemical_potentials(T, [(1,), (2,), (3,)])
-        g = gradient(system, system.targets, thermal_state(system, mu0, T))
+        g = gradient(system, thermal_state(system, mu0, T))
         assert np.linalg.norm(g) <= 1e-9
 
     @pytest.mark.parametrize("name", ["repetition3", "perfect5"])
@@ -127,7 +127,7 @@ class TestWarmStart:
         _, warm = warm_start_state(code, r, T)
         mu0 = warm.chemical_potentials(T, [(1,), (2,), (3,)])
         cfg = OptimizerConfig(variant="second_classical", temperature=T, max_iter=50, delta=1e-6)
-        trace = run(system, system.targets, cfg, ExactEstimator(system), mu0=mu0)
+        trace = run(system, cfg, ExactEstimator(system), mu0=mu0)
         assert trace.converged
         assert trace.iterations == 1  # converged at the iteration-0 check
 
@@ -233,7 +233,7 @@ class TestEncodedState:
         fidelities = []
         for T in (1.0, 0.3, 0.1, 0.03):
             cfg = OptimizerConfig(variant="second_classical", temperature=T, max_iter=200, delta=1e-9)
-            trace = run(system, system.targets, cfg, ExactEstimator(system))
+            trace = run(system, cfg, ExactEstimator(system))
             assert trace.converged
             state = thermal_state(system, trace.final_mu, T)
             fidelities.append(state_fidelity(state.rho, reference))

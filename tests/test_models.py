@@ -5,7 +5,6 @@ import pytest
 
 from thermodual.errors import ConfigError
 from thermodual.models import (
-    CouplingGraph,
     StabilizerCode,
     ThermoSystem,
     build_heisenberg,
@@ -13,39 +12,9 @@ from thermodual.models import (
     builtin_code,
     charge_word_from_string,
     codespace_projector,
-    heisenberg_graph,
     logical_pauli_product,
 )
 from thermodual.operators import commutes, parse_pauli
-
-
-class TestCouplingGraph:
-    def test_rejects_self_loop(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            CouplingGraph(3, ((1, 1, 1.0),))
-
-    def test_rejects_duplicate(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            CouplingGraph(3, ((0, 1, 1.0), (1, 0, 0.5)))
-
-    def test_grid_2x3_nearest_neighbor_edges(self):
-        graph = heisenberg_graph("grid", rows=2, cols=3)
-        # brute-force adjacency count: 4 horizontal + 3 vertical
-        expected = set()
-        for r in range(2):
-            for c in range(3):
-                if c + 1 < 3:
-                    expected.add((r * 3 + c, r * 3 + c + 1))
-                if r + 1 < 2:
-                    expected.add((r * 3 + c, (r + 1) * 3 + c))
-        got = {(min(i, j), max(i, j)) for i, j, _ in graph.edges}
-        assert got == expected and len(graph.edges) == 7
-
-    def test_line_nnn_weights(self):
-        graph = heisenberg_graph("line", n=4, nnn=True, J=2.0, lam=0.25)
-        nnn_edges = [(i, j, w) for i, j, w in graph.edges if abs(i - j) == 2]
-        assert len(nnn_edges) == 2
-        assert all(w == pytest.approx(0.5) for _, _, w in nnn_edges)
 
 
 def _brute_force_couplings(positions, nnn, J, lam):
@@ -209,6 +178,19 @@ class TestBuiltinCodes:
             code = builtin_code(name)
             for L in (*code.logical_x, *code.logical_z):
                 assert all(commutes(L, s) for s in code.stabilizer_generators)
+
+    @pytest.mark.parametrize("word", ["II", "-II"])
+    def test_identity_generator_rejected(self, word):
+        # +II would leave a codespace of dimension 4 = 2^(k+1), -II an empty one
+        with pytest.raises(ValueError, match="independent"):
+            StabilizerCode(
+                name="bad",
+                n=2,
+                k=1,
+                stabilizer_generators=(parse_pauli(word),),
+                logical_x=(parse_pauli("XI"),),
+                logical_z=(parse_pauli("ZI"),),
+            )
 
     def test_dependent_generators_rejected(self):
         with pytest.raises(ValueError, match="independent"):

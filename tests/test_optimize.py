@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,7 @@ class TestConfig:
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
         cfg = OptimizerConfig(variant="first_classical", epsilon=0.1, eta=1.0)
         with pytest.raises(ValueError, match="1/L"):
-            run(system, system.targets, cfg, ExactEstimator(system))
+            run(system, cfg, ExactEstimator(system))
 
 
 class TestFirstOrder:
@@ -63,9 +65,9 @@ class TestFirstOrder:
         system = build_heisenberg("line", n=3)
         T = OptimizerConfig(epsilon=0.1).resolved_temperature(system)
         state = thermal_state(system, np.zeros(3), T)
-        q = [expectation(qi, state.rho) for qi in system.charges]
+        system = replace(system, targets=tuple(expectation(qi, state.rho) for qi in system.charges))
         cfg = OptimizerConfig(variant="first_classical", epsilon=0.1, max_iter=10)
-        trace = run(system, q, cfg, ExactEstimator(system))
+        trace = run(system, cfg, ExactEstimator(system))
         assert trace.converged and trace.iterations == 1
         energy = expectation(system.hamiltonian, state.rho)
         assert trace.final_value == pytest.approx(energy, abs=1e-9)
@@ -73,7 +75,7 @@ class TestFirstOrder:
     def test_converges_and_satisfies_constraints(self):
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
         cfg = OptimizerConfig(variant="first_classical", epsilon=0.3, max_iter=6000, delta=1e-5)
-        trace = run(system, system.targets, cfg, ExactEstimator(system))
+        trace = run(system, cfg, ExactEstimator(system))
         assert trace.converged
         T = cfg.resolved_temperature(system)
         state = thermal_state(system, trace.final_mu, T)
@@ -87,17 +89,17 @@ class TestFirstOrder:
         cfg = OptimizerConfig(
             variant="first_classical", epsilon=0.5, max_iter=300, nesterov=False, delta=1e-6
         )
-        trace = run(system, system.targets, cfg, ExactEstimator(system))
+        trace = run(system, cfg, ExactEstimator(system))
         T = cfg.resolved_temperature(system)
         values = [
-            objective_f(system.targets, thermal_state(system, rec.mu, T)) for rec in trace.records
+            objective_f(system, thermal_state(system, rec.mu, T)) for rec in trace.records
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_trace_shape_and_record_budget(self):
         system = repetition_system((0.9, 0.0, 0.0))
         cfg = OptimizerConfig(variant="first_classical", epsilon=0.5, max_iter=25, delta=1e-12)
-        trace = run(system, system.targets, cfg, ExactEstimator(system))
+        trace = run(system, cfg, ExactEstimator(system))
         assert not trace.converged
         assert trace.iterations <= cfg.max_iter + 1
         assert all(r.shots_used == 0 for r in trace.records)
@@ -105,9 +107,9 @@ class TestFirstOrder:
     def test_output_tracks_reference_energy_window(self):
         # converged output sits between E - nT ln2 and E (up to solver slack)
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
-        E = dual_eigenvalue_solve(system, system.targets, iterations=1200).value
+        E = dual_eigenvalue_solve(system, iterations=1200).value
         cfg = OptimizerConfig(variant="first_classical", epsilon=0.1, max_iter=20000)
-        trace = run(system, system.targets, cfg, ExactEstimator(system))
+        trace = run(system, cfg, ExactEstimator(system))
         assert trace.converged
         T = cfg.resolved_temperature(system)
         assert trace.final_value <= E + 1e-2
@@ -116,7 +118,7 @@ class TestFirstOrder:
     def test_infeasible_targets_reported_not_raised(self):
         system = repetition_system((2.0, 0.0, 0.0))  # |<X>| <= 1 is unattainable
         cfg = OptimizerConfig(variant="first_classical", epsilon=0.5, max_iter=60)
-        trace = run(system, system.targets, cfg, ExactEstimator(system))
+        trace = run(system, cfg, ExactEstimator(system))
         assert not trace.converged
         assert trace.final_grad_norm > cfg.resolved_delta()
 
@@ -125,7 +127,7 @@ class TestFirstOrder:
         cfg = OptimizerConfig(variant="first_hqc", epsilon=0.2, max_iter=40)
         traces = [
             run(
-                system, system.targets, cfg,
+                system, cfg,
                 ShotEstimator(system, 5, shots_per_iteration=500),
             )
             for _ in range(2)
@@ -148,7 +150,7 @@ class TestSecondOrder:
         T = cfg.resolved_temperature(system)
         _, warm = warm_start_state(code, [0.2, 0.0, 0.5], T)
         mu0 = warm.chemical_potentials(T, [(1,), (2,), (3,)])
-        trace = run(system, system.targets, cfg, ExactEstimator(system), mu0=mu0)
+        trace = run(system, cfg, ExactEstimator(system), mu0=mu0)
         assert trace.converged and trace.iterations == 1
 
     def test_each_accepted_step_increases_objective(self):
@@ -156,11 +158,11 @@ class TestSecondOrder:
 
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
         cfg = OptimizerConfig(variant="second_classical", epsilon=0.4, max_iter=100, delta=1e-8)
-        trace = run(system, system.targets, cfg, ExactEstimator(system))
+        trace = run(system, cfg, ExactEstimator(system))
         assert trace.converged
         T = cfg.resolved_temperature(system)
         values = [
-            objective_f(system.targets, thermal_state(system, r.mu, T)) for r in trace.records
+            objective_f(system, thermal_state(system, r.mu, T)) for r in trace.records
         ]
         assert all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
 
@@ -169,12 +171,12 @@ class TestSecondOrder:
             "grid", rows=2, cols=3, nnn=True, lam=0.5, targets=(0.5, 0.5, 0.5)
         )
         first = run(
-            system, system.targets,
+            system,
             OptimizerConfig(variant="first_classical", epsilon=0.1, max_iter=30000),
             ExactEstimator(system),
         )
         second = run(
-            system, system.targets,
+            system,
             OptimizerConfig(variant="second_classical", epsilon=0.1, max_iter=1000),
             ExactEstimator(system),
         )
@@ -192,7 +194,7 @@ class TestSecondOrder:
         estimator = ShotEstimator(
             system, 3, shots_per_iteration=20_000, hessian_samples_per_iteration=500_000
         )
-        trace = run(system, system.targets, cfg, estimator)
+        trace = run(system, cfg, estimator)
         assert trace.converged
 
     def test_shots_used_counts_every_draw(self, monkeypatch):
@@ -213,7 +215,7 @@ class TestSecondOrder:
         estimator = ShotEstimator(
             system, 7, shots_per_iteration=10_000, hessian_samples_per_iteration=20_000
         )
-        trace = run(system, system.targets, cfg, estimator)
+        trace = run(system, cfg, estimator)
         # 5 terms: 2 Hamiltonian + 3 charges; the final evaluation is not recorded
         final_eval = 5 * estimator.shots_per_term
         per_iteration = final_eval + estimator.shots_per_hessian_eval
@@ -223,7 +225,7 @@ class TestSecondOrder:
     def test_variant_dispatch(self):
         system = repetition_system()
         cfg = OptimizerConfig(variant="second_classical", epsilon=0.3, max_iter=50)
-        trace = run(system, system.targets, cfg, ExactEstimator(system))
+        trace = run(system, cfg, ExactEstimator(system))
         assert trace.variant == "second_classical"
 
 
@@ -231,7 +233,7 @@ class TestStepRecords:
     """Step size and fallback flag of every record, which runs.csv does not carry."""
 
     def _records(self, system, cfg):
-        trace = run(system, system.targets, cfg, ExactEstimator(system))
+        trace = run(system, cfg, ExactEstimator(system))
         return [(r.step_size, r.fallback) for r in trace.records]
 
     def test_second_classical_fallbacks_and_backtracks(self):
@@ -268,22 +270,22 @@ class TestErrorMetric:
 
     def test_zero_at_exact_optimum(self):
         system = repetition_system()
-        E = dual_eigenvalue_solve(system, system.targets, iterations=500).value
+        E = dual_eigenvalue_solve(system, iterations=500).value
         cfg = OptimizerConfig(variant="second_classical", epsilon=0.05, max_iter=100, delta=1e-10)
         trace = run(
-            system, system.targets, cfg, ExactEstimator(system), reference_energy=E
+            system, cfg, ExactEstimator(system), reference_energy=E
         )
         assert trace.converged
         assert trace.final_error_metric <= 1e-3
 
     def test_window_means_non_increasing_after_burn_in(self):
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
-        E = dual_eigenvalue_solve(system, system.targets, iterations=1200).value
+        E = dual_eigenvalue_solve(system, iterations=1200).value
         cfg = OptimizerConfig(
             variant="first_classical", epsilon=0.3, max_iter=4000, nesterov=False, delta=1e-7
         )
         trace = run(
-            system, system.targets, cfg, ExactEstimator(system), reference_energy=E
+            system, cfg, ExactEstimator(system), reference_energy=E
         )
         errors = [r.error_metric for r in trace.records]
         tail = errors[len(errors) // 2 :]

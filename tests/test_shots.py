@@ -310,7 +310,7 @@ class TestShotEstimator:
         # 2 Hamiltonian terms + 3 single-word charges = 5 measured terms
         assert estimator.shots_per_term == 2000
         cfg = OptimizerConfig(variant="first_hqc", max_iter=0)
-        trace = run(system, system.targets, cfg, estimator)
+        trace = run(system, cfg, estimator)
         assert trace.records[0].shots_used == 10_000
         # a positive budget below the term count still measures each term once
         assert ShotEstimator(system, 1, shots_per_iteration=3).shots_per_term == 1
