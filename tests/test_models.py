@@ -17,33 +17,27 @@ from thermodual.models import (
 from thermodual.operators import commutes, parse_pauli
 
 
-def _brute_force_couplings(positions, nnn, J, lam):
-    """{(i, j): coupling} over every site pair: J at distance 1, lam * J at the nnn distance.
-
-    positions are (row, col) coordinates; the nnn pairs are distance 2 along
-    a line and the unit-cell diagonals on a grid.
-    """
-    on_line = all(r == 0 for r, _ in positions)
-    couplings = {}
-    for i, j in itertools.combinations(range(len(positions)), 2):
-        dr = abs(positions[i][0] - positions[j][0])
-        dc = abs(positions[i][1] - positions[j][1])
-        if dr + dc == 1:
-            couplings[(i, j)] = J
-        elif nnn and ((on_line and (dr, dc) == (0, 2)) or (not on_line and (dr, dc) == (1, 1))):
-            couplings[(i, j)] = lam * J
-    return couplings
-
-
 def _heisenberg_terms(kwargs) -> dict:
-    """{letters: coefficient} of the exchange Hamiltonian, built pair by pair."""
+    """{letters: coefficient} of the exchange Hamiltonian, built pair by pair.
+
+    Sites sit at (row, col) coordinates.  A pair at distance 1 couples with J;
+    with nnn, a pair at the next-to-nearest offset (2 apart on a line, a
+    unit-cell diagonal on a grid) couples with lam * J.
+    """
     if kwargs["geometry"] == "line":
         positions = [(0, c) for c in range(kwargs["n"])]
+        nnn_offset = (0, 2)
     else:
         positions = [(r, c) for r in range(kwargs["rows"]) for c in range(kwargs["cols"])]
-    couplings = _brute_force_couplings(
-        positions, kwargs.get("nnn", False), kwargs.get("J", 1.0), kwargs.get("lam", 0.5)
-    )
+        nnn_offset = (1, 1)
+    J = kwargs.get("J", 1.0)
+    couplings = {}
+    for i, j in itertools.combinations(range(len(positions)), 2):
+        offset = tuple(abs(a - b) for a, b in zip(positions[i], positions[j]))
+        if sum(offset) == 1:
+            couplings[(i, j)] = J
+        elif kwargs.get("nnn", False) and offset == nnn_offset:
+            couplings[(i, j)] = kwargs.get("lam", 0.5) * J
     terms = {}
     for (i, j), w in couplings.items():
         for letter in (1, 2, 3):
