@@ -108,34 +108,42 @@ def gradient(system: ThermoSystem, state: ThermalState) -> np.ndarray:
     return np.asarray(system.targets, dtype=float) - charge_expectations(system, state)
 
 
-def _logarithmic_mean_matrix(p: np.ndarray) -> np.ndarray:
-    """LM(p_a, p_b) = (p_a - p_b)/(ln p_a - ln p_b), with LM(p,p)=p and LM(p,0)=0."""
-    pa = p[:, None]
-    pb = p[None, :]
-    diff = pa - pb
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log(pa) - np.log(pb)
-        lm = np.where(np.abs(log_ratio) > 1e-14, diff / log_ratio, (pa + pb) / 2.0)
-    lm[(pa == 0.0) | (pb == 0.0)] = 0.0
-    return lm
+def _logarithmic_mean_matrix(levels: np.ndarray, p: np.ndarray, T: float) -> np.ndarray:
+    """LM(p_a, p_b) = (p_a - p_b)/(ln p_a - ln p_b) of levels with populations p at temperature T.
+
+    With x = -|lambda_a - lambda_b|/T, the smaller population is the larger
+    times e^x, so LM = max(p_a, p_b) expm1(x)/x, and LM(p, p) = p.  Taking x
+    from the levels keeps LM exact where the populations nearly cancel or
+    the smaller one underflowed to zero.
+    """
+    x = -np.abs(levels[:, None] - levels[None, :]) / T
+    larger = np.maximum(p[:, None], p[None, :])
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(x == 0.0, 1.0, np.expm1(x) / x)
+    return larger * ratio
 
 
 def hessian_exact(system: ThermoSystem, state: ThermalState) -> np.ndarray:
     """Exact dual Hessian via the logarithmic mean of Boltzmann populations.
 
     Entry (i,j) is -(1/T) sum_ab LM(p_a, p_b) <a|Q_i|b><b|Q_j|a>
-    + (1/T) <Q_i><Q_j>; the result is real, symmetric, and negative
-    semi-definite.
+    + (1/T) <Q_i><Q_j>, summed here as -(1/T) sum_ab LM(p_a, p_b)
+    <a|Q_i - <Q_i>|b><b|Q_j - <Q_j>|a>, which is the same as the
+    populations sum to 1 and leaves no cancellation of terms of size
+    ||Q||^2/T.  The result is real, symmetric, and negative semi-definite.
     """
     V = state.spectrum.eigenvectors
     p = state.populations
-    lm = _logarithmic_mean_matrix(p)
-    charge_mats = np.stack(
+    T = state.temperature
+    lm = _logarithmic_mean_matrix(state.spectrum.eigenvalues, p, T)
+    centered = np.stack(
         [V.conj().T @ qi.to_dense() @ V for qi in system.charges]
     )
-    means = np.einsum("iaa,a->i", charge_mats, p).real
-    correlations = np.einsum("ab,iab,jba->ij", lm, charge_mats, charge_mats)
-    hessian = (-correlations.real + np.outer(means, means)) / state.temperature
+    diagonal = np.arange(len(p))
+    means = np.einsum("ia,a->i", centered[:, diagonal, diagonal], p).real
+    centered[:, diagonal, diagonal] -= means[:, None]
+    correlations = np.einsum("ab,iab,jba->ij", lm, centered, centered)
+    hessian = -correlations.real / T
     return (hessian + hessian.T) / 2.0
 
 

@@ -195,6 +195,25 @@ class TestHessian:
                 ) / 2e-4
                 assert np.max(np.abs(fd - hess[:, i])) < 1e-5
 
+    def test_keeps_pairs_whose_smaller_population_underflows(self):
+        # at mu_z = 8 and T = 0.02 the levels one step down the Zeeman ladder sit
+        # 16/T = 800 above the populated one, so their weights underflow to zero;
+        # their logarithmic means with it do not, and give the x and y curvature
+        system = build_heisenberg("line", n=4, nnn=True)
+        mu, T = np.array([0.0, 0.0, 8.0]), 0.02
+        state = thermal_state(system, mu, T)
+        assert np.count_nonzero(state.populations) < system.dimension
+        hess = hessian_exact(system, state)
+        for i in range(3):
+            e = np.zeros(3)
+            e[i] = 1e-5
+            fd = (
+                gradient(system, thermal_state(system, mu + e, T))
+                - gradient(system, thermal_state(system, mu - e, T))
+            ) / 2e-5
+            assert np.max(np.abs(fd - hess[:, i])) < 1e-6
+        assert hess[0, 0] == pytest.approx(-0.5, abs=1e-9)
+
     def test_negative_semidefinite_and_bounded(self, rng):
         for _ in range(100):
             system = random_system(rng)
