@@ -19,6 +19,7 @@ import argparse
 import concurrent.futures
 import csv
 import inspect
+import itertools
 import json
 import sys
 import time
@@ -447,20 +448,28 @@ def _verify_formulas(seed: int):
 
 
 def _verify_gradients(seed: int):
+    """Derivatives against central differences: random systems on the dense path, built-in ones blocked."""
     rng = np.random.default_rng(seed)
+    detect422 = models.builtin_code("detect422")
+    conserved = [
+        models.build_heisenberg("line", n=4, nnn=True, targets=(0.5, -0.2, 0.3)),
+        models.build_stabilizer_system(
+            detect422, [(w, 0.1) for w in encoding.all_words(detect422.k) if any(w)]
+        ),
+    ]
     checks = []
     worst_grad = 0.0
     worst_hess = 0.0
     worst_psd = -np.inf
     worst_bound = -np.inf
-    for k in range(25):
-        system = _random_system(rng)
+    for system in itertools.chain((_random_system(rng) for _ in range(25)), conserved):
+        c = system.n_charges
         T = float(rng.uniform(0.5, 2.0))
-        mu = rng.normal(scale=0.5, size=3)
+        mu = rng.normal(scale=0.5, size=c)
         state = thermal_state(system, mu, T)
         g = gradient(system, state)
-        for i in range(3):
-            e = np.zeros(3)
+        for i in range(c):
+            e = np.zeros(c)
             e[i] = 1e-5
             fd = (
                 objective_f(system, thermal_state(system, mu + e, T))
@@ -468,8 +477,8 @@ def _verify_gradients(seed: int):
             ) / 2e-5
             worst_grad = max(worst_grad, abs(fd - g[i]))
         hess = hessian_exact(system, state)
-        for i in range(3):
-            e = np.zeros(3)
+        for i in range(c):
+            e = np.zeros(c)
             e[i] = 1e-4
             fd = (
                 gradient(system, thermal_state(system, mu + e, T))

@@ -1,23 +1,38 @@
 """Thermal states of H - mu.Q and the dual objective with its derivatives.
 
-`thermal_state` is the one place that builds and diagonalizes the effective
-Hamiltonian A = H - mu.Q; every derived quantity takes the ThermalState it
-returns and reads mu and T from it.  Boltzmann weights are shifted so the
-largest is exactly 1 before normalization, which keeps everything finite at
-temperatures far below the spectral gap; weights that underflow are treated
-as exact zeros, and entropies use the 0*ln(0) = 0 convention.
+`thermal_state` is the one builder of Gibbs states, and every derived
+quantity takes the ThermalState it returns and reads mu and T from it.  When
+the system's charges commute with H (`conserved`, as in every built-in
+model), A = H - mu.Q is block diagonal on the eigenspaces of H.  H is then
+diagonalized once per system, on the first call, and each call diagonalizes
+only the small blocks E_k - mu.Q^(k); any other system is one dense block.
+The populations, ln Z, the means of H and the charges and the exact Hessian
+are computed block by block.  The dense `rho` and the sorted `spectrum` are
+assembled only for the readers that ask for them.
+
+Boltzmann weights are shifted so the largest is exactly 1 before
+normalization, which keeps everything finite at temperatures far below the
+spectral gap; weights that underflow are treated as exact zeros, and
+entropies use the 0*ln(0) = 0 convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .models import ThermoSystem
+from .errors import NumericalIntegrityError
+from .models import ThermoSystem, conservation_tolerance
 from .operators import expectation
 
 WEIGHT_FLOOR = 1e-300
+
+# levels of H less than this apart, relative to max(1, max |E|), share a block.  A block
+# keeps each of its levels, so merging only enlarges it, while levels split by less mix
+# in the computed eigenvectors and would leak the charges from one block into another.
+GAP_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -40,25 +55,192 @@ class SpectralDecomposition:
 
 
 @dataclass(frozen=True)
+class EigenBlocks:
+    """H and the charges restricted to blocks that H - mu.Q never couples, for any mu.
+
+    Row 0 of `operators` holds H and row 1 + i charge i, each as its blocks
+    flattened one after another.  `shapes` lists the runs of equal-size
+    blocks as (count, size), in that order.  `basis` holds the block
+    coordinates as columns of the computational basis, in the same order;
+    None means one block that is the computational basis itself.
+    """
+
+    operators: np.ndarray
+    shapes: tuple[tuple[int, int], ...]
+    basis: np.ndarray | None
+
+
+def _dense_block(system: ThermoSystem) -> EigenBlocks:
+    """H and every charge as one dense block, for systems without conserved charges."""
+    dense = [system.hamiltonian.to_dense()] + [q.to_dense() for q in system.charges]
+    return EigenBlocks(np.stack(dense).reshape(len(dense), -1), ((1, system.dimension),), None)
+
+
+def _eigenspace_blocks(system: ThermoSystem) -> EigenBlocks:
+    """The eigenspaces of H, grouped by size, with H as its own levels and each charge projected.
+
+    Raises NumericalIntegrityError when a charge couples two blocks by more
+    than the tolerance its conservation was checked to.
+    """
+    h = system.hamiltonian.to_dense()
+    spectrum = SpectralDecomposition.of(h)
+    levels = spectrum.eigenvalues
+    cuts = np.flatnonzero(np.diff(levels) > GAP_TOLERANCE * max(1.0, np.max(np.abs(levels))))
+    bounds = np.concatenate(([0], cuts + 1, [len(levels)]))
+    # blocks of equal size side by side, so each run is one batched eigh
+    order = np.argsort(np.diff(bounds), kind="stable")
+    columns = np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in order])
+    sizes = np.diff(bounds)[order]
+    starts = np.cumsum(sizes) - sizes
+    basis = spectrum.eigenvectors[:, columns]
+    labels = np.repeat(order, sizes)
+    off_block = labels[:, None] != labels[None, :]
+    tolerance = conservation_tolerance(h)
+
+    def flattened(matrix):
+        return np.concatenate([matrix[a : a + n, a : a + n].ravel() for a, n in zip(starts, sizes)])
+
+    # inside a block H is its own levels, so levels merged by the gap tolerance stay apart
+    rows = [flattened(np.diag(levels[columns]).astype(complex))]
+    for i, q in enumerate(system.charges):
+        block_q = basis.conj().T @ (q.to_dense() @ basis)
+        leak = float(np.max(np.abs(block_q[off_block]), initial=0.0))
+        if leak > tolerance:
+            raise NumericalIntegrityError(
+                f"charge {i} couples eigenspaces of H: off-block element {leak:.3e}"
+            )
+        rows.append(flattened((block_q + block_q.conj().T) / 2.0))
+    operators = np.stack(rows)
+    runs, counts = np.unique(sizes, return_counts=True)
+    for array in (operators, basis):
+        array.setflags(write=False)
+    return EigenBlocks(operators, tuple(zip(counts.tolist(), runs.tolist())), basis)
+
+
+def eigen_blocks(system: ThermoSystem) -> EigenBlocks:
+    """The blocks of H - mu.Q: built once per conserved system and kept on it, else one dense block."""
+    if not system.conserved:
+        return _dense_block(system)
+    blocks = system._eigen_blocks
+    if blocks is None:
+        blocks = _eigenspace_blocks(system)
+        # a cache on a frozen system, as Observable caches its dense matrix
+        object.__setattr__(system, "_eigen_blocks", blocks)
+    return blocks
+
+
+def _runs(blocks: EigenBlocks):
+    """(count, size, level slice, operator slice) of each run of equal-size blocks."""
+    level = entry = 0
+    for count, size in blocks.shapes:
+        yield count, size, slice(level, level + count * size), slice(entry, entry + count * size * size)
+        level += count * size
+        entry += count * size * size
+
+
+@dataclass(frozen=True, eq=False)
 class ThermalState:
-    """rho proportional to exp(-(H - mu.Q)/T), with the spectrum of H - mu.Q cached."""
+    """rho proportional to exp(-(H - mu.Q)/T), held as the eigenpairs of each block of H - mu.Q.
+
+    `block_levels` and `block_populations` run block by block, and `vectors`
+    holds one (count, size, size) stack of block eigenvectors per run of
+    equal-size blocks, in block coordinates.  The means, the dense `rho`
+    and the ascending `spectrum` with its `populations` are computed on
+    first use.
+    """
 
     mu: np.ndarray
     temperature: float
-    rho: np.ndarray
-    spectrum: SpectralDecomposition
-    populations: np.ndarray  # Boltzmann weights, normalized, in eigenbasis order
+    blocks: EigenBlocks
+    vectors: tuple[np.ndarray, ...]
+    block_levels: np.ndarray
+    block_populations: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return self.rho.shape[0]
+        return len(self.block_levels)
+
+    @cached_property
+    def _means(self) -> np.ndarray:
+        """Tr[X rho] for X = H, Q_1, ..., from each block's density matrix."""
+        ops = self.blocks.operators
+        block_rho = np.empty(ops.shape[1], dtype=complex)
+        for (_, _, levels, entries), vecs in zip(_runs(self.blocks), self.vectors):
+            p = self.block_populations[levels].reshape(len(vecs), 1, -1)
+            block_rho[entries] = ((vecs * p) @ vecs.conj().transpose(0, 2, 1)).ravel()
+        # Tr[X rho] = sum X_mn conj(rho_mn), as rho is Hermitian
+        means = ops @ block_rho.conj()
+        residue = float(np.max(np.abs(means.imag)))
+        if residue > 1e-10:
+            raise NumericalIntegrityError(f"expectation has imaginary residue {residue:.3e}")
+        means = means.real
+        means.setflags(write=False)
+        return means
+
+    @property
+    def energy(self) -> float:
+        """Tr[H rho]."""
+        return float(self._means[0])
+
+    @property
+    def charge_means(self) -> np.ndarray:
+        """Tr[Q_i rho] for each charge."""
+        return self._means[1:]
+
+    @cached_property
+    def _eigenvectors(self) -> np.ndarray:
+        """Eigenvectors of H - mu.Q in the computational basis, as columns in block order."""
+        basis = self.blocks.basis
+        if basis is None:
+            return self.vectors[0][0]
+        out = np.empty((self.dimension, self.dimension), dtype=complex)
+        for (count, size, levels, _), vecs in zip(_runs(self.blocks), self.vectors):
+            cols = basis[:, levels].reshape(-1, count, size).transpose(1, 0, 2)
+            out[:, levels] = (cols @ vecs).transpose(1, 0, 2).reshape(-1, count * size)
+        return out
+
+    @cached_property
+    def _ascending(self) -> np.ndarray:
+        return np.argsort(self.block_levels, kind="stable")
+
+    @cached_property
+    def spectrum(self) -> SpectralDecomposition:
+        """Ascending eigenvalues of H - mu.Q with their eigenvectors in the computational basis."""
+        order = self._ascending
+        vals, vecs = self.block_levels[order], self._eigenvectors[:, order]
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        return SpectralDecomposition(vals, vecs)
+
+    @cached_property
+    def populations(self) -> np.ndarray:
+        """Boltzmann weights, normalized, in the order of `spectrum`."""
+        out = self.block_populations[self._ascending]
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """The dense density matrix, from the eigenvectors of populated levels only."""
+        occupied = self.block_populations > 0.0
+        vecs = self._eigenvectors[:, occupied]
+        rho = (vecs * self.block_populations[occupied]) @ vecs.conj().T
+        rho = (rho + rho.conj().T) / 2.0
+        rho.setflags(write=False)
+        return rho
+
+
+def _chemical_potentials(system: ThermoSystem, mu) -> np.ndarray:
+    """mu as a fresh float array, one entry per charge."""
+    mu = np.array(mu, dtype=float)
+    if mu.shape != (system.n_charges,):
+        raise ValueError(f"mu has shape {mu.shape}, expected ({system.n_charges},)")
+    return mu
 
 
 def effective_hamiltonian(system: ThermoSystem, mu) -> np.ndarray:
     """Dense A = H - mu.Q."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (system.n_charges,):
-        raise ValueError(f"mu has shape {mu.shape}, expected ({system.n_charges},)")
+    mu = _chemical_potentials(system, mu)
     acc = system.hamiltonian.to_dense().astype(complex)
     for m, charge in zip(mu, system.charges):
         if m != 0.0:
@@ -70,17 +252,22 @@ def thermal_state(system: ThermoSystem, mu, T: float) -> ThermalState:
     """Parameterized thermal state at chemical potentials mu and temperature T > 0."""
     if T <= 0:
         raise ValueError(f"temperature must be positive, got {T}")
-    mu = np.array(mu, dtype=float)
-    spectrum = SpectralDecomposition.of(effective_hamiltonian(system, mu))
-    lam, vecs = spectrum.eigenvalues, spectrum.eigenvectors
-    weights = np.exp(-((lam - lam[0]) / T))
+    mu = _chemical_potentials(system, mu)
+    blocks = eigen_blocks(system)
+    ops = blocks.operators
+    a = ops[0] - mu @ ops[1:]
+    levels = np.empty(system.dimension)
+    vectors = []
+    for count, size, level_slice, entries in _runs(blocks):
+        vals, vecs = np.linalg.eigh(a[entries].reshape(count, size, size))
+        levels[level_slice] = vals.ravel()
+        vectors.append(vecs)
+    weights = np.exp(-((levels - levels.min()) / T))
     weights[weights < WEIGHT_FLOOR] = 0.0
     populations = weights / weights.sum()
-    rho = (vecs * populations) @ vecs.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    for array in (mu, rho, populations):
+    for array in (mu, levels, populations, *vectors):
         array.setflags(write=False)
-    return ThermalState(mu, float(T), rho, spectrum, populations)
+    return ThermalState(mu, float(T), blocks, tuple(vectors), levels, populations)
 
 
 def log_partition(state: ThermalState) -> float:
@@ -89,8 +276,9 @@ def log_partition(state: ThermalState) -> float:
     The lowest level's shifted weight is exactly 1, so its population is
     1/sum(w) and ln Z = -lambda_0/T - ln p_0.
     """
-    lam0 = state.spectrum.eigenvalues[0]
-    return float(-lam0 / state.temperature - np.log(state.populations[0]))
+    lowest = int(np.argmin(state.block_levels))
+    lam0 = state.block_levels[lowest]
+    return float(-lam0 / state.temperature - np.log(state.block_populations[lowest]))
 
 
 def objective_f(system: ThermoSystem, state: ThermalState) -> float:
@@ -100,7 +288,8 @@ def objective_f(system: ThermoSystem, state: ThermalState) -> float:
 
 
 def charge_expectations(system: ThermoSystem, state: ThermalState) -> np.ndarray:
-    return np.array([expectation(qi, state.rho) for qi in system.charges])
+    """Tr[Q_i rho] for each charge of the system the state was built for."""
+    return np.array(state.charge_means)
 
 
 def gradient(system: ThermoSystem, state: ThermalState) -> np.ndarray:
@@ -114,10 +303,11 @@ def _logarithmic_mean_matrix(levels: np.ndarray, p: np.ndarray, T: float) -> np.
     With x = -|lambda_a - lambda_b|/T, the smaller population is the larger
     times e^x, so LM = max(p_a, p_b) expm1(x)/x, and LM(p, p) = p.  Taking x
     from the levels keeps LM exact where the populations nearly cancel or
-    the smaller one underflowed to zero.
+    the smaller one underflowed to zero.  Leading axes of levels and p are
+    batch axes; a and b run over the last one.
     """
-    x = -np.abs(levels[:, None] - levels[None, :]) / T
-    larger = np.maximum(p[:, None], p[None, :])
+    x = -np.abs(levels[..., :, None] - levels[..., None, :]) / T
+    larger = np.maximum(p[..., :, None], p[..., None, :])
     with np.errstate(invalid="ignore"):
         ratio = np.where(x == 0.0, 1.0, np.expm1(x) / x)
     return larger * ratio
@@ -131,18 +321,24 @@ def hessian_exact(system: ThermoSystem, state: ThermalState) -> np.ndarray:
     <a|Q_i - <Q_i>|b><b|Q_j - <Q_j>|a>, which is the same as the
     populations sum to 1 and leaves no cancellation of terms of size
     ||Q||^2/T.  The result is real, symmetric, and negative semi-definite.
+    No charge couples two blocks, so the pair sum runs within each block.
     """
-    V = state.spectrum.eigenvectors
-    p = state.populations
+    ops = state.blocks.operators
+    c = len(ops) - 1
     T = state.temperature
-    lm = _logarithmic_mean_matrix(state.spectrum.eigenvalues, p, T)
-    centered = np.stack(
-        [V.conj().T @ qi.to_dense() @ V for qi in system.charges]
-    )
-    diagonal = np.arange(len(p))
-    means = np.einsum("ia,a->i", centered[:, diagonal, diagonal], p).real
-    centered[:, diagonal, diagonal] -= means[:, None]
-    correlations = np.einsum("ab,iab,jba->ij", lm, centered, centered)
+    shift = state.charge_means[:, None, None]
+    correlations = np.zeros((c, c), dtype=complex)
+    for (count, size, levels, entries), vecs in zip(_runs(state.blocks), state.vectors):
+        charges = ops[1:, entries].reshape(c, count, size, size)
+        centered = vecs.conj().transpose(0, 2, 1) @ charges @ vecs
+        diagonal = np.arange(size)
+        centered[:, :, diagonal, diagonal] -= shift
+        lm = _logarithmic_mean_matrix(
+            state.block_levels[levels].reshape(count, size),
+            state.block_populations[levels].reshape(count, size),
+            T,
+        )
+        correlations += np.einsum("nab,inab,jnba->ij", lm, centered, centered)
     hessian = -correlations.real / T
     return (hessian + hessian.T) / 2.0
 

@@ -19,6 +19,14 @@ from .operators import Observable, PauliString, commutes, parse_pauli, pauli_pro
 # observable id of the Hamiltonian; ids below it index the charges
 HAMILTONIAN_OBS_ID = 1 << 20
 
+# bound on the entries of [H, Q] for a conserved charge, relative to max(1, max |H_ij|)
+CONSERVATION_TOLERANCE = 1e-12
+
+
+def conservation_tolerance(h: np.ndarray) -> float:
+    """The largest entry of [H, Q] that still counts as conserved, for dense H."""
+    return CONSERVATION_TOLERANCE * max(1.0, float(np.max(np.abs(h), initial=0.0)))
+
 
 @dataclass(frozen=True)
 class StabilizerCode:
@@ -94,7 +102,9 @@ class ThermoSystem:
     Stabilizer systems also keep each charge's logical word in `charge_words`.
     `su2_symmetric` marks a Hamiltonian that commutes with global spin
     rotations and charges that are the total magnetizations 2 S^x, 2 S^y,
-    2 S^z, in that order.
+    2 S^z, in that order.  A conserved system also keeps the eigenspace
+    blocks of H that `gibbs` builds on first use; they are never compared
+    or pickled.
     """
 
     hamiltonian: Observable
@@ -105,6 +115,7 @@ class ThermoSystem:
     code: StabilizerCode | None = field(default=None, compare=False)
     charge_words: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
     su2_symmetric: bool = field(default=False, compare=False)
+    _eigen_blocks: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.targets) != len(self.charges):
@@ -119,8 +130,12 @@ class ThermoSystem:
             for i, q in enumerate(self.charges):
                 qd = q.to_dense()
                 err = np.max(np.abs(h @ qd - qd @ h))
-                if err > 1e-12 * max(1.0, np.max(np.abs(h))):
+                if err > conservation_tolerance(h):
                     raise ValueError(f"charge {i} is not conserved: [H,Q] = {err:.3e}")
+
+    def __getstate__(self):
+        # the blocks refill on demand with the same bits, so a pickle carries none
+        return {**self.__dict__, "_eigen_blocks": None}
 
     @property
     def n_qubits(self) -> int:

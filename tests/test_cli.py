@@ -167,6 +167,26 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--out", str(out), "--strict"]) == 4
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
 
+    def test_exact_heisenberg_run_never_assembles_rho(self, tmp_path, monkeypatch):
+        from thermodual.gibbs import ThermalState
+
+        def refuse(state):
+            raise AssertionError("an exact Heisenberg run reads the block means only")
+
+        monkeypatch.setattr(ThermalState, "rho", property(refuse))
+        monkeypatch.setattr(ThermalState, "spectrum", property(refuse))
+        payload = {
+            "model": {
+                "kind": "heisenberg", "geometry": "line", "n": 6, "nnn": True,
+                "targets": [0.8, -0.3, 0.5],
+            },
+            "solver": {"variant": "first_classical", "epsilon": 0.1, "max_iter": 40},
+        }
+        config = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["runs"][0]["iterations"] == 41
+
     def test_worker_counts_agree_bytewise(self, tmp_path):
         config = write_config(tmp_path, REPETITION_HQC_CONFIG)
         out1 = tmp_path / "w1"

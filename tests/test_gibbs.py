@@ -1,11 +1,15 @@
+import itertools
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from thermodual.errors import NumericalIntegrityError
 from thermodual.gibbs import (
+    eigen_blocks,
     effective_hamiltonian,
     gradient,
     hessian_exact,
@@ -276,3 +280,131 @@ class TestSandwichBound:
             slack = 2e-5
             assert E >= F_T - slack
             assert F_T >= E - 3 * T * math.log(2) - slack
+
+
+def _heisenberg_family():
+    for n in range(2, 9):
+        for nnn in (False, True) if n >= 3 else (False,):
+            for J in (1.0, -1.5):
+                yield f"line{n}-{'nnn' if nnn else 'nn'}-J{J}", dict(geometry="line", n=n, nnn=nnn, J=J)
+    for rows, cols in ((2, 2), (2, 3)):
+        yield f"grid{rows}x{cols}-nnn", dict(geometry="grid", rows=rows, cols=cols, nnn=True)
+
+
+def _axes(k):
+    """The 3k single-qubit logical words of k encoded qubits."""
+    return [tuple(axis if q == qubit else 0 for q in range(k)) for qubit in range(k) for axis in (1, 2, 3)]
+
+
+CODE_WORD_SETS = {
+    "repetition3-axes": ("repetition3", _axes(1)),
+    "repetition3-xz": ("repetition3", [(1,), (3,)]),
+    "perfect5-axes": ("perfect5", _axes(1)),
+    "perfect5-y": ("perfect5", [(2,)]),
+    "detect422-axes": ("detect422", _axes(2)),
+    "detect422-all": ("detect422", [w for w in itertools.product(range(4), repeat=2) if any(w)]),
+    "detect422-pairs": ("detect422", [(1, 1), (2, 2), (3, 3)]),
+}
+
+
+def _builtin(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name in CODE_WORD_SETS:
+        code, words = CODE_WORD_SETS[name]
+        spec = [(w, float(t)) for w, t in zip(words, rng.uniform(-0.3, 0.3, size=len(words)))]
+        return build_stabilizer_system(builtin_code(code), spec)
+    kwargs = dict(_heisenberg_family())[name]
+    return build_heisenberg(**kwargs, targets=tuple(rng.uniform(-1.0, 1.0, size=3)))
+
+
+BUILTIN_NAMES = [name for name, _ in _heisenberg_family()] + list(CODE_WORD_SETS)
+
+
+def _close(blocked, dense, relative=False):
+    """Agreement to 1e-12, or to 1e-12 of the dense value's largest entry when relative and that exceeds 1."""
+    gap = float(np.max(np.abs(np.asarray(blocked) - np.asarray(dense))))
+    return gap <= 1e-12 * (max(1.0, float(np.max(np.abs(dense)))) if relative else 1.0)
+
+
+class TestEigenspaceBlocks:
+    """The blocked path of conserved systems against the dense path, its oracle."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_matches_dense_path(self, name):
+        system = _builtin(name)
+        dense = replace(system, conserved=False)
+        rng = np.random.default_rng(sum(map(ord, name)) + 1)
+        default_T = 0.1 / (system.n_qubits * math.log(2))
+        for T in (default_T, 1.0):
+            mu = rng.normal(size=system.n_charges)
+            a, b = thermal_state(system, mu, T), thermal_state(dense, mu, T)
+            assert a.blocks.basis is not None and b.blocks.basis is None
+            # ln Z grows like 1/T, so it is held to 1e-12 of its size
+            assert _close(log_partition(a), log_partition(b), relative=True)
+            assert _close(objective_f(system, a), objective_f(dense, b))
+            assert _close(gradient(system, a), gradient(dense, b))
+            assert _close(hessian_exact(system, a), hessian_exact(dense, b))
+            assert _close(a.spectrum.eigenvalues, b.spectrum.eigenvalues)
+            assert _close(a.rho, b.rho)
+            assert _close(a.energy, b.energy)
+
+    def test_spectrum_is_a_decomposition(self):
+        system = build_heisenberg("grid", rows=2, cols=3, nnn=True)
+        state = thermal_state(system, [0.4, -0.2, 0.3], 0.5)
+        spec = state.spectrum
+        assert spec.reconstruction_error(effective_hamiltonian(system, state.mu)) < 1e-12
+        assert np.all(np.diff(spec.eigenvalues) >= 0.0)
+        rebuilt = (spec.eigenvectors * state.populations) @ spec.eigenvectors.conj().T
+        assert np.max(np.abs(rebuilt - state.rho)) < 1e-14
+
+    def test_degenerate_multiplets_share_a_block(self):
+        # line 3: a spin-3/2 quadruplet and two spin-1/2 doublets, each exactly degenerate
+        system = build_heisenberg("line", n=3)
+        assert eigen_blocks(system).shapes == ((2, 2), (1, 4))
+        dense = replace(system, conserved=False)
+        for mu in ([0.0, 0.0, 0.0], [0.3, -0.1, 0.2]):
+            a, b = thermal_state(system, mu, 0.2), thermal_state(dense, mu, 0.2)
+            assert _close(a.rho, b.rho)
+            assert _close(hessian_exact(system, a), hessian_exact(dense, b))
+
+    def test_levels_merged_by_the_gap_tolerance_stay_exact(self):
+        # levels 1 +- 5e-11 and -1 +- 5e-11 merge into two blocks, and each keeps its level:
+        # at T = 1e-10 the populations within a pair differ by a factor e
+        system = ThermoSystem(
+            Observable.from_strings(2, [(5e-11, "ZI"), (1.0, "ZZ")]),
+            (Observable.from_strings(2, [(1.0, "ZI")]), Observable.from_strings(2, [(1.0, "IZ")])),
+            (0.0, 0.0),
+            conserved=True,
+        )
+        assert eigen_blocks(system).shapes == ((2, 2),)
+        T = 1e-10
+        state = thermal_state(system, [0.0, 0.0], T)
+        p = state.populations
+        assert p[0] / p[1] == pytest.approx(math.e, rel=1e-5)
+        dense = thermal_state(replace(system, conserved=False), [0.0, 0.0], T)
+        assert np.max(np.abs(state.rho - dense.rho)) < 1e-12
+        assert log_partition(state) == pytest.approx(log_partition(dense), rel=1e-12)
+
+    def test_charge_leaking_out_of_its_block_is_refused(self):
+        # [H, Q] = 2e-13 passes the conservation check, but in the eigenbasis of H
+        # the charge couples the levels +-0.01 by 1e-11
+        system = ThermoSystem(
+            Observable.from_strings(1, [(1e-2, "Z")]),
+            (Observable.from_strings(1, [(1.0, "Z"), (1e-11, "X")]),),
+            (0.0,),
+            conserved=True,
+        )
+        with pytest.raises(NumericalIntegrityError, match="couples eigenspaces"):
+            thermal_state(system, [0.1], 1.0)
+
+    def test_blocks_are_built_once_and_not_pickled(self):
+        system = build_heisenberg("line", n=6, nnn=True, targets=(0.5, 0.0, 0.5))
+        before = pickle.dumps(system)
+        state = thermal_state(system, [0.1, 0.2, 0.3], 0.3)
+        hessian_exact(system, state)
+        assert eigen_blocks(system) is state.blocks
+        assert len(pickle.dumps(system)) == len(before)
+        copy = pickle.loads(before)
+        assert copy == system and copy._eigen_blocks is None
+        again = thermal_state(copy, [0.1, 0.2, 0.3], 0.3)
+        assert np.array_equal(again.rho, state.rho)

@@ -237,22 +237,23 @@ class TestStepRecords:
         return [(r.step_size, r.fallback) for r in trace.records]
 
     def test_second_classical_fallbacks_and_backtracks(self):
-        # backtracking halves eta to 1/64, and iterations 3 and 4 take the
-        # safeguarded gradient step; clean steps then double eta back to 1
+        # backtracking halves eta to 1/64, and iteration 3 takes the safeguarded
+        # gradient step; clean steps then double eta back to 1
         system = build_heisenberg("line", n=3, nnn=True, targets=(1.2, -0.4, 0.3))
         cfg = OptimizerConfig(variant="second_classical", epsilon=0.1)
-        fallbacks = {3, 4}
-        etas = [1.0] * 6 + [2.0**-6] * 3 + [2.0**-k for k in range(5, 0, -1)] + [1.0] * 4
+        fallbacks = {3}
+        etas = [1.0] * 5 + [2.0**-6] * 3 + [2.0**-k for k in range(5, 0, -1)] + [1.0] * 4
         assert self._records(system, cfg) == [
             (eta, m in fallbacks) for m, eta in enumerate(etas)
         ]
 
     def test_second_classical_remembers_the_backtracked_eta(self):
-        system = build_heisenberg("line", n=4, nnn=True, targets=(2.0, 0.0, 0.0))
+        # the capped step backtracks once, and clean steps double the kept eta back to 1
+        system = build_heisenberg("line", n=5, targets=(-0.1, 1.5, 0.1))
         cfg = OptimizerConfig(variant="second_classical", epsilon=0.1)
-        kept = 0.12152933040451007
-        etas = [1.0, 1.0, kept, kept, 2 * kept, 4 * kept, 8 * kept] + [1.0] * 8
-        assert 8 * kept == 0.9722346432360806
+        kept = 0.02025283334010032
+        etas = [1.0] * 4 + [kept, kept] + [2.0**k * kept for k in range(1, 6)] + [1.0] * 4
+        assert 32 * kept == 0.6480906668832103
         assert self._records(system, cfg) == [(eta, False) for eta in etas]
 
     def test_nesterov_keeps_its_fixed_step(self):
