@@ -19,13 +19,10 @@ from .operators import Observable, PauliString, commutes, parse_pauli, pauli_pro
 # observable id of the Hamiltonian; ids below it index the charges
 HAMILTONIAN_OBS_ID = 1 << 20
 
-# bound on the entries of [H, Q] for a conserved charge, relative to max(1, max |H_ij|)
-CONSERVATION_TOLERANCE = 1e-12
-
 
 def conservation_tolerance(h: np.ndarray) -> float:
-    """The largest entry of [H, Q] that still counts as conserved, for dense H."""
-    return CONSERVATION_TOLERANCE * max(1.0, float(np.max(np.abs(h), initial=0.0)))
+    """The largest entry of [H, Q] that still counts as conserved: 1e-12 of max(1, max |H_ij|)."""
+    return 1e-12 * max(1.0, float(np.max(np.abs(h), initial=0.0)))
 
 
 @dataclass(frozen=True)
