@@ -32,6 +32,7 @@ from . import encoding, models, oracle
 from .errors import ConfigError, NumericalIntegrityError, ResourceError
 from .gibbs import gradient, hessian_exact, objective_f, smoothness_L, thermal_state
 from .models import ThermoSystem
+from .operators import term_expectations
 from .optimize import ExactEstimator, OptimizerConfig, Trace, first_order_step_size, run
 from .oracle import (
     ReferenceEnergy,
@@ -448,7 +449,10 @@ def _verify_formulas(seed: int):
 
 
 def _verify_gradients(seed: int):
-    """Derivatives against central differences: random systems on the dense path, built-in ones blocked."""
+    """Derivatives against central differences, and the Pauli-term means against the dense gather.
+
+    The random systems take the dense path and the built-in ones their blocks.
+    """
     rng = np.random.default_rng(seed)
     detect422 = models.builtin_code("detect422")
     conserved = [
@@ -462,11 +466,16 @@ def _verify_gradients(seed: int):
     worst_hess = 0.0
     worst_psd = -np.inf
     worst_bound = -np.inf
+    worst_terms = 0.0
     for system in itertools.chain((_random_system(rng) for _ in range(25)), conserved):
         c = system.n_charges
         T = float(rng.uniform(0.5, 2.0))
         mu = rng.normal(scale=0.5, size=c)
         state = thermal_state(system, mu, T)
+        dense = np.concatenate(
+            [term_expectations(obs, state.rho) for obs in (system.hamiltonian, *system.charges)]
+        )
+        worst_terms = max(worst_terms, float(np.max(np.abs(state.term_means - dense))))
         g = gradient(system, state)
         for i in range(c):
             e = np.zeros(c)
@@ -494,6 +503,11 @@ def _verify_gradients(seed: int):
     checks.append(("hessian matches gradient differences <= 1e-5", worst_hess <= 1e-5, f"max {worst_hess:.2e}"))
     checks.append(("hessian negative semi-definite", worst_psd <= 1e-10, f"max eig {worst_psd:.2e}"))
     checks.append(("hessian norm within smoothness bound", worst_bound <= 1e-9, f"slack {worst_bound:.2e}"))
+    checks.append((
+        "Pauli term means from the blocks match the dense gather <= 1e-12",
+        worst_terms <= 1e-12,
+        f"max {worst_terms:.2e}",
+    ))
     return checks
 
 

@@ -7,8 +7,9 @@ model), A = H - mu.Q is block diagonal on the eigenspaces of H.  H is then
 diagonalized once per system, on the first call, and each call diagonalizes
 only the small blocks E_k - mu.Q^(k); any other system is one dense block.
 The populations, ln Z, the means of H and the charges and the exact Hessian
-are computed block by block.  The dense `rho` and the sorted `spectrum` are
-assembled only for the readers that ask for them.
+are computed block by block, and so is the mean of every Pauli term of H and
+the charges, which the shot estimators sample.  The dense `rho` and the
+sorted `spectrum` are assembled only for the readers that ask for them.
 
 Boltzmann weights are shifted so the largest is exactly 1 before
 normalization, which keeps everything finite at temperatures far below the
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalIntegrityError
 from .models import ThermoSystem, conservation_tolerance
-from .operators import expectation
+from .operators import Observable, expectation, term_expectations
 
 WEIGHT_FLOOR = 1e-300
 
@@ -58,22 +59,58 @@ class SpectralDecomposition:
 class EigenBlocks:
     """H and the charges restricted to blocks that H - mu.Q never couples, for any mu.
 
-    Row 0 of `operators` holds H and row 1 + i charge i, each as its blocks
-    flattened one after another.  `shapes` lists the runs of equal-size
-    blocks as (count, size), in that order.  `basis` holds the block
-    coordinates as columns of the computational basis, in the same order;
-    None means one block that is the computational basis itself.
+    `observables` holds H and then each charge, and row k of `operators`
+    holds observable k as its blocks flattened one after another.  `shapes`
+    lists the runs of equal-size blocks as (count, size), in that order.
+    `basis` holds the block coordinates as columns of the computational
+    basis, in the same order; None means one block that is the
+    computational basis itself.
     """
 
+    observables: tuple[Observable, ...]
     operators: np.ndarray
     shapes: tuple[tuple[int, int], ...]
     basis: np.ndarray | None
 
+    @cached_property
+    def term_slices(self) -> tuple[slice, ...]:
+        """The entries of `ThermalState.term_means` that hold each observable's terms."""
+        ends = np.cumsum([len(obs.terms) for obs in self.observables]).tolist()
+        return tuple(slice(end - len(obs.terms), end) for obs, end in zip(self.observables, ends))
+
+    @cached_property
+    def term_operators(self) -> np.ndarray:
+        """Each Pauli term of each observable projected into the blocks, one row per term, in order.
+
+        Rows are flattened like `operators`.  A block-diagonal rho sees only
+        these elements, so Tr[P rho] is the sum over blocks of Tr[P^(k) rho^(k)].
+        Built on first use, for blocks with a basis only.
+        """
+        basis = self.basis
+        d = len(basis)
+        runs = [
+            (entries, basis[:, levels].reshape(d, count, size).transpose(1, 0, 2))
+            for count, size, levels, entries in _runs(self)
+        ]
+        rows = np.empty((self.term_slices[-1].stop, self.operators.shape[1]), dtype=complex)
+        k = 0
+        for obs in self.observables:
+            for cols, factors in zip(*obs.pauli_action()):
+                # row a of P @ basis is factors[cols[a]] * basis[cols[a]], as cols is an involution
+                phases = factors[cols][None, :, None]
+                for entries, stacked in runs:
+                    projected = stacked.conj().transpose(0, 2, 1) @ (phases * stacked[:, cols])
+                    rows[k, entries] = projected.ravel()
+                k += 1
+        rows.setflags(write=False)
+        return rows
+
 
 def _dense_block(system: ThermoSystem) -> EigenBlocks:
     """H and every charge as one dense block, for systems without conserved charges."""
-    dense = [system.hamiltonian.to_dense()] + [q.to_dense() for q in system.charges]
-    return EigenBlocks(np.stack(dense).reshape(len(dense), -1), ((1, system.dimension),), None)
+    observables = (system.hamiltonian, *system.charges)
+    dense = np.stack([obs.to_dense() for obs in observables])
+    return EigenBlocks(observables, dense.reshape(len(dense), -1), ((1, system.dimension),), None)
 
 
 def _eigenspace_blocks(system: ThermoSystem) -> EigenBlocks:
@@ -114,7 +151,8 @@ def _eigenspace_blocks(system: ThermoSystem) -> EigenBlocks:
     runs, counts = np.unique(sizes, return_counts=True)
     for array in (operators, basis):
         array.setflags(write=False)
-    return EigenBlocks(operators, tuple(zip(counts.tolist(), runs.tolist())), basis)
+    shapes = tuple(zip(counts.tolist(), runs.tolist()))
+    return EigenBlocks((system.hamiltonian, *system.charges), operators, shapes, basis)
 
 
 def eigen_blocks(system: ThermoSystem) -> EigenBlocks:
@@ -161,21 +199,36 @@ class ThermalState:
         return len(self.block_levels)
 
     @cached_property
-    def _means(self) -> np.ndarray:
-        """Tr[X rho] for X = H, Q_1, ..., from each block's density matrix."""
-        ops = self.blocks.operators
-        block_rho = np.empty(ops.shape[1], dtype=complex)
+    def _block_rho(self) -> np.ndarray:
+        """Each block's density matrix in block coordinates, flattened like the block operators."""
+        block_rho = np.empty(self.blocks.operators.shape[1], dtype=complex)
         for (_, _, levels, entries), vecs in zip(_runs(self.blocks), self.vectors):
             p = self.block_populations[levels].reshape(len(vecs), 1, -1)
             block_rho[entries] = ((vecs * p) @ vecs.conj().transpose(0, 2, 1)).ravel()
+        return block_rho
+
+    @cached_property
+    def _means(self) -> np.ndarray:
+        """Tr[X rho] for X = H, Q_1, ..., from each block's density matrix."""
         # Tr[X rho] = sum X_mn conj(rho_mn), as rho is Hermitian
-        means = ops @ block_rho.conj()
-        residue = float(np.max(np.abs(means.imag)))
-        if residue > 1e-10:
-            raise NumericalIntegrityError(f"expectation has imaginary residue {residue:.3e}")
-        means = means.real
-        means.setflags(write=False)
-        return means
+        return _real_means(self.blocks.operators @ self._block_rho.conj())
+
+    @cached_property
+    def term_means(self) -> np.ndarray:
+        """Tr[P rho] for every Pauli term P of H and then of each charge, in term order.
+
+        `blocks.term_slices` says which entries belong to which observable.
+        Conserved systems read the terms projected into the blocks, in one
+        product; the one dense block gathers each term from its density
+        matrix along the word's basis action.
+        """
+        if self.blocks.basis is None:
+            d = self.dimension
+            rho = self._block_rho.reshape(d, d)
+            return _real_means(
+                np.concatenate([term_expectations(obs, rho) for obs in self.blocks.observables])
+            )
+        return _real_means(self.blocks.term_operators @ self._block_rho.conj())
 
     @property
     def energy(self) -> float:
@@ -228,6 +281,16 @@ class ThermalState:
         rho = (rho + rho.conj().T) / 2.0
         rho.setflags(write=False)
         return rho
+
+
+def _real_means(means: np.ndarray) -> np.ndarray:
+    """The real parts of computed means, refused when an imaginary part exceeds 1e-10."""
+    residue = float(np.max(np.abs(means.imag), initial=0.0))
+    if residue > 1e-10:
+        raise NumericalIntegrityError(f"expectation has imaginary residue {residue:.3e}")
+    means = means.real
+    means.setflags(write=False)
+    return means
 
 
 def _chemical_potentials(system: ThermoSystem, mu) -> np.ndarray:

@@ -16,9 +16,6 @@ import numpy as np
 from .errors import ConfigError
 from .operators import Observable, PauliString, commutes, parse_pauli, pauli_product
 
-# observable id of the Hamiltonian; ids below it index the charges
-HAMILTONIAN_OBS_ID = 1 << 20
-
 
 def conservation_tolerance(h: np.ndarray) -> float:
     """The largest entry of [H, Q] that still counts as conserved: 1e-12 of max(1, max |H_ij|)."""
@@ -145,10 +142,6 @@ class ThermoSystem:
     @property
     def n_charges(self) -> int:
         return len(self.charges)
-
-    def observable(self, obs_id: int) -> Observable:
-        """The Hamiltonian for HAMILTONIAN_OBS_ID, else charge obs_id."""
-        return self.hamiltonian if obs_id == HAMILTONIAN_OBS_ID else self.charges[obs_id]
 
 
 def _heisenberg_edges(geometry, n, rows, cols, nnn, J, lam) -> tuple[int, list]:

@@ -167,7 +167,7 @@ class Observable:
     lexicographically on their letters so equality is structural.
     """
 
-    __slots__ = ("n", "terms", "_dense", "_spectral_norm", "_action")
+    __slots__ = ("n", "terms", "_dense", "_spectral_norm", "_action", "_coefficients")
 
     def __init__(self, n: int, terms):
         if n < 1:
@@ -191,6 +191,7 @@ class Observable:
         self._dense = None
         self._spectral_norm = None
         self._action = None
+        self._coefficients = None
 
     @property
     def dimension(self) -> int:
@@ -236,6 +237,15 @@ class Observable:
         return self._action
 
     @property
+    def coefficients(self) -> np.ndarray:
+        """The real coefficient of each term, in term order; built on first use and cached."""
+        if self._coefficients is None:
+            coefficients = np.array([coeff for coeff, _ in self.terms], dtype=float)
+            coefficients.setflags(write=False)
+            self._coefficients = coefficients
+        return self._coefficients
+
+    @property
     def spectral_norm(self) -> float:
         if self._spectral_norm is None:
             if not self.terms:
@@ -251,7 +261,7 @@ class Observable:
 
     def __setstate__(self, state):
         self.n, self.terms = state
-        self._dense = self._spectral_norm = self._action = None
+        self._dense = self._spectral_norm = self._action = self._coefficients = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -284,3 +294,13 @@ def expectation(obs: Observable, rho: np.ndarray) -> float:
             f"expectation has imaginary residue {value.imag:.3e}"
         )
     return value.real
+
+
+def term_expectations(obs: Observable, rho: np.ndarray) -> np.ndarray:
+    """Re Tr[P rho] for each term's word P, gathered from rho along the words' basis action.
+
+    Tr[P rho] = sum_j factors[j] rho[j, cols[j]] (see `Observable.pauli_action`),
+    so each term costs O(2^n) and no matrix is built.
+    """
+    cols, factors = obs.pauli_action()
+    return np.sum(factors * rho[np.arange(obs.dimension), cols], axis=1).real

@@ -19,8 +19,15 @@ from typing import Protocol
 
 import numpy as np
 
-from .gibbs import ThermalState, hessian_exact, objective_f, smoothness_L, thermal_state
-from .models import HAMILTONIAN_OBS_ID, ThermoSystem
+from .gibbs import (
+    ThermalState,
+    charge_expectations,
+    hessian_exact,
+    objective_f,
+    smoothness_L,
+    thermal_state,
+)
+from .models import ThermoSystem
 
 VARIANTS = ("first_classical", "second_classical", "first_hqc", "second_hqc")
 
@@ -88,7 +95,11 @@ class OptimizerConfig:
 class Estimator(Protocol):
     """Expectation source: exact traces or simulated measurement."""
 
-    def expectation(self, state: ThermalState, obs_id: int, eval_index: int) -> float: ...
+    def estimate(
+        self, state: ThermalState, eval_index: int, energy: bool
+    ) -> tuple[np.ndarray, float | None]:
+        """The charge estimates, and the energy estimate when `energy` is set (else None)."""
+        ...
 
     def hessian(self, state: ThermalState, eval_index: int) -> np.ndarray: ...
 
@@ -106,10 +117,10 @@ class ExactEstimator:
     def __init__(self, system: ThermoSystem):
         self.system = system
 
-    def expectation(self, state: ThermalState, obs_id: int, eval_index: int) -> float:
-        if obs_id == HAMILTONIAN_OBS_ID:
-            return state.energy
-        return float(state.charge_means[obs_id])
+    def estimate(
+        self, state: ThermalState, eval_index: int, energy: bool
+    ) -> tuple[np.ndarray, float | None]:
+        return charge_expectations(self.system, state), (state.energy if energy else None)
 
     def hessian(self, state: ThermalState, eval_index: int) -> np.ndarray:
         return hessian_exact(self.system, state)
@@ -177,22 +188,19 @@ class _Evaluator:
     def state(self, mu) -> ThermalState:
         return thermal_state(self.system, mu, self.T)
 
-    def _charges(self, state) -> tuple[int, np.ndarray]:
-        """Charge estimates under a fresh evaluation index, returned with it."""
+    def _estimate(self, state, energy: bool) -> tuple[np.ndarray, float | None]:
+        """The estimator's charges (and energy) under a fresh evaluation index."""
         idx = self.eval_index
         self.eval_index += 1
-        self._shots += self._charge_shots
-        estimate = self.estimator.expectation
-        return idx, np.array([estimate(state, i, idx) for i in range(self.system.n_charges)])
+        self._shots += self._charge_shots + (self._energy_shots if energy else 0)
+        return self.estimator.estimate(state, idx, energy)
 
     def gradient_only(self, state) -> np.ndarray:
-        return self.q - self._charges(state)[1]
+        return self.q - self._estimate(state, False)[0]
 
     def full(self, state):
         """The gradient and output-value estimates, and the error metric when a reference is set."""
-        idx, charges = self._charges(state)
-        h_val = self.estimator.expectation(state, HAMILTONIAN_OBS_ID, idx)
-        self._shots += self._energy_shots
+        charges, h_val = self._estimate(state, True)
         grad = self.q - charges
         mu = state.mu
         f_est = float(mu @ self.q + h_val - mu @ charges)

@@ -4,7 +4,9 @@ Expectations are estimated at the Pauli-term level: each term is measured as
 a +-1 outcome with success probability (1 + <P>)/2, which is statistically
 identical to measuring the corresponding circuit at this scale.  The number
 of +1 outcomes among N shots is exactly Binomial(N, (1 + <P>)/2), so each
-term costs one binomial draw, whatever N.
+term costs one binomial draw, whatever N.  The term means <P> come from the
+thermal state (`ThermalState.term_means`), which for conserved charges reads
+them off its eigenspace blocks without a dense rho.
 
 The Hessian estimator follows the time-averaged-conjugation form of the dual
 Hessian: each Pauli pair runs interference tests at its own times drawn from
@@ -16,9 +18,11 @@ characteristic function tanh(omega/2)/(omega/2), so wbar is exact and each
 pair's count of +1 outcomes is again one binomial draw.
 
 Randomness is organized as derived streams: a 64-bit mix of
-(master seed, iteration, observable-or-entry id) seeds one generator per
-measurement call, which draws every term's or pair's count at once, making
-results independent of evaluation order.
+(master seed, evaluation, id) seeds each generator, so results never depend
+on evaluation order.  One evaluation of the charges and the energy draws
+from one generator, the charges in order and then H, one binomial call per
+observable for all its terms.  A Hessian draws each upper-triangle entry's
+pairs and each of its two factor estimates from a generator of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from .errors import NumericalIntegrityError
 # thermal_state is not called here; benchmarks/tracer.py hooks this module's name for it
 from .gibbs import ThermalState, charge_expectations, thermal_state  # noqa: F401
-from .models import HAMILTONIAN_OBS_ID, ThermoSystem
+from .models import ThermoSystem
 from .operators import PAULI_MATRICES, Observable
 
 _MASK64 = (1 << 64) - 1
@@ -40,7 +44,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 ESTIMATOR_MODES = ("generic", "extensive")
 
-# observable-id namespaces for stream derivation, above HAMILTONIAN_OBS_ID
+# id namespaces of a Hessian's entry and factor streams; an evaluation draws from id 0
 HESSIAN_ENTRY_BASE = 1 << 21
 HESSIAN_FACTOR_BASE = 1 << 22
 
@@ -100,17 +104,23 @@ def tent_characteristic(omega) -> np.ndarray:
     return np.where(zero, 1.0, np.tanh(half) / np.where(zero, 1.0, half))
 
 
-def _binomial_means(values: np.ndarray, shots: int, stream: RngStream) -> np.ndarray:
+def _binomial_means(values: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Mean of `shots` +-1 outcomes with P(+1) = (1 + v)/2, for each v in values.
 
     The count of +1 outcomes is one Binomial(shots, (1 + v)/2) draw per value,
-    all drawn from one stream.generator().
+    all in one call on rng.  A value that is not finite, or exceeds 1 in
+    magnitude beyond rounding, raises NumericalIntegrityError.
     """
-    bad = np.flatnonzero(np.abs(values) > 1.0 + 1e-9)
-    if len(bad):
-        raise NumericalIntegrityError(f"outcome mean {values[bad[0]]} exceeds 1 in magnitude")
-    probs = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
-    counts = stream.generator().binomial(shots, probs)
+    # written so that NaN fails it too
+    if not np.abs(values).max(initial=0.0) <= 1.0 + 1e-9:
+        bad = values[~(np.abs(values) <= 1.0 + 1e-9)][0]
+        raise NumericalIntegrityError(f"outcome mean {bad} is not a number in [-1, 1]")
+    probs = np.minimum(np.maximum((1.0 + values) / 2.0, 0.0), 1.0)
+    if len(probs) == 1:
+        # the scalar call draws the same count without the array call's argument checks (~10 us)
+        counts = np.array([rng.binomial(shots, float(probs[0]))])
+    else:
+        counts = rng.binomial(shots, probs)
     return 2.0 * counts / shots - 1.0
 
 
@@ -120,16 +130,20 @@ def _binomial_means(values: np.ndarray, shots: int, stream: RngStream) -> np.nda
 
 
 def estimate_observable(
-    rho: np.ndarray, obs: Observable, shots_per_term: int, stream: RngStream
+    term_means: np.ndarray, obs: Observable, shots_per_term: int, rng: np.random.Generator
 ) -> float:
-    """Unbiased shot estimate of Tr[obs rho], term by term."""
+    """Unbiased shot estimate of <obs> = sum_k c_k <P_k>, given each term's mean <P_k>."""
     if shots_per_term < 1:
         raise ValueError("need at least one shot per term")
-    cols, factors = obs.pauli_action()
-    # Tr[P rho] = sum_j factors[j] rho[j, cols[j]], every term in one gather
-    means = np.sum(factors * rho[np.arange(obs.dimension), cols], axis=1).real
-    coeffs = np.array([coeff for coeff, _ in obs.terms])
-    return float(coeffs @ _binomial_means(means, shots_per_term, stream))
+    if len(term_means) != len(obs.terms):
+        raise ValueError(f"{len(term_means)} term means for {len(obs.terms)} terms")
+    return float(obs.coefficients @ _binomial_means(term_means, shots_per_term, rng))
+
+
+def _observable_term_means(state: ThermalState) -> list[np.ndarray]:
+    """The term means of H and then of each charge, one array per observable."""
+    means = state.term_means
+    return [means[part] for part in state.blocks.term_slices]
 
 
 # ---------------------------------------------------------------------------
@@ -340,25 +354,23 @@ def estimate_hessian(
     if mode == "extensive":
         _check_extensive(system)
     pairs = _pair_means(system, state, mode)
+    charge_means = _observable_term_means(state)[1:]
 
     c = system.n_charges
     hessian = np.zeros((c, c))
     for i in range(c):
         for j in range(i, c):
             coeffs, wbar = pairs(i, j)
-            entry_stream = stream.with_observable(HESSIAN_ENTRY_BASE + i * c + j)
-            first = float(coeffs @ _binomial_means(wbar, time_samples, entry_stream))
+            entry_rng = stream.with_observable(HESSIAN_ENTRY_BASE + i * c + j).generator()
+            first = float(coeffs @ _binomial_means(wbar, time_samples, entry_rng))
+            factor = HESSIAN_FACTOR_BASE + 2 * (i * c + j)
             qi = estimate_observable(
-                state.rho,
-                system.charges[i],
-                shots,
-                stream.with_observable(HESSIAN_FACTOR_BASE + 2 * (i * c + j)),
+                charge_means[i], system.charges[i], shots,
+                stream.with_observable(factor).generator(),
             )
             qj = estimate_observable(
-                state.rho,
-                system.charges[j],
-                shots,
-                stream.with_observable(HESSIAN_FACTOR_BASE + 2 * (i * c + j) + 1),
+                charge_means[j], system.charges[j], shots,
+                stream.with_observable(factor + 1).generator(),
             )
             value = (-first + qi * qj) / state.temperature
             hessian[i, j] = value
@@ -424,11 +436,26 @@ class ShotEstimator:
         other.master_seed = int(master_seed)
         return other
 
-    def expectation(self, state: ThermalState, obs_id: int, eval_index: int) -> float:
-        stream = RngStream(self.master_seed, eval_index, obs_id)
-        return estimate_observable(
-            state.rho, self.system.observable(obs_id), self.shots_per_term, stream
+    def estimate(
+        self, state: ThermalState, eval_index: int, energy: bool
+    ) -> tuple[np.ndarray, float | None]:
+        """Shot estimates of the charges, and of H when `energy` is set, at one evaluation.
+
+        Every draw comes from the evaluation's one generator, the charges in
+        order and then H, so the charge estimates do not depend on `energy`.
+        """
+        rng = RngStream(self.master_seed, eval_index).generator()
+        h_means, *charge_means = _observable_term_means(state)
+        charges = np.array([
+            estimate_observable(means, q, self.shots_per_term, rng)
+            for means, q in zip(charge_means, self.system.charges)
+        ])
+        if not energy:
+            return charges, None
+        energy_estimate = estimate_observable(
+            h_means, self.system.hamiltonian, self.shots_per_term, rng
         )
+        return charges, energy_estimate
 
     def hessian(self, state: ThermalState, eval_index: int) -> np.ndarray:
         return estimate_hessian(

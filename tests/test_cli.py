@@ -187,6 +187,41 @@ class TestRunCommand:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["runs"][0]["iterations"] == 41
 
+    def test_sampled_heisenberg_run_never_assembles_rho(self, tmp_path, monkeypatch):
+        from thermodual.gibbs import ThermalState
+
+        def refuse(state):
+            raise AssertionError("a first-order sampled run reads the term means of the blocks")
+
+        monkeypatch.setattr(ThermalState, "rho", property(refuse))
+        monkeypatch.setattr(ThermalState, "spectrum", property(refuse))
+        payload = {
+            "model": {
+                "kind": "heisenberg", "geometry": "line", "n": 6, "nnn": True,
+                "targets": [0.8, -0.3, 0.5],
+            },
+            "solver": {
+                "variant": "first_hqc", "epsilon": 0.1, "max_iter": 30,
+                "shots_per_iteration": 10000,
+            },
+            "repetitions": 2,
+        }
+        config = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [run["iterations"] for run in summary["runs"]] == [31, 31]
+
+    def test_mean_that_is_not_finite_exits_3(self, tmp_path, monkeypatch, capsys):
+        from thermodual.gibbs import ThermalState
+
+        monkeypatch.setattr(
+            ThermalState, "term_means", property(lambda state: np.full(5, np.nan))
+        )
+        config = write_config(tmp_path, REPETITION_HQC_CONFIG)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical integrity error: outcome mean nan")
+
     def test_worker_counts_agree_bytewise(self, tmp_path):
         config = write_config(tmp_path, REPETITION_HQC_CONFIG)
         out1 = tmp_path / "w1"
@@ -411,6 +446,10 @@ class TestSweepCommand:
         payload = json.loads(json.dumps(REPETITION_HQC_CONFIG))
         payload["solver"]["max_iter"] = 120
         payload["repetitions"] = 5
+        # targets off the 0.1 grid of 20-shot term estimates: on it, a 100-shot run often
+        # stops on estimates that hit every target exactly and reports an error of 0
+        for charge, target in zip(payload["model"]["charges"], (0.23, 0.04, 0.47)):
+            charge["target"] = target
         config = write_config(tmp_path, payload)
         out = tmp_path / "sweep"
         assert main([

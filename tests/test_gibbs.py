@@ -20,7 +20,8 @@ from thermodual.gibbs import (
     thermal_state,
 )
 from thermodual.models import ThermoSystem, build_heisenberg, build_stabilizer_system, builtin_code, codespace_projector
-from thermodual.operators import Observable, PauliString, expectation
+from thermodual.encoding import all_words
+from thermodual.operators import Observable, PauliString, expectation, term_expectations
 from thermodual.oracle import dual_eigenvalue_solve, trace_distance
 
 from conftest import random_system
@@ -402,3 +403,47 @@ class TestEigenspaceBlocks:
         assert copy == system and copy._eigen_blocks is None
         again = thermal_state(copy, [0.1, 0.2, 0.3], 0.3)
         assert np.array_equal(again.rho, state.rho)
+
+
+def _term_mean_system(name):
+    """A built-in family (the codes with every logical word), or a random system without conserved charges."""
+    if name == "random":
+        return random_system(np.random.default_rng(5), n=3, n_charges=3)
+    if name in ("repetition3", "perfect5", "detect422"):
+        code = builtin_code(name)
+        return build_stabilizer_system(code, [(w, 0.0) for w in all_words(code.k) if any(w)])
+    heisenberg = {
+        "line6-nnn": dict(geometry="line", n=6, nnn=True),
+        "grid2x3-nnn": dict(geometry="grid", rows=2, cols=3, nnn=True),
+        "line8": dict(geometry="line", n=8),
+    }
+    return build_heisenberg(**heisenberg[name])
+
+
+class TestTermMeans:
+    """The Pauli-term means the shot layer samples, against the dense gather from rho."""
+
+    @pytest.mark.parametrize(
+        "name", ["line6-nnn", "grid2x3-nnn", "line8", "repetition3", "perfect5", "detect422", "random"]
+    )
+    def test_match_the_dense_gather(self, name):
+        system = _term_mean_system(name)
+        assert system.conserved == (name != "random")
+        rng = np.random.default_rng(sum(map(ord, name)))
+        observables = (system.hamiltonian, *system.charges)
+        for T in (0.1 / (system.n_qubits * math.log(2)), 1.0):
+            state = thermal_state(system, rng.normal(size=system.n_charges), T)
+            dense = np.concatenate([term_expectations(obs, state.rho) for obs in observables])
+            assert state.term_means.shape == dense.shape
+            assert np.max(np.abs(state.term_means - dense)) <= 1e-13
+            # each observable's slice, weighted by its coefficients, is its mean
+            parts = [state.term_means[part] for part in state.blocks.term_slices]
+            sums = [obs.coefficients @ part for obs, part in zip(observables, parts)]
+            assert np.max(np.abs(np.array(sums) - [state.energy, *state.charge_means])) <= 1e-12
+
+    def test_projections_are_built_once_per_system(self):
+        system = build_heisenberg("line", n=4, nnn=True)
+        first = thermal_state(system, [0.1, 0.0, 0.2], 0.3)
+        first.term_means
+        second = thermal_state(system, [0.3, -0.2, 0.0], 0.3)
+        assert second.blocks.term_operators is first.blocks.term_operators

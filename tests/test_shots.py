@@ -7,13 +7,9 @@ from scipy.stats import binom, chisquare
 
 import thermodual.shots as shots
 from thermodual.gibbs import charge_expectations, hessian_exact, thermal_state
-from thermodual.models import (
-    HAMILTONIAN_OBS_ID,
-    build_heisenberg,
-    build_stabilizer_system,
-    builtin_code,
-)
-from thermodual.operators import PAULI_MATRICES, Observable, expectation
+from thermodual.errors import NumericalIntegrityError
+from thermodual.models import build_heisenberg, build_stabilizer_system, builtin_code
+from thermodual.operators import PAULI_MATRICES, Observable, expectation, term_expectations
 from thermodual.optimize import OptimizerConfig, run
 from thermodual.shots import (
     RngStream,
@@ -56,12 +52,17 @@ class TestStreamDerivation:
         assert not np.array_equal(a, c)
 
 
+def estimate_on(rho, obs, shots_per_term, stream):
+    """A shot estimate of Tr[obs rho], with the term means gathered from a dense rho."""
+    return estimate_observable(term_expectations(obs, rho), obs, shots_per_term, stream.generator())
+
+
 class TestEstimateObservable:
     def test_deterministic_outcome(self):
         obs = Observable.from_strings(1, [(1.0, "Z")])
         rho = np.diag([1.0, 0.0]).astype(complex)
         for shots in (1, 10, 1000):
-            value = estimate_observable(rho, obs, shots, RngStream(1))
+            value = estimate_on(rho, obs, shots, RngStream(1))
             assert value == 1.0
 
     def test_unbiased_within_confidence_interval(self, rng):
@@ -71,7 +72,7 @@ class TestEstimateObservable:
         exact = expectation(x_tot, rho)
         shots = 400
         estimates = np.array([
-            estimate_observable(rho, x_tot, shots, RngStream(50, iteration=k))
+            estimate_on(rho, x_tot, shots, RngStream(50, iteration=k))
             for k in range(200)
         ])
         se = estimates.std(ddof=1) / np.sqrt(len(estimates))
@@ -86,7 +87,7 @@ class TestEstimateObservable:
             for c, w in obs.terms
         )
         estimates = np.array([
-            estimate_observable(rho, obs, shots, RngStream(7, iteration=k))
+            estimate_on(rho, obs, shots, RngStream(7, iteration=k))
             for k in range(1000)
         ])
         observed = estimates.var(ddof=1)
@@ -94,10 +95,19 @@ class TestEstimateObservable:
 
     def test_rejects_unnormalized_state(self):
         obs = Observable.from_strings(1, [(1.0, "Z")])
-        from thermodual.errors import NumericalIntegrityError
-
         with pytest.raises(NumericalIntegrityError):
-            estimate_observable(np.diag([2.0, 0.0]).astype(complex), obs, 10, RngStream(1))
+            estimate_on(np.diag([2.0, 0.0]).astype(complex), obs, 10, RngStream(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_mean_that_is_not_finite(self, bad):
+        obs = Observable.from_strings(2, [(1.0, "ZI"), (0.5, "IX")])
+        with pytest.raises(NumericalIntegrityError, match="not a number in"):
+            estimate_observable(np.array([0.2, bad]), obs, 10, RngStream(1).generator())
+
+    def test_refuses_means_of_another_observable(self):
+        obs = Observable.from_strings(2, [(1.0, "ZI"), (0.5, "IX")])
+        with pytest.raises(ValueError, match="1 term means for 2 terms"):
+            estimate_observable(np.array([0.2]), obs, 10, RngStream(1).generator())
 
 
 class TestTentSampler:
@@ -201,6 +211,14 @@ class TestHessianEstimate:
         se = estimates.std(axis=0, ddof=1) / np.sqrt(len(estimates))
         assert np.all(np.abs(mean - exact) <= 4 * se + 1e-12)
 
+    def test_rejects_a_pair_mean_that_is_not_finite(self, monkeypatch):
+        system = repetition_system()
+        state = thermal_state(system, np.zeros(3), 0.5)
+        nan_pairs = lambda i, j: (np.ones(1), np.full(1, np.nan))  # noqa: E731
+        monkeypatch.setattr(shots, "_pair_means", lambda *args: nan_pairs)
+        with pytest.raises(NumericalIntegrityError, match="outcome mean nan"):
+            estimate_hessian(system, state, 10, 10, RngStream(1))
+
     def test_exactly_symmetric(self):
         system = repetition_system()
         state = thermal_state(system, np.zeros(3), 0.5)
@@ -264,13 +282,12 @@ class TestExactLaw:
         system, state = pinned_case("repetition3")
         rho = state.rho
         shots_per_term = 12
-        ids = (HAMILTONIAN_OBS_ID, *range(system.n_charges))
-        words = [word for k in ids for _, word in system.observable(k).terms]
+        words = [word for obs in (system.hamiltonian, *system.charges) for _, word in obs.terms]
         for word in words:
             obs = Observable(system.n_qubits, [(1.0, word)])
             p = (1.0 + expectation(obs, rho)) / 2.0
             counts = [
-                round((estimate_observable(rho, obs, shots_per_term, RngStream(31, k)) + 1.0)
+                round((estimate_on(rho, obs, shots_per_term, RngStream(31, k)) + 1.0)
                       * shots_per_term / 2.0)
                 for k in range(4000)
             ]
@@ -330,9 +347,20 @@ class TestShotEstimator:
         exact = expectation(system.charges[2], state.rho)
         wide = ShotEstimator(system, 11, shots_per_iteration=100)
         tight = ShotEstimator(system, 11, shots_per_iteration=1_000_000)
-        err_wide = abs(wide.expectation(state, 2, 0) - exact)
-        err_tight = abs(tight.expectation(state, 2, 0) - exact)
+        err_wide = abs(wide.estimate(state, 0, False)[0][2] - exact)
+        err_tight = abs(tight.estimate(state, 0, False)[0][2] - exact)
         assert err_tight < max(err_wide, 5e-3)
+
+    @pytest.mark.parametrize("name", ["repetition3", "grid2x3"])
+    def test_energy_draws_follow_the_charges(self, name):
+        # one generator per evaluation draws the charges first, so measuring H changes none
+        system, state = pinned_case(name)
+        estimator = ShotEstimator(system, 17, shots_per_iteration=500)
+        charges, energy = estimator.estimate(state, 6, True)
+        alone, none = estimator.estimate(state, 6, False)
+        assert none is None and isinstance(energy, float)
+        assert np.array_equal(charges, alone)
+        assert not np.array_equal(charges, estimator.estimate(state, 7, False)[0])
 
     def test_hessian_uses_mode(self):
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
@@ -435,11 +463,14 @@ PINNED_HESSIAN = {
 class TestPinnedOutputs:
     @pytest.mark.parametrize("name,seed", sorted(PINNED_OBSERVABLE))
     def test_estimate_observable(self, name, seed):
+        # the term means of the state's blocks; H draws from stream id 1 << 20, charge k from id k
         system, state = pinned_case(name)
-        ids = [HAMILTONIAN_OBS_ID, *range(system.n_charges)]
+        observables = (system.hamiltonian, *system.charges)
+        ids = [1 << 20, *range(system.n_charges)]
+        means = [state.term_means[part] for part in state.blocks.term_slices]
         got = [
-            estimate_observable(state.rho, system.observable(k), 37, RngStream(seed, 3, k))
-            for k in ids
+            estimate_observable(m, obs, 37, RngStream(seed, 3, k).generator())
+            for m, obs, k in zip(means, observables, ids)
         ]
         assert got == PINNED_OBSERVABLE[(name, seed)]
 
