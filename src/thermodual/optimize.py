@@ -8,7 +8,9 @@ acceleration); second order solves the Newton system against the
 (estimated) Hessian, with gradient-norm backtracking on the step size and,
 for the sampled variant, a shift that forces the Hessian estimate negative
 semi-definite.  The returned value is mu.q + H_est - sum_i mu_i Q_est_i,
-evaluated with fresh estimates at the final point.
+evaluated with fresh estimates at the final point, and so is the final
+error metric: the estimate that stopped the run is selected for a small
+gradient norm, so its own error would be biased low.
 """
 
 from __future__ import annotations
@@ -152,6 +154,7 @@ class Trace:
     converged: bool = False
     final_mu: np.ndarray | None = None
     final_value: float | None = None
+    final_error_metric: float | None = None
 
     @property
     def iterations(self) -> int:
@@ -160,10 +163,6 @@ class Trace:
     @property
     def final_grad_norm(self) -> float:
         return self.records[-1].grad_norm
-
-    @property
-    def final_error_metric(self) -> float | None:
-        return self.records[-1].error_metric
 
 
 def error_metric(E_ref: float, f_estimate: float, grad_estimate) -> float:
@@ -383,8 +382,8 @@ def run(
     is at most delta, or after max_iter updates.  Otherwise the step rule,
     gradient for first order and Newton for second order, picks the next
     point.  Infeasible targets are not detected here and simply show up as
-    a gradient norm that never crosses the threshold.  The output value is
-    a fresh estimate at the last point.
+    a gradient norm that never crosses the threshold.  The output value
+    and the final error metric come from a fresh estimate at the last point.
     """
     T = config.resolved_temperature(system)
     delta = config.resolved_delta()
@@ -413,6 +412,6 @@ def run(
             break
         point = next_point
 
-    _, trace.final_value, _ = ev.full(ev.state(point))
+    _, trace.final_value, trace.final_error_metric = ev.full(ev.state(point))
     trace.final_mu = point.copy()
     return trace

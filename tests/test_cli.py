@@ -446,10 +446,6 @@ class TestSweepCommand:
         payload = json.loads(json.dumps(REPETITION_HQC_CONFIG))
         payload["solver"]["max_iter"] = 120
         payload["repetitions"] = 5
-        # targets off the 0.1 grid of 20-shot term estimates: on it, a 100-shot run often
-        # stops on estimates that hit every target exactly and reports an error of 0
-        for charge, target in zip(payload["model"]["charges"], (0.23, 0.04, 0.47)):
-            charge["target"] = target
         config = write_config(tmp_path, payload)
         out = tmp_path / "sweep"
         assert main([

@@ -279,6 +279,22 @@ class TestErrorMetric:
         assert trace.converged
         assert trace.final_error_metric <= 1e-3
 
+    def test_final_error_comes_from_a_fresh_estimate(self):
+        # at 20 shots per term a run stops on estimates selected for a small gradient norm
+        system = repetition_system()
+        E = dual_eigenvalue_solve(system, iterations=500).value
+        cfg = OptimizerConfig(variant="first_hqc", epsilon=0.1, max_iter=120)
+        estimator = ShotEstimator(system, 11, shots_per_iteration=100)
+        trace = run(system, cfg, estimator, reference_energy=E)
+        # one evaluation per record, then the fresh one at the last point
+        state = thermal_state(system, trace.final_mu, trace.temperature)
+        charges, energy = estimator.estimate(state, trace.iterations, True)
+        mu, q = trace.final_mu, np.asarray(system.targets, dtype=float)
+        f_est = float(mu @ q + energy - mu @ charges)
+        assert trace.final_value == f_est
+        assert trace.final_error_metric == error_metric(E, f_est, q - charges)
+        assert trace.final_error_metric != trace.records[-1].error_metric
+
     def test_window_means_non_increasing_after_burn_in(self):
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
         E = dual_eigenvalue_solve(system, iterations=1200).value
