@@ -116,12 +116,7 @@ def _binomial_means(values: np.ndarray, shots: int, rng: np.random.Generator) ->
         bad = values[~(np.abs(values) <= 1.0 + 1e-9)][0]
         raise NumericalIntegrityError(f"outcome mean {bad} is not a number in [-1, 1]")
     probs = np.minimum(np.maximum((1.0 + values) / 2.0, 0.0), 1.0)
-    if len(probs) == 1:
-        # the scalar call draws the same count without the array call's argument checks (~10 us)
-        counts = np.array([rng.binomial(shots, float(probs[0]))])
-    else:
-        counts = rng.binomial(shots, probs)
-    return 2.0 * counts / shots - 1.0
+    return 2.0 * rng.binomial(shots, probs) / shots - 1.0
 
 
 # ---------------------------------------------------------------------------
