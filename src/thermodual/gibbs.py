@@ -350,14 +350,9 @@ def objective_f(system: ThermoSystem, state: ThermalState) -> float:
     return float(state.mu @ q) - state.temperature * log_partition(state)
 
 
-def charge_expectations(system: ThermoSystem, state: ThermalState) -> np.ndarray:
-    """Tr[Q_i rho] for each charge of the system the state was built for."""
-    return np.array(state.charge_means)
-
-
 def gradient(system: ThermoSystem, state: ThermalState) -> np.ndarray:
     """Gradient of the dual objective: component i is q_i - Tr[Q_i rho_T(mu)], q the system's targets."""
-    return np.asarray(system.targets, dtype=float) - charge_expectations(system, state)
+    return np.asarray(system.targets, dtype=float) - state.charge_means
 
 
 def _logarithmic_mean_matrix(levels: np.ndarray, p: np.ndarray, T: float) -> np.ndarray:

@@ -20,14 +20,6 @@ MAX_DENSE_QUBITS = 10
 # letter encoding: 0=I, 1=X, 2=Y, 3=Z
 LETTERS = "IXYZ"
 
-# single-qubit I, X, Y, Z in letter order
-PAULI_MATRICES = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
 # single-site products sigma_a sigma_b = i^PHASE_TABLE[a,b] * sigma_LETTER_TABLE[a,b]
 _LETTER_TABLE = np.zeros((4, 4), dtype=np.int8)
 _PHASE_TABLE = np.zeros((4, 4), dtype=np.int8)
@@ -126,6 +118,10 @@ class PauliString:
         word = [0] * n
         word[site] = letter
         return PauliString(tuple(word))
+
+
+# single-qubit I, X, Y, Z in letter order, from the same word action as every other matrix
+PAULI_MATRICES = tuple(PauliString((l,)).to_dense() for l in range(4))
 
 
 def pauli_product(a: PauliString, b: PauliString) -> PauliString:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .gibbs import (
     ThermalState,
-    charge_expectations,
     hessian_exact,
     objective_f,
     smoothness_L,
@@ -122,7 +121,9 @@ class ExactEstimator:
     def estimate(
         self, state: ThermalState, eval_index: int, energy: bool
     ) -> tuple[np.ndarray, float | None]:
-        return charge_expectations(self.system, state), (state.energy if energy else None)
+        # a fresh contiguous copy: `mu @ charges` on the strided view of the means
+        # rounds differently and moves exact runs in their last digit
+        return np.array(state.charge_means), (state.energy if energy else None)
 
     def hessian(self, state: ThermalState, eval_index: int) -> np.ndarray:
         return hessian_exact(self.system, state)

@@ -3,8 +3,10 @@
 By strong duality the constrained minimum energy E* = min Tr[H rho] subject
 to Tr[Q_i rho] = q_i equals max_mu mu.q + lambda_min(H - mu.Q); it is the
 reference E in the solver error metric.  `reference_energy` evaluates it in
-closed form for the two built-in model families, and `check_feasible`
-decides whether any state meets the targets at all.
+closed form for the two built-in model families: -(n - k) for a stabilizer
+code, and for a Heisenberg model a maximum over the lowest levels of H in
+its S^z sectors.  `check_feasible` decides whether any state meets the
+targets at all.
 `dual_eigenvalue_solve` maximizes the dual by supergradient ascent for any
 system; it is the independent cross-check of the closed forms.
 The closeness report compares a Gibbs state against the maximally mixed state
@@ -19,16 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalIntegrityError
+from .errors import ConfigError
 from .gibbs import effective_hamiltonian
 from .models import ThermoSystem
 from .operators import PauliString
 
 # targets this far outside the attainable set still count as feasible
 FEASIBILITY_TOLERANCE = 1e-9
-# weight of S^2 in the labelling eigensolve; irrational so that distinct
-# (energy, spin) levels do not collide
-_SPIN_SPLIT = 0.01 * np.sqrt(2.0)
 # the supergradient phase steps _DUAL_STEP / sqrt(m) at iteration m
 _DUAL_STEP = 1.0
 # adaptive-step ascent iterations that polish the best averaged iterate
@@ -136,41 +135,31 @@ def check_feasible(system: ThermoSystem):
         )
 
 
-def spin_levels(system: ThermoSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Energy E_a and total spin S_a of every eigenvector of an SU(2)-symmetric H.
+def _su2_reference(system: ThermoSystem) -> float:
+    """E* = max_{r >= 0} r|q| + min_m (e_m - 2 r m), e_m the lowest level of H at S^z = m.
 
-    One eigh of H + eps S^2 with S^2 = sum_a (Q_a / 2)^2: H commutes with
-    S^2, so each eigenvector carries a definite spin.
+    With mu = r q/|q| a global rotation takes H - mu.Q to H - 2 r S^z and
+    leaves H fixed.  H conserves S^z, so lambda_min(H - 2 r S^z) is
+    min_m (e_m - 2 r m), each e_m from the basis states with S^z = m alone.
+    A rotation by pi maps the sector m onto -m, so m >= 0 suffices.  The objective is concave and piecewise linear in r, so
+    its maximum sits at r = 0 or where two of the lines e_m - 2 r m cross.
     """
     h = system.hamiltonian.to_dense()
-    s2 = sum(q @ q for q in (c.to_dense() for c in system.charges)) / 4.0
-    vals, vecs = np.linalg.eigh(h + _SPIN_SPLIT * s2)
-    spin_sq = np.real(np.einsum("ia,ij,ja->a", vecs.conj(), s2, vecs))
-    spins = np.round(2.0 * (np.sqrt(0.25 + spin_sq) - 0.5)) / 2.0
-    if np.max(np.abs(spin_sq - spins * (spins + 1.0))) > 1e-8:
-        raise NumericalIntegrityError("eigenvectors of H + eps S^2 carry no definite spin")
-    return vals - _SPIN_SPLIT * spins * (spins + 1.0), spins
-
-
-def _su2_reference(system: ThermoSystem) -> float:
-    """E* = max_{r >= 0} r|q| + min_a (E_a - 2 r S_a).
-
-    With mu = r q/|q| the spectrum of H - mu.Q is {E_a - 2 r m : |m| <= S_a}.
-    The objective is concave and piecewise linear in r, so its maximum sits
-    at r = 0 or where two of the lines E_S - 2 r S cross (E_S the lowest
-    energy of spin S).
-    """
-    energies, spins = spin_levels(system)
-    S = np.unique(spins)
-    E = np.array([energies[spins == s].min() for s in S])
+    # the charges are 2 S^x, 2 S^y, 2 S^z in that order, and 2 S^z is diagonal
+    twice_m = np.real(np.diagonal(system.charges[2].to_dense()))
+    M = np.unique(twice_m[twice_m >= 0.0]) / 2.0
+    E = np.array([
+        np.linalg.eigvalsh(h[np.ix_(sel, sel)])[0]
+        for sel in (np.flatnonzero(twice_m == 2.0 * m) for m in M)
+    ])
     norm = float(np.linalg.norm(system.targets))
     crossings = [
-        (E[a] - E[b]) / (2.0 * (S[a] - S[b]))
-        for a in range(len(S))
-        for b in range(a + 1, len(S))
+        (E[a] - E[b]) / (2.0 * (M[a] - M[b]))
+        for a in range(len(M))
+        for b in range(a + 1, len(M))
     ]
     r = np.array([0.0] + [c for c in crossings if c > 0.0])
-    return float(np.max(r * norm + np.min(E[None, :] - 2.0 * r[:, None] * S[None, :], axis=1)))
+    return float(np.max(r * norm + np.min(E[None, :] - 2.0 * r[:, None] * M[None, :], axis=1)))
 
 
 def reference_energy(system: ThermoSystem) -> ReferenceEnergy:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NumericalIntegrityError
 # thermal_state is not called here; benchmarks/tracer.py hooks this module's name for it
-from .gibbs import ThermalState, charge_expectations, thermal_state  # noqa: F401
+from .gibbs import ThermalState, thermal_state  # noqa: F401
 from .models import ThermoSystem
 from .operators import PAULI_MATRICES, Observable
 
@@ -243,7 +243,7 @@ def hessian_fourier_quadrature(
     integral, _ = quad_vec(
         integrand, -T_CUT, T_CUT, points=[0.0], epsabs=1e-10, epsrel=1e-10, limit=400
     )
-    means = charge_expectations(system, state)
+    means = state.charge_means
     hessian = (-integral + np.outer(means, means)) / state.temperature
     return (hessian + hessian.T) / 2.0
 

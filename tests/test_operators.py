@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from thermodual.errors import NumericalIntegrityError, ResourceError
 from thermodual.models import build_heisenberg
 from thermodual.operators import (
+    PAULI_MATRICES,
     Observable,
     PauliString,
     commutes,
@@ -16,7 +17,7 @@ from thermodual.operators import (
     pauli_product,
 )
 
-from conftest import dense_word, random_density
+from conftest import SIGMAS, dense_word, random_density
 
 pauli_strings = st.builds(
     PauliString,
@@ -189,6 +190,12 @@ class TestPauliAction:
             for phase_power in range(4):
                 signed = PauliString(word.letters, phase_power)
                 assert np.array_equal(signed.to_dense(), dense_word(word.letters, signed.phase))
+
+    def test_single_qubit_matrices_match_the_oracle(self):
+        assert len(PAULI_MATRICES) == len(SIGMAS)
+        for ours, reference in zip(PAULI_MATRICES, SIGMAS):
+            assert ours.dtype == reference.dtype
+            assert np.array_equal(ours, reference)
 
     def test_line8_observables_match_kron_sum(self):
         system = build_heisenberg("line", n=8, nnn=True, lam=0.5)

@@ -21,7 +21,6 @@ from thermodual.oracle import (
     relative_entropy,
     sandwiched_renyi,
     reference_energy,
-    spin_levels,
     state_fidelity,
     trace_distance,
 )
@@ -219,7 +218,7 @@ def ray_maximum(system, iterations=100):
     """Golden-section maximum of r|q| + lambda_min(H - r q.Q/|q|) over r >= 0, dense.
 
     The dual is concave and, by rotation symmetry, maximal along q, so this
-    is an independent evaluation of E* that reads no spin labels.
+    is an independent evaluation of E* that reads no S^z sectors.
     """
     q = np.array(system.targets)
     norm = np.linalg.norm(q)
@@ -246,12 +245,6 @@ def heisenberg_case(geometry, size, nnn, J, fraction, seed):
     return build_heisenberg(
         geometry, nnn=nnn, J=J, targets=random_direction(rng, fraction * n), **kwargs
     )
-
-
-def spin_count(n, S):
-    """Number of n-spin-1/2 states of total spin S."""
-    up = int(round(n / 2 - S))
-    return int((2 * S + 1) * (math.comb(n, up) - (math.comb(n, up - 1) if up > 0 else 0)))
 
 
 def state_expectations(rng, k, words, rank):
@@ -315,19 +308,30 @@ class TestClosedFormReference:
         solved = dual_eigenvalue_solve(system, iterations=300)
         assert closed.value == pytest.approx(solved.value, abs=1e-9)
 
+    @pytest.mark.parametrize("geometry,size,nnn", [("line", 6, True), ("grid", (2, 3), True)])
+    def test_heisenberg_runs_no_full_size_eigensolve(self, monkeypatch, geometry, size, nnn):
+        system = heisenberg_case(geometry, size, nnn, 1.0, 0.5, seed=0)
+        expected = reference_energy(system).value
+        full = system.dimension
+
+        def refusing(solver):
+            def wrapped(a, *args, **kwargs):
+                assert np.shape(a)[-1] < full, f"{solver.__name__} on a {full}-dim matrix"
+                return solver(a, *args, **kwargs)
+            return wrapped
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refusing(getattr(np.linalg, name)))
+        assert reference_energy(system).value == expected
+
+    @pytest.mark.parametrize("J", [1.0, -1.0])
     @pytest.mark.parametrize("geometry,size,nnn", [
         ("line", 5, False), ("line", 6, True), ("grid", (2, 3), True),
     ])
-    def test_spin_labels_give_multiplets(self, geometry, size, nnn):
-        system = heisenberg_case(geometry, size, nnn, 1.0, 0.5, seed=0)
-        energies, spins = spin_levels(system)
-        n = system.n_qubits
-        for S in np.unique(spins):
-            assert np.sum(spins == S) == spin_count(n, S)
-            levels = energies[spins == S]
-            # each level of spin S is a multiplet of 2S + 1 states
-            for energy in np.unique(np.round(levels, 8)):
-                assert np.sum(np.abs(levels - energy) < 1e-8) % (2 * S + 1) == 0
+    def test_zero_targets_give_the_ground_energy(self, geometry, size, nnn, J):
+        system = heisenberg_case(geometry, size, nnn, J, 0.0, seed=0)
+        ground = np.linalg.eigvalsh(system.hamiltonian.to_dense())[0]
+        assert reference_energy(system).value == pytest.approx(ground, abs=1e-12)
 
     def test_neither_family_raises(self, rng):
         from conftest import random_system

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import binom, chisquare
 
 import thermodual.shots as shots
-from thermodual.gibbs import charge_expectations, hessian_exact, thermal_state
+from thermodual.gibbs import hessian_exact, thermal_state
 from thermodual.errors import NumericalIntegrityError
 from thermodual.models import build_heisenberg, build_stabilizer_system, builtin_code
 from thermodual.operators import PAULI_MATRICES, Observable, expectation, term_expectations
@@ -259,7 +259,7 @@ class TestExactLaw:
     def test_pair_means_sum_to_exact_hessian(self, name, mode):
         system, state = pinned_case(name)
         exact = hessian_exact(system, state)
-        means = charge_expectations(system, state)
+        means = state.charge_means
         pairs = shots._pair_means(system, state, mode)
         for i in range(system.n_charges):
             for j in range(i, system.n_charges):
@@ -305,7 +305,7 @@ class TestExactLaw:
         system, state = pinned_case("repetition3")
         time_samples, shots_per_term, T = 30, 20, state.temperature
         exact = hessian_exact(system, state)
-        m = charge_expectations(system, state)
+        m = state.charge_means
         wbar = -T * exact + np.outer(m, m)
         second = m**2 + (1.0 - m**2) / shots_per_term
         predicted = (
