@@ -9,7 +9,8 @@ only the small blocks E_k - mu.Q^(k); any other system is one dense block.
 The populations, ln Z, the means of H and the charges and the exact Hessian
 are computed block by block, and so is the mean of every Pauli term of H and
 the charges, which the shot estimators sample.  The dense `rho` and the
-sorted `spectrum` are assembled only for the readers that ask for them.
+eigenvectors in the computational basis are assembled only for the readers
+that ask for them.
 
 Boltzmann weights are shifted so the largest is exactly 1 before
 normalization, which keeps everything finite at temperatures far below the
@@ -49,10 +50,6 @@ class SpectralDecomposition:
         vals.setflags(write=False)
         vecs.setflags(write=False)
         return SpectralDecomposition(vals, vecs)
-
-    def reconstruction_error(self, matrix: np.ndarray) -> float:
-        rebuilt = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-        return float(np.max(np.abs(matrix - rebuilt)))
 
 
 @dataclass(frozen=True)
@@ -183,7 +180,7 @@ class ThermalState:
     `block_levels` and `block_populations` run block by block, and `vectors`
     holds one (count, size, size) stack of block eigenvectors per run of
     equal-size blocks, in block coordinates.  The means, the dense `rho`
-    and the ascending `spectrum` with its `populations` are computed on
+    and the `eigenvectors` in the computational basis are computed on
     first use.
     """
 
@@ -241,8 +238,11 @@ class ThermalState:
         return self._means[1:]
 
     @cached_property
-    def _eigenvectors(self) -> np.ndarray:
-        """Eigenvectors of H - mu.Q in the computational basis, as columns in block order."""
+    def eigenvectors(self) -> np.ndarray:
+        """Eigenvectors of H - mu.Q in the computational basis, as columns in block order.
+
+        Column a has level `block_levels[a]` and population `block_populations[a]`.
+        """
         basis = self.blocks.basis
         if basis is None:
             return self.vectors[0][0]
@@ -250,25 +250,6 @@ class ThermalState:
         for (count, size, levels, _), vecs in zip(_runs(self.blocks), self.vectors):
             cols = basis[:, levels].reshape(-1, count, size).transpose(1, 0, 2)
             out[:, levels] = (cols @ vecs).transpose(1, 0, 2).reshape(-1, count * size)
-        return out
-
-    @cached_property
-    def _ascending(self) -> np.ndarray:
-        return np.argsort(self.block_levels, kind="stable")
-
-    @cached_property
-    def spectrum(self) -> SpectralDecomposition:
-        """Ascending eigenvalues of H - mu.Q with their eigenvectors in the computational basis."""
-        order = self._ascending
-        vals, vecs = self.block_levels[order], self._eigenvectors[:, order]
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        return SpectralDecomposition(vals, vecs)
-
-    @cached_property
-    def populations(self) -> np.ndarray:
-        """Boltzmann weights, normalized, in the order of `spectrum`."""
-        out = self.block_populations[self._ascending]
         out.setflags(write=False)
         return out
 
@@ -276,7 +257,7 @@ class ThermalState:
     def rho(self) -> np.ndarray:
         """The dense density matrix, from the eigenvectors of populated levels only."""
         occupied = self.block_populations > 0.0
-        vecs = self._eigenvectors[:, occupied]
+        vecs = self.eigenvectors[:, occupied]
         rho = (vecs * self.block_populations[occupied]) @ vecs.conj().T
         rho = (rho + rho.conj().T) / 2.0
         rho.setflags(write=False)
@@ -313,7 +294,7 @@ def effective_hamiltonian(system: ThermoSystem, mu) -> np.ndarray:
 
 def thermal_state(system: ThermoSystem, mu, T: float) -> ThermalState:
     """Parameterized thermal state at chemical potentials mu and temperature T > 0."""
-    if T <= 0:
+    if not T > 0:
         raise ValueError(f"temperature must be positive, got {T}")
     mu = _chemical_potentials(system, mu)
     blocks = eigen_blocks(system)
@@ -412,6 +393,6 @@ def primal_free_energy(system: ThermoSystem, rho: np.ndarray, T: float) -> float
 
 def smoothness_L(system: ThermoSystem, T: float) -> float:
     """Upper bound (2/T) sum_i ||Q_i||^2 on the dual Hessian's spectral norm."""
-    if T <= 0:
+    if not T > 0:
         raise ValueError(f"temperature must be positive, got {T}")
     return (2.0 / T) * sum(q.spectral_norm**2 for q in system.charges)

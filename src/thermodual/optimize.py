@@ -56,17 +56,18 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.epsilon <= 0 and self.temperature is None:
+        # each check is written so that NaN fails it too
+        if not self.epsilon > 0 and self.temperature is None:
             raise ValueError("epsilon must be positive")
-        if self.temperature is not None and self.temperature <= 0:
+        if self.temperature is not None and not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.eta is not None and self.eta <= 0:
+        if self.eta is not None and not self.eta > 0:
             raise ValueError("eta must be positive")
-        if self.delta is not None and self.delta <= 0:
+        if self.delta is not None and not self.delta > 0:
             raise ValueError("delta must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        if self.hessian_regularization_floor < 0:
+        if not self.hessian_regularization_floor >= 0:
             raise ValueError("hessian_regularization_floor must be >= 0")
 
     @property

@@ -34,8 +34,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import NumericalIntegrityError
-# thermal_state is not called here; benchmarks/tracer.py hooks this module's name for it
-from .gibbs import ThermalState, thermal_state  # noqa: F401
+from .gibbs import ThermalState
 from .models import ThermoSystem
 from .operators import PAULI_MATRICES, Observable
 
@@ -170,8 +169,8 @@ def _conjugated_charge(system, state, charge_index, t, mode):
     """Dense e^{-iAt/T} Q_i e^{iAt/T}, or its per-site reduction for extensive charges."""
     T = state.temperature
     if mode == "generic":
-        V = state.spectrum.eigenvectors
-        lam = state.spectrum.eigenvalues
+        V = state.eigenvectors
+        lam = state.block_levels
         phases = np.exp(-1j * lam * t / T)
         q_eig = V.conj().T @ system.charges[charge_index].to_dense() @ V
         conj = (phases[:, None] * q_eig) * phases.conj()[None, :]
@@ -196,25 +195,6 @@ def _embed_site(local: np.ndarray, site: int, n: int) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def channel_on_charge(
-    system: ThermoSystem, state: ThermalState, charge_index: int, mode: str = "generic"
-) -> np.ndarray:
-    """Quadrature evaluation of the p(t)-averaged conjugation applied to one charge."""
-    # imported here so that the solver path loads NumPy alone
-    from scipy.integrate import quad_vec
-
-    if mode == "extensive":
-        _check_extensive(system)
-
-    def integrand(t):
-        return tent_density(t) * _conjugated_charge(system, state, charge_index, t, mode)
-
-    result, _ = quad_vec(
-        integrand, -T_CUT, T_CUT, points=[0.0], epsabs=1e-11, epsrel=1e-11, limit=400
-    )
-    return result
-
-
 def hessian_fourier_quadrature(
     system: ThermoSystem, state: ThermalState, mode: str = "generic"
 ) -> np.ndarray:
@@ -224,6 +204,7 @@ def hessian_fourier_quadrature(
     over [-T_CUT, T_CUT] plus (1/T) <Q_i><Q_j>; used to cross-check the
     spectral (logarithmic-mean) Hessian.
     """
+    # imported here so that the solver path loads NumPy alone
     from scipy.integrate import quad_vec
 
     if mode == "extensive":
@@ -317,11 +298,11 @@ def _pair_means(system: ThermoSystem, state: ThermalState, mode: str):
     if mode == "extensive":
         comps = _site_components(system)
         return lambda i, j: _extensive_pairs(system, state, i, j, comps)
-    V = state.spectrum.eigenvectors
-    lam = state.spectrum.eigenvalues
+    V = state.eigenvectors
+    lam = state.block_levels
     eig_terms = [np.stack([V.conj().T @ pv for pv in _pauli_rows(q, V)]) for q in system.charges]
     omega = (lam[:, None] - lam[None, :]) / state.temperature
-    kernel = state.populations[:, None] * tent_characteristic(omega)
+    kernel = state.block_populations[:, None] * tent_characteristic(omega)
     return lambda i, j: _generic_pairs(system, i, j, eig_terms, kernel)
 
 

@@ -221,7 +221,7 @@ def test_criterion_06_duality_identities(heisenberg_references):
 
         A = effective_hamiltonian(system, mu)
         energy = float(np.real(np.einsum("ij,ji->", A, state.rho)))
-        p = state.populations[state.populations > 0]
+        p = state.block_populations[state.block_populations > 0]
         entropy = float(-np.sum(p * np.log(p)))
         lhs = objective_f(system, state)
         rhs = float(mu @ np.array(system.targets)) + energy - T * entropy

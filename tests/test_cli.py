@@ -174,7 +174,7 @@ class TestRunCommand:
             raise AssertionError("an exact Heisenberg run reads the block means only")
 
         monkeypatch.setattr(ThermalState, "rho", property(refuse))
-        monkeypatch.setattr(ThermalState, "spectrum", property(refuse))
+        monkeypatch.setattr(ThermalState, "eigenvectors", property(refuse))
         payload = {
             "model": {
                 "kind": "heisenberg", "geometry": "line", "n": 6, "nnn": True,
@@ -194,7 +194,7 @@ class TestRunCommand:
             raise AssertionError("a first-order sampled run reads the term means of the blocks")
 
         monkeypatch.setattr(ThermalState, "rho", property(refuse))
-        monkeypatch.setattr(ThermalState, "spectrum", property(refuse))
+        monkeypatch.setattr(ThermalState, "eigenvectors", property(refuse))
         payload = {
             "model": {
                 "kind": "heisenberg", "geometry": "line", "n": 6, "nnn": True,

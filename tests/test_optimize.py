@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,11 @@ class TestConfig:
             dict(delta=0.0),
             dict(hessian_regularization_floor=-0.1),
             dict(temperature=-1.0),
+            dict(epsilon=math.nan),
+            dict(temperature=math.nan),
+            dict(eta=math.nan),
+            dict(delta=math.nan),
+            dict(hessian_regularization_floor=math.nan),
         ):
             with pytest.raises(ValueError):
                 OptimizerConfig(**kwargs)

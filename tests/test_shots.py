@@ -14,7 +14,6 @@ from thermodual.optimize import OptimizerConfig, run
 from thermodual.shots import (
     RngStream,
     ShotEstimator,
-    channel_on_charge,
     derive_stream_seed,
     estimate_hessian,
     estimate_observable,
@@ -23,7 +22,7 @@ from thermodual.shots import (
     tent_density,
 )
 
-from conftest import random_density
+from conftest import random_density, random_system
 
 
 def repetition_system(targets=(0.2, 0.0, 0.5)):
@@ -134,8 +133,6 @@ class TestTentSampler:
 
 class TestHessianQuadrature:
     def test_matches_exact_on_random_two_qubit(self, rng):
-        from conftest import random_system
-
         for _ in range(3):
             system = random_system(rng, n=2, n_charges=2, hamiltonian_terms=4)
             mu = rng.normal(scale=0.5, size=2)
@@ -153,13 +150,6 @@ class TestHessianQuadrature:
         generic = hessian_fourier_quadrature(system, state, mode="generic")
         extensive = hessian_fourier_quadrature(system, state, mode="extensive")
         assert np.max(np.abs(generic - extensive)) <= 1e-6
-
-    def test_channel_output_hermitian(self):
-        system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
-        mu = np.array([0.2, 0.1, -0.3])
-        for mode in ("generic", "extensive"):
-            out = channel_on_charge(system, thermal_state(system, mu, 0.5), 0, mode=mode)
-            assert np.max(np.abs(out - out.conj().T)) <= 1e-10
 
     def test_extensive_requires_extensive_charges(self):
         code = builtin_code("repetition3")
@@ -242,6 +232,10 @@ def pinned_case(name):
             "grid", rows=2, cols=3, nnn=True, lam=0.5, targets=(0.5, 0.2, -0.4)
         )
         mu, T = np.array([0.4, -0.3, 0.25]), 0.5
+    elif name == "random":
+        # no conserved charges: the eigenvectors are the one dense block's
+        system = random_system(np.random.default_rng(2505))
+        mu, T = np.array([0.2, -0.4, 0.3]), 0.6
     else:
         system = build_stabilizer_system(
             builtin_code(name), [((1,), 0.3), ((2,), -0.2), ((3,), 0.4)]
@@ -254,7 +248,9 @@ class TestExactLaw:
     """Per-pair interference means and binomial shot counts against their exact law."""
 
     @pytest.mark.parametrize(
-        "name,mode", [("repetition3", "generic"), ("grid2x3", "generic"), ("grid2x3", "extensive")]
+        "name,mode",
+        [("repetition3", "generic"), ("grid2x3", "generic"), ("grid2x3", "extensive"),
+         ("random", "generic")],
     )
     def test_pair_means_sum_to_exact_hessian(self, name, mode):
         system, state = pinned_case(name)
