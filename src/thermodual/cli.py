@@ -23,14 +23,14 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import encoding, models, oracle
 from .errors import ConfigError, NumericalIntegrityError, ResourceError
-from .gibbs import gradient, hessian_exact, objective_f, smoothness_L, thermal_state
+from .gibbs import gradient, hessian_exact, log_partition, objective_f, smoothness_L, thermal_state
 from .models import ThermoSystem
 from .operators import term_expectations
 from .optimize import ExactEstimator, OptimizerConfig, Trace, first_order_step_size, run
@@ -448,15 +448,37 @@ def _verify_formulas(seed: int):
     return checks
 
 
+def _su2_gap(system: ThermoSystem, state) -> float:
+    """The largest gap of a closed-form SU(2) state from the block path, relative to max(1, |value|).
+
+    It compares the levels and populations in ascending order, ln Z, the
+    means and the exact Hessian.
+    """
+    block = thermal_state(replace(system, su2_symmetric=False), state.mu, state.temperature)
+
+    def values(s):
+        means = [s.energy, *s.charge_means]
+        hessian = hessian_exact(system, s).ravel()
+        return np.sort(s.block_levels), np.sort(s.block_populations), [log_partition(s)], means, hessian
+
+    return max(
+        float(np.max(np.abs(np.subtract(a, b)))) / max(1.0, float(np.max(np.abs(b))))
+        for a, b in zip(values(state), values(block))
+    )
+
+
 def _verify_gradients(seed: int):
     """Derivatives against central differences, and the Pauli-term means against the dense gather.
 
-    The random systems take the dense path and the built-in ones their blocks.
+    The random systems take the dense path, the codes their blocks and the
+    Heisenberg models the SU(2) closed form, which is also checked against
+    the block path.
     """
     rng = np.random.default_rng(seed)
     detect422 = models.builtin_code("detect422")
     conserved = [
         models.build_heisenberg("line", n=4, nnn=True, targets=(0.5, -0.2, 0.3)),
+        models.build_heisenberg("grid", rows=2, cols=3, nnn=True, targets=(0.3, 0.1, -0.4)),
         models.build_stabilizer_system(
             detect422, [(w, 0.1) for w in encoding.all_words(detect422.k) if any(w)]
         ),
@@ -467,6 +489,7 @@ def _verify_gradients(seed: int):
     worst_psd = -np.inf
     worst_bound = -np.inf
     worst_terms = 0.0
+    worst_su2 = 0.0
     for system in itertools.chain((_random_system(rng) for _ in range(25)), conserved):
         c = system.n_charges
         T = float(rng.uniform(0.5, 2.0))
@@ -476,6 +499,8 @@ def _verify_gradients(seed: int):
             [term_expectations(obs, state.rho) for obs in (system.hamiltonian, *system.charges)]
         )
         worst_terms = max(worst_terms, float(np.max(np.abs(state.term_means - dense))))
+        if system.su2_symmetric:
+            worst_su2 = max(worst_su2, _su2_gap(system, state))
         g = gradient(system, state)
         for i in range(c):
             e = np.zeros(c)
@@ -507,6 +532,9 @@ def _verify_gradients(seed: int):
         "Pauli term means from the blocks match the dense gather <= 1e-12",
         worst_terms <= 1e-12,
         f"max {worst_terms:.2e}",
+    ))
+    checks.append((
+        "SU(2) closed form matches the block path <= 1e-12", worst_su2 <= 1e-12, f"max {worst_su2:.2e}"
     ))
     return checks
 

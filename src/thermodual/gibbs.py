@@ -12,6 +12,13 @@ the charges, which the shot estimators sample.  The dense `rho` and the
 eigenvectors in the computational basis are assembled only for the readers
 that ask for them.
 
+SU(2)-symmetric systems need no eigensolve per call.  A global rotation
+takes H - mu.Q to H - |mu| 2S^z and leaves H fixed, so the levels of each
+block are E_a - |mu| z_a, from the joint spectrum (E_a, z_a = 2m_a) of H and
+2S^z that `eigen_blocks` stores once per system.  The populations, ln Z, the
+means and the exact Hessian follow in closed form; the block eigenvectors
+are computed only for the readers of `vectors`.
+
 Boltzmann weights are shifted so the largest is exactly 1 before
 normalization, which keeps everything finite at temperatures far below the
 spectral gap; weights that underflow are treated as exact zeros, and
@@ -20,7 +27,8 @@ entropies use the 0*ln(0) = 0 convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -53,6 +61,23 @@ class SpectralDecomposition:
 
 
 @dataclass(frozen=True)
+class SpinLevels:
+    """The joint spectrum of H and z = 2S^z on the blocks, level by level in block order.
+
+    Within a block the levels at z and -z pair up, as a rotation by pi maps
+    one onto the other, and each pair shares one energy.  `up` indexes the
+    levels with z > 0.  Each block lists its levels by descending z and
+    then ascending energy, so the levels E - |mu| z ascend within every
+    block of run k once |mu| is at least `ascending_from[k]`.
+    """
+
+    energies: np.ndarray
+    twice_m: np.ndarray
+    up: np.ndarray
+    ascending_from: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class EigenBlocks:
     """H and the charges restricted to blocks that H - mu.Q never couples, for any mu.
 
@@ -61,13 +86,15 @@ class EigenBlocks:
     lists the runs of equal-size blocks as (count, size), in that order.
     `basis` holds the block coordinates as columns of the computational
     basis, in the same order; None means one block that is the
-    computational basis itself.
+    computational basis itself.  `spin` holds the joint spectrum of H and
+    2S^z of an SU(2)-symmetric system, else None.
     """
 
     observables: tuple[Observable, ...]
     operators: np.ndarray
     shapes: tuple[tuple[int, int], ...]
     basis: np.ndarray | None
+    spin: SpinLevels | None = None
 
     @cached_property
     def term_slices(self) -> tuple[slice, ...]:
@@ -149,7 +176,61 @@ def _eigenspace_blocks(system: ThermoSystem) -> EigenBlocks:
     for array in (operators, basis):
         array.setflags(write=False)
     shapes = tuple(zip(counts.tolist(), runs.tolist()))
-    return EigenBlocks((system.hamiltonian, *system.charges), operators, shapes, basis)
+    blocks = EigenBlocks((system.hamiltonian, *system.charges), operators, shapes, basis)
+    if system.su2_symmetric:
+        blocks = replace(blocks, spin=_spin_levels(blocks, tolerance))
+    return blocks
+
+
+def _spin_levels(blocks: EigenBlocks, tolerance: float) -> SpinLevels:
+    """The joint spectrum of H and 2S^z (the last charge) in each block.
+
+    Each block's 2S^z is diagonalized first, and H then within each of its
+    integer eigenspaces, because levels merged by the gap tolerance differ.
+    Raises NumericalIntegrityError when 2S^z has a non-integer eigenvalue,
+    does not commute with H in a block, or its +z and -z levels do not pair.
+    """
+    energies, twice_m, ascending_from = [], [], []
+    for count, size, _, entries in _runs(blocks):
+        h = blocks.operators[0, entries].reshape(count, size, size).diagonal(axis1=1, axis2=2).real
+        z = blocks.operators[-1, entries].reshape(count, size, size)
+        commutator = float(np.max(np.abs((h[:, :, None] - h[:, None, :]) * z)))
+        if commutator > tolerance:
+            raise NumericalIntegrityError(f"2S^z does not commute with H in a block: {commutator:.3e}")
+        vals, vecs = np.linalg.eigh(z)
+        twice = np.rint(vals)
+        off = float(np.max(np.abs(vals - twice)))
+        if off > tolerance:
+            raise NumericalIntegrityError(f"2S^z has a non-integer eigenvalue in a block: off by {off:.3e}")
+        h_z = vecs.conj().transpose(0, 2, 1) @ (h[:, :, None] * vecs)
+        e = h_z.diagonal(axis1=1, axis2=2).real.copy()
+        # a block of several multiplets repeats an eigenvalue of 2S^z, and H is diagonalized there
+        for k in np.flatnonzero(np.any(np.diff(twice, axis=1) == 0.0, axis=1)):
+            for value in np.unique(twice[k]):
+                sector = np.flatnonzero(twice[k] == value)
+                e[k, sector] = np.linalg.eigvalsh(h_z[k][np.ix_(sector, sector)])
+        # by descending and by ascending 2m, then by energy: place j of one order pairs with place j of the other
+        down, up = (np.lexsort((e, sign * twice), axis=-1) for sign in (-1.0, 1.0))
+        z_run = np.take_along_axis(twice, down, axis=1)
+        if not np.array_equal(np.take_along_axis(twice, up, axis=1), -z_run):
+            raise NumericalIntegrityError("the levels at +2m and -2m of a block do not pair")
+        e_down, e_up = np.take_along_axis(e, down, axis=1), np.take_along_axis(e, up, axis=1)
+        gap = float(np.max(np.abs(e_down - e_up)))
+        if gap > tolerance:
+            raise NumericalIntegrityError(f"the levels at +2m and -2m of a block differ by {gap:.3e}")
+        # partners share one energy, so the populations agree with the paired sum for <z>/|mu|
+        e_run = (e_down + e_up) / 2.0
+        # E_a - r z_a <= E_b - r z_b for each next level b of a block where z_b < z_a
+        steps = z_run[:, 1:] < z_run[:, :-1]
+        crossings = (e_run[:, :-1] - e_run[:, 1:])[steps] / (z_run[:, :-1] - z_run[:, 1:])[steps]
+        ascending_from.append(float(np.max(crossings, initial=0.0)))
+        energies.append(e_run.ravel())
+        twice_m.append(z_run.ravel())
+    energies, twice_m = np.concatenate(energies), np.concatenate(twice_m)
+    up = np.flatnonzero(twice_m > 0)
+    for array in (energies, twice_m, up):
+        array.setflags(write=False)
+    return SpinLevels(energies, twice_m, up, tuple(ascending_from))
 
 
 def eigen_blocks(system: ThermoSystem) -> EigenBlocks:
@@ -179,21 +260,59 @@ class ThermalState:
 
     `block_levels` and `block_populations` run block by block, and `vectors`
     holds one (count, size, size) stack of block eigenvectors per run of
-    equal-size blocks, in block coordinates.  The means, the dense `rho`
-    and the `eigenvectors` in the computational basis are computed on
-    first use.
+    equal-size blocks, in block coordinates, whose column a belongs to
+    level a of its block.  The means, the dense `rho` and the `eigenvectors`
+    in the computational basis are computed on first use, and so are the
+    `vectors` of an SU(2)-symmetric system, whose levels need none.
     """
 
     mu: np.ndarray
     temperature: float
     blocks: EigenBlocks
-    vectors: tuple[np.ndarray, ...]
     block_levels: np.ndarray
     block_populations: np.ndarray
+    _vectors: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
         return len(self.block_levels)
+
+    @cached_property
+    def vectors(self) -> tuple[np.ndarray, ...]:
+        """One stack of block eigenvectors per run, from the block eigensolve unless it ran already."""
+        if self._vectors is not None:
+            return self._vectors
+        r = math.hypot(*self.mu)
+        out = []
+        for (count, size, levels, _), (_, vecs), ascending_from in zip(
+            _runs(self.blocks), _block_eigh(self.blocks, self.mu), self.blocks.spin.ascending_from
+        ):
+            if r < ascending_from:
+                # eigh sorts the levels of each block, so level a has the column at its rank there
+                rank = np.argsort(np.argsort(self.block_levels[levels].reshape(count, size), axis=1), axis=1)
+                vecs = vecs[np.arange(count)[:, None, None], np.arange(size)[None, :, None], rank[:, None, :]]
+            vecs.setflags(write=False)
+            out.append(vecs)
+        return tuple(out)
+
+    @cached_property
+    def _spin_moments(self) -> tuple[float, float]:
+        """<z>/|mu| and Var(z)/T of z = 2S^z in the rotated frame of an SU(2)-symmetric system.
+
+        The partner at -z of each level at z > 0 holds its population p
+        times e^{-2|mu|z/T}, so <z>/|mu| is the sum over those levels of
+        z p (1 - e^{-2|mu|z/T})/|mu|, with no cancellation as |mu| -> 0,
+        where it tends to Var(z)/T.
+        """
+        spin = self.blocks.spin
+        T = self.temperature
+        r = math.hypot(*self.mu)
+        z = spin.twice_m[spin.up]
+        p = self.block_populations[spin.up]
+        ratio = -np.expm1(-2.0 * r * z / T) / r if r > 0.0 else 2.0 * z / T
+        per_mu = float(np.sum(z * p * ratio))
+        centered = spin.twice_m - r * per_mu
+        return per_mu, float(self.block_populations @ (centered * centered)) / T
 
     @cached_property
     def _block_rho(self) -> np.ndarray:
@@ -206,7 +325,13 @@ class ThermalState:
 
     @cached_property
     def _means(self) -> np.ndarray:
-        """Tr[X rho] for X = H, Q_1, ..., from each block's density matrix."""
+        """Tr[X rho] for X = H, Q_1, ..., from each block's density matrix or the rotated frame."""
+        spin = self.blocks.spin
+        if spin is not None:
+            # <Q> = (mu/|mu|) <z>
+            means = np.concatenate(([self.block_populations @ spin.energies], self.mu * self._spin_moments[0]))
+            means.setflags(write=False)
+            return means
         # Tr[X rho] = sum X_mn conj(rho_mn), as rho is Hermitian
         return _real_means(self.blocks.operators @ self._block_rho.conj())
 
@@ -292,26 +417,31 @@ def effective_hamiltonian(system: ThermoSystem, mu) -> np.ndarray:
     return acc
 
 
+def _block_eigh(blocks: EigenBlocks, mu: np.ndarray) -> list:
+    """The eigenpairs of each run of blocks of H - mu.Q, levels ascending within each block."""
+    a = blocks.operators[0] - mu @ blocks.operators[1:]
+    return [np.linalg.eigh(a[entries].reshape(count, size, size)) for count, size, _, entries in _runs(blocks)]
+
+
 def thermal_state(system: ThermoSystem, mu, T: float) -> ThermalState:
     """Parameterized thermal state at chemical potentials mu and temperature T > 0."""
     if not T > 0:
         raise ValueError(f"temperature must be positive, got {T}")
     mu = _chemical_potentials(system, mu)
     blocks = eigen_blocks(system)
-    ops = blocks.operators
-    a = ops[0] - mu @ ops[1:]
-    levels = np.empty(system.dimension)
-    vectors = []
-    for count, size, level_slice, entries in _runs(blocks):
-        vals, vecs = np.linalg.eigh(a[entries].reshape(count, size, size))
-        levels[level_slice] = vals.ravel()
-        vectors.append(vecs)
+    if blocks.spin is None:
+        pairs = _block_eigh(blocks, mu)
+        levels = np.concatenate([vals.ravel() for vals, _ in pairs])
+        vectors = tuple(vecs for _, vecs in pairs)
+    else:
+        # a rotation takes H - mu.Q to H - |mu| 2S^z
+        levels, vectors = blocks.spin.energies - math.hypot(*mu) * blocks.spin.twice_m, None
     weights = np.exp(-((levels - levels.min()) / T))
     weights[weights < WEIGHT_FLOOR] = 0.0
     populations = weights / weights.sum()
-    for array in (mu, levels, populations, *vectors):
+    for array in (mu, levels, populations, *(vectors or ())):
         array.setflags(write=False)
-    return ThermalState(mu, float(T), blocks, tuple(vectors), levels, populations)
+    return ThermalState(mu, float(T), blocks, levels, populations, vectors)
 
 
 def log_partition(state: ThermalState) -> float:
@@ -361,7 +491,16 @@ def hessian_exact(system: ThermoSystem, state: ThermalState) -> np.ndarray:
     populations sum to 1 and leaves no cancellation of terms of size
     ||Q||^2/T.  The result is real, symmetric, and negative semi-definite.
     No charge couples two blocks, so the pair sum runs within each block.
+
+    SU(2)-symmetric systems take the closed form of the rotated frame:
+    with n = mu/|mu|, the Hessian is -(n n^T Var(z)/T + (I - n n^T) <z>/|mu|),
+    which is -Var(z)/T I at mu = 0.
     """
+    if state.blocks.spin is not None:
+        per_mu, variance = state._spin_moments
+        r = math.hypot(*state.mu)
+        n = state.mu / r if r > 0.0 else np.zeros_like(state.mu)
+        return -(per_mu * np.eye(len(n)) + (variance - per_mu) * np.outer(n, n))
     ops = state.blocks.operators
     c = len(ops) - 1
     T = state.temperature

@@ -269,6 +269,32 @@ class TestSmoothness:
             assert smoothness_L(system, T) == pytest.approx(54.0 / T, rel=1e-12)
 
 
+SMOOTHNESS_FAMILIES = {
+    "heisenberg-line": lambda: build_heisenberg("line", n=6, nnn=True),
+    "heisenberg-grid": lambda: build_heisenberg("grid", rows=2, cols=3, nnn=True),
+    **{
+        name: (lambda name=name: _builtin(f"{name}-axes"))
+        for name in ("repetition3", "perfect5", "detect422")
+    },
+}
+
+
+class TestSmoothnessSearch:
+    @pytest.mark.parametrize("family", list(SMOOTHNESS_FAMILIES))
+    def test_bounds_the_hessian_over_a_random_search(self, family):
+        # the largest ratio found (shown by `pytest -s`) measures how loose the constant is
+        system = SMOOTHNESS_FAMILIES[family]()
+        rng = np.random.default_rng(sum(map(ord, family)))
+        largest = 0.0
+        for _ in range(200):
+            T = float(np.exp(rng.uniform(np.log(0.02), np.log(20.0))))
+            mu = rng.normal(size=system.n_charges) * float(rng.uniform(0.0, 3.0)) * T
+            hess = hessian_exact(system, thermal_state(system, mu, T))
+            largest = max(largest, float(np.max(np.abs(np.linalg.eigvalsh(hess)))) / smoothness_L(system, T))
+        print(f"{family}: largest |eig H| / L = {largest:.4f}")
+        assert 0.0 < largest <= 1.0
+
+
 class TestSandwichBound:
     def test_free_energy_brackets_minimum_energy(self):
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
@@ -448,3 +474,103 @@ class TestTermMeans:
         first.term_means
         second = thermal_state(system, [0.3, -0.2, 0.0], 0.3)
         assert second.blocks.term_operators is first.blocks.term_operators
+
+
+ROTATED_SYSTEMS = {
+    "line5": dict(geometry="line", n=5),
+    "line6-nnn": dict(geometry="line", n=6, nnn=True),
+    "line8-nnn": dict(geometry="line", n=8, nnn=True),
+    "grid2x3-nnn": dict(geometry="grid", rows=2, cols=3, nnn=True),
+}
+
+
+def _observed(system, state):
+    """Levels and populations in ascending order, ln Z, the means and the Hessian."""
+    return (
+        np.sort(state.block_levels),
+        np.sort(state.block_populations),
+        log_partition(state),
+        [state.energy, *state.charge_means],
+        hessian_exact(system, state),
+    )
+
+
+def _relative_gap(value, reference) -> float:
+    """max |value - reference|, relative to max(1, max |reference|)."""
+    reference = np.asarray(reference)
+    return float(np.max(np.abs(np.asarray(value) - reference))) / max(1.0, float(np.max(np.abs(reference))))
+
+
+class TestRotatedFrame:
+    """The closed form of SU(2)-symmetric systems against the block path and the dense path."""
+
+    @pytest.mark.parametrize("name", list(ROTATED_SYSTEMS))
+    def test_matches_block_and_dense_paths(self, name):
+        system = build_heisenberg(**ROTATED_SYSTEMS[name], targets=(0.4, -0.3, 0.5))
+        block = replace(system, su2_symmetric=False)
+        dense = replace(system, conserved=False, su2_symmetric=False)
+        assert eigen_blocks(system).spin is not None and eigen_blocks(block).spin is None
+        rng = np.random.default_rng(sum(map(ord, name)))
+        tiny = rng.normal(size=3)
+        for T in (0.1 / (system.n_qubits * math.log(2)), 0.3, 1.0):
+            for mu in (np.zeros(3), 1e-9 * tiny / np.linalg.norm(tiny), rng.normal(size=3)):
+                observed = _observed(system, thermal_state(system, mu, T))
+                for reference in (block, dense):
+                    expected = _observed(reference, thermal_state(reference, mu, T))
+                    for value, want in zip(observed, expected):
+                        assert _relative_gap(value, want) <= 1e-12
+
+    def test_hessian_keeps_its_digits_as_mu_vanishes(self):
+        # at |mu| = 1e-9 a naive <z>/|mu| loses about six digits
+        system = build_heisenberg("line", n=6, nnn=True)
+        block = replace(system, su2_symmetric=False)
+        for T in (0.3, 1.0):
+            for r in (1e-9, 1e-12, 0.0):
+                mu = r * np.array([0.6, 0.0, 0.8])
+                rotated = hessian_exact(system, thermal_state(system, mu, T))
+                reference = hessian_exact(block, thermal_state(block, mu, T))
+                assert float(np.max(np.abs(rotated - reference))) <= 1e-12 * float(np.max(np.abs(reference)))
+
+    def test_isotropic_at_zero_mu(self):
+        system = build_heisenberg("grid", rows=2, cols=3, nnn=True)
+        state = thermal_state(system, np.zeros(3), 0.3)
+        hess = hessian_exact(system, state)
+        assert np.array_equal(hess, hess[0, 0] * np.eye(3)) and hess[0, 0] < 0.0
+        assert np.array_equal(state.charge_means, np.zeros(3))
+
+    @pytest.mark.parametrize("name", list(ROTATED_SYSTEMS))
+    def test_lazy_vectors_are_eigenvectors_of_their_levels(self, name):
+        system = build_heisenberg(**ROTATED_SYSTEMS[name])
+        merged = max(eigen_blocks(system).spin.ascending_from)
+        rng = np.random.default_rng(sum(map(ord, name)) + 2)
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        # below `ascending_from` the vectors are permuted to the levels, above it eigh's order is theirs
+        for r in (0.0, 1e-9, merged / 2.0, 2.0 * merged + 0.1, 3.0):
+            state = thermal_state(system, r * direction, 0.3)
+            assert state._vectors is None
+            A = effective_hamiltonian(system, state.mu)
+            V = state.eigenvectors
+            assert np.max(np.abs(A @ V - V * state.block_levels)) <= 1e-10
+            assert np.max(np.abs(V.conj().T @ V - np.eye(system.dimension))) <= 1e-10
+
+    def test_exact_solves_make_no_eigensolve_once_the_blocks_exist(self, monkeypatch):
+        from thermodual.optimize import ExactEstimator, OptimizerConfig, run
+
+        system = build_heisenberg("line", n=6, nnn=True, targets=(0.5, -0.8, 0.6))
+        eigen_blocks(system)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        for variant in ("first_classical", "second_classical"):
+            trace = run(system, OptimizerConfig(variant=variant, max_iter=300), ExactEstimator(system))
+            assert trace.iterations > 1
+        assert calls == []
+
+    def test_spin_levels_refuse_a_charge_that_is_not_twice_an_integer_spin(self):
+        # 2S^z scaled by 0.9 commutes with H but has non-integer eigenvalues
+        system = build_heisenberg("line", n=3)
+        scaled = Observable(3, [(0.9 * c, word) for c, word in system.charges[2].terms])
+        bad = replace(system, charges=(*system.charges[:2], scaled))
+        with pytest.raises(NumericalIntegrityError, match="non-integer"):
+            eigen_blocks(bad)

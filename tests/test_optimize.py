@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thermodual.gibbs import thermal_state
+from thermodual.gibbs import hessian_exact, thermal_state
 from thermodual.models import build_heisenberg, build_stabilizer_system, builtin_code
 from thermodual.operators import expectation
 from thermodual.optimize import (
@@ -228,6 +228,21 @@ class TestSecondOrder:
         assert max(r.shots_used for r in trace.records) > per_iteration  # candidates ran
         assert sum(r.shots_used for r in trace.records) == sum(drawn) - final_eval
 
+    @pytest.mark.parametrize(
+        "geometry", [dict(geometry="line", n=6, nnn=True), dict(geometry="grid", rows=2, cols=3, nnn=True)]
+    )
+    def test_first_step_from_a_singlet_points_along_the_targets(self, geometry):
+        # at mu = 0 the Hessian of an SU(2) system is exactly isotropic, however small,
+        # so the Newton step is the gradient q scaled, not a direction set by rounding
+        q = np.array([0.3, -0.5, 0.4])
+        system = build_heisenberg(**geometry, targets=tuple(q))
+        cfg = OptimizerConfig(variant="second_classical", max_iter=1)
+        hess = hessian_exact(system, thermal_state(system, np.zeros(3), cfg.resolved_temperature(system)))
+        assert np.array_equal(hess, hess[0, 0] * np.eye(3)) and hess[0, 0] < 0.0
+        first = run(system, cfg, ExactEstimator(system)).final_mu
+        cosine = float(first @ q) / (np.linalg.norm(first) * np.linalg.norm(q))
+        assert cosine >= 1.0 - 1e-12
+
     def test_variant_dispatch(self):
         system = repetition_system()
         cfg = OptimizerConfig(variant="second_classical", epsilon=0.3, max_iter=50)
@@ -242,10 +257,15 @@ class TestStepRecords:
         trace = run(system, cfg, ExactEstimator(system))
         return [(r.step_size, r.fallback) for r in trace.records]
 
+    # These second_classical paths cross a kink of the dual, where a rounding
+    # change moves them, so the step-rule pins run on the block path; the
+    # rotated frame of SU(2) systems has pins of its own.
+
     def test_second_classical_fallbacks_and_backtracks(self):
         # backtracking halves eta to 1/64, and iteration 3 takes the safeguarded
         # gradient step; clean steps then double eta back to 1
         system = build_heisenberg("line", n=3, nnn=True, targets=(1.2, -0.4, 0.3))
+        system = replace(system, su2_symmetric=False)
         cfg = OptimizerConfig(variant="second_classical", epsilon=0.1)
         fallbacks = {3}
         etas = [1.0] * 5 + [2.0**-6] * 3 + [2.0**-k for k in range(5, 0, -1)] + [1.0] * 4
@@ -256,10 +276,29 @@ class TestStepRecords:
     def test_second_classical_remembers_the_backtracked_eta(self):
         # the capped step backtracks once, and clean steps double the kept eta back to 1
         system = build_heisenberg("line", n=5, targets=(-0.1, 1.5, 0.1))
+        system = replace(system, su2_symmetric=False)
         cfg = OptimizerConfig(variant="second_classical", epsilon=0.1)
         kept = 0.02025283334010032
         etas = [1.0] * 4 + [kept, kept] + [2.0**k * kept for k in range(1, 6)] + [1.0] * 4
         assert 32 * kept == 0.6480906668832103
+        assert self._records(system, cfg) == [(eta, False) for eta in etas]
+
+    def test_second_classical_fallbacks_in_the_rotated_frame(self):
+        # as on the block path, but iterations 3 and 4 both take the gradient step
+        system = build_heisenberg("line", n=3, nnn=True, targets=(1.2, -0.4, 0.3))
+        cfg = OptimizerConfig(variant="second_classical", epsilon=0.1)
+        fallbacks = {3, 4}
+        etas = [1.0] * 6 + [2.0**-6] * 3 + [2.0**-k for k in range(5, 0, -1)] + [1.0] * 4
+        assert self._records(system, cfg) == [
+            (eta, m in fallbacks) for m, eta in enumerate(etas)
+        ]
+
+    def test_second_classical_backtracked_eta_in_the_rotated_frame(self):
+        system = build_heisenberg("line", n=5, targets=(-0.1, 1.5, 0.1))
+        cfg = OptimizerConfig(variant="second_classical", epsilon=0.1)
+        kept = 0.020252833340096518
+        etas = [1.0] * 4 + [kept, kept] + [2.0**k * kept for k in range(1, 6)] + [1.0] * 4
+        assert 32 * kept == 0.6480906668830886
         assert self._records(system, cfg) == [(eta, False) for eta in etas]
 
     def test_nesterov_keeps_its_fixed_step(self):
