@@ -452,14 +452,18 @@ def _su2_gap(system: ThermoSystem, state) -> float:
     """The largest gap of a closed-form SU(2) state from the block path, relative to max(1, |value|).
 
     It compares the levels and populations in ascending order, ln Z, the
-    means and the exact Hessian.
+    means, the Pauli-term means (which read the rotated eigenvectors) and
+    the exact Hessian.
     """
     block = thermal_state(replace(system, su2_symmetric=False), state.mu, state.temperature)
 
     def values(s):
         means = [s.energy, *s.charge_means]
         hessian = hessian_exact(system, s).ravel()
-        return np.sort(s.block_levels), np.sort(s.block_populations), [log_partition(s)], means, hessian
+        return (
+            np.sort(s.block_levels), np.sort(s.block_populations), [log_partition(s)], means,
+            s.term_means, hessian,
+        )
 
     return max(
         float(np.max(np.abs(np.subtract(a, b)))) / max(1.0, float(np.max(np.abs(b))))

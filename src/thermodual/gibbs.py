@@ -12,12 +12,12 @@ the charges, which the shot estimators sample.  The dense `rho` and the
 eigenvectors in the computational basis are assembled only for the readers
 that ask for them.
 
-SU(2)-symmetric systems need no eigensolve per call.  A global rotation
+SU(2)-symmetric systems need no eigensolve per call.  A global rotation U
 takes H - mu.Q to H - |mu| 2S^z and leaves H fixed, so the levels of each
 block are E_a - |mu| z_a, from the joint spectrum (E_a, z_a = 2m_a) of H and
 2S^z that `eigen_blocks` stores once per system.  The populations, ln Z, the
-means and the exact Hessian follow in closed form; the block eigenvectors
-are computed only for the readers of `vectors`.
+means and the exact Hessian follow in closed form, and the block
+eigenvectors, for the readers of `vectors` only, are U times the joint ones.
 
 Boltzmann weights are shifted so the largest is exactly 1 before
 normalization, which keeps everything finite at temperatures far below the
@@ -28,7 +28,7 @@ entropies use the 0*ln(0) = 0 convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -66,15 +66,17 @@ class SpinLevels:
 
     Within a block the levels at z and -z pair up, as a rotation by pi maps
     one onto the other, and each pair shares one energy.  `up` indexes the
-    levels with z > 0.  Each block lists its levels by descending z and
-    then ascending energy, so the levels E - |mu| z ascend within every
-    block of run k once |mu| is at least `ascending_from[k]`.
+    levels with z > 0.  `frames` holds, per run of equal-size blocks, what
+    rotates the joint eigenvectors onto those of H - mu.Q:
+    (Z, z, Z^dag Y, y, Y^dag J), with Z, z and Y, y the eigenvectors and
+    eigenvalues of 2S^z and 2S^y in each block and J the joint eigenvectors
+    as columns in level order.
     """
 
     energies: np.ndarray
     twice_m: np.ndarray
     up: np.ndarray
-    ascending_from: tuple[float, ...]
+    frames: tuple[tuple[np.ndarray, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -183,32 +185,35 @@ def _eigenspace_blocks(system: ThermoSystem) -> EigenBlocks:
 
 
 def _spin_levels(blocks: EigenBlocks, tolerance: float) -> SpinLevels:
-    """The joint spectrum of H and 2S^z (the last charge) in each block.
+    """The joint spectrum of H and 2S^z (the last charge) in each block, with its rotation frames.
 
     Each block's 2S^z is diagonalized first, and H then within each of its
     integer eigenspaces, because levels merged by the gap tolerance differ.
     Raises NumericalIntegrityError when 2S^z has a non-integer eigenvalue,
     does not commute with H in a block, or its +z and -z levels do not pair.
     """
-    energies, twice_m, ascending_from = [], [], []
+    energies, twice_m, frames = [], [], []
     for count, size, _, entries in _runs(blocks):
         h = blocks.operators[0, entries].reshape(count, size, size).diagonal(axis1=1, axis2=2).real
-        z = blocks.operators[-1, entries].reshape(count, size, size)
+        y, z = blocks.operators[-2:, entries].reshape(2, count, size, size)
         commutator = float(np.max(np.abs((h[:, :, None] - h[:, None, :]) * z)))
         if commutator > tolerance:
             raise NumericalIntegrityError(f"2S^z does not commute with H in a block: {commutator:.3e}")
-        vals, vecs = np.linalg.eigh(z)
+        vals, z_basis = np.linalg.eigh(z)
         twice = np.rint(vals)
         off = float(np.max(np.abs(vals - twice)))
         if off > tolerance:
             raise NumericalIntegrityError(f"2S^z has a non-integer eigenvalue in a block: off by {off:.3e}")
-        h_z = vecs.conj().transpose(0, 2, 1) @ (h[:, :, None] * vecs)
+        h_z = z_basis.conj().transpose(0, 2, 1) @ (h[:, :, None] * z_basis)
         e = h_z.diagonal(axis1=1, axis2=2).real.copy()
+        # the eigenvectors of H within each eigenspace of 2S^z, in the eigenbasis of 2S^z
+        sector_vectors = np.zeros((count, size, size), dtype=complex)
+        sector_vectors[:, np.arange(size), np.arange(size)] = 1.0
         # a block of several multiplets repeats an eigenvalue of 2S^z, and H is diagonalized there
         for k in np.flatnonzero(np.any(np.diff(twice, axis=1) == 0.0, axis=1)):
             for value in np.unique(twice[k]):
-                sector = np.flatnonzero(twice[k] == value)
-                e[k, sector] = np.linalg.eigvalsh(h_z[k][np.ix_(sector, sector)])
+                sector = np.ix_(twice[k] == value, twice[k] == value)
+                e[k, twice[k] == value], sector_vectors[k][sector] = np.linalg.eigh(h_z[k][sector])
         # by descending and by ascending 2m, then by energy: place j of one order pairs with place j of the other
         down, up = (np.lexsort((e, sign * twice), axis=-1) for sign in (-1.0, 1.0))
         z_run = np.take_along_axis(twice, down, axis=1)
@@ -219,18 +224,20 @@ def _spin_levels(blocks: EigenBlocks, tolerance: float) -> SpinLevels:
         if gap > tolerance:
             raise NumericalIntegrityError(f"the levels at +2m and -2m of a block differ by {gap:.3e}")
         # partners share one energy, so the populations agree with the paired sum for <z>/|mu|
-        e_run = (e_down + e_up) / 2.0
-        # E_a - r z_a <= E_b - r z_b for each next level b of a block where z_b < z_a
-        steps = z_run[:, 1:] < z_run[:, :-1]
-        crossings = (e_run[:, :-1] - e_run[:, 1:])[steps] / (z_run[:, :-1] - z_run[:, 1:])[steps]
-        ascending_from.append(float(np.max(crossings, initial=0.0)))
-        energies.append(e_run.ravel())
+        energies.append(((e_down + e_up) / 2.0).ravel())
         twice_m.append(z_run.ravel())
+        joint = np.take_along_axis(z_basis @ sector_vectors, down[:, None, :], axis=2)
+        twice_y, y_basis = np.linalg.eigh(y)
+        frame = (z_basis, twice, z_basis.conj().transpose(0, 2, 1) @ y_basis, twice_y,
+                 y_basis.conj().transpose(0, 2, 1) @ joint)
+        for array in frame:
+            array.setflags(write=False)
+        frames.append(frame)
     energies, twice_m = np.concatenate(energies), np.concatenate(twice_m)
     up = np.flatnonzero(twice_m > 0)
     for array in (energies, twice_m, up):
         array.setflags(write=False)
-    return SpinLevels(energies, twice_m, up, tuple(ascending_from))
+    return SpinLevels(energies, twice_m, up, tuple(frames))
 
 
 def eigen_blocks(system: ThermoSystem) -> EigenBlocks:
@@ -271,7 +278,6 @@ class ThermalState:
     blocks: EigenBlocks
     block_levels: np.ndarray
     block_populations: np.ndarray
-    _vectors: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -279,18 +285,21 @@ class ThermalState:
 
     @cached_property
     def vectors(self) -> tuple[np.ndarray, ...]:
-        """One stack of block eigenvectors per run, from the block eigensolve unless it ran already."""
-        if self._vectors is not None:
-            return self._vectors
+        """One stack of block eigenvectors per run; `thermal_state` fills it where it solved the blocks.
+
+        An SU(2)-symmetric state rotates the joint eigenvectors J of H and
+        2S^z by U = e^{-i phi S^z} e^{-i theta S^y}, which takes S^z to
+        n.S for n = mu/|mu| at polar angle theta and azimuth phi and
+        commutes with H, so U J diagonalizes H - mu.Q level by level.
+        """
         r = math.hypot(*self.mu)
+        nx, ny, nz = self.mu / r if r > 0.0 else (0.0, 0.0, 1.0)
+        theta, phi = math.acos(min(1.0, max(-1.0, nz))), math.atan2(ny, nx)
         out = []
-        for (count, size, levels, _), (_, vecs), ascending_from in zip(
-            _runs(self.blocks), _block_eigh(self.blocks, self.mu), self.blocks.spin.ascending_from
-        ):
-            if r < ascending_from:
-                # eigh sorts the levels of each block, so level a has the column at its rank there
-                rank = np.argsort(np.argsort(self.block_levels[levels].reshape(count, size), axis=1), axis=1)
-                vecs = vecs[np.arange(count)[:, None, None], np.arange(size)[None, :, None], rank[:, None, :]]
+        for z_basis, twice_z, z_to_y, twice_y, y_to_joint in self.blocks.spin.frames:
+            # in the eigenbases of 2S^y and 2S^z the two factors of U are phases
+            vecs = z_to_y @ (np.exp(-0.5j * theta * twice_y)[:, :, None] * y_to_joint)
+            vecs = z_basis @ (np.exp(-0.5j * phi * twice_z)[:, :, None] * vecs)
             vecs.setflags(write=False)
             out.append(vecs)
         return tuple(out)
@@ -417,31 +426,34 @@ def effective_hamiltonian(system: ThermoSystem, mu) -> np.ndarray:
     return acc
 
 
-def _block_eigh(blocks: EigenBlocks, mu: np.ndarray) -> list:
-    """The eigenpairs of each run of blocks of H - mu.Q, levels ascending within each block."""
-    a = blocks.operators[0] - mu @ blocks.operators[1:]
-    return [np.linalg.eigh(a[entries].reshape(count, size, size)) for count, size, _, entries in _runs(blocks)]
-
-
 def thermal_state(system: ThermoSystem, mu, T: float) -> ThermalState:
     """Parameterized thermal state at chemical potentials mu and temperature T > 0."""
     if not T > 0:
         raise ValueError(f"temperature must be positive, got {T}")
     mu = _chemical_potentials(system, mu)
     blocks = eigen_blocks(system)
+    vectors = []
     if blocks.spin is None:
-        pairs = _block_eigh(blocks, mu)
-        levels = np.concatenate([vals.ravel() for vals, _ in pairs])
-        vectors = tuple(vecs for _, vecs in pairs)
+        ops = blocks.operators
+        a = ops[0] - mu @ ops[1:]
+        levels = np.empty(system.dimension)
+        for count, size, level_slice, entries in _runs(blocks):
+            vals, vecs = np.linalg.eigh(a[entries].reshape(count, size, size))
+            levels[level_slice] = vals.ravel()
+            vectors.append(vecs)
     else:
         # a rotation takes H - mu.Q to H - |mu| 2S^z
-        levels, vectors = blocks.spin.energies - math.hypot(*mu) * blocks.spin.twice_m, None
+        levels = blocks.spin.energies - math.hypot(*mu) * blocks.spin.twice_m
     weights = np.exp(-((levels - levels.min()) / T))
     weights[weights < WEIGHT_FLOOR] = 0.0
     populations = weights / weights.sum()
-    for array in (mu, levels, populations, *(vectors or ())):
+    for array in (mu, levels, populations, *vectors):
         array.setflags(write=False)
-    return ThermalState(mu, float(T), blocks, levels, populations, vectors)
+    state = ThermalState(mu, float(T), blocks, levels, populations)
+    if vectors:
+        # the cached property's own slot, so reading it costs what a field does
+        state.__dict__["vectors"] = tuple(vectors)
+    return state
 
 
 def log_partition(state: ThermalState) -> float:

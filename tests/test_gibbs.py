@@ -541,29 +541,34 @@ class TestRotatedFrame:
     @pytest.mark.parametrize("name", list(ROTATED_SYSTEMS))
     def test_lazy_vectors_are_eigenvectors_of_their_levels(self, name):
         system = build_heisenberg(**ROTATED_SYSTEMS[name])
-        merged = max(eigen_blocks(system).spin.ascending_from)
         rng = np.random.default_rng(sum(map(ord, name)) + 2)
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        # below `ascending_from` the vectors are permuted to the levels, above it eigh's order is theirs
-        for r in (0.0, 1e-9, merged / 2.0, 2.0 * merged + 0.1, 3.0):
-            state = thermal_state(system, r * direction, 0.3)
-            assert state._vectors is None
+        # mu = 0, the poles and the equator of the rotation, and random directions, small and large
+        mus = [np.zeros(3), [0.0, 0.0, 0.7], [0.0, 0.0, -0.7], [0.5, -0.5, 0.0], 1e-9 * rng.normal(size=3)]
+        mus += [scale * rng.normal(size=3) for scale in (1e-3, 0.3, 3.0)]
+        for mu in mus:
+            state = thermal_state(system, mu, 0.3)
+            assert "vectors" not in state.__dict__
             A = effective_hamiltonian(system, state.mu)
             V = state.eigenvectors
             assert np.max(np.abs(A @ V - V * state.block_levels)) <= 1e-10
             assert np.max(np.abs(V.conj().T @ V - np.eye(system.dimension))) <= 1e-10
 
-    def test_exact_solves_make_no_eigensolve_once_the_blocks_exist(self, monkeypatch):
+    def test_solves_make_no_eigensolve_once_the_blocks_exist(self, monkeypatch):
+        # the sampled run reads the Pauli-term means, so it takes the rotated eigenvectors
         from thermodual.optimize import ExactEstimator, OptimizerConfig, run
+        from thermodual.shots import ShotEstimator
 
         system = build_heisenberg("line", n=6, nnn=True, targets=(0.5, -0.8, 0.6))
         eigen_blocks(system)
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
-        for variant in ("first_classical", "second_classical"):
-            trace = run(system, OptimizerConfig(variant=variant, max_iter=300), ExactEstimator(system))
+        for variant, estimator in (
+            ("first_classical", ExactEstimator(system)),
+            ("second_classical", ExactEstimator(system)),
+            ("first_hqc", ShotEstimator(system, 3)),
+        ):
+            trace = run(system, OptimizerConfig(variant=variant, max_iter=300), estimator)
             assert trace.iterations > 1
         assert calls == []
 
