@@ -270,7 +270,8 @@ class ThermalState:
     equal-size blocks, in block coordinates, whose column a belongs to
     level a of its block.  The means, the dense `rho` and the `eigenvectors`
     in the computational basis are computed on first use, and so are the
-    `vectors` of an SU(2)-symmetric system, whose levels need none.
+    `vectors` of an SU(2)-symmetric system, whose levels and means need
+    none.
     """
 
     mu: np.ndarray
