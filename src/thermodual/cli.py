@@ -282,23 +282,30 @@ def _map_repetitions(experiment: _Experiment, repetitions: int, workers: int):
         return list(pool.map(_run_repetition, tasks))
 
 
+def _fmt_floats(values) -> list[str]:
+    """`_fmt` of a column of floats and Nones, in one pass."""
+    return ["" if v is None else f"{v:.17g}" for v in values]
+
+
 def _write_runs_csv(path: Path, traces: list[Trace], n_charges: int):
+    """One row per record, each column formatted in one pass."""
     header = ["run_id", "iter", "f_estimate", "grad_norm", "error_metric"]
     header += [f"mu_{i}" for i in range(n_charges)]
     header += ["shots_used"]
     lines = [",".join(header)]
     for run_id, trace in enumerate(traces):
-        for rec in trace.records:
-            row = [
-                str(run_id),
-                str(rec.iteration),
-                _fmt(rec.f_estimate),
-                _fmt(rec.grad_norm),
-                _fmt(rec.error_metric),
-            ]
-            row += [_fmt(v) for v in rec.mu]
-            row += [str(rec.shots_used)]
-            lines.append(",".join(row))
+        records = trace.records
+        mu = np.array([rec.mu for rec in records]).reshape(len(records), n_charges)
+        columns = [
+            [str(run_id)] * len(records),
+            [str(rec.iteration) for rec in records],
+            _fmt_floats([rec.f_estimate for rec in records]),
+            _fmt_floats([rec.grad_norm for rec in records]),
+            _fmt_floats([rec.error_metric for rec in records]),
+            *(_fmt_floats(column) for column in mu.T.tolist()),
+            [str(rec.shots_used) for rec in records],
+        ]
+        lines += map(",".join, zip(*columns))
     path.write_text("\n".join(lines) + "\n")
 
 

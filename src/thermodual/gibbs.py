@@ -12,12 +12,15 @@ the charges, which the shot estimators sample.  The dense `rho` and the
 eigenvectors in the computational basis are assembled only for the readers
 that ask for them.
 
-SU(2)-symmetric systems need no eigensolve per call.  A global rotation U
-takes H - mu.Q to H - |mu| 2S^z and leaves H fixed, so the levels of each
-block are E_a - |mu| z_a, from the joint spectrum (E_a, z_a = 2m_a) of H and
-2S^z that `eigen_blocks` stores once per system.  The populations, ln Z, the
-means and the exact Hessian follow in closed form, and the block
-eigenvectors, for the readers of `vectors` only, are U times the joint ones.
+SU(2)-symmetric systems need no eigensolve per call and no matrix of size
+2^n.  A global rotation U takes H - mu.Q to H - |mu| 2S^z and leaves H
+fixed, so the levels are E_a - |mu| z_a, with E_a the levels of H on its
+S^z sectors and z_a = 2m_a.  Each sector is built from the exchange terms on
+its basis states and diagonalized once per system, the sectors at -m by a
+global spin flip.  The populations, ln Z, the means, the Pauli-term means
+and the exact Hessian follow in closed form from what each level stores,
+and the eigenvectors, for the readers that ask for them, are the sector
+vectors rotated site by site.
 
 Boltzmann weights are shifted so the largest is exactly 1 before
 normalization, which keeps everything finite at temperatures far below the
@@ -28,14 +31,14 @@ entropies use the 0*ln(0) = 0 convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalIntegrityError
+from .errors import NumericalIntegrityError, ResourceError
 from .models import ThermoSystem, conservation_tolerance
-from .operators import Observable, expectation, term_expectations
+from .operators import MAX_DENSE_QUBITS, Observable, PauliString, expectation, term_expectations
 
 WEIGHT_FLOOR = 1e-300
 
@@ -43,6 +46,9 @@ WEIGHT_FLOOR = 1e-300
 # keeps each of its levels, so merging only enlarges it, while levels split by less mix
 # in the computed eigenvectors and would leak the charges from one block into another.
 GAP_TOLERANCE = 1e-3
+
+# the largest SU(2)-symmetric system built from its S^z sectors: the largest, C(12, 6) = 924 states
+MAX_SECTOR_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -62,21 +68,27 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class SpinLevels:
-    """The joint spectrum of H and z = 2S^z on the blocks, level by level in block order.
+    """The levels of an SU(2)-symmetric H on its S^z sectors, and what each one contributes to the means.
 
-    Within a block the levels at z and -z pair up, as a rotation by pi maps
-    one onto the other, and each pair shares one energy.  `up` indexes the
-    levels with z > 0.  `frames` holds, per run of equal-size blocks, what
-    rotates the joint eigenvectors onto those of H - mu.Q:
-    (Z, z, Z^dag Y, y, Y^dag J), with Z, z and Y, y the eigenvectors and
-    eigenvalues of 2S^z and 2S^y in each block and J the joint eigenvectors
-    as columns in level order.
+    Level a has energy E_a and z_a = 2m_a.  Row a of `correlators` holds
+    <a|X_iX_j|a>, which equals <a|Y_iY_j|a>, for each edge (i, j) of H, then
+    <a|Z_iZ_j|a> for each edge, then <a|Z_i|a> for each site.  `h_edges` and
+    `h_axes` give the edge and the axis (0, 1, 2 for X, Y, Z) of each term of
+    H, and `charge_sites` the site of each term of the charges, in term order.
+    `sectors` holds (basis states, real eigenvectors as columns) of each
+    sector, whose levels follow one another in that order; the sectors at m
+    and -m share one array of vectors.  The levels at z and -z pair up with
+    equal energies, and `up` indexes the levels with z > 0.
     """
 
     energies: np.ndarray
     twice_m: np.ndarray
     up: np.ndarray
-    frames: tuple[tuple[np.ndarray, ...], ...]
+    correlators: np.ndarray
+    h_edges: np.ndarray
+    h_axes: np.ndarray
+    charge_sites: np.ndarray
+    sectors: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -88,12 +100,12 @@ class EigenBlocks:
     lists the runs of equal-size blocks as (count, size), in that order.
     `basis` holds the block coordinates as columns of the computational
     basis, in the same order; None means one block that is the
-    computational basis itself.  `spin` holds the joint spectrum of H and
-    2S^z of an SU(2)-symmetric system, else None.
+    computational basis itself.  An SU(2)-symmetric system has no blocks:
+    `spin` holds its sector levels, and `operators` is None.
     """
 
     observables: tuple[Observable, ...]
-    operators: np.ndarray
+    operators: np.ndarray | None
     shapes: tuple[tuple[int, int], ...]
     basis: np.ndarray | None
     spin: SpinLevels | None = None
@@ -158,7 +170,7 @@ def _eigenspace_blocks(system: ThermoSystem) -> EigenBlocks:
     basis = spectrum.eigenvectors[:, columns]
     labels = np.repeat(order, sizes)
     off_block = labels[:, None] != labels[None, :]
-    tolerance = conservation_tolerance(h)
+    tolerance = conservation_tolerance(system.hamiltonian)
 
     def flattened(matrix):
         return np.concatenate([matrix[a : a + n, a : a + n].ravel() for a, n in zip(starts, sizes)])
@@ -178,75 +190,114 @@ def _eigenspace_blocks(system: ThermoSystem) -> EigenBlocks:
     for array in (operators, basis):
         array.setflags(write=False)
     shapes = tuple(zip(counts.tolist(), runs.tolist()))
-    blocks = EigenBlocks((system.hamiltonian, *system.charges), operators, shapes, basis)
-    if system.su2_symmetric:
-        blocks = replace(blocks, spin=_spin_levels(blocks, tolerance))
-    return blocks
+    return EigenBlocks((system.hamiltonian, *system.charges), operators, shapes, basis)
 
 
-def _spin_levels(blocks: EigenBlocks, tolerance: float) -> SpinLevels:
-    """The joint spectrum of H and 2S^z (the last charge) in each block, with its rotation frames.
+def _exchange_terms(system: ThermoSystem):
+    """The edges, couplings and term layout of an SU(2)-symmetric system, checked term by term.
 
-    Each block's 2S^z is diagonalized first, and H then within each of its
-    integer eigenspaces, because levels merged by the gap tolerance differ.
-    Raises NumericalIntegrityError when 2S^z has a non-integer eigenvalue,
-    does not commute with H in a block, or its +z and -z levels do not pair.
+    H must be a sum of two-site terms XX, YY and ZZ, and the charges 2S^x,
+    2S^y, 2S^z, each the sum of one Pauli over every site; anything else
+    raises NumericalIntegrityError.  The three couplings of an edge are
+    equal, as H conserves the charges.  Returns (edges as (i, j) rows,
+    couplings, edge and axis of each term of H, site of each charge term).
     """
-    energies, twice_m, frames = [], [], []
-    for count, size, _, entries in _runs(blocks):
-        h = blocks.operators[0, entries].reshape(count, size, size).diagonal(axis1=1, axis2=2).real
-        y, z = blocks.operators[-2:, entries].reshape(2, count, size, size)
-        commutator = float(np.max(np.abs((h[:, :, None] - h[:, None, :]) * z)))
-        if commutator > tolerance:
-            raise NumericalIntegrityError(f"2S^z does not commute with H in a block: {commutator:.3e}")
-        vals, z_basis = np.linalg.eigh(z)
-        twice = np.rint(vals)
-        off = float(np.max(np.abs(vals - twice)))
-        if off > tolerance:
-            raise NumericalIntegrityError(f"2S^z has a non-integer eigenvalue in a block: off by {off:.3e}")
-        h_z = z_basis.conj().transpose(0, 2, 1) @ (h[:, :, None] * z_basis)
-        e = h_z.diagonal(axis1=1, axis2=2).real.copy()
-        # the eigenvectors of H within each eigenspace of 2S^z, in the eigenbasis of 2S^z
-        sector_vectors = np.zeros((count, size, size), dtype=complex)
-        sector_vectors[:, np.arange(size), np.arange(size)] = 1.0
-        # a block of several multiplets repeats an eigenvalue of 2S^z, and H is diagonalized there
-        for k in np.flatnonzero(np.any(np.diff(twice, axis=1) == 0.0, axis=1)):
-            for value in np.unique(twice[k]):
-                sector = np.ix_(twice[k] == value, twice[k] == value)
-                e[k, twice[k] == value], sector_vectors[k][sector] = np.linalg.eigh(h_z[k][sector])
-        # by descending and by ascending 2m, then by energy: place j of one order pairs with place j of the other
-        down, up = (np.lexsort((e, sign * twice), axis=-1) for sign in (-1.0, 1.0))
-        z_run = np.take_along_axis(twice, down, axis=1)
-        if not np.array_equal(np.take_along_axis(twice, up, axis=1), -z_run):
-            raise NumericalIntegrityError("the levels at +2m and -2m of a block do not pair")
-        e_down, e_up = np.take_along_axis(e, down, axis=1), np.take_along_axis(e, up, axis=1)
-        gap = float(np.max(np.abs(e_down - e_up)))
-        if gap > tolerance:
-            raise NumericalIntegrityError(f"the levels at +2m and -2m of a block differ by {gap:.3e}")
-        # partners share one energy, so the populations agree with the paired sum for <z>/|mu|
-        energies.append(((e_down + e_up) / 2.0).ravel())
-        twice_m.append(z_run.ravel())
-        joint = np.take_along_axis(z_basis @ sector_vectors, down[:, None, :], axis=2)
-        twice_y, y_basis = np.linalg.eigh(y)
-        frame = (z_basis, twice, z_basis.conj().transpose(0, 2, 1) @ y_basis, twice_y,
-                 y_basis.conj().transpose(0, 2, 1) @ joint)
-        for array in frame:
-            array.setflags(write=False)
-        frames.append(frame)
+    n = system.n_qubits
+    if len(system.charges) != 3:
+        raise NumericalIntegrityError("an SU(2)-symmetric system needs the charges 2S^x, 2S^y, 2S^z")
+    for axis, charge in enumerate(system.charges):
+        if charge != Observable(n, [(1.0, PauliString.single(n, k, axis + 1)) for k in range(n)]):
+            raise NumericalIntegrityError(
+                f"charge {axis} is not 2S^{'xyz'[axis]}, one {'XYZ'[axis]} on every site with coefficient 1: "
+                "its levels may sit at non-integer 2m"
+            )
+    edges: dict[tuple[int, ...], int] = {}
+    couplings: dict[tuple[int, ...], float] = {}
+    h_edges, h_axes = [], []
+    for coeff, word in system.hamiltonian.terms:
+        sites = tuple(k for k, letter in enumerate(word.letters) if letter)
+        letters = {word.letters[k] for k in sites}
+        if len(sites) != 2 or len(letters) != 1:
+            raise NumericalIntegrityError(f"term {word} of an SU(2)-symmetric H is not an exchange XX, YY or ZZ")
+        h_edges.append(edges.setdefault(sites, len(edges)))
+        couplings[sites] = coeff
+        h_axes.append(letters.pop() - 1)
+    # the three charges order their terms alike, by the site of their one letter
+    charge_sites = [word.letters.index(1) for _, word in system.charges[0].terms]
+    return (
+        np.array(list(edges), dtype=np.int64).reshape(-1, 2),
+        np.array(list(couplings.values())),
+        np.array(h_edges, dtype=np.intp),
+        np.array(h_axes, dtype=np.intp),
+        np.array(charge_sites, dtype=np.intp),
+    )
+
+
+def _sector_blocks(system: ThermoSystem) -> EigenBlocks:
+    """H of an SU(2)-symmetric system diagonalized on its S^z sectors, with each level's correlators.
+
+    A basis state with w spins down (bits set, site 0 the most significant
+    bit) has 2m = n - 2w.  On it Z_iZ_j is +-1, and X_iX_j + Y_iY_j moves
+    the pair's two spins into each other's places with weight 2 when they
+    differ and gives 0 when they agree, so H is real on each sector and
+    takes one `eigh` for each m >= 0.  The global spin flip maps the sector
+    m onto -m with the same vectors and energies and each <Z_i> negated.
+    Raises ResourceError above MAX_SECTOR_QUBITS qubits.
+    """
+    n = system.n_qubits
+    if n > MAX_SECTOR_QUBITS:
+        raise ResourceError(f"{n} qubits exceeds the S^z sector limit of {MAX_SECTOR_QUBITS}")
+    edges, couplings, h_edges, h_axes, charge_sites = _exchange_terms(system)
+    place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
+    states = np.arange(2**n, dtype=np.int64)
+    spins = 1 - 2 * ((states[:, None] & place) != 0)
+    pair_spins = spins[:, edges[:, 0]] * spins[:, edges[:, 1]]
+    diagonal = pair_spins @ couplings
+    flips = place[edges[:, 0]] | place[edges[:, 1]]
+    down = np.count_nonzero(spins < 0, axis=1)
+    everything = 2**n - 1
+    energies, twice_m, correlators, sectors = [], [], [], []
+    for w in range(n // 2 + 1):
+        basis = np.flatnonzero(down == w)
+        size = len(basis)
+        h = np.zeros((size, size))
+        h[np.arange(size), np.arange(size)] = diagonal[basis]
+        rows, edge = np.nonzero(pair_spins[basis] < 0)
+        cols = np.searchsorted(basis, basis[rows] ^ flips[edge])
+        h[rows, cols] = 2.0 * couplings[edge]
+        vals, vecs = np.linalg.eigh(h)
+        weights = (vecs * vecs).T
+        xx = np.empty((size, len(edges)))
+        for e in range(len(edges)):
+            pairs = edge == e
+            xx[:, e] = np.einsum("sa,sa->a", vecs[rows[pairs]], vecs[cols[pairs]])
+        zz, z = weights @ pair_spins[basis], weights @ spins[basis]
+        vecs.setflags(write=False)
+        twice = n - 2 * w
+        for sign in ((1, -1) if twice > 0 else (1,)):
+            energies.append(vals)
+            twice_m.append(np.full(size, sign * twice, dtype=float))
+            correlators.append(np.concatenate([xx, zz, sign * z], axis=1))
+            sectors.append((basis if sign > 0 else everything ^ basis, vecs))
     energies, twice_m = np.concatenate(energies), np.concatenate(twice_m)
+    correlators = np.concatenate(correlators)
     up = np.flatnonzero(twice_m > 0)
-    for array in (energies, twice_m, up):
+    for array in (energies, twice_m, up, correlators, h_edges, h_axes, charge_sites):
         array.setflags(write=False)
-    return SpinLevels(energies, twice_m, up, tuple(frames))
+    spin = SpinLevels(energies, twice_m, up, correlators, h_edges, h_axes, charge_sites, tuple(sectors))
+    return EigenBlocks((system.hamiltonian, *system.charges), None, (), None, spin)
 
 
 def eigen_blocks(system: ThermoSystem) -> EigenBlocks:
-    """The blocks of H - mu.Q: built once per conserved system and kept on it, else one dense block."""
+    """The blocks of H - mu.Q: built once per conserved system and kept on it, else one dense block.
+
+    An SU(2)-symmetric system keeps its S^z sectors instead.
+    """
     if not system.conserved:
         return _dense_block(system)
     blocks = system._eigen_blocks
     if blocks is None:
-        blocks = _eigenspace_blocks(system)
+        blocks = _sector_blocks(system) if system.su2_symmetric else _eigenspace_blocks(system)
         # a cache on a frozen system, as Observable caches its dense matrix
         object.__setattr__(system, "_eigen_blocks", blocks)
     return blocks
@@ -268,10 +319,10 @@ class ThermalState:
     `block_levels` and `block_populations` run block by block, and `vectors`
     holds one (count, size, size) stack of block eigenvectors per run of
     equal-size blocks, in block coordinates, whose column a belongs to
-    level a of its block.  The means, the dense `rho` and the `eigenvectors`
-    in the computational basis are computed on first use, and so are the
-    `vectors` of an SU(2)-symmetric system, whose levels and means need
-    none.
+    level a of its block.  An SU(2)-symmetric state runs level by level
+    through its S^z sectors and needs no block vectors.  The means, the
+    dense `rho` and the `eigenvectors` in the computational basis are
+    computed on first use.
     """
 
     mu: np.ndarray
@@ -288,22 +339,15 @@ class ThermalState:
     def vectors(self) -> tuple[np.ndarray, ...]:
         """One stack of block eigenvectors per run; `thermal_state` fills it where it solved the blocks.
 
-        An SU(2)-symmetric state rotates the joint eigenvectors J of H and
-        2S^z by U = e^{-i phi S^z} e^{-i theta S^y}, which takes S^z to
-        n.S for n = mu/|mu| at polar angle theta and azimuth phi and
-        commutes with H, so U J diagonalizes H - mu.Q level by level.
+        An SU(2)-symmetric state solves no block, so it has none.
         """
+        return ()
+
+    @property
+    def _axis(self) -> np.ndarray:
+        """n = mu/|mu|, the axis the rotation takes z to; z itself at mu = 0, where any axis serves."""
         r = math.hypot(*self.mu)
-        nx, ny, nz = self.mu / r if r > 0.0 else (0.0, 0.0, 1.0)
-        theta, phi = math.acos(min(1.0, max(-1.0, nz))), math.atan2(ny, nx)
-        out = []
-        for z_basis, twice_z, z_to_y, twice_y, y_to_joint in self.blocks.spin.frames:
-            # in the eigenbases of 2S^y and 2S^z the two factors of U are phases
-            vecs = z_to_y @ (np.exp(-0.5j * theta * twice_y)[:, :, None] * y_to_joint)
-            vecs = z_basis @ (np.exp(-0.5j * phi * twice_z)[:, :, None] * vecs)
-            vecs.setflags(write=False)
-            out.append(vecs)
-        return tuple(out)
+        return self.mu / r if r > 0.0 else np.array([0.0, 0.0, 1.0])
 
     @cached_property
     def _spin_moments(self) -> tuple[float, float]:
@@ -352,8 +396,12 @@ class ThermalState:
         `blocks.term_slices` says which entries belong to which observable.
         Conserved systems read the terms projected into the blocks, in one
         product; the one dense block gathers each term from its density
-        matrix along the word's basis action.
+        matrix along the word's basis action.  SU(2)-symmetric systems read
+        them off the correlators of their levels (`_sector_term_means`).
         """
+        spin = self.blocks.spin
+        if spin is not None:
+            return _sector_term_means(spin, self.block_populations, self._axis)
         if self.blocks.basis is None:
             d = self.dimension
             rho = self._block_rho.reshape(d, d)
@@ -377,7 +425,11 @@ class ThermalState:
         """Eigenvectors of H - mu.Q in the computational basis, as columns in block order.
 
         Column a has level `block_levels[a]` and population `block_populations[a]`.
+        An SU(2)-symmetric system rotates its sector vectors (`_rotated_sectors`).
         """
+        spin = self.blocks.spin
+        if spin is not None:
+            return _rotated_sectors(spin, self._axis, self.dimension)
         basis = self.blocks.basis
         if basis is None:
             return self.vectors[0][0]
@@ -397,6 +449,58 @@ class ThermalState:
         rho = (rho + rho.conj().T) / 2.0
         rho.setflags(write=False)
         return rho
+
+
+def _sector_term_means(spin: SpinLevels, p: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """The Pauli-term means of an SU(2)-symmetric state, from its populations p and axis n = mu/|mu|.
+
+    In the rotated frame rho is diagonal on the sector levels, and U^dag
+    sigma^c U = sum_d R_cd sigma^d with R_cz = n_c.  Between the real sector
+    states only <XX> = <YY> and <ZZ> of one pair survive, so a term of axis c
+    on an edge has mean cx + (cz - cx) n_c^2, where cx and cz are those two
+    correlators weighted by p, and a charge term sigma^c_i has mean
+    n_c <Z_i>.
+    """
+    edges = (spin.correlators.shape[1] - len(spin.charge_sites)) // 2
+    weighted = p @ spin.correlators
+    cx = weighted[spin.h_edges]
+    cz = weighted[edges + spin.h_edges]
+    z = weighted[2 * edges + spin.charge_sites]
+    means = np.concatenate([cx + (cz - cx) * axis[spin.h_axes] ** 2, *(c * z for c in axis)])
+    means.setflags(write=False)
+    return means
+
+
+def _rotated_sectors(spin: SpinLevels, axis: np.ndarray, dimension: int) -> np.ndarray:
+    """The sector vectors in the computational basis, turned by U onto the eigenvectors of H - mu.Q.
+
+    U = e^{-i phi S^z} e^{-i theta S^y}, with theta and phi the polar
+    angles of the axis, takes S^z to n.S and commutes with H.  Its second
+    factor is the same real rotation e^{-i theta Y/2} on every site, applied
+    one site at a time in O(n 4^n), and its first is the phase
+    e^{-i phi m} on each basis state of S^z = m.  Raises ResourceError above
+    MAX_DENSE_QUBITS qubits, as the result is a dense matrix.
+    """
+    if dimension > 2**MAX_DENSE_QUBITS:
+        raise ResourceError(f"{dimension.bit_length() - 1} qubits exceeds the dense limit of {MAX_DENSE_QUBITS}")
+    out = np.zeros((dimension, dimension))
+    twice_m = np.empty(dimension)
+    start = 0
+    for states, vecs in spin.sectors:
+        out[states, start : start + len(vecs)] = vecs
+        twice_m[states] = spin.twice_m[start]
+        start += len(vecs)
+    theta, phi = math.acos(min(1.0, max(-1.0, axis[2]))), math.atan2(axis[1], axis[0])
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    rotation = np.array([[c, -s], [s, c]])
+    left = 1
+    while left < dimension:
+        # site k is the factor of size 2 after the first k sites
+        out = (rotation @ out.reshape(left, 2, -1)).reshape(dimension, dimension)
+        left *= 2
+    out = np.exp(-0.5j * phi * twice_m)[:, None] * out
+    out.setflags(write=False)
+    return out
 
 
 def _real_means(means: np.ndarray) -> np.ndarray:
@@ -544,7 +648,30 @@ def primal_free_energy(system: ThermoSystem, rho: np.ndarray, T: float) -> float
 
 
 def smoothness_L(system: ThermoSystem, T: float) -> float:
-    """Upper bound (2/T) sum_i ||Q_i||^2 on the dual Hessian's spectral norm."""
+    """L = (1/T) max_{|v|=1} ||v.Q||^2, a Lipschitz constant of the dual gradient, without dense matrices.
+
+    -T v.H.v = sum_ab LM(p_a, p_b) |<a|v.Q|b>|^2 - <v.Q>^2 for the Hessian H
+    (see `hessian_exact`).  The logarithmic mean is at most the arithmetic
+    mean, so -T v.H.v <= Var(v.Q), and Popoviciu's inequality bounds that by
+    ||v.Q||^2.  The maximum over v is
+    - n^2 for an SU(2)-symmetric system, where v.Q is |v| times a rotated
+      2S^z of norm n;
+    - the number of encoded qubits that carry a charge when every charge is
+      a single-qubit logical Pauli: the charges on qubit j add up to |v_j|
+      times a logical Pauli, the norms of different qubits add, and
+      sum_j |v_j| <= sqrt(k) |v|;
+    - at most sum_i ||Q_i||^2 for any other system, by the triangle and
+      Cauchy-Schwarz inequalities; a one-term charge has norm |c|.
+    """
     if not T > 0:
         raise ValueError(f"temperature must be positive, got {T}")
-    return (2.0 / T) * sum(q.spectral_norm**2 for q in system.charges)
+    words = system.charge_words
+    if system.su2_symmetric:
+        bound = system.n_qubits**2
+    elif words is not None and all(np.count_nonzero(w) == 1 for w in words):
+        bound = len({int(np.flatnonzero(w)[0]) for w in words})
+    else:
+        bound = sum(
+            q.coefficients[0] ** 2 if len(q.terms) == 1 else q.spectral_norm**2 for q in system.charges
+        )
+    return float(bound) / T

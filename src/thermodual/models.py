@@ -14,12 +14,15 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConfigError
-from .operators import Observable, PauliString, commutes, parse_pauli, pauli_product
+from .operators import Observable, PauliString, commutator_residual, commutes, parse_pauli, pauli_product
 
 
-def conservation_tolerance(h: np.ndarray) -> float:
-    """The largest entry of [H, Q] that still counts as conserved: 1e-12 of max(1, max |H_ij|)."""
-    return 1e-12 * max(1.0, float(np.max(np.abs(h), initial=0.0)))
+def conservation_tolerance(hamiltonian: Observable) -> float:
+    """The largest part of [H, Q] that still counts as conserved: 1e-12 of max(1, sum_a |h_a|).
+
+    sum_a |h_a| bounds both ||H|| and every entry of H.
+    """
+    return 1e-12 * max(1.0, float(np.sum(np.abs(hamiltonian.coefficients))))
 
 
 @dataclass(frozen=True)
@@ -94,11 +97,13 @@ class ThermoSystem:
     """Hamiltonian, charge tuple, and constraint targets of one problem instance.
 
     Stabilizer systems also keep each charge's logical word in `charge_words`.
-    `su2_symmetric` marks a Hamiltonian that commutes with global spin
-    rotations and charges that are the total magnetizations 2 S^x, 2 S^y,
-    2 S^z, in that order.  A conserved system also keeps the eigenspace
-    blocks of H that `gibbs` builds on first use; they are never compared
-    or pickled.
+    `su2_symmetric` marks a Hamiltonian of two-site exchange terms, which
+    commutes with global spin rotations, and charges that are the total
+    magnetizations 2 S^x, 2 S^y, 2 S^z, in that order.  `conserved` marks
+    charges that commute with H, which construction checks in the Pauli
+    algebra.  A conserved system also keeps the eigenspace blocks, or the
+    S^z sectors, of H that `gibbs` builds on first use; they are never
+    compared or pickled.
     """
 
     hamiltonian: Observable
@@ -120,11 +125,10 @@ class ThermoSystem:
             if q.n != self.hamiltonian.n:
                 raise ValueError("charge and Hamiltonian sizes differ")
         if self.conserved:
-            h = self.hamiltonian.to_dense()
+            tolerance = conservation_tolerance(self.hamiltonian)
             for i, q in enumerate(self.charges):
-                qd = q.to_dense()
-                err = np.max(np.abs(h @ qd - qd @ h))
-                if err > conservation_tolerance(h):
+                err = commutator_residual(self.hamiltonian, q)
+                if err > tolerance:
                     raise ValueError(f"charge {i} is not conserved: [H,Q] = {err:.3e}")
 
     def __getstate__(self):

@@ -5,8 +5,8 @@ to Tr[Q_i rho] = q_i equals max_mu mu.q + lambda_min(H - mu.Q); it is the
 reference E in the solver error metric.  `reference_energy` evaluates it in
 closed form for the two built-in model families: -(n - k) for a stabilizer
 code, and for a Heisenberg model a maximum over the lowest levels of H in
-its S^z sectors.  `check_feasible` decides whether any state meets the
-targets at all.
+its S^z sectors, which `gibbs` builds once per system.  `check_feasible`
+decides whether any state meets the targets at all.
 `dual_eigenvalue_solve` maximizes the dual by supergradient ascent for any
 system; it is the independent cross-check of the closed forms.
 The closeness report compares a Gibbs state against the maximally mixed state
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .gibbs import effective_hamiltonian
+from .gibbs import effective_hamiltonian, eigen_blocks
 from .models import ThermoSystem
 from .operators import PauliString
 
@@ -140,18 +140,16 @@ def _su2_reference(system: ThermoSystem) -> float:
 
     With mu = r q/|q| a global rotation takes H - mu.Q to H - 2 r S^z and
     leaves H fixed.  H conserves S^z, so lambda_min(H - 2 r S^z) is
-    min_m (e_m - 2 r m), each e_m from the basis states with S^z = m alone.
-    A rotation by pi maps the sector m onto -m, so m >= 0 suffices.  The objective is concave and piecewise linear in r, so
-    its maximum sits at r = 0 or where two of the lines e_m - 2 r m cross.
+    min_m (e_m - 2 r m), each e_m the lowest level of the sector S^z = m,
+    read from the sector build `gibbs` keeps on the system.  A rotation by pi
+    maps the sector m onto -m, so m >= 0 suffices.  The objective is concave
+    and piecewise linear in r, so its maximum sits at r = 0 or where two of
+    the lines e_m - 2 r m cross.
     """
-    h = system.hamiltonian.to_dense()
-    # the charges are 2 S^x, 2 S^y, 2 S^z in that order, and 2 S^z is diagonal
-    twice_m = np.real(np.diagonal(system.charges[2].to_dense()))
+    spin = eigen_blocks(system).spin
+    twice_m = spin.twice_m
     M = np.unique(twice_m[twice_m >= 0.0]) / 2.0
-    E = np.array([
-        np.linalg.eigvalsh(h[np.ix_(sel, sel)])[0]
-        for sel in (np.flatnonzero(twice_m == 2.0 * m) for m in M)
-    ])
+    E = np.array([np.min(spin.energies[twice_m == 2.0 * m]) for m in M])
     norm = float(np.linalg.norm(system.targets))
     crossings = [
         (E[a] - E[b]) / (2.0 * (M[a] - M[b]))

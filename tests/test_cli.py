@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermodual.cli import build_system, main, validate_config
+from thermodual.cli import build_system, main, run_experiment, validate_config
 from thermodual.errors import ConfigError
 
 HEISENBERG_CONFIG = {
@@ -366,6 +366,81 @@ class TestRunCommand:
             assert fidelity is None
 
 
+def heisenberg_run(geometry, variant):
+    """A validated config of one Heisenberg run with the oracle on."""
+    return validate_config({
+        "model": {"kind": "heisenberg", **geometry, "targets": [0.6, -0.7, 0.9]},
+        "solver": {"variant": variant, "max_iter": 20000},
+        "oracle": {"enable": True},
+    })
+
+
+class TestSectorRuns:
+    """Heisenberg runs take their levels, means and reference from the S^z sectors."""
+
+    def test_no_full_size_eigensolve(self, tmp_path, monkeypatch):
+        full = 2**8
+
+        def refusing(solver):
+            def wrapped(a, *args, **kwargs):
+                assert np.shape(a)[-1] < full, f"{solver.__name__} on a {full}-dim matrix"
+                return solver(a, *args, **kwargs)
+            return wrapped
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refusing(getattr(np.linalg, name)))
+        for variant in ("first_classical", "second_classical"):
+            config = heisenberg_run({"geometry": "line", "n": 8, "nnn": True}, variant)
+            assert run_experiment(config, tmp_path / variant) == 0
+            summary = json.loads((tmp_path / variant / "summary.json").read_text())
+            assert summary["converged"] and summary["reference_method"] == "su2"
+
+    def test_line12_first_classical(self, tmp_path):
+        config = heisenberg_run({"geometry": "line", "n": 12, "nnn": True}, "first_classical")
+        assert run_experiment(config, tmp_path) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["converged"]
+        assert summary["runs"][0]["final_error_metric"] <= 0.1 + 1e-4
+
+
+def per_value_runs_csv(path, traces, n_charges):
+    """runs.csv as one `_fmt` call per value, the form the column writer must reproduce."""
+    from thermodual.cli import _fmt
+
+    lines = [",".join(
+        ["run_id", "iter", "f_estimate", "grad_norm", "error_metric"]
+        + [f"mu_{i}" for i in range(n_charges)] + ["shots_used"]
+    )]
+    for run_id, trace in enumerate(traces):
+        for rec in trace.records:
+            row = [str(run_id), str(rec.iteration), _fmt(rec.f_estimate), _fmt(rec.grad_norm), _fmt(rec.error_metric)]
+            row += [_fmt(v) for v in rec.mu]
+            row += [str(rec.shots_used)]
+            lines.append(",".join(row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestRunsCsv:
+    @pytest.mark.parametrize("payload,reference", [
+        (HEISENBERG_CONFIG, -4.0), (REPETITION_HQC_CONFIG, None),
+    ], ids=["exact", "sampled"])
+    def test_columns_match_the_per_value_writer(self, tmp_path, payload, reference):
+        from thermodual.cli import _prepare, _write_runs_csv
+        from thermodual.optimize import run
+
+        config = validate_config(payload)
+        system = build_system(config["model"])
+        experiment = _prepare(system, config["solver"], config["seed"])
+        traces = [
+            run(system, experiment.optimizer, experiment.estimator, reference_energy=reference)
+            for _ in range(2)
+        ]
+        assert all(trace.iterations > 1 for trace in traces)
+        _write_runs_csv(tmp_path / "columns.csv", traces, system.n_charges)
+        per_value_runs_csv(tmp_path / "values.csv", traces, system.n_charges)
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
+
+
 class TestVerifyCommand:
     def test_codes_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -480,7 +555,8 @@ def repetition_model(charge):
 
 class TestExitCodes:
     @pytest.mark.parametrize("block,key,value,code", [
-        ("model", "n", 11, 5),
+        # beyond the S^z sector limit of 12 qubits
+        ("model", "n", 13, 5),
         ("model", "n", "3", 2),
         ("model", "n", True, 2),
         ("solver", "temperature", -1, 2),

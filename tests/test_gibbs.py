@@ -260,13 +260,24 @@ class TestPrimalFreeEnergy:
 
 class TestSmoothness:
     def test_single_pauli_charge(self):
+        # max ||v.Q||^2 over unit v is ||Z||^2 = 1
         system = single_qubit_system([(1.0, "Z")], [(1.0, "Z")])
-        assert smoothness_L(system, 1.0) == pytest.approx(2.0, abs=1e-12)
+        assert smoothness_L(system, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_heisenberg_three_sites(self):
+        # v.Q is |v| times a rotated 2S^z, of norm n = 3
         system = build_heisenberg("line", n=3)
         for T in (0.5, 1.0, 2.0):
-            assert smoothness_L(system, T) == pytest.approx(54.0 / T, rel=1e-12)
+            assert smoothness_L(system, T) == pytest.approx(9.0 / T, rel=1e-12)
+
+    @pytest.mark.parametrize("name,bound", [
+        # single-qubit logicals: the number of encoded qubits that carry a charge
+        ("repetition3-axes", 1.0), ("repetition3-xz", 1.0), ("perfect5-y", 1.0), ("detect422-axes", 2.0),
+        # other logical words: the sum of the squared norms, each 1
+        ("detect422-pairs", 3.0), ("detect422-all", 15.0),
+    ])
+    def test_codes(self, name, bound):
+        assert smoothness_L(_builtin(name), 0.5) == pytest.approx(bound / 0.5, rel=1e-12)
 
 
 SMOOTHNESS_FAMILIES = {
@@ -362,7 +373,8 @@ class TestEigenspaceBlocks:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_matches_dense_path(self, name):
-        system = _builtin(name)
+        # SU(2)-symmetric systems keep sectors instead; without the flag they take the blocks
+        system = replace(_builtin(name), su2_symmetric=False)
         dense = replace(system, conserved=False)
         rng = np.random.default_rng(sum(map(ord, name)) + 1)
         default_T = 0.1 / (system.n_qubits * math.log(2))
@@ -381,7 +393,7 @@ class TestEigenspaceBlocks:
 
     def test_degenerate_multiplets_share_a_block(self):
         # line 3: a spin-3/2 quadruplet and two spin-1/2 doublets, each exactly degenerate
-        system = build_heisenberg("line", n=3)
+        system = replace(build_heisenberg("line", n=3), su2_symmetric=False)
         assert eigen_blocks(system).shapes == ((2, 2), (1, 4))
         dense = replace(system, conserved=False)
         for mu in ([0.0, 0.0, 0.0], [0.3, -0.1, 0.2]):
@@ -469,7 +481,7 @@ class TestTermMeans:
             assert np.max(np.abs(np.array(sums) - [state.energy, *state.charge_means])) <= 1e-12
 
     def test_projections_are_built_once_per_system(self):
-        system = build_heisenberg("line", n=4, nnn=True)
+        system = replace(build_heisenberg("line", n=4, nnn=True), su2_symmetric=False)
         first = thermal_state(system, [0.1, 0.0, 0.2], 0.3)
         first.term_means
         second = thermal_state(system, [0.3, -0.2, 0.0], 0.3)
@@ -485,12 +497,13 @@ ROTATED_SYSTEMS = {
 
 
 def _observed(system, state):
-    """Levels and populations in ascending order, ln Z, the means and the Hessian."""
+    """Levels and populations in ascending order, ln Z, the means, the Pauli-term means and the Hessian."""
     return (
         np.sort(state.block_levels),
         np.sort(state.block_populations),
         log_partition(state),
         [state.energy, *state.charge_means],
+        state.term_means,
         hessian_exact(system, state),
     )
 
@@ -502,7 +515,7 @@ def _relative_gap(value, reference) -> float:
 
 
 class TestRotatedFrame:
-    """The closed form of SU(2)-symmetric systems against the block path and the dense path."""
+    """The closed form of SU(2)-symmetric systems, from their sectors, against the block and dense paths."""
 
     @pytest.mark.parametrize("name", list(ROTATED_SYSTEMS))
     def test_matches_block_and_dense_paths(self, name):
@@ -579,3 +592,66 @@ class TestRotatedFrame:
         bad = replace(system, charges=(*system.charges[:2], scaled))
         with pytest.raises(NumericalIntegrityError, match="non-integer"):
             eigen_blocks(bad)
+
+
+def _eigenvector_residual(system, state) -> float:
+    """max |A V - V diag(levels)| of the state's eigenvectors, relative to max(1, max |A|)."""
+    A = effective_hamiltonian(system, state.mu)
+    V = state.eigenvectors
+    return float(np.max(np.abs(A @ V - V * state.block_levels))) / max(1.0, float(np.max(np.abs(A))))
+
+
+SECTOR_SYSTEMS = {
+    **{name: kwargs for name, kwargs in _heisenberg_family()},
+    "line10-nnn": dict(geometry="line", n=10, nnn=True),
+}
+
+
+class TestSectors:
+    """The S^z sector build of SU(2)-symmetric systems against the dense path, its oracle."""
+
+    @pytest.mark.parametrize("name", list(SECTOR_SYSTEMS))
+    def test_matches_dense_path(self, name):
+        system = build_heisenberg(**SECTOR_SYSTEMS[name], targets=(0.4, -0.3, 0.5))
+        dense = replace(system, conserved=False, su2_symmetric=False)
+        assert eigen_blocks(system).spin is not None and eigen_blocks(system).operators is None
+        rng = np.random.default_rng(sum(map(ord, name)))
+        tiny = rng.normal(size=3)
+        T = 0.1 / (system.n_qubits * math.log(2))
+        for mu in (np.zeros(3), 1e-9 * tiny / np.linalg.norm(tiny), rng.normal(size=3)):
+            state = thermal_state(system, mu, T)
+            expected = _observed(dense, thermal_state(dense, mu, T))
+            for value, want in zip(_observed(system, state), expected):
+                assert _relative_gap(value, want) <= 1e-12
+            assert _eigenvector_residual(system, state) <= 1e-12
+
+    def test_builds_no_dense_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense matrix of the full space")
+
+        monkeypatch.setattr(Observable, "to_dense", refuse)
+        system = build_heisenberg("line", n=8, nnn=True, targets=(0.2, 0.1, -0.3))
+        state = thermal_state(system, [0.3, -0.2, 0.1], 0.05)
+        assert state.term_means.shape == (sum(len(obs.terms) for obs in (system.hamiltonian, *system.charges)),)
+        assert smoothness_L(system, 0.05) == 64 / 0.05
+        hessian_exact(system, state)
+
+    def test_sizes_beyond_the_limits_are_refused(self):
+        from thermodual.errors import ResourceError
+
+        with pytest.raises(ResourceError, match="sector limit of 12"):
+            eigen_blocks(build_heisenberg("line", n=13))
+        state = thermal_state(build_heisenberg("line", n=11, nnn=True), [0.1, 0.2, 0.3], 0.1)
+        assert np.isfinite(state.term_means).all() and np.isfinite(state.energy)
+        with pytest.raises(ResourceError, match="dense limit of 10"):
+            state.eigenvectors
+
+    def test_hamiltonian_beyond_exchange_terms_is_refused(self):
+        # (s0.s1)(s2.s3) commutes with every total spin, but it is no two-site exchange
+        system = build_heisenberg("line", n=4)
+        quartic = [
+            (1.0, PauliString((a, a, b, b))) for a in (1, 2, 3) for b in (1, 2, 3)
+        ]
+        hamiltonian = Observable(4, [*system.hamiltonian.terms, *quartic])
+        with pytest.raises(NumericalIntegrityError, match="not an exchange"):
+            eigen_blocks(replace(system, hamiltonian=hamiltonian))

@@ -14,7 +14,7 @@ from thermodual.models import (
     codespace_projector,
     logical_pauli_product,
 )
-from thermodual.operators import commutes, parse_pauli
+from thermodual.operators import Observable, PauliString, commutator_residual, commutes, parse_pauli
 
 
 def _heisenberg_terms(kwargs) -> dict:
@@ -111,6 +111,28 @@ class TestHeisenberg:
             for q in system.charges:
                 qd = q.to_dense()
                 assert np.max(np.abs(h @ qd - qd @ h)) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("rng_seed", range(4))
+    def test_pauli_conservation_check_matches_the_dense_commutator(self, rng_seed):
+        # random Pauli sums: the largest Pauli coefficient of [H, Q] against the dense commutator's
+        rng = np.random.default_rng(rng_seed)
+        h, q = (
+            Observable(3, [(float(rng.normal()), PauliString(tuple(rng.integers(0, 4, size=3)))) for _ in range(5)])
+            for _ in range(2)
+        )
+        commutator = h.to_dense() @ q.to_dense() - q.to_dense() @ h.to_dense()
+        coefficients = [
+            abs(np.trace(PauliString(w).to_dense() @ commutator)) / 8 for w in itertools.product(range(4), repeat=3)
+        ]
+        assert commutator_residual(h, q) == pytest.approx(max(coefficients), abs=1e-12)
+
+    def test_non_conserving_charge_is_refused(self):
+        system = build_heisenberg("line", n=4, nnn=True)
+        staggered = Observable(4, [((-1.0) ** k, PauliString.single(4, k, 3)) for k in range(4)])
+        with pytest.raises(ValueError, match="charge 1 is not conserved"):
+            ThermoSystem(system.hamiltonian, (system.charges[2], staggered), (0.0, 0.0), conserved=True)
+        # a conserved charge has every coefficient of [H, Q] exactly zero
+        assert all(commutator_residual(system.hamiltonian, q) == 0.0 for q in system.charges)
 
     def test_charges_are_site_sums(self):
         system = build_heisenberg("line", n=3)

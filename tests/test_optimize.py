@@ -284,11 +284,11 @@ class TestStepRecords:
         assert self._records(system, cfg) == [(eta, False) for eta in etas]
 
     def test_second_classical_fallbacks_in_the_rotated_frame(self):
-        # as on the block path, but iterations 3 and 4 both take the gradient step
+        # as on the block path: iteration 3 takes the gradient step
         system = build_heisenberg("line", n=3, nnn=True, targets=(1.2, -0.4, 0.3))
         cfg = OptimizerConfig(variant="second_classical", epsilon=0.1)
-        fallbacks = {3, 4}
-        etas = [1.0] * 6 + [2.0**-6] * 3 + [2.0**-k for k in range(5, 0, -1)] + [1.0] * 4
+        fallbacks = {3}
+        etas = [1.0] * 5 + [2.0**-6] * 3 + [2.0**-k for k in range(5, 0, -1)] + [1.0] * 4
         assert self._records(system, cfg) == [
             (eta, m in fallbacks) for m, eta in enumerate(etas)
         ]
@@ -296,16 +296,18 @@ class TestStepRecords:
     def test_second_classical_backtracked_eta_in_the_rotated_frame(self):
         system = build_heisenberg("line", n=5, targets=(-0.1, 1.5, 0.1))
         cfg = OptimizerConfig(variant="second_classical", epsilon=0.1)
-        kept = 0.020252833340096518
+        kept = 0.020252833340097757
         etas = [1.0] * 4 + [kept, kept] + [2.0**k * kept for k in range(1, 6)] + [1.0] * 4
-        assert 32 * kept == 0.6480906668830886
+        assert 32 * kept == 0.6480906668831282
         assert self._records(system, cfg) == [(eta, False) for eta in etas]
 
     def test_nesterov_keeps_its_fixed_step(self):
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
         cfg = OptimizerConfig(variant="first_classical", epsilon=0.3, max_iter=60)
         assert cfg.resolved_nesterov()
-        eta = 0.002404491734814939
+        # 0.9/L with L = n^2/T and T = 0.3/(3 ln 2)
+        eta = 0.014426950408889637
+        assert eta == pytest.approx(0.9 * 0.3 / (3 * math.log(2)) / 9, rel=1e-15)
         assert first_order_step_size(system, cfg) == eta
         assert self._records(system, cfg) == [(eta, False)] * 61
 

@@ -254,15 +254,22 @@ def state_expectations(rng, k, words, rank):
     return [float(np.real(np.trace(rho @ PauliString(w).to_dense()))) for w in words]
 
 
+# even n: the dual solve reaches the kink of the dual; J < 0 is ferromagnetic
+HEISENBERG_CASES = [
+    (0, "line", 4, False, 1.0, 0.3), (1, "line", 4, True, -1.0, 0.9),
+    (2, "line", 4, False, 1.5, 0.999), (3, "line", 6, False, -1.0, 0.5),
+    (4, "line", 6, True, 1.5, 0.6), (5, "line", 6, True, 1.0, 0.99),
+    (6, "grid", (2, 2), True, 1.0, 0.4), (7, "grid", (2, 2), True, -1.0, 0.95),
+    (8, "grid", (2, 3), True, 1.5, 0.2), (9, "grid", (2, 3), True, -1.0, 0.98),
+]
+ODD_LINE_CASES = [
+    (3, False, 1.0, 0.95), (3, True, -1.0, 0.5), (5, False, 1.0, 0.3),
+    (5, True, 1.5, 0.97), (7, False, 1.0, 0.3), (7, True, -1.0, 0.8),
+]
+
+
 class TestClosedFormReference:
-    # even n: the dual solve reaches the kink of the dual; J < 0 is ferromagnetic
-    @pytest.mark.parametrize("seed,geometry,size,nnn,J,fraction", [
-        (0, "line", 4, False, 1.0, 0.3), (1, "line", 4, True, -1.0, 0.9),
-        (2, "line", 4, False, 1.5, 0.999), (3, "line", 6, False, -1.0, 0.5),
-        (4, "line", 6, True, 1.5, 0.6), (5, "line", 6, True, 1.0, 0.99),
-        (6, "grid", (2, 2), True, 1.0, 0.4), (7, "grid", (2, 2), True, -1.0, 0.95),
-        (8, "grid", (2, 3), True, 1.5, 0.2), (9, "grid", (2, 3), True, -1.0, 0.98),
-    ])
+    @pytest.mark.parametrize("seed,geometry,size,nnn,J,fraction", HEISENBERG_CASES)
     def test_heisenberg_matches_dual_solve(self, seed, geometry, size, nnn, J, fraction):
         system = heisenberg_case(geometry, size, nnn, J, fraction, seed)
         closed = reference_energy(system)
@@ -279,10 +286,7 @@ class TestClosedFormReference:
     # odd n: the dual solve stalls short of the kink (about 1e-5 below it at
     # 300 iterations on line 5), so the closed form is checked against a
     # dense search along q and must bound the dual solve from above
-    @pytest.mark.parametrize("n,nnn,J,fraction", [
-        (3, False, 1.0, 0.95), (3, True, -1.0, 0.5), (5, False, 1.0, 0.3),
-        (5, True, 1.5, 0.97), (7, False, 1.0, 0.3), (7, True, -1.0, 0.8),
-    ])
+    @pytest.mark.parametrize("n,nnn,J,fraction", ODD_LINE_CASES)
     def test_odd_lines_match_ray_search(self, n, nnn, J, fraction):
         system = heisenberg_case("line", n, nnn, J, fraction, seed=n)
         closed = reference_energy(system).value
@@ -323,6 +327,29 @@ class TestClosedFormReference:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, refusing(getattr(np.linalg, name)))
         assert reference_energy(system).value == expected
+
+    @pytest.mark.parametrize("seed,geometry,size,nnn,J,fraction", [
+        *HEISENBERG_CASES,
+        (8, "line", 8, True, 1.0, 0.45),
+        *((n, "line", n, nnn, J, fraction) for n, nnn, J, fraction in ODD_LINE_CASES),
+    ])
+    def test_sectors_match_blocks_of_the_dense_hamiltonian(self, seed, geometry, size, nnn, J, fraction):
+        # the former form: each e_m from an eigvalsh of the dense H restricted to S^z = m
+        system = heisenberg_case(geometry, size, nnn, J, fraction, seed)
+        h = system.hamiltonian.to_dense()
+        twice_m = np.real(np.diagonal(system.charges[2].to_dense()))
+        M = np.unique(twice_m[twice_m >= 0.0]) / 2.0
+        E = np.array([
+            np.linalg.eigvalsh(h[np.ix_(sel, sel)])[0]
+            for sel in (np.flatnonzero(twice_m == 2.0 * m) for m in M)
+        ])
+        norm = float(np.linalg.norm(system.targets))
+        r = np.array([0.0] + [
+            c for a in range(len(M)) for b in range(a + 1, len(M))
+            if (c := (E[a] - E[b]) / (2.0 * (M[a] - M[b]))) > 0.0
+        ])
+        dense_form = float(np.max(r * norm + np.min(E[None, :] - 2.0 * r[:, None] * M[None, :], axis=1)))
+        assert reference_energy(system).value == pytest.approx(dense_form, abs=1e-12)
 
     @pytest.mark.parametrize("J", [1.0, -1.0])
     @pytest.mark.parametrize("geometry,size,nnn", [
