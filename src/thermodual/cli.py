@@ -310,7 +310,13 @@ def _write_runs_csv(path: Path, traces: list[Trace], n_charges: int):
 
 
 def _write_aggregate_csv(path: Path, traces: list[Trace]):
-    max_len = max(trace.iterations for trace in traces)
+    """Mean and std over the runs at each iteration, each column computed over a stack of runs.
+
+    The runs present at an iteration change only where one stops, so each
+    stretch between stops is one (iteration, run) array per quantity, whose
+    rows reduce the same values in the same order as one row alone.  A row
+    with a missing error metric leaves its error columns empty.
+    """
     header = [
         "iter", "n_runs",
         "f_estimate_mean", "f_estimate_std",
@@ -318,21 +324,19 @@ def _write_aggregate_csv(path: Path, traces: list[Trace]):
         "error_metric_mean", "error_metric_std",
     ]
     lines = [",".join(header)]
-    for it in range(max_len):
-        rows = [trace.records[it] for trace in traces if it < trace.iterations]
-        fs = np.array([r.f_estimate for r in rows])
-        gs = np.array([r.grad_norm for r in rows])
-        errs = [r.error_metric for r in rows]
-        have_err = all(e is not None for e in errs)
-        es = np.array(errs, dtype=float) if have_err else None
-        line = [
-            str(it), str(len(rows)),
-            _fmt(float(fs.mean())), _fmt(float(fs.std())),
-            _fmt(float(gs.mean())), _fmt(float(gs.std())),
-            _fmt(float(es.mean()) if have_err else None),
-            _fmt(float(es.std()) if have_err else None),
-        ]
-        lines.append(",".join(line))
+    start = 0
+    for stop in sorted({trace.iterations for trace in traces}):
+        present = [trace.records for trace in traces if trace.iterations >= stop]
+        span = range(start, stop)
+        columns = [[str(it) for it in span], [str(len(present))] * len(span)]
+        for name in ("f_estimate", "grad_norm", "error_metric"):
+            values = [[getattr(records[it], name) for records in present] for it in span]
+            missing = [None in row for row in values]
+            stacked = np.array(values, dtype=float)
+            for stat in (stacked.mean(axis=1), stacked.std(axis=1)):
+                columns.append(_fmt_floats([None if gap else v for gap, v in zip(missing, stat.tolist())]))
+        lines += map(",".join, zip(*columns))
+        start = stop
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -455,14 +459,14 @@ def _verify_formulas(seed: int):
     return checks
 
 
-def _su2_gap(system: ThermoSystem, state) -> float:
-    """The largest gap of a closed-form SU(2) state from the block path, relative to max(1, |value|).
+def _frame_gap(system: ThermoSystem, state, reference: ThermoSystem) -> float:
+    """The largest gap of a state from the same state of a reference path, relative to max(1, |value|).
 
     It compares the levels and populations in ascending order, ln Z, the
-    means, the Pauli-term means (which read the rotated eigenvectors) and
-    the exact Hessian.
+    means, the Pauli-term means and the exact Hessian.  An SU(2) state is
+    checked against the block path, a stabilizer state against the dense one.
     """
-    block = thermal_state(replace(system, su2_symmetric=False), state.mu, state.temperature)
+    other = thermal_state(reference, state.mu, state.temperature)
 
     def values(s):
         means = [s.energy, *s.charge_means]
@@ -474,24 +478,28 @@ def _su2_gap(system: ThermoSystem, state) -> float:
 
     return max(
         float(np.max(np.abs(np.subtract(a, b)))) / max(1.0, float(np.max(np.abs(b))))
-        for a, b in zip(values(state), values(block))
+        for a, b in zip(values(state), values(other))
     )
 
 
 def _verify_gradients(seed: int):
     """Derivatives against central differences, and the Pauli-term means against the dense gather.
 
-    The random systems take the dense path, the codes their blocks and the
-    Heisenberg models the SU(2) closed form, which is also checked against
-    the block path.
+    The random systems take the dense path, the Heisenberg models the SU(2)
+    closed form, which is also checked against the block path, and the codes
+    their logical frame, which is also checked against the dense path: with
+    the three axis words of repetition3 and perfect5 and all 15 words of
+    detect422.
     """
     rng = np.random.default_rng(seed)
-    detect422 = models.builtin_code("detect422")
+    codes = {name: models.builtin_code(name) for name in ("repetition3", "perfect5", "detect422")}
     conserved = [
         models.build_heisenberg("line", n=4, nnn=True, targets=(0.5, -0.2, 0.3)),
         models.build_heisenberg("grid", rows=2, cols=3, nnn=True, targets=(0.3, 0.1, -0.4)),
+        *(models.build_stabilizer_system(codes[name], [((a,), 0.1) for a in (1, 2, 3)])
+          for name in ("repetition3", "perfect5")),
         models.build_stabilizer_system(
-            detect422, [(w, 0.1) for w in encoding.all_words(detect422.k) if any(w)]
+            codes["detect422"], [(w, 0.1) for w in encoding.all_words(2) if any(w)]
         ),
     ]
     checks = []
@@ -501,6 +509,7 @@ def _verify_gradients(seed: int):
     worst_bound = -np.inf
     worst_terms = 0.0
     worst_su2 = 0.0
+    worst_frame = 0.0
     for system in itertools.chain((_random_system(rng) for _ in range(25)), conserved):
         c = system.n_charges
         T = float(rng.uniform(0.5, 2.0))
@@ -511,7 +520,9 @@ def _verify_gradients(seed: int):
         )
         worst_terms = max(worst_terms, float(np.max(np.abs(state.term_means - dense))))
         if system.su2_symmetric:
-            worst_su2 = max(worst_su2, _su2_gap(system, state))
+            worst_su2 = max(worst_su2, _frame_gap(system, state, replace(system, su2_symmetric=False)))
+        elif system.code is not None:
+            worst_frame = max(worst_frame, _frame_gap(system, state, replace(system, conserved=False)))
         g = gradient(system, state)
         for i in range(c):
             e = np.zeros(c)
@@ -546,6 +557,9 @@ def _verify_gradients(seed: int):
     ))
     checks.append((
         "SU(2) closed form matches the block path <= 1e-12", worst_su2 <= 1e-12, f"max {worst_su2:.2e}"
+    ))
+    checks.append((
+        "logical frame matches the dense path <= 1e-12", worst_frame <= 1e-12, f"max {worst_frame:.2e}"
     ))
     return checks
 

@@ -22,6 +22,18 @@ and the exact Hessian follow in closed form from what each level stores,
 and the eigenvectors, for the readers that ask for them, are the sector
 vectors rotated site by site.
 
+Stabilizer codes are taken in their logical frame (Gottesman,
+quant-ph/9705052).  H = sum_j h_j G_j over r independent generators, and
+every charge is a logical word, which commutes with each G_j.  So the 2^n
+states split into 2^r syndromes times one 2^k logical space, and
+rho = rho_S (x) rho_L.  Each generator is an independent +-1 spin with mean
+-tanh(h_j/T), ln Z = sum_j ln 2cosh(h_j/T) + ln Z_L, and the charge means and
+the exact Hessian are those of the 2^k logical problem.  When every charge
+is one Pauli of one encoded qubit, each encoded qubit is a spin-1/2 in its
+own field and takes no eigensolve; other words take one 2^k `eigh` per
+state.  The levels, populations, eigenvectors and `rho` of all 2^n states
+are assembled only for the readers that ask for them.
+
 Boltzmann weights are shifted so the largest is exactly 1 before
 normalization, which keeps everything finite at temperatures far below the
 spectral gap; weights that underflow are treated as exact zeros, and
@@ -37,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalIntegrityError, ResourceError
-from .models import ThermoSystem, conservation_tolerance
+from .models import StabilizerCode, ThermoSystem, conservation_tolerance, logical_pauli_product
 from .operators import MAX_DENSE_QUBITS, Observable, PauliString, expectation, term_expectations
 
 WEIGHT_FLOOR = 1e-300
@@ -92,6 +104,67 @@ class SpinLevels:
 
 
 @dataclass(frozen=True)
+class LogicalFrame:
+    """A stabilizer code's H - mu.Q as the syndromes of H's terms times one 2^k logical problem.
+
+    H = sum_j h_j G_j, with `generators` the words G_j in H's term order and
+    `h` their coefficients.  Row s of `syndromes` holds the eigenvalue +-1 of
+    each G_j in syndrome s, the first all +1.  Logical basis state z is
+    X-bar^z applied to the state of trivial logical Z in its syndrome,
+    encoded qubit 0 the most significant bit, so each charge acts on it as
+    the matrix in `words`, alike in every syndrome.  `signs` is each charge's
+    coefficient +-1: the mean of its Pauli term is the sign times the charge
+    mean.  When each charge is the logical Pauli a of one encoded qubit q,
+    `axes` holds its slot 3q + a - 1; else it is None.
+    """
+
+    code: StabilizerCode
+    generators: tuple[PauliString, ...]
+    h: np.ndarray
+    words: np.ndarray
+    signs: np.ndarray
+    axes: np.ndarray | None
+
+    @cached_property
+    def syndromes(self) -> np.ndarray:
+        r = len(self.h)
+        bits = (np.arange(2**r)[:, None] >> np.arange(r - 1, -1, -1)) & 1
+        return 1.0 - 2.0 * bits
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The states (syndrome, logical z) as columns of the computational basis, syndrome by syndrome.
+
+        Each syndrome's state of trivial logical Z spans the range of a
+        rank-one product of commuting projectors; its column of largest
+        diagonal entry, normalized, fixes its phase.  Built on first use.
+        """
+        n, k = self.code.n, self.code.k
+        eye = np.eye(2**n)
+        zero = eye
+        for z in self.code.logical_z:
+            zero = zero @ (eye + z.to_dense()) / 2.0
+        flips = [x.to_dense() for x in self.code.logical_x]
+        halves = [{sign: (eye + sign * g.to_dense()) / 2.0 for sign in (1.0, -1.0)} for g in self.generators]
+        columns = []
+        for signs in self.syndromes:
+            projector = zero
+            for sign, half in zip(signs, halves):
+                projector = projector @ half[sign]
+            m = int(np.argmax(projector.diagonal().real))
+            state = projector[:, m] / math.sqrt(projector[m, m].real)
+            for z in range(2**k):
+                column = state
+                for q in range(k):
+                    if z >> (k - 1 - q) & 1:
+                        column = flips[q] @ column
+                columns.append(column)
+        basis = np.stack(columns, axis=1)
+        basis.setflags(write=False)
+        return basis
+
+
+@dataclass(frozen=True)
 class EigenBlocks:
     """H and the charges restricted to blocks that H - mu.Q never couples, for any mu.
 
@@ -101,7 +174,8 @@ class EigenBlocks:
     `basis` holds the block coordinates as columns of the computational
     basis, in the same order; None means one block that is the
     computational basis itself.  An SU(2)-symmetric system has no blocks:
-    `spin` holds its sector levels, and `operators` is None.
+    `spin` holds its sector levels, and `operators` is None; a stabilizer
+    system keeps its `logical` frame instead.
     """
 
     observables: tuple[Observable, ...]
@@ -109,6 +183,7 @@ class EigenBlocks:
     shapes: tuple[tuple[int, int], ...]
     basis: np.ndarray | None
     spin: SpinLevels | None = None
+    logical: LogicalFrame | None = None
 
     @cached_property
     def term_slices(self) -> tuple[slice, ...]:
@@ -288,16 +363,48 @@ def _sector_blocks(system: ThermoSystem) -> EigenBlocks:
     return EigenBlocks((system.hamiltonian, *system.charges), None, (), None, spin)
 
 
+def _logical_frame(system: ThermoSystem) -> EigenBlocks:
+    """The logical frame of a stabilizer system whose H and charges are the ones its code builds.
+
+    H must be a sum over the code's generators, with any coefficients, and
+    each charge the logical product of its word; anything else raises
+    NumericalIntegrityError.
+    """
+    code, words = system.code, system.charge_words
+    generators = tuple(word for _, word in system.hamiltonian.terms)
+    if sorted(g.letters for g in generators) != sorted(g.letters for g in code.stabilizer_generators):
+        raise NumericalIntegrityError(f"H is not a sum over the generators of {code.name}")
+    if words is None or any(q != logical_pauli_product(code, w) for q, w in zip(system.charges, words)):
+        raise NumericalIntegrityError(f"a charge is not the logical product of its word in {code.name}")
+    single = all(np.count_nonzero(w) == 1 for w in words)
+    axes = np.array([3 * int(np.flatnonzero(w)[0]) + max(w) - 1 for w in words]) if single else None
+    frame = LogicalFrame(
+        code,
+        generators,
+        system.hamiltonian.coefficients,
+        np.stack([PauliString(tuple(w)).to_dense() for w in words]),
+        np.array([q.coefficients[0] for q in system.charges]),
+        axes,
+    )
+    return EigenBlocks((system.hamiltonian, *system.charges), None, (), None, logical=frame)
+
+
 def eigen_blocks(system: ThermoSystem) -> EigenBlocks:
     """The blocks of H - mu.Q: built once per conserved system and kept on it, else one dense block.
 
-    An SU(2)-symmetric system keeps its S^z sectors instead.
+    An SU(2)-symmetric system keeps its S^z sectors instead, and a
+    stabilizer system its logical frame.
     """
     if not system.conserved:
         return _dense_block(system)
     blocks = system._eigen_blocks
     if blocks is None:
-        blocks = _sector_blocks(system) if system.su2_symmetric else _eigenspace_blocks(system)
+        if system.su2_symmetric:
+            blocks = _sector_blocks(system)
+        elif system.code is not None:
+            blocks = _logical_frame(system)
+        else:
+            blocks = _eigenspace_blocks(system)
         # a cache on a frozen system, as Observable caches its dense matrix
         object.__setattr__(system, "_eigen_blocks", blocks)
     return blocks
@@ -320,28 +427,86 @@ class ThermalState:
     holds one (count, size, size) stack of block eigenvectors per run of
     equal-size blocks, in block coordinates, whose column a belongs to
     level a of its block.  An SU(2)-symmetric state runs level by level
-    through its S^z sectors and needs no block vectors.  The means, the
-    dense `rho` and the `eigenvectors` in the computational basis are
-    computed on first use.
+    through its S^z sectors and needs no block vectors.  A stabilizer state
+    runs syndrome by syndrome, each with the 2^k logical levels in ascending
+    order, and builds its levels and populations only when they are read.
+    The means, the dense `rho` and the `eigenvectors` in the computational
+    basis are computed on first use.
     """
 
     mu: np.ndarray
     temperature: float
     blocks: EigenBlocks
-    block_levels: np.ndarray
-    block_populations: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return len(self.block_levels)
+        return self.blocks.observables[0].dimension
+
+    @cached_property
+    def block_levels(self) -> np.ndarray:
+        """The levels of H - mu.Q, which `thermal_state` fills in for every state but a stabilizer one.
+
+        Level (s, a) of a stabilizer state is sum_j h_j s_j plus logical level a.
+        """
+        frame = self.blocks.logical
+        levels = (frame.syndromes @ frame.h)[:, None] + self._logical_spectrum[0][None, :]
+        levels = levels.ravel()
+        levels.setflags(write=False)
+        return levels
+
+    @cached_property
+    def block_populations(self) -> np.ndarray:
+        """The Boltzmann populations of `block_levels`."""
+        return _populations(self.block_levels, self.temperature)
 
     @cached_property
     def vectors(self) -> tuple[np.ndarray, ...]:
         """One stack of block eigenvectors per run; `thermal_state` fills it where it solved the blocks.
 
-        An SU(2)-symmetric state solves no block, so it has none.
+        An SU(2)-symmetric or stabilizer state solves no block, so it has none.
         """
         return ()
+
+    @cached_property
+    def _logical_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Levels, eigenvectors and populations of the logical problem -mu.P of a stabilizer state."""
+        words = self.blocks.logical.words
+        vals, vecs = np.linalg.eigh(-np.tensordot(self.mu, words, axes=1))
+        return vals, vecs, _populations(vals, self.temperature)
+
+    @cached_property
+    def _qubit_fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(h, x, t/|h|) per encoded qubit of a stabilizer state whose charges are single-qubit axes.
+
+        Encoded qubit q is a spin-1/2 in the field h_q, whose components are
+        the chemical potentials of its charges.  With x = |h_q|/T and
+        t = tanh(x), its means are h_q t/|h_q|.  t/|h_q| is taken as
+        (tanh(x)/x)/T, which tends to 1/T as |h_q| -> 0 and is 1/T there.
+        """
+        frame = self.blocks.logical
+        T = self.temperature
+        h = np.zeros(3 * frame.code.k)
+        h[frame.axes] = self.mu
+        h = h.reshape(-1, 3)
+        x = np.sqrt((h * h).sum(axis=1)) / T
+        return h, x, np.divide(np.tanh(x), x, out=np.ones_like(x), where=x > 0.0) / T
+
+    @cached_property
+    def _logical_means(self) -> np.ndarray:
+        """The charge means of a stabilizer state, from its logical problem."""
+        frame = self.blocks.logical
+        if frame.axes is not None:
+            return self.mu * self._qubit_fields[2][frame.axes // 3]
+        _, vecs, p = self._logical_spectrum
+        rho = (vecs * p) @ vecs.conj().T
+        return _real_means(np.einsum("iab,ba->i", frame.words, rho))
+
+    @cached_property
+    def _syndrome_means(self) -> np.ndarray:
+        """<G_j> = -tanh(h_j/T) of each generator term of a stabilizer state's H, in term order."""
+        means = -np.tanh(self.blocks.logical.h / self.temperature)
+        means.setflags(write=False)
+        return means
 
     @property
     def _axis(self) -> np.ndarray:
@@ -379,11 +544,16 @@ class ThermalState:
 
     @cached_property
     def _means(self) -> np.ndarray:
-        """Tr[X rho] for X = H, Q_1, ..., from each block's density matrix or the rotated frame."""
+        """Tr[X rho] for X = H, Q_1, ..., from each block's density matrix, the rotated or the logical frame."""
         spin = self.blocks.spin
         if spin is not None:
             # <Q> = (mu/|mu|) <z>
             means = np.concatenate(([self.block_populations @ spin.energies], self.mu * self._spin_moments[0]))
+            means.setflags(write=False)
+            return means
+        if self.blocks.logical is not None:
+            energy = self.blocks.logical.h @ self._syndrome_means
+            means = np.concatenate(([energy], self._logical_means))
             means.setflags(write=False)
             return means
         # Tr[X rho] = sum X_mn conj(rho_mn), as rho is Hermitian
@@ -397,11 +567,17 @@ class ThermalState:
         Conserved systems read the terms projected into the blocks, in one
         product; the one dense block gathers each term from its density
         matrix along the word's basis action.  SU(2)-symmetric systems read
-        them off the correlators of their levels (`_sector_term_means`).
+        them off the correlators of their levels (`_sector_term_means`), and
+        stabilizer systems off the syndromes and the charge means.
         """
         spin = self.blocks.spin
         if spin is not None:
             return _sector_term_means(spin, self.block_populations, self._axis)
+        frame = self.blocks.logical
+        if frame is not None:
+            means = np.concatenate((self._syndrome_means, frame.signs * self._logical_means))
+            means.setflags(write=False)
+            return means
         if self.blocks.basis is None:
             d = self.dimension
             rho = self._block_rho.reshape(d, d)
@@ -425,11 +601,20 @@ class ThermalState:
         """Eigenvectors of H - mu.Q in the computational basis, as columns in block order.
 
         Column a has level `block_levels[a]` and population `block_populations[a]`.
-        An SU(2)-symmetric system rotates its sector vectors (`_rotated_sectors`).
+        An SU(2)-symmetric system rotates its sector vectors (`_rotated_sectors`),
+        and a stabilizer system turns each syndrome's logical basis by the
+        logical eigenvectors.
         """
         spin = self.blocks.spin
         if spin is not None:
             return _rotated_sectors(spin, self._axis, self.dimension)
+        frame = self.blocks.logical
+        if frame is not None:
+            d = self.dimension
+            logical = self._logical_spectrum[1]
+            out = (frame.basis.reshape(d, -1, len(logical)) @ logical).reshape(d, d)
+            out.setflags(write=False)
+            return out
         basis = self.blocks.basis
         if basis is None:
             return self.vectors[0][0]
@@ -531,12 +716,32 @@ def effective_hamiltonian(system: ThermoSystem, mu) -> np.ndarray:
     return acc
 
 
+def _populations(levels: np.ndarray, T: float) -> np.ndarray:
+    """Boltzmann populations of levels at temperature T, the largest weight shifted to exactly 1."""
+    weights = np.exp(-((levels - levels.min()) / T))
+    weights[weights < WEIGHT_FLOOR] = 0.0
+    populations = weights / weights.sum()
+    populations.setflags(write=False)
+    return populations
+
+
+def _log_2cosh(x: np.ndarray) -> np.ndarray:
+    """ln 2cosh(x), without overflow."""
+    x = np.abs(x)
+    return x + np.log1p(np.exp(-2.0 * x))
+
+
 def thermal_state(system: ThermoSystem, mu, T: float) -> ThermalState:
     """Parameterized thermal state at chemical potentials mu and temperature T > 0."""
     if not T > 0:
         raise ValueError(f"temperature must be positive, got {T}")
     mu = _chemical_potentials(system, mu)
+    mu.setflags(write=False)
     blocks = eigen_blocks(system)
+    state = ThermalState(mu, float(T), blocks)
+    if blocks.logical is not None:
+        # everything of a stabilizer state is computed when it is read
+        return state
     vectors = []
     if blocks.spin is None:
         ops = blocks.operators
@@ -545,18 +750,15 @@ def thermal_state(system: ThermoSystem, mu, T: float) -> ThermalState:
         for count, size, level_slice, entries in _runs(blocks):
             vals, vecs = np.linalg.eigh(a[entries].reshape(count, size, size))
             levels[level_slice] = vals.ravel()
+            vecs.setflags(write=False)
             vectors.append(vecs)
     else:
         # a rotation takes H - mu.Q to H - |mu| 2S^z
         levels = blocks.spin.energies - math.hypot(*mu) * blocks.spin.twice_m
-    weights = np.exp(-((levels - levels.min()) / T))
-    weights[weights < WEIGHT_FLOOR] = 0.0
-    populations = weights / weights.sum()
-    for array in (mu, levels, populations, *vectors):
-        array.setflags(write=False)
-    state = ThermalState(mu, float(T), blocks, levels, populations)
+    levels.setflags(write=False)
+    # the cached properties' own slots, so reading them costs what a field does
+    state.__dict__.update(block_levels=levels, block_populations=_populations(levels, T))
     if vectors:
-        # the cached property's own slot, so reading it costs what a field does
         state.__dict__["vectors"] = tuple(vectors)
     return state
 
@@ -565,11 +767,21 @@ def log_partition(state: ThermalState) -> float:
     """ln Tr[exp(-(H - mu.Q)/T)], read off the state's normalizer.
 
     The lowest level's shifted weight is exactly 1, so its population is
-    1/sum(w) and ln Z = -lambda_0/T - ln p_0.
+    1/sum(w) and ln Z = -lambda_0/T - ln p_0.  A stabilizer state adds
+    ln 2cosh(h_j/T) per generator to ln Z of its logical problem.
     """
+    frame = state.blocks.logical
+    T = state.temperature
+    if frame is not None:
+        syndromes = float(np.sum(_log_2cosh(frame.h / T)))
+        if frame.axes is not None:
+            # a spin-1/2 in a field of size x T per encoded qubit
+            return syndromes + float(np.sum(_log_2cosh(state._qubit_fields[1])))
+        vals, _, p = state._logical_spectrum
+        return syndromes + float(-vals[0] / T - np.log(p[0]))
     lowest = int(np.argmin(state.block_levels))
     lam0 = state.block_levels[lowest]
-    return float(-lam0 / state.temperature - np.log(state.block_populations[lowest]))
+    return float(-lam0 / T - np.log(state.block_populations[lowest]))
 
 
 def objective_f(system: ThermoSystem, state: ThermalState) -> float:
@@ -612,30 +824,63 @@ def hessian_exact(system: ThermoSystem, state: ThermalState) -> np.ndarray:
     SU(2)-symmetric systems take the closed form of the rotated frame:
     with n = mu/|mu|, the Hessian is -(n n^T Var(z)/T + (I - n n^T) <z>/|mu|),
     which is -Var(z)/T I at mu = 0.
+
+    A stabilizer state's charges act on its logical factor alone, and
+    LM(p_s p_a, p_s p_b) = p_s LM(p_a, p_b), so the pair sum is that of the
+    2^k logical problem.  With single-qubit axis charges it is block
+    diagonal over encoded qubits: with t = tanh(|h_q|/T) and n = h_q/|h_q|,
+    qubit q's block is -(n n^T (1 - t^2)/T + (I - n n^T) t/|h_q|).
     """
     if state.blocks.spin is not None:
         per_mu, variance = state._spin_moments
         r = math.hypot(*state.mu)
         n = state.mu / r if r > 0.0 else np.zeros_like(state.mu)
         return -(per_mu * np.eye(len(n)) + (variance - per_mu) * np.outer(n, n))
-    ops = state.blocks.operators
-    c = len(ops) - 1
     T = state.temperature
-    shift = state.charge_means[:, None, None]
-    correlations = np.zeros((c, c), dtype=complex)
-    for (count, size, levels, entries), vecs in zip(_runs(state.blocks), state.vectors):
-        charges = ops[1:, entries].reshape(c, count, size, size)
-        centered = vecs.conj().transpose(0, 2, 1) @ charges @ vecs
-        diagonal = np.arange(size)
-        centered[:, :, diagonal, diagonal] -= shift
-        lm = _logarithmic_mean_matrix(
-            state.block_levels[levels].reshape(count, size),
-            state.block_populations[levels].reshape(count, size),
-            T,
-        )
-        correlations += np.einsum("nab,inab,jnba->ij", lm, centered, centered)
+    frame = state.blocks.logical
+    if frame is not None and frame.axes is not None:
+        h, x, ratio = state._qubit_fields
+        n = np.divide(h, (x * T)[:, None], out=np.zeros_like(h), where=x[:, None] > 0.0)
+        # 1 - t^2 = sech^2(x), written without cancellation
+        e = np.exp(-2.0 * x)
+        sech2 = 4.0 * e / (1.0 + e) ** 2
+        blocks = ratio[:, None, None] * np.eye(3) + (sech2 / T - ratio)[:, None, None] * (n[:, :, None] * n[:, None, :])
+        k = len(h)
+        full = np.zeros((k, 3, k, 3))
+        full[np.arange(k), :, np.arange(k), :] = -blocks
+        return full.reshape(3 * k, 3 * k)[np.ix_(frame.axes, frame.axes)]
+    means = state.charge_means
+    if frame is not None:
+        vals, vecs, p = state._logical_spectrum
+        correlations = _correlations(vals[None], p[None], vecs[None], frame.words[:, None], means, T)
+    else:
+        ops = state.blocks.operators
+        c = len(ops) - 1
+        correlations = np.zeros((c, c), dtype=complex)
+        for (count, size, levels, entries), vecs in zip(_runs(state.blocks), state.vectors):
+            correlations += _correlations(
+                state.block_levels[levels].reshape(count, size),
+                state.block_populations[levels].reshape(count, size),
+                vecs,
+                ops[1:, entries].reshape(c, count, size, size),
+                means,
+                T,
+            )
     hessian = -correlations.real / T
     return (hessian + hessian.T) / 2.0
+
+
+def _correlations(levels, populations, vecs, charges, means, T) -> np.ndarray:
+    """sum_ab LM(p_a, p_b) <a|Q_i - <Q_i>|b><b|Q_j - <Q_j>|a> over a stack of blocks, for all (i, j).
+
+    levels and populations have shape (count, size), vecs (count, size, size)
+    and charges, in block coordinates, (charges, count, size, size).
+    """
+    centered = vecs.conj().transpose(0, 2, 1) @ charges @ vecs
+    diagonal = np.arange(levels.shape[1])
+    centered[:, :, diagonal, diagonal] -= means[:, None, None]
+    lm = _logarithmic_mean_matrix(levels, populations, T)
+    return np.einsum("nab,inab,jnba->ij", lm, centered, centered)
 
 
 def primal_free_energy(system: ThermoSystem, rho: np.ndarray, T: float) -> float:

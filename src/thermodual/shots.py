@@ -5,8 +5,8 @@ a +-1 outcome with success probability (1 + <P>)/2, which is statistically
 identical to measuring the corresponding circuit at this scale.  The number
 of +1 outcomes among N shots is exactly Binomial(N, (1 + <P>)/2), so each
 term costs one binomial draw, whatever N.  The term means <P> come from the
-thermal state (`ThermalState.term_means`), which for conserved charges reads
-them off its eigenspace blocks without a dense rho.
+thermal state (`ThermalState.term_means`), which reads them off its frame
+(S^z sectors, logical frame or eigenspace blocks) without a dense rho.
 
 The Hessian estimator follows the time-averaged-conjugation form of the dual
 Hessian: each Pauli pair runs interference tests at its own times drawn from
@@ -19,10 +19,10 @@ pair's count of +1 outcomes is again one binomial draw.
 
 Randomness is organized as derived streams: a 64-bit mix of
 (master seed, evaluation, id) seeds each generator, so results never depend
-on evaluation order.  One evaluation of the charges and the energy draws
-from one generator, the charges in order and then H, one binomial call per
-observable for all its terms.  A Hessian draws each upper-triangle entry's
-pairs and each of its two factor estimates from a generator of its own.
+on evaluation order.  One evaluation of the charges and the energy makes
+one binomial call on one generator, over the terms of the charges in order
+and then of H.  A Hessian draws each upper-triangle entry's pairs and each
+of its two factor estimates from a generator of its own.
 """
 
 from __future__ import annotations
@@ -417,21 +417,26 @@ class ShotEstimator:
     ) -> tuple[np.ndarray, float | None]:
         """Shot estimates of the charges, and of H when `energy` is set, at one evaluation.
 
-        Every draw comes from the evaluation's one generator, the charges in
-        order and then H, so the charge estimates do not depend on `energy`.
+        Every draw comes from the evaluation's one generator in one binomial
+        call, the charges' terms in order and then H's.  The generator fills
+        the counts element by element, so this equals one
+        `estimate_observable` per observable in that order, and the charge
+        estimates do not depend on `energy`.
         """
+        means = state.term_means
+        h_part, *charge_parts = state.blocks.term_slices
+        start = h_part.stop
+        # H's terms come first in term order and last in draw order
+        values = np.concatenate((means[start:], means[:start])) if energy else means[start:]
         rng = RngStream(self.master_seed, eval_index).generator()
-        h_means, *charge_means = _observable_term_means(state)
+        draws = _binomial_means(values, self.shots_per_term, rng)
         charges = np.array([
-            estimate_observable(means, q, self.shots_per_term, rng)
-            for means, q in zip(charge_means, self.system.charges)
+            float(q.coefficients @ draws[part.start - start : part.stop - start])
+            for part, q in zip(charge_parts, self.system.charges)
         ])
         if not energy:
             return charges, None
-        energy_estimate = estimate_observable(
-            h_means, self.system.hamiltonian, self.shots_per_term, rng
-        )
-        return charges, energy_estimate
+        return charges, float(self.system.hamiltonian.coefficients @ draws[len(means) - start :])
 
     def hessian(self, state: ThermalState, eval_index: int) -> np.ndarray:
         return estimate_hessian(

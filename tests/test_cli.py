@@ -441,6 +441,55 @@ class TestRunsCsv:
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
 
 
+def per_row_aggregate_csv(path, traces):
+    """aggregate.csv with NumPy's mean and std once per iteration row, the form the column writer must reproduce."""
+    from thermodual.cli import _fmt
+
+    lines = ["iter,n_runs,f_estimate_mean,f_estimate_std,grad_norm_mean,grad_norm_std,error_metric_mean,error_metric_std"]
+    for it in range(max(trace.iterations for trace in traces)):
+        rows = [trace.records[it] for trace in traces if it < trace.iterations]
+        fs = np.array([r.f_estimate for r in rows])
+        gs = np.array([r.grad_norm for r in rows])
+        errs = [r.error_metric for r in rows]
+        have_err = all(e is not None for e in errs)
+        es = np.array(errs, dtype=float) if have_err else None
+        line = [
+            str(it), str(len(rows)),
+            _fmt(float(fs.mean())), _fmt(float(fs.std())),
+            _fmt(float(gs.mean())), _fmt(float(gs.std())),
+            _fmt(float(es.mean()) if have_err else None),
+            _fmt(float(es.std()) if have_err else None),
+        ]
+        lines.append(",".join(line))
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestAggregateCsv:
+    @pytest.mark.parametrize("errors", ["all", "none", "some"])
+    def test_columns_match_the_per_row_writer(self, tmp_path, errors):
+        # ragged runs, up to 19 at an iteration so NumPy's unrolled sums are reached too
+        from thermodual.cli import _write_aggregate_csv
+        from thermodual.optimize import Trace, TraceRecord
+
+        rng = np.random.default_rng(7)
+        lengths = [7, 3, 12, 3, 9, 12, 1, 10, 30, 5, 12, 8, 30, 2, 16, 4, 11, 6, 25]
+        traces = []
+        for run_id, length in enumerate(lengths):
+            scale = 10.0 ** rng.uniform(-6, 3, size=(length, 3))
+            values = scale * rng.normal(size=(length, 3))
+            with_error = errors == "all" or (errors == "some" and run_id % 4)
+            records = [
+                TraceRecord(it, np.zeros(3), f, abs(g), abs(e) if with_error else None, 0.1, 10)
+                for it, (f, g, e) in enumerate(values.tolist())
+            ]
+            traces.append(Trace("first_hqc", 0.5, records))
+        _write_aggregate_csv(tmp_path / "columns.csv", traces)
+        per_row_aggregate_csv(tmp_path / "rows.csv", traces)
+        written = (tmp_path / "columns.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        assert written.count(b"\n") == 31 and (b",," in written) == (errors != "all")
+
+
 class TestVerifyCommand:
     def test_codes_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"

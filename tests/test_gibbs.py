@@ -373,8 +373,8 @@ class TestEigenspaceBlocks:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_matches_dense_path(self, name):
-        # SU(2)-symmetric systems keep sectors instead; without the flag they take the blocks
-        system = replace(_builtin(name), su2_symmetric=False)
+        # SU(2)-symmetric systems keep sectors and codes their logical frame; without either they take the blocks
+        system = replace(_builtin(name), su2_symmetric=False, code=None)
         dense = replace(system, conserved=False)
         rng = np.random.default_rng(sum(map(ord, name)) + 1)
         default_T = 0.1 / (system.n_qubits * math.log(2))
@@ -655,3 +655,92 @@ class TestSectors:
         hamiltonian = Observable(4, [*system.hamiltonian.terms, *quartic])
         with pytest.raises(NumericalIntegrityError, match="not an exchange"):
             eigen_blocks(replace(system, hamiltonian=hamiltonian))
+
+
+class TestLogicalFrame:
+    """Stabilizer systems in their logical frame against the dense path, its oracle."""
+
+    @pytest.mark.parametrize("name", list(CODE_WORD_SETS))
+    def test_matches_dense_path(self, name):
+        system = _builtin(name)
+        dense = replace(system, conserved=False)
+        assert eigen_blocks(system).logical is not None and eigen_blocks(system).operators is None
+        rng = np.random.default_rng(sum(map(ord, name)) + 3)
+        for T in (0.1, 0.5, 2.0):
+            for size in (0.0, 1e-6, 1e-3, 0.3, 3.0):
+                direction = rng.normal(size=system.n_charges)
+                mu = size * direction / np.linalg.norm(direction)
+                state, reference = thermal_state(system, mu, T), thermal_state(dense, mu, T)
+                observed = (*_observed(system, state), state.rho)
+                expected = (*_observed(dense, reference), reference.rho)
+                for value, want in zip(observed, expected):
+                    assert _relative_gap(value, want) <= 1e-12
+                assert _eigenvector_residual(system, state) <= 1e-12
+                V = state.eigenvectors
+                assert np.max(np.abs(V.conj().T @ V - np.eye(system.dimension))) <= 1e-12
+
+    def test_hessian_keeps_its_digits_as_mu_vanishes(self):
+        # t/|h| of each encoded qubit tends to 1/T; at |mu| = 0 the Hessian is -I/T exactly
+        system = _builtin("detect422-axes")
+        dense = replace(system, conserved=False)
+        direction = np.linspace(-1.0, 1.0, 6)
+        for T in (0.1, 1.0):
+            for r in (1e-9, 1e-12, 1e-300, 0.0):
+                mu = r * direction
+                frame = hessian_exact(system, thermal_state(system, mu, T))
+                reference = hessian_exact(dense, thermal_state(dense, mu, T))
+                assert float(np.max(np.abs(frame - reference))) <= 1e-12 * float(np.max(np.abs(reference)))
+        at_zero = hessian_exact(system, thermal_state(system, np.zeros(6), 0.5))
+        assert np.array_equal(at_zero, -np.eye(6) / 0.5)
+
+    def test_axis_charges_take_no_eigensolve(self, monkeypatch):
+        # every solver variant, sampled ones included, runs on the closed form of each encoded qubit
+        from thermodual.optimize import ExactEstimator, OptimizerConfig, run
+        from thermodual.shots import ShotEstimator
+
+        system = build_stabilizer_system(builtin_code("perfect5"), [((1,), 0.3), ((2,), -0.2), ((3,), 0.4)])
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _s=solver, **k: calls.append(1) or _s(*a, **k))
+        for variant, estimator in (
+            ("first_classical", ExactEstimator(system)),
+            ("second_classical", ExactEstimator(system)),
+            ("first_hqc", ShotEstimator(system, 3)),
+        ):
+            trace = run(system, OptimizerConfig(variant=variant, max_iter=300), estimator)
+            assert trace.iterations > 1
+        assert calls == []
+
+    def test_other_words_take_one_logical_eigensolve_per_state(self, monkeypatch):
+        system = _builtin("detect422-all")
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k: calls.append(a.shape) or eigh(a, *r, **k))
+        state = thermal_state(system, np.linspace(-0.5, 0.5, 15), 0.4)
+        state.term_means, state.energy, log_partition(state), hessian_exact(system, state)
+        assert calls == [(4, 4)]
+
+    def test_built_on_the_first_state_and_dense_basis_on_first_read(self):
+        from thermodual.shots import ShotEstimator
+
+        system = build_stabilizer_system(builtin_code("repetition3"), [((1,), 0.1), ((3,), 0.2)])
+        ShotEstimator(system, 1)
+        assert system._eigen_blocks is None
+        state = thermal_state(system, [0.2, -0.1], 0.5)
+        frame = eigen_blocks(system).logical
+        state.term_means
+        assert "basis" not in frame.__dict__ and "block_levels" not in state.__dict__
+        state.rho
+        assert "basis" in frame.__dict__
+        assert thermal_state(system, [0.0, 0.3], 0.5).blocks.logical is frame
+
+    def test_foreign_hamiltonian_or_charge_is_refused(self):
+        system = _builtin("repetition3-axes")
+        others = [
+            replace(system, hamiltonian=Observable.from_strings(3, [(-1.0, "ZZI"), (-1.0, "ZIZ")])),
+            replace(system, charges=(Observable.from_strings(3, [(2.0, "XXX")]), *system.charges[1:])),
+        ]
+        for other, match in zip(others, ("not a sum over the generators", "not the logical product")):
+            with pytest.raises(NumericalIntegrityError, match=match):
+                eigen_blocks(other)

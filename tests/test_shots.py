@@ -358,6 +358,32 @@ class TestShotEstimator:
         assert np.array_equal(charges, alone)
         assert not np.array_equal(charges, estimator.estimate(state, 7, False)[0])
 
+    @pytest.mark.parametrize("energy", [False, True])
+    @pytest.mark.parametrize("name", ["repetition3", "grid2x3"])
+    def test_one_draw_equals_one_call_per_observable(self, name, energy):
+        # the generator fills a vector of counts element by element
+        system, state = pinned_case(name)
+        estimator = ShotEstimator(system, 23, shots_per_iteration=500)
+        means = [state.term_means[part] for part in state.blocks.term_slices]
+        rng = RngStream(23, 5).generator()
+        shots = estimator.shots_per_term
+        charges = [estimate_observable(m, q, shots, rng) for m, q in zip(means[1:], system.charges)]
+        energy_estimate = estimate_observable(means[0], system.hamiltonian, shots, rng) if energy else None
+        got, got_energy = estimator.estimate(state, 5, energy)
+        assert got.tolist() == charges and got_energy == energy_estimate
+
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5])
+    def test_refuses_a_bad_mean_of_the_last_observable(self, bad):
+        system, state = pinned_case("repetition3")
+        means = np.array(state.term_means)
+        # H's terms come first in term order and are drawn last
+        means[state.blocks.term_slices[0].stop - 1] = bad
+        state.__dict__["term_means"] = means
+        estimator = ShotEstimator(system, 23)
+        assert estimator.estimate(state, 0, False)[1] is None
+        with pytest.raises(NumericalIntegrityError, match=str(bad)):
+            estimator.estimate(state, 0, True)
+
     def test_hessian_uses_mode(self):
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
         state = thermal_state(system, np.zeros(3), 0.8)
