@@ -134,12 +134,6 @@ def estimate_observable(
     return float(obs.coefficients @ _binomial_means(term_means, shots_per_term, rng))
 
 
-def _observable_term_means(state: ThermalState) -> list[np.ndarray]:
-    """The term means of H and then of each charge, one array per observable."""
-    means = state.term_means
-    return [means[part] for part in state.blocks.term_slices]
-
-
 # ---------------------------------------------------------------------------
 # time-averaged conjugation of a charge (exact evaluation paths)
 # ---------------------------------------------------------------------------
@@ -330,7 +324,7 @@ def estimate_hessian(
     if mode == "extensive":
         _check_extensive(system)
     pairs = _pair_means(system, state, mode)
-    charge_means = _observable_term_means(state)[1:]
+    charge_means = [state.term_means[part] for part in state.blocks.term_slices[1:]]
 
     c = system.n_charges
     hessian = np.zeros((c, c))

@@ -674,10 +674,28 @@ class TestLogicalFrame:
                 observed = (*_observed(system, state), state.rho)
                 expected = (*_observed(dense, reference), reference.rho)
                 for value, want in zip(observed, expected):
-                    assert _relative_gap(value, want) <= 1e-12
+                    assert np.max(np.abs(np.subtract(value, want))) <= 1e-12
                 assert _eigenvector_residual(system, state) <= 1e-12
                 V = state.eigenvectors
                 assert np.max(np.abs(V.conj().T @ V - np.eye(system.dimension))) <= 1e-12
+
+    def test_signed_generators_and_logicals(self):
+        # H = +ZZI - IZZ and a logical Z of phase -1, whose charges carry the coefficient -1
+        from thermodual.models import StabilizerCode
+        from thermodual.operators import parse_pauli
+
+        code = StabilizerCode(
+            "signed", 3, 1, (parse_pauli("-ZZI"), parse_pauli("IZZ")), (parse_pauli("XXX"),), (parse_pauli("-ZII"),)
+        )
+        system = build_stabilizer_system(code, [((1,), 0.1), ((2,), -0.2), ((3,), 0.3)])
+        dense = replace(system, conserved=False)
+        assert eigen_blocks(system).logical.signs.tolist() == [1.0, -1.0, -1.0]
+        for mu, T in (([0.3, -0.5, 0.2], 0.4), ([0.0, 0.0, 0.0], 1.5), ([2.0, 1e-6, -1.0], 0.1)):
+            state, reference = thermal_state(system, mu, T), thermal_state(dense, mu, T)
+            observed = (*_observed(system, state), state.rho)
+            expected = (*_observed(dense, reference), reference.rho)
+            for value, want in zip(observed, expected):
+                assert np.max(np.abs(np.subtract(value, want))) <= 1e-12
 
     def test_hessian_keeps_its_digits_as_mu_vanishes(self):
         # t/|h| of each encoded qubit tends to 1/T; at |mu| = 0 the Hessian is -I/T exactly
