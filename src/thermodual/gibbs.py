@@ -844,10 +844,10 @@ def hessian_exact(system: ThermoSystem, state: ThermalState) -> np.ndarray:
         # 1 - t^2 = sech^2(x), written without cancellation
         e = np.exp(-2.0 * x)
         sech2 = 4.0 * e / (1.0 + e) ** 2
-        blocks = ratio[:, None, None] * np.eye(3) + (sech2 / T - ratio)[:, None, None] * (n[:, :, None] * n[:, None, :])
+        per_qubit = ratio[:, None, None] * np.eye(3) + (sech2 / T - ratio)[:, None, None] * (n[:, :, None] * n[:, None, :])
         k = len(h)
         full = np.zeros((k, 3, k, 3))
-        full[np.arange(k), :, np.arange(k), :] = -blocks
+        full[np.arange(k), :, np.arange(k), :] = -per_qubit
         return full.reshape(3 * k, 3 * k)[np.ix_(frame.axes, frame.axes)]
     means = state.charge_means
     if frame is not None:
