@@ -21,15 +21,16 @@ Randomness is organized as derived streams: a 64-bit mix of
 (master seed, evaluation, id) seeds each generator, so results never depend
 on evaluation order.  One evaluation of the charges and the energy makes
 one binomial call on one generator, over the terms of the charges in order
-and then of H.  A Hessian draws each upper-triangle entry's pairs and each
-of its two factor estimates from a generator of its own.
+and then of H (`estimate_observable` on an `ObservableGroup`).  A Hessian
+draws each upper-triangle entry's pairs and each of its two factor
+estimates from a generator of its own.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -123,15 +124,34 @@ def _binomial_means(values: np.ndarray, shots: int, rng: np.random.Generator) ->
 # ---------------------------------------------------------------------------
 
 
+class ObservableGroup:
+    """Observables measured together: the terms of each in turn, drawn in one binomial call."""
+
+    def __init__(self, observables):
+        self.observables = tuple(observables)
+        self.terms = tuple(term for obs in self.observables for term in obs.terms)
+        ends = np.cumsum([len(obs.terms) for obs in self.observables])
+        self.parts = tuple(slice(end - len(obs.terms), end) for obs, end in zip(self.observables, ends))
+
+
 def estimate_observable(
-    term_means: np.ndarray, obs: Observable, shots_per_term: int, rng: np.random.Generator
-) -> float:
-    """Unbiased shot estimate of <obs> = sum_k c_k <P_k>, given each term's mean <P_k>."""
+    term_means: np.ndarray, obs: Observable | ObservableGroup, shots_per_term: int, rng: np.random.Generator
+) -> float | np.ndarray:
+    """Unbiased shot estimate of <obs> = sum_k c_k <P_k>, given each term's mean <P_k>.
+
+    Given an ObservableGroup, it estimates each of its observables from one
+    binomial call over all their terms, and returns them as an array.  The
+    generator fills the counts element by element, so this equals one call
+    per observable, in order, on the same generator.
+    """
     if shots_per_term < 1:
         raise ValueError("need at least one shot per term")
     if len(term_means) != len(obs.terms):
         raise ValueError(f"{len(term_means)} term means for {len(obs.terms)} terms")
-    return float(obs.coefficients @ _binomial_means(term_means, shots_per_term, rng))
+    outcomes = _binomial_means(term_means, shots_per_term, rng)
+    if isinstance(obs, ObservableGroup):
+        return np.array([float(q.coefficients @ outcomes[part]) for q, part in zip(obs.observables, obs.parts)])
+    return float(obs.coefficients @ outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -411,26 +431,25 @@ class ShotEstimator:
     ) -> tuple[np.ndarray, float | None]:
         """Shot estimates of the charges, and of H when `energy` is set, at one evaluation.
 
-        Every draw comes from the evaluation's one generator in one binomial
-        call, the charges' terms in order and then H's.  The generator fills
-        the counts element by element, so this equals one
-        `estimate_observable` per observable in that order, and the charge
+        One `estimate_observable` call draws them all from the evaluation's
+        generator, the charges' terms in order and then H's, so the charge
         estimates do not depend on `energy`.
         """
         means = state.term_means
-        h_part, *charge_parts = state.blocks.term_slices
-        start = h_part.stop
+        start = state.blocks.term_slices[0].stop
         # H's terms come first in term order and last in draw order
         values = np.concatenate((means[start:], means[:start])) if energy else means[start:]
         rng = RngStream(self.master_seed, eval_index).generator()
-        draws = _binomial_means(values, self.shots_per_term, rng)
-        charges = np.array([
-            float(q.coefficients @ draws[part.start - start : part.stop - start])
-            for part, q in zip(charge_parts, self.system.charges)
-        ])
+        estimates = estimate_observable(values, self._measured[energy], self.shots_per_term, rng)
         if not energy:
-            return charges, None
-        return charges, float(self.system.hamiltonian.coefficients @ draws[len(means) - start :])
+            return estimates, None
+        return estimates[:-1], float(estimates[-1])
+
+    @cached_property
+    def _measured(self) -> tuple[ObservableGroup, ObservableGroup]:
+        """What an evaluation measures: the charges, and the charges then H."""
+        charges = self.system.charges
+        return ObservableGroup(charges), ObservableGroup((*charges, self.system.hamiltonian))
 
     def hessian(self, state: ThermalState, eval_index: int) -> np.ndarray:
         return estimate_hessian(

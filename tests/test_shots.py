@@ -372,6 +372,17 @@ class TestShotEstimator:
         got, got_energy = estimator.estimate(state, 5, energy)
         assert got.tolist() == charges and got_energy == energy_estimate
 
+    @pytest.mark.parametrize("energy", [False, True])
+    def test_an_evaluation_is_one_estimate_observable_call(self, monkeypatch, energy):
+        # looked up on the module at each call, so a wrapper there sees every evaluation
+        system, state = pinned_case("grid2x3")
+        calls = []
+        inner = shots.estimate_observable
+        monkeypatch.setattr(shots, "estimate_observable", lambda m, obs, *a: calls.append(len(obs.terms)) or inner(m, obs, *a))
+        ShotEstimator(system, 23).estimate(state, 5, energy)
+        measured = system.charges + (system.hamiltonian,) * energy
+        assert calls == [sum(len(q.terms) for q in measured)]
+
     @pytest.mark.parametrize("bad", [float("nan"), 1.5])
     def test_refuses_a_bad_mean_of_the_last_observable(self, bad):
         system, state = pinned_case("repetition3")
