@@ -20,7 +20,6 @@ from .encoding import (
 )
 from .errors import ConfigError, NumericalIntegrityError, ResourceError
 from .gibbs import (
-    SpectralDecomposition,
     ThermalState,
     gradient,
     hessian_exact,

@@ -463,8 +463,8 @@ def _frame_gap(system: ThermoSystem, state, reference: ThermoSystem) -> float:
     """The largest gap of a state from the same state of a reference path, relative to max(1, |value|).
 
     It compares the levels and populations in ascending order, ln Z, the
-    means, the Pauli-term means and the exact Hessian.  An SU(2) state is
-    checked against the block path, a stabilizer state against the dense one.
+    means, the Pauli-term means and the exact Hessian.  SU(2) and
+    stabilizer states are checked against the dense path.
     """
     other = thermal_state(reference, state.mu, state.temperature)
 
@@ -486,10 +486,9 @@ def _verify_gradients(seed: int):
     """Derivatives against central differences, and the Pauli-term means against the dense gather.
 
     The random systems take the dense path, the Heisenberg models the SU(2)
-    closed form, which is also checked against the block path, and the codes
-    their logical frame, which is also checked against the dense path: with
-    the three axis words of repetition3 and perfect5 and all 15 words of
-    detect422.
+    closed form and the codes their logical frame, and both frames are also
+    checked against the dense path: the codes with the three axis words of
+    repetition3 and perfect5 and all 15 words of detect422.
     """
     rng = np.random.default_rng(seed)
     codes = {name: models.builtin_code(name) for name in ("repetition3", "perfect5", "detect422")}
@@ -520,7 +519,8 @@ def _verify_gradients(seed: int):
         )
         worst_terms = max(worst_terms, float(np.max(np.abs(state.term_means - dense))))
         if system.su2_symmetric:
-            worst_su2 = max(worst_su2, _frame_gap(system, state, replace(system, su2_symmetric=False)))
+            reference = replace(system, conserved=False, su2_symmetric=False)
+            worst_su2 = max(worst_su2, _frame_gap(system, state, reference))
         elif system.code is not None:
             worst_frame = max(worst_frame, _frame_gap(system, state, replace(system, conserved=False)))
         g = gradient(system, state)
@@ -551,12 +551,12 @@ def _verify_gradients(seed: int):
     checks.append(("hessian negative semi-definite", worst_psd <= 1e-10, f"max eig {worst_psd:.2e}"))
     checks.append(("hessian norm within smoothness bound", worst_bound <= 1e-9, f"slack {worst_bound:.2e}"))
     checks.append((
-        "Pauli term means from the blocks match the dense gather <= 1e-12",
+        "Pauli term means match the dense gather from rho <= 1e-12",
         worst_terms <= 1e-12,
         f"max {worst_terms:.2e}",
     ))
     checks.append((
-        "SU(2) closed form matches the block path <= 1e-12", worst_su2 <= 1e-12, f"max {worst_su2:.2e}"
+        "SU(2) closed form matches the dense path <= 1e-12", worst_su2 <= 1e-12, f"max {worst_su2:.2e}"
     ))
     checks.append((
         "logical frame matches the dense path <= 1e-12", worst_frame <= 1e-12, f"max {worst_frame:.2e}"

@@ -1,16 +1,14 @@
 """Thermal states of H - mu.Q and the dual objective with its derivatives.
 
 `thermal_state` is the one builder of Gibbs states, and every derived
-quantity takes the ThermalState it returns and reads mu and T from it.  When
-the system's charges commute with H (`conserved`, as in every built-in
-model), A = H - mu.Q is block diagonal on the eigenspaces of H.  H is then
-diagonalized once per system, on the first call, and each call diagonalizes
-only the small blocks E_k - mu.Q^(k); any other system is one dense block.
-The populations, ln Z, the means of H and the charges and the exact Hessian
-are computed block by block, and so is the mean of every Pauli term of H and
-the charges, which the shot estimators sample.  The dense `rho` and the
-eigenvectors in the computational basis are assembled only for the readers
-that ask for them.
+quantity takes the ThermalState it returns and reads mu and T from it.  Each
+built-in family has a frame of its own, built once per system on its first
+state: the S^z sectors of an SU(2)-symmetric H and the logical frame of a
+stabilizer code, both below.  Any other system is one dense block: H and the
+charges are stacked as dense matrices once per system, and each state takes
+one `eigh` of H - mu.Q, whose eigenvectors give `rho`, the means, the mean
+of every Pauli term and the exact Hessian.  That path reads nothing of the
+system's structure, and it is the oracle that the frames are checked against.
 
 SU(2)-symmetric systems need no eigensolve per call and no matrix of size
 2^n.  A global rotation U takes H - mu.Q to H - |mu| 2S^z and leaves H
@@ -49,15 +47,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalIntegrityError, ResourceError
-from .models import StabilizerCode, ThermoSystem, conservation_tolerance, logical_pauli_product
+from .models import StabilizerCode, ThermoSystem, logical_pauli_product
 from .operators import MAX_DENSE_QUBITS, Observable, PauliString, expectation, term_expectations
 
 WEIGHT_FLOOR = 1e-300
-
-# levels of H less than this apart, relative to max(1, max |E|), share a block.  A block
-# keeps each of its levels, so merging only enlarges it, while levels split by less mix
-# in the computed eigenvectors and would leak the charges from one block into another.
-GAP_TOLERANCE = 1e-3
 
 # the largest SU(2)-symmetric system built from its S^z sectors: the largest, C(12, 6) = 924 states
 MAX_SECTOR_QUBITS = 12
@@ -65,7 +58,10 @@ MAX_SECTOR_QUBITS = 12
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvector columns of a Hermitian matrix."""
+    """Ascending eigenvalues and orthonormal eigenvector columns of a Hermitian matrix, read-only.
+
+    The one eigensolve of each state on the dense path.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -166,22 +162,16 @@ class LogicalFrame:
 
 @dataclass(frozen=True)
 class EigenBlocks:
-    """H and the charges restricted to blocks that H - mu.Q never couples, for any mu.
+    """The frame that H - mu.Q is solved in, for every mu: built once per system.
 
-    `observables` holds H and then each charge, and row k of `operators`
-    holds observable k as its blocks flattened one after another.  `shapes`
-    lists the runs of equal-size blocks as (count, size), in that order.
-    `basis` holds the block coordinates as columns of the computational
-    basis, in the same order; None means one block that is the
-    computational basis itself.  An SU(2)-symmetric system has no blocks:
-    `spin` holds its sector levels, and `operators` is None; a stabilizer
-    system keeps its `logical` frame instead.
+    `observables` holds H and then each charge.  An SU(2)-symmetric system
+    keeps its S^z sector levels in `spin`, and a stabilizer system its
+    `logical` frame.  Any other system is one dense block: row k of
+    `operators` holds observable k as its dense matrix, flattened.
     """
 
     observables: tuple[Observable, ...]
     operators: np.ndarray | None
-    shapes: tuple[tuple[int, int], ...]
-    basis: np.ndarray | None
     spin: SpinLevels | None = None
     logical: LogicalFrame | None = None
 
@@ -191,81 +181,13 @@ class EigenBlocks:
         ends = np.cumsum([len(obs.terms) for obs in self.observables]).tolist()
         return tuple(slice(end - len(obs.terms), end) for obs, end in zip(self.observables, ends))
 
-    @cached_property
-    def term_operators(self) -> np.ndarray:
-        """Each Pauli term of each observable projected into the blocks, one row per term, in order.
-
-        Rows are flattened like `operators`.  A block-diagonal rho sees only
-        these elements, so Tr[P rho] is the sum over blocks of Tr[P^(k) rho^(k)].
-        Built on first use, for blocks with a basis only.
-        """
-        basis = self.basis
-        d = len(basis)
-        runs = [
-            (entries, basis[:, levels].reshape(d, count, size).transpose(1, 0, 2))
-            for count, size, levels, entries in _runs(self)
-        ]
-        rows = np.empty((self.term_slices[-1].stop, self.operators.shape[1]), dtype=complex)
-        k = 0
-        for obs in self.observables:
-            for cols, factors in zip(*obs.pauli_action()):
-                # row a of P @ basis is factors[cols[a]] * basis[cols[a]], as cols is an involution
-                phases = factors[cols][None, :, None]
-                for entries, stacked in runs:
-                    projected = stacked.conj().transpose(0, 2, 1) @ (phases * stacked[:, cols])
-                    rows[k, entries] = projected.ravel()
-                k += 1
-        rows.setflags(write=False)
-        return rows
-
 
 def _dense_block(system: ThermoSystem) -> EigenBlocks:
-    """H and every charge as one dense block, for systems without conserved charges."""
+    """H and every charge as one dense block, for a system with neither S^z sectors nor a logical frame."""
     observables = (system.hamiltonian, *system.charges)
     dense = np.stack([obs.to_dense() for obs in observables])
-    return EigenBlocks(observables, dense.reshape(len(dense), -1), ((1, system.dimension),), None)
-
-
-def _eigenspace_blocks(system: ThermoSystem) -> EigenBlocks:
-    """The eigenspaces of H, grouped by size, with H as its own levels and each charge projected.
-
-    Raises NumericalIntegrityError when a charge couples two blocks by more
-    than the tolerance its conservation was checked to.
-    """
-    h = system.hamiltonian.to_dense()
-    spectrum = SpectralDecomposition.of(h)
-    levels = spectrum.eigenvalues
-    cuts = np.flatnonzero(np.diff(levels) > GAP_TOLERANCE * max(1.0, np.max(np.abs(levels))))
-    bounds = np.concatenate(([0], cuts + 1, [len(levels)]))
-    # blocks of equal size side by side, so each run is one batched eigh
-    order = np.argsort(np.diff(bounds), kind="stable")
-    columns = np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in order])
-    sizes = np.diff(bounds)[order]
-    starts = np.cumsum(sizes) - sizes
-    basis = spectrum.eigenvectors[:, columns]
-    labels = np.repeat(order, sizes)
-    off_block = labels[:, None] != labels[None, :]
-    tolerance = conservation_tolerance(system.hamiltonian)
-
-    def flattened(matrix):
-        return np.concatenate([matrix[a : a + n, a : a + n].ravel() for a, n in zip(starts, sizes)])
-
-    # inside a block H is its own levels, so levels merged by the gap tolerance stay apart
-    rows = [flattened(np.diag(levels[columns]).astype(complex))]
-    for i, q in enumerate(system.charges):
-        block_q = basis.conj().T @ (q.to_dense() @ basis)
-        leak = float(np.max(np.abs(block_q[off_block]), initial=0.0))
-        if leak > tolerance:
-            raise NumericalIntegrityError(
-                f"charge {i} couples eigenspaces of H: off-block element {leak:.3e}"
-            )
-        rows.append(flattened((block_q + block_q.conj().T) / 2.0))
-    operators = np.stack(rows)
-    runs, counts = np.unique(sizes, return_counts=True)
-    for array in (operators, basis):
-        array.setflags(write=False)
-    shapes = tuple(zip(counts.tolist(), runs.tolist()))
-    return EigenBlocks((system.hamiltonian, *system.charges), operators, shapes, basis)
+    dense.setflags(write=False)
+    return EigenBlocks(observables, dense.reshape(len(dense), -1))
 
 
 def _exchange_terms(system: ThermoSystem):
@@ -360,7 +282,7 @@ def _sector_blocks(system: ThermoSystem) -> EigenBlocks:
     for array in (energies, twice_m, up, correlators, h_edges, h_axes, charge_sites):
         array.setflags(write=False)
     spin = SpinLevels(energies, twice_m, up, correlators, h_edges, h_axes, charge_sites, tuple(sectors))
-    return EigenBlocks((system.hamiltonian, *system.charges), None, (), None, spin)
+    return EigenBlocks((system.hamiltonian, *system.charges), None, spin)
 
 
 def _logical_frame(system: ThermoSystem) -> EigenBlocks:
@@ -386,52 +308,40 @@ def _logical_frame(system: ThermoSystem) -> EigenBlocks:
         np.array([q.coefficients[0] for q in system.charges]),
         axes,
     )
-    return EigenBlocks((system.hamiltonian, *system.charges), None, (), None, logical=frame)
+    return EigenBlocks((system.hamiltonian, *system.charges), None, logical=frame)
 
 
 def eigen_blocks(system: ThermoSystem) -> EigenBlocks:
-    """The blocks of H - mu.Q: built once per conserved system and kept on it, else one dense block.
+    """The frame of H - mu.Q, built once per system and kept on it.
 
-    An SU(2)-symmetric system keeps its S^z sectors instead, and a
-    stabilizer system its logical frame.
+    A conserved SU(2)-symmetric system takes its S^z sectors, a conserved
+    stabilizer system its logical frame, and any other system one dense block.
     """
-    if not system.conserved:
-        return _dense_block(system)
     blocks = system._eigen_blocks
     if blocks is None:
-        if system.su2_symmetric:
+        if system.conserved and system.su2_symmetric:
             blocks = _sector_blocks(system)
-        elif system.code is not None:
+        elif system.conserved and system.code is not None:
             blocks = _logical_frame(system)
         else:
-            blocks = _eigenspace_blocks(system)
+            blocks = _dense_block(system)
         # a cache on a frozen system, as Observable caches its dense matrix
         object.__setattr__(system, "_eigen_blocks", blocks)
     return blocks
 
 
-def _runs(blocks: EigenBlocks):
-    """(count, size, level slice, operator slice) of each run of equal-size blocks."""
-    level = entry = 0
-    for count, size in blocks.shapes:
-        yield count, size, slice(level, level + count * size), slice(entry, entry + count * size * size)
-        level += count * size
-        entry += count * size * size
-
-
 @dataclass(frozen=True, eq=False)
 class ThermalState:
-    """rho proportional to exp(-(H - mu.Q)/T), held as the eigenpairs of each block of H - mu.Q.
+    """rho proportional to exp(-(H - mu.Q)/T), held as the levels of H - mu.Q in its system's frame.
 
-    `block_levels` and `block_populations` run block by block, and `vectors`
-    holds one (count, size, size) stack of block eigenvectors per run of
-    equal-size blocks, in block coordinates, whose column a belongs to
-    level a of its block.  An SU(2)-symmetric state runs level by level
-    through its S^z sectors and needs no block vectors.  A stabilizer state
-    runs syndrome by syndrome, each with the 2^k logical levels in ascending
-    order, and builds its levels and populations only when they are read.
-    The means, the dense `rho` and the `eigenvectors` in the computational
-    basis are computed on first use.
+    `block_levels` and `block_populations` run through the levels in the
+    frame's order.  A dense state holds them in ascending order, with the
+    `eigenvectors` of the same `eigh`.  An SU(2)-symmetric state runs level
+    by level through its S^z sectors.  A stabilizer state runs syndrome by
+    syndrome, each with the 2^k logical levels in ascending order, and
+    builds its levels and populations only when they are read.  The means,
+    the dense `rho` and the frames' `eigenvectors` in the computational basis
+    are computed on first use.
     """
 
     mu: np.ndarray
@@ -458,14 +368,6 @@ class ThermalState:
     def block_populations(self) -> np.ndarray:
         """The Boltzmann populations of `block_levels`."""
         return _populations(self.block_levels, self.temperature)
-
-    @cached_property
-    def vectors(self) -> tuple[np.ndarray, ...]:
-        """One stack of block eigenvectors per run; `thermal_state` fills it where it solved the blocks.
-
-        An SU(2)-symmetric or stabilizer state solves no block, so it has none.
-        """
-        return ()
 
     @cached_property
     def _logical_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -534,17 +436,8 @@ class ThermalState:
         return per_mu, float(self.block_populations @ (centered * centered)) / T
 
     @cached_property
-    def _block_rho(self) -> np.ndarray:
-        """Each block's density matrix in block coordinates, flattened like the block operators."""
-        block_rho = np.empty(self.blocks.operators.shape[1], dtype=complex)
-        for (_, _, levels, entries), vecs in zip(_runs(self.blocks), self.vectors):
-            p = self.block_populations[levels].reshape(len(vecs), 1, -1)
-            block_rho[entries] = ((vecs * p) @ vecs.conj().transpose(0, 2, 1)).ravel()
-        return block_rho
-
-    @cached_property
     def _means(self) -> np.ndarray:
-        """Tr[X rho] for X = H, Q_1, ..., from each block's density matrix, the rotated or the logical frame."""
+        """Tr[X rho] for X = H, Q_1, ..., from the dense rho, the rotated or the logical frame."""
         spin = self.blocks.spin
         if spin is not None:
             # <Q> = (mu/|mu|) <z>
@@ -557,18 +450,17 @@ class ThermalState:
             means.setflags(write=False)
             return means
         # Tr[X rho] = sum X_mn conj(rho_mn), as rho is Hermitian
-        return _real_means(self.blocks.operators @ self._block_rho.conj())
+        return _real_means(self.blocks.operators @ self.rho.ravel().conj())
 
     @cached_property
     def term_means(self) -> np.ndarray:
         """Tr[P rho] for every Pauli term P of H and then of each charge, in term order.
 
         `blocks.term_slices` says which entries belong to which observable.
-        Conserved systems read the terms projected into the blocks, in one
-        product; the one dense block gathers each term from its density
-        matrix along the word's basis action.  SU(2)-symmetric systems read
-        them off the correlators of their levels (`_sector_term_means`), and
-        stabilizer systems off the syndromes and the charge means.
+        A dense state gathers each term from `rho` along the word's basis
+        action.  SU(2)-symmetric systems read them off the correlators of
+        their levels (`_sector_term_means`), and stabilizer systems off the
+        syndromes and the charge means.
         """
         spin = self.blocks.spin
         if spin is not None:
@@ -578,13 +470,7 @@ class ThermalState:
             means = np.concatenate((self._syndrome_means, frame.signs * self._logical_means))
             means.setflags(write=False)
             return means
-        if self.blocks.basis is None:
-            d = self.dimension
-            rho = self._block_rho.reshape(d, d)
-            return _real_means(
-                np.concatenate([term_expectations(obs, rho) for obs in self.blocks.observables])
-            )
-        return _real_means(self.blocks.term_operators @ self._block_rho.conj())
+        return _real_means(np.concatenate([term_expectations(obs, self.rho) for obs in self.blocks.observables]))
 
     @property
     def energy(self) -> float:
@@ -598,30 +484,20 @@ class ThermalState:
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        """Eigenvectors of H - mu.Q in the computational basis, as columns in block order.
+        """Eigenvectors of H - mu.Q in the computational basis, as columns in the order of the levels.
 
         Column a has level `block_levels[a]` and population `block_populations[a]`.
-        An SU(2)-symmetric system rotates its sector vectors (`_rotated_sectors`),
+        `thermal_state` fills them in for a dense state from its `eigh`.  An
+        SU(2)-symmetric system rotates its sector vectors (`_rotated_sectors`),
         and a stabilizer system turns each syndrome's logical basis by the
         logical eigenvectors.
         """
         spin = self.blocks.spin
         if spin is not None:
             return _rotated_sectors(spin, self._axis, self.dimension)
-        frame = self.blocks.logical
-        if frame is not None:
-            d = self.dimension
-            logical = self._logical_spectrum[1]
-            out = (frame.basis.reshape(d, -1, len(logical)) @ logical).reshape(d, d)
-            out.setflags(write=False)
-            return out
-        basis = self.blocks.basis
-        if basis is None:
-            return self.vectors[0][0]
-        out = np.empty((self.dimension, self.dimension), dtype=complex)
-        for (count, size, levels, _), vecs in zip(_runs(self.blocks), self.vectors):
-            cols = basis[:, levels].reshape(-1, count, size).transpose(1, 0, 2)
-            out[:, levels] = (cols @ vecs).transpose(1, 0, 2).reshape(-1, count * size)
+        d = self.dimension
+        logical = self._logical_spectrum[1]
+        out = (self.blocks.logical.basis.reshape(d, -1, len(logical)) @ logical).reshape(d, d)
         out.setflags(write=False)
         return out
 
@@ -742,24 +618,18 @@ def thermal_state(system: ThermoSystem, mu, T: float) -> ThermalState:
     if blocks.logical is not None:
         # everything of a stabilizer state is computed when it is read
         return state
-    vectors = []
-    if blocks.spin is None:
-        ops = blocks.operators
-        a = ops[0] - mu @ ops[1:]
-        levels = np.empty(system.dimension)
-        for count, size, level_slice, entries in _runs(blocks):
-            vals, vecs = np.linalg.eigh(a[entries].reshape(count, size, size))
-            levels[level_slice] = vals.ravel()
-            vecs.setflags(write=False)
-            vectors.append(vecs)
-    else:
+    if blocks.spin is not None:
         # a rotation takes H - mu.Q to H - |mu| 2S^z
         levels = blocks.spin.energies - math.hypot(*mu) * blocks.spin.twice_m
-    levels.setflags(write=False)
+        levels.setflags(write=False)
+    else:
+        ops = blocks.operators
+        d = system.dimension
+        spectrum = SpectralDecomposition.of((ops[0] - mu @ ops[1:]).reshape(d, d))
+        levels = spectrum.eigenvalues
+        state.__dict__["eigenvectors"] = spectrum.eigenvectors
     # the cached properties' own slots, so reading them costs what a field does
     state.__dict__.update(block_levels=levels, block_populations=_populations(levels, T))
-    if vectors:
-        state.__dict__["vectors"] = tuple(vectors)
     return state
 
 
@@ -819,7 +689,7 @@ def hessian_exact(system: ThermoSystem, state: ThermalState) -> np.ndarray:
     <a|Q_i - <Q_i>|b><b|Q_j - <Q_j>|a>, which is the same as the
     populations sum to 1 and leaves no cancellation of terms of size
     ||Q||^2/T.  The result is real, symmetric, and negative semi-definite.
-    No charge couples two blocks, so the pair sum runs within each block.
+    A dense state sums over every pair of its levels.
 
     SU(2)-symmetric systems take the closed form of the rotated frame:
     with n = mu/|mu|, the Hessian is -(n n^T Var(z)/T + (I - n n^T) <z>/|mu|),
@@ -849,23 +719,14 @@ def hessian_exact(system: ThermoSystem, state: ThermalState) -> np.ndarray:
         full = np.zeros((k, 3, k, 3))
         full[np.arange(k), :, np.arange(k), :] = -per_qubit
         return full.reshape(3 * k, 3 * k)[np.ix_(frame.axes, frame.axes)]
-    means = state.charge_means
     if frame is not None:
         vals, vecs, p = state._logical_spectrum
-        correlations = _correlations(vals[None], p[None], vecs[None], frame.words[:, None], means, T)
+        charges = frame.words
     else:
-        ops = state.blocks.operators
-        c = len(ops) - 1
-        correlations = np.zeros((c, c), dtype=complex)
-        for (count, size, levels, entries), vecs in zip(_runs(state.blocks), state.vectors):
-            correlations += _correlations(
-                state.block_levels[levels].reshape(count, size),
-                state.block_populations[levels].reshape(count, size),
-                vecs,
-                ops[1:, entries].reshape(c, count, size, size),
-                means,
-                T,
-            )
+        vals, vecs, p = state.block_levels, state.eigenvectors, state.block_populations
+        d = state.dimension
+        charges = state.blocks.operators[1:].reshape(-1, d, d)
+    correlations = _correlations(vals[None], p[None], vecs[None], charges[:, None], state.charge_means, T)
     hessian = -correlations.real / T
     return (hessian + hessian.T) / 2.0
 

@@ -101,10 +101,10 @@ class ThermoSystem:
     commutes with global spin rotations, and charges that are the total
     magnetizations 2 S^x, 2 S^y, 2 S^z, in that order.  `conserved` marks
     charges that commute with H, which construction checks in the Pauli
-    algebra.  A conserved system also keeps the frame that `gibbs` builds on
-    first use: the S^z sectors of an SU(2)-symmetric H, the logical frame of
-    a code, or else the eigenspace blocks of H; it is never compared or
-    pickled.
+    algebra.  A system also keeps the frame that `gibbs` builds on first use:
+    the S^z sectors of a conserved SU(2)-symmetric H, the logical frame of a
+    conserved code, or else H and the charges as dense matrices; it is never
+    compared or pickled.
     """
 
     hamiltonian: Observable

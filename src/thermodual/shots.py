@@ -6,7 +6,7 @@ identical to measuring the corresponding circuit at this scale.  The number
 of +1 outcomes among N shots is exactly Binomial(N, (1 + <P>)/2), so each
 term costs one binomial draw, whatever N.  The term means <P> come from the
 thermal state (`ThermalState.term_means`), which reads them off its frame
-(S^z sectors, logical frame or eigenspace blocks) without a dense rho.
+(S^z sectors or logical frame) without a dense rho.
 
 The Hessian estimator follows the time-averaged-conjugation form of the dual
 Hessian: each Pauli pair runs interference tests at its own times drawn from

@@ -191,7 +191,7 @@ class TestRunCommand:
         from thermodual.gibbs import ThermalState
 
         def refuse(state):
-            raise AssertionError("a first-order sampled run reads the term means of the blocks")
+            raise AssertionError("a first-order sampled run reads the term means of the S^z sectors")
 
         monkeypatch.setattr(ThermalState, "rho", property(refuse))
         monkeypatch.setattr(ThermalState, "eigenvectors", property(refuse))
@@ -401,6 +401,44 @@ class TestSectorRuns:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["converged"]
         assert summary["runs"][0]["final_error_metric"] <= 0.1 + 1e-4
+
+
+BUILTIN_MODELS = {
+    "heisenberg": {"kind": "heisenberg", "geometry": "line", "n": 4, "nnn": True, "targets": [0.6, -0.4, 0.5]},
+    **{
+        code: {
+            "kind": "stabilizer", "code": code,
+            "charges": [{"word": word, "target": target} for word, target in charges],
+        }
+        for code, charges in (
+            ("repetition3", [("1", 0.2), ("2", -0.1), ("3", 0.5)]),
+            ("perfect5", [("1", 0.3), ("2", 0.1), ("3", -0.4)]),
+            ("detect422", [("10", 0.1), ("20", 0.0), ("30", 0.2), ("01", -0.2), ("03", 0.3)]),
+        )
+    },
+}
+
+
+class TestFrames:
+    """Every built-in model runs in its own frame: S^z sectors or the logical frame, never the dense block."""
+
+    @pytest.mark.parametrize("variant", ["first_classical", "second_classical", "first_hqc", "second_hqc"])
+    @pytest.mark.parametrize("model", list(BUILTIN_MODELS))
+    def test_runs_without_the_dense_block(self, tmp_path, monkeypatch, model, variant):
+        from thermodual import gibbs
+
+        def refuse(system):
+            raise AssertionError("a built-in model took the dense block")
+
+        monkeypatch.setattr(gibbs, "_dense_block", refuse)
+        solver = {"variant": variant, "epsilon": 0.2, "max_iter": 15}
+        if variant.endswith("hqc"):
+            solver["shots_per_iteration"] = 2000
+        if variant == "second_hqc":
+            solver["hessian_samples_per_iteration"] = 20000
+        payload = {"model": BUILTIN_MODELS[model], "solver": solver, "oracle": {"enable": True, "iterations": 200}}
+        config = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
 
 def per_value_runs_csv(path, traces, n_charges):

@@ -362,86 +362,53 @@ def _builtin(name):
 BUILTIN_NAMES = [name for name, _ in _heisenberg_family()] + list(CODE_WORD_SETS)
 
 
-def _close(blocked, dense, relative=False):
-    """Agreement to 1e-12, or to 1e-12 of the dense value's largest entry when relative and that exceeds 1."""
-    gap = float(np.max(np.abs(np.asarray(blocked) - np.asarray(dense))))
-    return gap <= 1e-12 * (max(1.0, float(np.max(np.abs(dense)))) if relative else 1.0)
-
-
 class TestEigenspaceBlocks:
-    """The blocked path of conserved systems against the dense path, its oracle."""
+    """The frame `eigen_blocks` gives each system: the S^z sectors or the logical frame, else the dense block."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_systems_take_their_own_frame(self, name):
+        blocks = eigen_blocks(_builtin(name))
+        assert (blocks.spin is not None) != (blocks.logical is not None)
+        assert blocks.operators is None
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_matches_dense_path(self, name):
-        # SU(2)-symmetric systems keep sectors and codes their logical frame; without either they take the blocks
+        # without its flag a conserved system takes the dense block, and so the dense path's bits
         system = replace(_builtin(name), su2_symmetric=False, code=None)
         dense = replace(system, conserved=False)
+        assert eigen_blocks(system).operators is not None
         rng = np.random.default_rng(sum(map(ord, name)) + 1)
         default_T = 0.1 / (system.n_qubits * math.log(2))
         for T in (default_T, 1.0):
             mu = rng.normal(size=system.n_charges)
             a, b = thermal_state(system, mu, T), thermal_state(dense, mu, T)
-            assert a.blocks.basis is not None and b.blocks.basis is None
-            # ln Z grows like 1/T, so it is held to 1e-12 of its size
-            assert _close(log_partition(a), log_partition(b), relative=True)
-            assert _close(objective_f(system, a), objective_f(dense, b))
-            assert _close(gradient(system, a), gradient(dense, b))
-            assert _close(hessian_exact(system, a), hessian_exact(dense, b))
-            assert _close(np.sort(a.block_levels), np.sort(b.block_levels))
-            assert _close(a.rho, b.rho)
-            assert _close(a.energy, b.energy)
-
-    def test_degenerate_multiplets_share_a_block(self):
-        # line 3: a spin-3/2 quadruplet and two spin-1/2 doublets, each exactly degenerate
-        system = replace(build_heisenberg("line", n=3), su2_symmetric=False)
-        assert eigen_blocks(system).shapes == ((2, 2), (1, 4))
-        dense = replace(system, conserved=False)
-        for mu in ([0.0, 0.0, 0.0], [0.3, -0.1, 0.2]):
-            a, b = thermal_state(system, mu, 0.2), thermal_state(dense, mu, 0.2)
-            assert _close(a.rho, b.rho)
-            assert _close(hessian_exact(system, a), hessian_exact(dense, b))
-
-    def test_levels_merged_by_the_gap_tolerance_stay_exact(self):
-        # levels 1 +- 5e-11 and -1 +- 5e-11 merge into two blocks, and each keeps its level:
-        # at T = 1e-10 the populations within a pair differ by a factor e
-        system = ThermoSystem(
-            Observable.from_strings(2, [(5e-11, "ZI"), (1.0, "ZZ")]),
-            (Observable.from_strings(2, [(1.0, "ZI")]), Observable.from_strings(2, [(1.0, "IZ")])),
-            (0.0, 0.0),
-            conserved=True,
-        )
-        assert eigen_blocks(system).shapes == ((2, 2),)
-        T = 1e-10
-        state = thermal_state(system, [0.0, 0.0], T)
-        p = np.sort(state.block_populations)[::-1]
-        assert p[0] / p[1] == pytest.approx(math.e, rel=1e-5)
-        dense = thermal_state(replace(system, conserved=False), [0.0, 0.0], T)
-        assert np.max(np.abs(state.rho - dense.rho)) < 1e-12
-        assert log_partition(state) == pytest.approx(log_partition(dense), rel=1e-12)
-
-    def test_charge_leaking_out_of_its_block_is_refused(self):
-        # [H, Q] = 2e-13 passes the conservation check, but in the eigenbasis of H
-        # the charge couples the levels +-0.01 by 1e-11
-        system = ThermoSystem(
-            Observable.from_strings(1, [(1e-2, "Z")]),
-            (Observable.from_strings(1, [(1.0, "Z"), (1e-11, "X")]),),
-            (0.0,),
-            conserved=True,
-        )
-        with pytest.raises(NumericalIntegrityError, match="couples eigenspaces"):
-            thermal_state(system, [0.1], 1.0)
+            assert log_partition(a) == log_partition(b)
+            assert objective_f(system, a) == objective_f(dense, b)
+            for value, want in (
+                (gradient(system, a), gradient(dense, b)),
+                (hessian_exact(system, a), hessian_exact(dense, b)),
+                (a.block_levels, b.block_levels),
+                (a.term_means, b.term_means),
+                (a.rho, b.rho),
+            ):
+                assert np.array_equal(value, want)
 
     def test_blocks_are_built_once_and_not_pickled(self):
-        system = build_heisenberg("line", n=6, nnn=True, targets=(0.5, 0.0, 0.5))
-        before = pickle.dumps(system)
-        state = thermal_state(system, [0.1, 0.2, 0.3], 0.3)
-        hessian_exact(system, state)
-        assert eigen_blocks(system) is state.blocks
-        assert len(pickle.dumps(system)) == len(before)
-        copy = pickle.loads(before)
-        assert copy == system and copy._eigen_blocks is None
-        again = thermal_state(copy, [0.1, 0.2, 0.3], 0.3)
-        assert np.array_equal(again.rho, state.rho)
+        # the sectors of a Heisenberg model, and the dense block of a system without conserved charges
+        for system in (
+            build_heisenberg("line", n=6, nnn=True, targets=(0.5, 0.0, 0.5)),
+            random_system(np.random.default_rng(3), n=3, n_charges=3),
+        ):
+            before = pickle.dumps(system)
+            state = thermal_state(system, [0.1, 0.2, 0.3], 0.3)
+            hessian_exact(system, state)
+            assert eigen_blocks(system) is state.blocks
+            assert thermal_state(system, [0.3, -0.2, 0.0], 0.3).blocks is state.blocks
+            assert len(pickle.dumps(system)) == len(before)
+            copy = pickle.loads(before)
+            assert copy == system and copy._eigen_blocks is None
+            again = thermal_state(copy, [0.1, 0.2, 0.3], 0.3)
+            assert np.array_equal(again.rho, state.rho)
 
 
 def _term_mean_system(name):
@@ -480,13 +447,6 @@ class TestTermMeans:
             sums = [obs.coefficients @ part for obs, part in zip(observables, parts)]
             assert np.max(np.abs(np.array(sums) - [state.energy, *state.charge_means])) <= 1e-12
 
-    def test_projections_are_built_once_per_system(self):
-        system = replace(build_heisenberg("line", n=4, nnn=True), su2_symmetric=False)
-        first = thermal_state(system, [0.1, 0.0, 0.2], 0.3)
-        first.term_means
-        second = thermal_state(system, [0.3, -0.2, 0.0], 0.3)
-        assert second.blocks.term_operators is first.blocks.term_operators
-
 
 ROTATED_SYSTEMS = {
     "line5": dict(geometry="line", n=5),
@@ -515,33 +475,31 @@ def _relative_gap(value, reference) -> float:
 
 
 class TestRotatedFrame:
-    """The closed form of SU(2)-symmetric systems, from their sectors, against the block and dense paths."""
+    """The closed form of SU(2)-symmetric systems, from their sectors, against the dense path."""
 
     @pytest.mark.parametrize("name", list(ROTATED_SYSTEMS))
     def test_matches_block_and_dense_paths(self, name):
         system = build_heisenberg(**ROTATED_SYSTEMS[name], targets=(0.4, -0.3, 0.5))
-        block = replace(system, su2_symmetric=False)
         dense = replace(system, conserved=False, su2_symmetric=False)
-        assert eigen_blocks(system).spin is not None and eigen_blocks(block).spin is None
+        assert eigen_blocks(system).spin is not None and eigen_blocks(dense).spin is None
         rng = np.random.default_rng(sum(map(ord, name)))
         tiny = rng.normal(size=3)
         for T in (0.1 / (system.n_qubits * math.log(2)), 0.3, 1.0):
             for mu in (np.zeros(3), 1e-9 * tiny / np.linalg.norm(tiny), rng.normal(size=3)):
                 observed = _observed(system, thermal_state(system, mu, T))
-                for reference in (block, dense):
-                    expected = _observed(reference, thermal_state(reference, mu, T))
-                    for value, want in zip(observed, expected):
-                        assert _relative_gap(value, want) <= 1e-12
+                expected = _observed(dense, thermal_state(dense, mu, T))
+                for value, want in zip(observed, expected):
+                    assert _relative_gap(value, want) <= 1e-12
 
     def test_hessian_keeps_its_digits_as_mu_vanishes(self):
         # at |mu| = 1e-9 a naive <z>/|mu| loses about six digits
         system = build_heisenberg("line", n=6, nnn=True)
-        block = replace(system, su2_symmetric=False)
+        dense = replace(system, conserved=False, su2_symmetric=False)
         for T in (0.3, 1.0):
             for r in (1e-9, 1e-12, 0.0):
                 mu = r * np.array([0.6, 0.0, 0.8])
                 rotated = hessian_exact(system, thermal_state(system, mu, T))
-                reference = hessian_exact(block, thermal_state(block, mu, T))
+                reference = hessian_exact(dense, thermal_state(dense, mu, T))
                 assert float(np.max(np.abs(rotated - reference))) <= 1e-12 * float(np.max(np.abs(reference)))
 
     def test_isotropic_at_zero_mu(self):
@@ -560,7 +518,7 @@ class TestRotatedFrame:
         mus += [scale * rng.normal(size=3) for scale in (1e-3, 0.3, 3.0)]
         for mu in mus:
             state = thermal_state(system, mu, 0.3)
-            assert "vectors" not in state.__dict__
+            assert "eigenvectors" not in state.__dict__
             A = effective_hamiltonian(system, state.mu)
             V = state.eigenvectors
             assert np.max(np.abs(A @ V - V * state.block_levels)) <= 1e-10
