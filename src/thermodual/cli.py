@@ -41,7 +41,7 @@ from .oracle import (
     reference_energy,
     state_fidelity,
 )
-from .shots import ESTIMATOR_MODES, ShotEstimator, derive_stream_seed
+from .shots import ESTIMATOR_MODES, ShotEstimator, _pair_means, derive_stream_seed
 
 SUMMARY_SCHEMA_VERSION = 2
 _REP_TAG = 1 << 23
@@ -482,13 +482,32 @@ def _frame_gap(system: ThermoSystem, state, reference: ThermoSystem) -> float:
     )
 
 
+def _pair_gap(system: ThermoSystem, state, reference: ThermoSystem, modes) -> float:
+    """The largest gap of the sampled Hessian's pair coefficients and means from those of a reference path.
+
+    It runs over the Pauli pairs of every entry (i, j) in each mode; pairs
+    laid out differently count as an infinite gap.
+    """
+    other = thermal_state(reference, state.mu, state.temperature)
+    gap = 0.0
+    for mode in modes:
+        frame, dense = _pair_means(system, state, mode), _pair_means(reference, other, mode)
+        for i in range(system.n_charges):
+            for j in range(i, system.n_charges):
+                for a, b in zip(frame(i, j), dense(i, j)):
+                    gap = max(gap, float(np.max(np.abs(a - b))) if a.shape == b.shape else np.inf)
+    return gap
+
+
 def _verify_gradients(seed: int):
     """Derivatives against central differences, and the Pauli-term means against the dense gather.
 
     The random systems take the dense path, the Heisenberg models the SU(2)
     closed form and the codes their logical frame, and both frames are also
     checked against the dense path: the codes with the three axis words of
-    repetition3 and perfect5 and all 15 words of detect422.
+    repetition3 and perfect5 and all 15 words of detect422.  So are the
+    sampled Hessian's pair means, of the Heisenberg models in both modes on
+    the dense path that keeps `conserved`, and of the codes in generic mode.
     """
     rng = np.random.default_rng(seed)
     codes = {name: models.builtin_code(name) for name in ("repetition3", "perfect5", "detect422")}
@@ -509,6 +528,7 @@ def _verify_gradients(seed: int):
     worst_terms = 0.0
     worst_su2 = 0.0
     worst_frame = 0.0
+    worst_pairs = 0.0
     for system in itertools.chain((_random_system(rng) for _ in range(25)), conserved):
         c = system.n_charges
         T = float(rng.uniform(0.5, 2.0))
@@ -521,8 +541,12 @@ def _verify_gradients(seed: int):
         if system.su2_symmetric:
             reference = replace(system, conserved=False, su2_symmetric=False)
             worst_su2 = max(worst_su2, _frame_gap(system, state, reference))
+            dense = replace(system, su2_symmetric=False)
+            worst_pairs = max(worst_pairs, _pair_gap(system, state, dense, ESTIMATOR_MODES))
         elif system.code is not None:
-            worst_frame = max(worst_frame, _frame_gap(system, state, replace(system, conserved=False)))
+            dense = replace(system, conserved=False)
+            worst_frame = max(worst_frame, _frame_gap(system, state, dense))
+            worst_pairs = max(worst_pairs, _pair_gap(system, state, dense, ("generic",)))
         g = gradient(system, state)
         for i in range(c):
             e = np.zeros(c)
@@ -560,6 +584,9 @@ def _verify_gradients(seed: int):
     ))
     checks.append((
         "logical frame matches the dense path <= 1e-12", worst_frame <= 1e-12, f"max {worst_frame:.2e}"
+    ))
+    checks.append((
+        "Hessian pair means: frames match the dense path <= 1e-12", worst_pairs <= 1e-12, f"max {worst_pairs:.2e}"
     ))
     return checks
 

@@ -16,9 +16,11 @@ fixed, so the levels are E_a - |mu| z_a, with E_a the levels of H on its
 S^z sectors and z_a = 2m_a.  Each sector is built from the exchange terms on
 its basis states and diagonalized once per system, the sectors at -m by a
 global spin flip.  The populations, ln Z, the means, the Pauli-term means
-and the exact Hessian follow in closed form from what each level stores,
-and the eigenvectors, for the readers that ask for them, are the sector
-vectors rotated site by site.
+and the exact Hessian follow in closed form from what each level stores.
+The sampled Hessian reads tables of the sector vectors that its first call
+builds (`SpinLevels.pair_correlators` and `site_blocks`), and the
+eigenvectors, for the readers that ask for them, are the sector vectors
+rotated site by site.
 
 Stabilizer codes are taken in their logical frame (Gottesman,
 quant-ph/9705052).  H = sum_j h_j G_j over r independent generators, and
@@ -86,7 +88,9 @@ class SpinLevels:
     `sectors` holds (basis states, real eigenvectors as columns) of each
     sector, whose levels follow one another in that order; the sectors at m
     and -m share one array of vectors.  The levels at z and -z pair up with
-    equal energies, and `up` indexes the levels with z > 0.
+    equal energies, and `up` indexes the levels with z > 0.  The tables of
+    the sampled Hessian, `pair_correlators` and `site_blocks`, are built on
+    first use.
     """
 
     energies: np.ndarray
@@ -97,6 +101,90 @@ class SpinLevels:
     h_axes: np.ndarray
     charge_sites: np.ndarray
     sectors: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @cached_property
+    def _by_down(self) -> list[tuple[np.ndarray, np.ndarray, slice]]:
+        """(basis states, vectors, slice of the levels) of the sector with w spins down, for w = 0..n."""
+        n = len(self.charge_sites)
+        out = [None] * (n + 1)
+        start = 0
+        for states, vecs in self.sectors:
+            w = (n - int(self.twice_m[start])) // 2
+            out[w] = (states, vecs, slice(start, start + len(vecs)))
+            start += len(vecs)
+        return out
+
+    @cached_property
+    def pair_correlators(self) -> tuple[np.ndarray, np.ndarray]:
+        """<a|X_kX_l|a>, which equals <a|Y_kY_l|a>, and <a|Z_kZ_l|a> for every level a and every pair of sites.
+
+        Each has shape (levels, n, n), with 1 on the diagonal.  Both stay the
+        same under the global spin flip, so the sectors at m and -m share one
+        computation.
+        """
+        n = len(self.charge_sites)
+        place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
+        xx, zz = np.empty((2, len(self.energies), n, n))
+        for w, (states, vecs, levels) in enumerate(self._by_down[: n // 2 + 1]):
+            spins = 1 - 2 * ((states[:, None] & place) != 0)
+            pair_spins = (spins[:, :, None] * spins[:, None, :]).reshape(len(states), -1)
+            zz[levels] = ((vecs * vecs).T @ pair_spins).reshape(-1, n, n)
+            xx[levels] = np.eye(n)
+            for k, l in zip(*np.triu_indices(n, 1)):
+                rows = np.flatnonzero(spins[:, k] != spins[:, l])
+                cols = np.searchsorted(states, states[rows] ^ (place[k] | place[l]))
+                xx[levels, k, l] = xx[levels, l, k] = np.einsum("sa,sa->a", vecs[rows], vecs[cols])
+            for array in (xx, zz):
+                array[self._by_down[n - w][2]] = array[levels]
+        for array in (xx, zz):
+            array.setflags(write=False)
+        return xx, zz
+
+    @cached_property
+    def site_blocks(self) -> tuple[tuple, tuple]:
+        """Each site's Z_k on every sector and X_k between adjacent sectors, in the sector vectors.
+
+        Two tuples, of Z and then of X entries.  Entry (blocks, level pairs):
+        blocks[k] is W_r^T P_k W_c, and each (r, c) in level pairs is a pair
+        of sectors, as slices of the levels, whose vectors W_r and W_c these
+        are.  Z_k = 1 - 2 n_k, with n_k the projector onto site k down, so its
+        block is gathered from the rows of W with site k down.  X_k takes a
+        state of w spins down with site k up to one of w + 1, so
+        W_w^T X_k W_{w+1} gathers those rows of W_w and the rows of W_{w+1}
+        they map to.  The global spin flip F commutes with X_k and negates
+        Z_k, and the sectors at m and -m are F of each other with one array of
+        vectors.  So the sectors with w <= n/2 and the pairs (w, w + 1) with
+        w <= (n - 1)/2 carry blocks, and their flipped partners come as
+        further level pairs: Z_k Z_l is even under F, and the pair (w, w + 1)
+        flips to (n - w, n - w - 1).
+        """
+        n = len(self.charge_sites)
+        place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
+        by_down = self._by_down
+        z_entries, x_entries = [], []
+        for w in range(n // 2 + 1):
+            states, vecs, levels = by_down[w]
+            blocks = np.empty((n, len(vecs), len(vecs)))
+            for k in range(n):
+                down = vecs[(states & place[k]) != 0]
+                blocks[k] = -2.0 * (down.T @ down)
+                blocks[k][np.diag_indices(len(vecs))] += 1.0
+            pairs = ((levels, levels),) if 2 * w == n else ((levels, levels), (by_down[n - w][2],) * 2)
+            z_entries.append((blocks, pairs))
+        for w in range((n - 1) // 2 + 1):
+            (lower, w_lower, rows), (upper, w_upper, cols) = by_down[w], by_down[w + 1]
+            # the flipped sector lists its states in descending order
+            order = np.argsort(upper)
+            blocks = np.empty((n, len(w_lower), len(w_upper)))
+            for k in range(n):
+                up = np.flatnonzero((lower & place[k]) == 0)
+                image = order[np.searchsorted(upper, lower[up] | place[k], sorter=order)]
+                blocks[k] = w_lower[up].T @ w_upper[image]
+            partner = (by_down[n - w][2], by_down[n - w - 1][2])
+            x_entries.append((blocks, ((rows, cols),) if 2 * w + 1 == n else ((rows, cols), partner)))
+        for blocks, _ in z_entries + x_entries:
+            blocks.setflags(write=False)
+        return tuple(z_entries), tuple(x_entries)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ identical to measuring the corresponding circuit at this scale.  The number
 of +1 outcomes among N shots is exactly Binomial(N, (1 + <P>)/2), so each
 term costs one binomial draw, whatever N.  The term means <P> come from the
 thermal state (`ThermalState.term_means`), which reads them off its frame
-(S^z sectors or logical frame) without a dense rho.
+(S^z sectors or logical frame) without a dense rho; so do the Hessian's pair
+means (`_pair_means`).
 
 The Hessian estimator follows the time-averaged-conjugation form of the dual
 Hessian: each Pauli pair runs interference tests at its own times drawn from
@@ -22,8 +23,8 @@ Randomness is organized as derived streams: a 64-bit mix of
 on evaluation order.  One evaluation of the charges and the energy makes
 one binomial call on one generator, over the terms of the charges in order
 and then of H (`estimate_observable` on an `ObservableGroup`).  A Hessian
-draws each upper-triangle entry's pairs and each of its two factor
-estimates from a generator of its own.
+likewise makes one binomial call on one generator, over the pairs of every
+upper-triangle entry and then the two factor estimates of each entry.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 ESTIMATOR_MODES = ("generic", "extensive")
 
-# id namespaces of a Hessian's entry and factor streams; an evaluation draws from id 0
+# stream id of a Hessian's one generator; an evaluation draws from id 0
 HESSIAN_ENTRY_BASE = 1 << 21
-HESSIAN_FACTOR_BASE = 1 << 22
 
 
 def _mix64(z: int) -> int:
@@ -104,12 +104,13 @@ def tent_characteristic(omega) -> np.ndarray:
     return np.where(zero, 1.0, np.tanh(half) / np.where(zero, 1.0, half))
 
 
-def _binomial_means(values: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+def _binomial_means(values: np.ndarray, shots, rng: np.random.Generator) -> np.ndarray:
     """Mean of `shots` +-1 outcomes with P(+1) = (1 + v)/2, for each v in values.
 
     The count of +1 outcomes is one Binomial(shots, (1 + v)/2) draw per value,
-    all in one call on rng.  A value that is not finite, or exceeds 1 in
-    magnitude beyond rounding, raises NumericalIntegrityError.
+    all in one call on rng; `shots` is one count or an array of one per
+    value.  A value that is not finite, or exceeds 1 in magnitude beyond
+    rounding, raises NumericalIntegrityError.
     """
     # written so that NaN fails it too
     if not np.abs(values).max(initial=0.0) <= 1.0 + 1e-9:
@@ -302,13 +303,95 @@ def _extensive_pairs(system, state, i, j, comps):
     return np.array(coeffs), np.array(wbar)
 
 
+def _sector_pair_sums(state: ThermalState) -> tuple[np.ndarray, np.ndarray]:
+    """Gx and Gz of an SU(2)-symmetric state, over every pair of sites (k, l).
+
+    Gz is sum_ab p_a phi((E_a - E_b)/T) (Z_k)_ab (Z_l)_ab over the level
+    pairs within one sector, and Gx the same sum of X_k over the level pairs
+    of adjacent sectors, with omega_ab = (lambda_a - lambda_b)/T.  Each
+    ordered pair (a, b) between two sectors also appears as (b, a), so each
+    block takes the kernel (p_a + p_b) phi(omega_ab), halved within a sector.
+    """
+    spin = state.blocks.spin
+    n = len(spin.charge_sites)
+    lam, p, T = state.block_levels, state.block_populations, state.temperature
+    sums = []
+    for entries in spin.site_blocks:
+        total = np.zeros((n, n))
+        for blocks, level_pairs in entries:
+            kernel = sum(
+                (p[r, None] + p[None, c]) * tent_characteristic((lam[r, None] - lam[None, c]) / T)
+                for r, c in level_pairs
+            )
+            flat = blocks.reshape(n, -1)
+            total += (flat * kernel.ravel()) @ flat.T
+        sums.append(total)
+    gz, gx = sums
+    return gx, gz / 2.0
+
+
+def _spin_pairs(state: ThermalState, mode: str):
+    """(i, j) -> (coeffs, wbar) of an SU(2)-symmetric state, from its S^z sectors.
+
+    With U^dag sigma^c_k U = sum_d R_cd sigma^d_k and R_cz = n_c, n = mu/|mu|,
+    the pair (sigma^i_k, sigma^j_l) has wbar = Gx(k,l) (delta_ij - n_i n_j)
+    + Gz(k,l) n_i n_j: between real sector states the XX and YY parts are
+    equal and the mixed ones vanish.  In generic mode Gx and Gz are the
+    sector sums of `_sector_pair_sums`.  In extensive mode the site
+    generator mu.sigma turns the transverse part at 2|mu|/T and leaves the
+    axial one, so Gx = phi(2|mu|/T) cx and Gz = cz, the population-weighted
+    <X_kX_l> and <Z_kZ_l> of `SpinLevels.pair_correlators`.  Rows are the
+    charge terms of Q_i in generic mode and the sites in extensive mode;
+    columns are the charge terms of Q_j, term t on site `charge_sites[t]`.
+    Every charge coefficient is 1.
+    """
+    sites = state.blocks.spin.charge_sites
+    n = len(sites)
+    if mode == "extensive":
+        p = state.block_populations
+        cx, cz = (p @ table.reshape(len(p), -1) for table in state.blocks.spin.pair_correlators)
+        gx = tent_characteristic(2.0 * np.linalg.norm(state.mu) / state.temperature) * cx.reshape(n, n)
+        gz, rows = cz.reshape(n, n), np.arange(n)
+    else:
+        (gx, gz), rows = _sector_pair_sums(state), sites
+    gx, gz = gx[np.ix_(rows, sites)].ravel(), gz[np.ix_(rows, sites)].ravel()
+    along = np.outer(state._axis, state._axis)
+    coeffs = np.ones(len(gx))
+    return lambda i, j: (coeffs, (float(i == j) - along[i, j]) * gx + along[i, j] * gz)
+
+
+def _logical_pairs(state: ThermalState):
+    """(i, j) -> (coeffs, wbar) of a stabilizer state in generic mode, from its 2^k logical problem.
+
+    Charge i is one Pauli word with coefficient s_i, which acts as s_i L_i
+    in every syndrome.  The syndrome energies cancel in omega_ab and the
+    syndrome populations sum to 1, so entry (i, j) has one pair with
+    wbar = s_i s_j sum_ab Re[(L_i)_ab (L_j)_ba] p_a phi((lambda_a - lambda_b)/T)
+    over the logical eigenbasis.
+    """
+    frame = state.blocks.logical
+    vals, vecs, p = state._logical_spectrum
+    words = vecs.conj().T @ frame.words @ vecs
+    kernel = p[:, None] * tent_characteristic((vals[:, None] - vals[None, :]) / state.temperature)
+    signs = np.outer(frame.signs, frame.signs)
+    wbar = signs * np.einsum("iab,ab,jba->ij", words, kernel, words).real
+    return lambda i, j: (signs[i, j : j + 1], wbar[i, j : j + 1])
+
+
 def _pair_means(system: ThermoSystem, state: ThermalState, mode: str):
     """The function (i, j) -> (coeffs, wbar) over the Pauli pairs of entry (i, j).
 
-    What every entry shares is built once: the charge terms in the A
-    eigenbasis and the kernel p_a phi(omega_ab) in generic mode, the per-site
-    charge components in extensive mode.
+    SU(2)-symmetric states take their S^z sectors in either mode, and
+    stabilizer states their logical frame in generic mode.  Any other state
+    takes the dense path, which is the oracle of the frames: what every
+    entry shares is built once, the charge terms in the A eigenbasis and the
+    kernel p_a phi(omega_ab) in generic mode, the per-site charge components
+    in extensive mode.
     """
+    if state.blocks.spin is not None:
+        return _spin_pairs(state, mode)
+    if state.blocks.logical is not None and mode == "generic":
+        return _logical_pairs(state)
     if mode == "extensive":
         comps = _site_components(system)
         return lambda i, j: _extensive_pairs(system, state, i, j, comps)
@@ -334,8 +417,11 @@ def estimate_hessian(
     interference tests at its own tent-distributed times; their +1 count is
     one Binomial(time_samples, (1 + wbar)/2) draw, and the pair's mean
     outcome is scaled by its coefficients.  The mean-product term uses two
-    independent `shots`-per-term estimates of <Q_i> and <Q_j>.  The matrix
-    is mirrored across the diagonal, so it is exactly symmetric.
+    independent `shots`-per-term estimates of <Q_i> and <Q_j>.  One binomial
+    call on the stream's HESSIAN_ENTRY_BASE generator draws them all: the
+    pairs of every entry in row-major upper-triangle order, then the terms
+    of both factors of each entry in that order.  The matrix is mirrored
+    across the diagonal, so it is exactly symmetric.
     """
     if time_samples < 1 or shots < 1:
         raise ValueError("time_samples and shots must be positive")
@@ -347,24 +433,23 @@ def estimate_hessian(
     charge_means = [state.term_means[part] for part in state.blocks.term_slices[1:]]
 
     c = system.n_charges
+    entries = [(i, j) for i in range(c) for j in range(i, c)]
+    coeffs, wbar = zip(*(pairs(i, j) for i, j in entries))
+    factors = [charge_means[k] for entry in entries for k in entry]
+    values = np.concatenate((*wbar, *factors))
+    pair_count = sum(len(w) for w in wbar)
+    counts = np.repeat((time_samples, shots), (pair_count, len(values) - pair_count))
+    outcomes = _binomial_means(values, counts, stream.with_observable(HESSIAN_ENTRY_BASE).generator())
+    parts = np.split(outcomes, np.cumsum([len(part) for part in (*wbar, *factors)])[:-1])
+    pair_outcomes, factor_outcomes = parts[: len(entries)], parts[len(entries) :]
     hessian = np.zeros((c, c))
-    for i in range(c):
-        for j in range(i, c):
-            coeffs, wbar = pairs(i, j)
-            entry_rng = stream.with_observable(HESSIAN_ENTRY_BASE + i * c + j).generator()
-            first = float(coeffs @ _binomial_means(wbar, time_samples, entry_rng))
-            factor = HESSIAN_FACTOR_BASE + 2 * (i * c + j)
-            qi = estimate_observable(
-                charge_means[i], system.charges[i], shots,
-                stream.with_observable(factor).generator(),
-            )
-            qj = estimate_observable(
-                charge_means[j], system.charges[j], shots,
-                stream.with_observable(factor + 1).generator(),
-            )
-            value = (-first + qi * qj) / state.temperature
-            hessian[i, j] = value
-            hessian[j, i] = value
+    for e, (i, j) in enumerate(entries):
+        first = float(coeffs[e] @ pair_outcomes[e])
+        qi = float(system.charges[i].coefficients @ factor_outcomes[2 * e])
+        qj = float(system.charges[j].coefficients @ factor_outcomes[2 * e + 1])
+        value = (-first + qi * qj) / state.temperature
+        hessian[i, j] = value
+        hessian[j, i] = value
     return hessian
 
 

@@ -440,6 +440,24 @@ class TestFrames:
         config = write_config(tmp_path, payload)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("mode", ["generic", "extensive"])
+    def test_second_hqc_past_the_dense_limit(self, tmp_path, monkeypatch, mode):
+        # line 12 is two qubits past the dense limit: the sampled Hessian reads the sectors alone
+        from thermodual import gibbs
+
+        def refuse(*args):
+            raise AssertionError("the sampled Hessian read dense vectors")
+
+        monkeypatch.setattr(gibbs, "_rotated_sectors", refuse)
+        config = validate_config({
+            "model": {"kind": "heisenberg", "geometry": "line", "n": 12, "nnn": True, "targets": [0.6, -0.7, 0.9]},
+            "solver": {"variant": "second_hqc", "max_iter": 1, "estimator_mode": mode},
+            "oracle": {"enable": True},
+            "repetitions": 1,
+        })
+        assert run_experiment(config, tmp_path) == 0
+        assert len((tmp_path / "runs.csv").read_text().splitlines()) == 3
+
 
 def per_value_runs_csv(path, traces, n_charges):
     """runs.csv as one `_fmt` call per value, the form the column writer must reproduce."""
@@ -542,6 +560,19 @@ class TestVerifyCommand:
 
     def test_gradients_suite_passes(self):
         assert main(["verify", "gradients", "--seed", "2"]) == 0
+
+    def test_gradients_suite_exits_3_when_a_frame_pair_mean_is_off(self, monkeypatch, capsys):
+        import thermodual.shots as shots
+
+        inner = shots._spin_pairs
+
+        def shifted(*args):
+            pairs = inner(*args)
+            return lambda i, j: (pairs(i, j)[0], pairs(i, j)[1] + 1e-9)
+
+        monkeypatch.setattr(shots, "_spin_pairs", shifted)
+        assert main(["verify", "gradients"]) == 3
+        assert "FAIL [gradients] Hessian pair means: frames match the dense path" in capsys.readouterr().out
 
     def test_references_suite_passes(self, capsys):
         assert main(["verify", "references", "--seed", "3"]) == 0

@@ -211,8 +211,9 @@ class TestSecondOrder:
         binomial_means = shots._binomial_means
 
         def counted_trials(values, trials, stream):
-            # one binomial draw of `trials` outcomes per Pauli term or Hessian pair
-            drawn.append(len(values) * trials)
+            # one binomial draw of `trials` outcomes per Pauli term or Hessian pair; a Hessian
+            # passes one count per value
+            drawn.append(int(np.sum(np.broadcast_to(trials, np.shape(values)))))
             return binomial_means(values, trials, stream)
 
         monkeypatch.setattr(shots, "_binomial_means", counted_trials)

@@ -6,12 +6,14 @@ from scipy.integrate import quad
 from scipy.stats import binom, chisquare
 
 import thermodual.shots as shots
-from thermodual.gibbs import hessian_exact, thermal_state
+from thermodual.encoding import all_words
+from thermodual.gibbs import LogicalFrame, hessian_exact, thermal_state
 from thermodual.errors import NumericalIntegrityError
 from thermodual.models import build_heisenberg, build_stabilizer_system, builtin_code
 from thermodual.operators import PAULI_MATRICES, Observable, expectation, term_expectations
 from thermodual.optimize import OptimizerConfig, run
 from thermodual.shots import (
+    ESTIMATOR_MODES,
     RngStream,
     ShotEstimator,
     derive_stream_seed,
@@ -209,6 +211,17 @@ class TestHessianEstimate:
         with pytest.raises(NumericalIntegrityError, match="outcome mean nan"):
             estimate_hessian(system, state, 10, 10, RngStream(1))
 
+    def test_one_generator_per_hessian(self, monkeypatch):
+        # the pairs of every entry and both factors of each are drawn in one call
+        made = []
+        generator = RngStream.generator
+        monkeypatch.setattr(RngStream, "generator", lambda stream: made.append(stream) or generator(stream))
+        for name, mode in (("repetition3", "generic"), ("detect422", "generic"), ("grid2x3", "extensive")):
+            system, state = pinned_case(name)
+            made.clear()
+            estimate_hessian(system, state, 50, 50, RngStream(3, iteration=2), mode=mode)
+            assert made == [RngStream(3, iteration=2, obs_id=shots.HESSIAN_ENTRY_BASE)]
+
     def test_exactly_symmetric(self):
         system = repetition_system()
         state = thermal_state(system, np.zeros(3), 0.5)
@@ -232,10 +245,18 @@ def pinned_case(name):
             "grid", rows=2, cols=3, nnn=True, lam=0.5, targets=(0.5, 0.2, -0.4)
         )
         mu, T = np.array([0.4, -0.3, 0.25]), 0.5
+    elif name == "line5":
+        system = build_heisenberg("line", n=5, nnn=True, targets=(0.3, -0.5, 0.2))
+        mu, T = np.array([-0.35, 0.2, 0.5]), 0.45
     elif name == "random":
         # no conserved charges: the eigenvectors are the one dense block's
         system = random_system(np.random.default_rng(2505))
         mu, T = np.array([0.2, -0.4, 0.3]), 0.6
+    elif name == "detect422":
+        system = build_stabilizer_system(
+            builtin_code(name), [(w, 0.1) for w in all_words(2) if any(w)]
+        )
+        mu, T = np.random.default_rng(422).normal(scale=0.5, size=15), 0.5
     else:
         system = build_stabilizer_system(
             builtin_code(name), [((1,), 0.3), ((2,), -0.2), ((3,), 0.4)]
@@ -250,7 +271,8 @@ class TestExactLaw:
     @pytest.mark.parametrize(
         "name,mode",
         [("repetition3", "generic"), ("grid2x3", "generic"), ("grid2x3", "extensive"),
-         ("random", "generic")],
+         ("random", "generic"), ("perfect5", "generic"), ("detect422", "generic"),
+         ("line5", "generic"), ("line5", "extensive")],
     )
     def test_pair_means_sum_to_exact_hessian(self, name, mode):
         system, state = pinned_case(name)
@@ -314,6 +336,67 @@ class TestExactLaw:
         se = estimates.std(axis=0, ddof=1) / np.sqrt(len(estimates))
         assert np.all(np.abs(estimates.mean(axis=0) - exact) <= 4 * se)
         assert estimates.var(axis=0, ddof=1) == pytest.approx(predicted, rel=0.12)
+
+
+def frame_cases():
+    """(id, system, the same system on the dense path, modes) of every frame the pair means read."""
+    heisenberg = {
+        "line4": dict(geometry="line", n=4), "line5": dict(geometry="line", n=5),
+        "line6": dict(geometry="line", n=6), "grid2x3": dict(geometry="grid", rows=2, cols=3),
+    }
+    for name, geometry in heisenberg.items():
+        system = build_heisenberg(**geometry, nnn=True, targets=(0.4, -0.3, 0.2))
+        # the dense copy keeps `conserved`, which extensive mode needs
+        yield name, system, dataclasses.replace(system, su2_symmetric=False), ESTIMATOR_MODES
+    for name in ("repetition3", "perfect5", "detect422"):
+        code = builtin_code(name)
+        axes = [(tuple(a * (q == p) for p in range(code.k)), 0.1) for q in range(code.k) for a in (1, 2, 3)]
+        system = build_stabilizer_system(code, axes)
+        yield name, system, dataclasses.replace(system, conserved=False), ("generic",)
+    system = build_stabilizer_system(builtin_code("detect422"), [(w, 0.1) for w in all_words(2) if any(w)])
+    yield "detect422-words", system, dataclasses.replace(system, conserved=False), ("generic",)
+
+
+FRAME_CASES = {name: case for name, *case in frame_cases()}
+
+
+class TestFramePairMeans:
+    """The pair means of the S^z sectors and the logical frame against the dense path."""
+
+    @pytest.mark.parametrize("T", [0.3, 1.4])
+    @pytest.mark.parametrize("where", ["zero", "near-zero", "random"])
+    @pytest.mark.parametrize("name", list(FRAME_CASES))
+    def test_frames_match_the_dense_path(self, name, where, T):
+        system, dense, modes = FRAME_CASES[name]
+        c = system.n_charges
+        mu = {
+            "zero": np.zeros(c), "near-zero": 1e-9 * np.eye(c)[0],
+            "random": np.random.default_rng(c + len(name)).normal(scale=0.6, size=c),
+        }[where]
+        state, reference = thermal_state(system, mu, T), thermal_state(dense, mu, T)
+        assert state.blocks.operators is None and reference.blocks.operators is not None
+        for mode in modes:
+            frame, oracle = shots._pair_means(system, state, mode), shots._pair_means(dense, reference, mode)
+            for i in range(c):
+                for j in range(i, c):
+                    (coeffs, wbar), (dense_coeffs, dense_wbar) = frame(i, j), oracle(i, j)
+                    assert np.array_equal(coeffs, dense_coeffs), (mode, i, j)
+                    assert np.max(np.abs(wbar - dense_wbar)) <= 1e-12, (mode, i, j)
+
+    @pytest.mark.parametrize("name", ["line6", "repetition3", "perfect5", "detect422", "detect422-words"])
+    def test_hessian_builds_no_dense_matrix(self, monkeypatch, name):
+        from thermodual import gibbs
+
+        def refuse(*args):
+            raise AssertionError("the sampled Hessian read dense vectors")
+
+        monkeypatch.setattr(gibbs, "_rotated_sectors", refuse)
+        monkeypatch.setattr(LogicalFrame, "basis", property(refuse))
+        system, _, modes = FRAME_CASES[name]
+        state = thermal_state(system, np.full(system.n_charges, 0.2), 0.5)
+        for mode in modes:
+            estimate = ShotEstimator(system, 5, hessian_samples_per_iteration=20_000, mode=mode).hessian(state, 1)
+            assert np.all(np.isfinite(estimate)) and np.array_equal(estimate, estimate.T)
 
 
 class TestShotEstimator:
@@ -451,44 +534,44 @@ PINNED_OBSERVABLE = {
 
 PINNED_HESSIAN = {
     ("repetition3", "generic", 11): [
-        [-1.2807178897328566, -0.1581241032568942, 0.44074669888522694],
-        [-0.1581241032568942, -1.2734652131671491, -0.29678636444917234],
-        [0.44074669888522694, -0.29678636444917234, -0.764367451806624],
+        [-1.2087971646601143, -0.13250762713203904, 0.31489259362609917],
+        [-0.13250762713203904, -1.3393024886503324, -0.2222643760585225],
+        [0.31489259362609917, -0.2222643760585225, -0.7811028352761703],
     ],
     ("repetition3", "generic", 20251018): [
-        [-1.1876860802501443, -0.1240462410206429, 0.5858959972596074],
-        [-0.1240462410206429, -1.3821029470039747, -0.22987725866784442],
-        [0.5858959972596074, -0.22987725866784442, -0.7281548810653384],
+        [-1.2708405905536653, -0.14929164842427725, 0.4715459301029726],
+        [-0.14929164842427725, -1.3078709354794356, -0.21473794964291407],
+        [0.4715459301029726, -0.21473794964291407, -0.7584749398196206],
     ],
     ("perfect5", "generic", 11): [
-        [-1.2807178897328566, -0.1581241032568942, 0.44074669888522694],
-        [-0.1581241032568942, -1.2734652131671491, -0.29678636444917234],
-        [0.44074669888522694, -0.29678636444917234, -0.764367451806624],
+        [-1.2087971646601143, -0.13250762713203904, 0.31489259362609917],
+        [-0.13250762713203904, -1.3393024886503324, -0.2222643760585225],
+        [0.31489259362609917, -0.2222643760585225, -0.7811028352761703],
     ],
     ("perfect5", "generic", 20251018): [
-        [-1.1876860802501443, -0.1240462410206429, 0.5858959972596074],
-        [-0.1240462410206429, -1.3821029470039747, -0.22987725866784442],
-        [0.5858959972596074, -0.22987725866784442, -0.7281548810653384],
+        [-1.2708405905536653, -0.14929164842427725, 0.4715459301029726],
+        [-0.14929164842427725, -1.3078709354794356, -0.21473794964291407],
+        [0.4715459301029726, -0.21473794964291407, -0.7584749398196206],
     ],
     ("grid2x3", "generic", 11): [
-        [0.7089020057022881, -0.0960657810942362, 0.018632575953626457],
-        [-0.0960657810942362, 6.42898580728786, 2.1283667467027327],
-        [0.018632575953626457, 2.1283667467027327, 1.8099387240285976],
+        [0.7006208608340101, -0.42236089139323396, -0.3900554251625287],
+        [-0.42236089139323396, -1.5275336815314704, 1.5565176885704453],
+        [-0.3900554251625287, 1.5565176885704453, -0.8869556216146882],
     ],
     ("grid2x3", "extensive", 11): [
-        [-1.2041414725585824, 0.07784726238402521, 0.1925456194318879],
-        [0.07784726238402521, -6.266666366625184, 1.8674971814853414],
-        [0.1925456194318879, 1.8674971814853414, -2.190061275971403],
+        [-1.2124226174268604, -0.5962739348714952, -0.47701194690166],
+        [-0.5962739348714952, 1.515944579338095, 1.6434742103095765],
+        [-0.47701194690166, 1.6434742103095765, 0.5913052479505295],
     ],
     ("grid2x3", "generic", 20251018): [
-        [-1.831060144064917, 0.31428745023999727, 2.716359536705951],
-        [0.31428745023999727, -2.828983106914531, -0.9283568453338675],
-        [2.716359536705951, -0.9283568453338675, 0.6807461131501432],
+        [-2.042229338206007, 1.8128416253547062, -0.5358215773330646],
+        [1.8128416253547062, -1.54203018567317, -0.17142419939556647],
+        [-0.5358215773330646, -0.17142419939556647, -0.26293985143445997],
     ],
     ("grid2x3", "extensive", 20251018): [
-        [1.4732876820220386, 0.31428745023999616, 2.6294030149668193],
-        [0.31428745023999616, 2.475364719172426, -0.6674872801164757],
-        [2.6294030149668193, -0.6674872801164757, -1.058384321632466],
+        [1.2621184878809486, 1.5519720601373148, -0.8836476642895879],
+        [1.5519720601373148, 1.5884045969355252, 0.08944536582182532],
+        [-0.8836476642895879, 0.08944536582182532, 0.2587992790003216],
     ],
 }
 
