@@ -341,12 +341,22 @@ def _write_aggregate_csv(path: Path, traces: list[Trace]):
 
 
 def _encoded_fidelity(system: ThermoSystem, trace: Trace) -> float | None:
+    """F = p_code F(rho_L, sigma_L) of the final state with the encoded target, read off the logical frame.
+
+    The target lies in the codespace, where H's word G_j has the eigenvalue e_j of the code's signed
+    generator: p_code = prod_j (1 + e_j <G_j>)/2.  Each word L_i is a charge: rho_L = (I + sum_i <Q_i> L_i)/2^k.
+    """
     target = _logical_target_from_charges(system)
     if target is None:
         return None
-    final_state = thermal_state(system, trace.final_mu, trace.temperature)
-    reference = encoding.encoded_state(system.code, target)
-    return state_fidelity(final_state.rho, reference)
+    state = thermal_state(system, trace.final_mu, trace.temperature)
+    frame = state.blocks.logical
+    signs = {g.letters: g.phase.real for g in system.code.stabilizer_generators}
+    e = np.array([signs[g.letters] for g in frame.generators])
+    p_code = float(np.prod((1.0 + e * state.term_means[state.blocks.term_slices[0]]) / 2.0))
+    dim = 2**system.code.k
+    rho_logical = (np.eye(dim) + np.tensordot(state.charge_means, frame.words, axes=1)) / dim
+    return p_code * state_fidelity(rho_logical, target.to_matrix())
 
 
 def _reference(system: ThermoSystem, oracle_block: dict) -> ReferenceEnergy | None:

@@ -18,9 +18,7 @@ its basis states and diagonalized once per system, the sectors at -m by a
 global spin flip.  The populations, ln Z, the means, the Pauli-term means
 and the exact Hessian follow in closed form from what each level stores.
 The sampled Hessian reads tables of the sector vectors that its first call
-builds (`SpinLevels.pair_correlators` and `site_blocks`), and the
-eigenvectors, for the readers that ask for them, are the sector vectors
-rotated site by site.
+builds (`SpinLevels.pair_correlators` and `site_blocks`).
 
 Stabilizer codes are taken in their logical frame (Gottesman,
 quant-ph/9705052).  H = sum_j h_j G_j over r independent generators, and
@@ -31,8 +29,9 @@ rho = rho_S (x) rho_L.  Each generator is an independent +-1 spin with mean
 the exact Hessian are those of the 2^k logical problem.  When every charge
 is one Pauli of one encoded qubit, each encoded qubit is a spin-1/2 in its
 own field and takes no eigensolve; other words take one 2^k `eigh` per
-state.  The levels, populations, eigenvectors and `rho` of all 2^n states
-are assembled only for the readers that ask for them.
+state.  The levels and populations of all 2^n states are assembled only
+for the readers that ask for them.  Neither frame holds a vector of the 2^n
+states: the dense `rho` of a frame state takes one `eigh` of H - mu.Q.
 
 Boltzmann weights are shifted so the largest is exactly 1 before
 normalization, which keeps everything finite at temperatures far below the
@@ -50,7 +49,7 @@ import numpy as np
 
 from .errors import NumericalIntegrityError, ResourceError
 from .models import StabilizerCode, ThermoSystem, logical_pauli_product
-from .operators import MAX_DENSE_QUBITS, Observable, PauliString, expectation, term_expectations
+from .operators import Observable, PauliString, expectation, term_expectations
 
 WEIGHT_FLOOR = 1e-300
 
@@ -214,38 +213,6 @@ class LogicalFrame:
         r = len(self.h)
         bits = (np.arange(2**r)[:, None] >> np.arange(r - 1, -1, -1)) & 1
         return 1.0 - 2.0 * bits
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        """The states (syndrome, logical z) as columns of the computational basis, syndrome by syndrome.
-
-        Each syndrome's state of trivial logical Z spans the range of a
-        rank-one product of commuting projectors; its column of largest
-        diagonal entry, normalized, fixes its phase.  Built on first use.
-        """
-        n, k = self.code.n, self.code.k
-        eye = np.eye(2**n)
-        zero = eye
-        for z in self.code.logical_z:
-            zero = zero @ (eye + z.to_dense()) / 2.0
-        flips = [x.to_dense() for x in self.code.logical_x]
-        halves = [{sign: (eye + sign * g.to_dense()) / 2.0 for sign in (1.0, -1.0)} for g in self.generators]
-        columns = []
-        for signs in self.syndromes:
-            projector = zero
-            for sign, half in zip(signs, halves):
-                projector = projector @ half[sign]
-            m = int(np.argmax(projector.diagonal().real))
-            state = projector[:, m] / math.sqrt(projector[m, m].real)
-            for z in range(2**k):
-                column = state
-                for q in range(k):
-                    if z >> (k - 1 - q) & 1:
-                        column = flips[q] @ column
-                columns.append(column)
-        basis = np.stack(columns, axis=1)
-        basis.setflags(write=False)
-        return basis
 
 
 @dataclass(frozen=True)
@@ -424,21 +391,18 @@ class ThermalState:
 
     `block_levels` and `block_populations` run through the levels in the
     frame's order.  A dense state holds them in ascending order, with the
-    `eigenvectors` of the same `eigh`.  An SU(2)-symmetric state runs level
-    by level through its S^z sectors.  A stabilizer state runs syndrome by
-    syndrome, each with the 2^k logical levels in ascending order, and
-    builds its levels and populations only when they are read.  The means,
-    the dense `rho` and the frames' `eigenvectors` in the computational basis
-    are computed on first use.
+    `eigenvectors` of the same `eigh` as columns in the computational basis;
+    a frame state holds no eigenvectors.  An SU(2)-symmetric state runs
+    level by level through its S^z sectors.  A stabilizer state runs
+    syndrome by syndrome, each with the 2^k logical levels in ascending
+    order, and builds its levels and populations only when they are read.
+    The means and the dense `rho` are computed on first use.
     """
 
     mu: np.ndarray
     temperature: float
     blocks: EigenBlocks
-
-    @property
-    def dimension(self) -> int:
-        return self.blocks.observables[0].dimension
+    eigenvectors: np.ndarray | None = None
 
     @cached_property
     def block_levels(self) -> np.ndarray:
@@ -571,31 +535,26 @@ class ThermalState:
         return self._means[1:]
 
     @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        """Eigenvectors of H - mu.Q in the computational basis, as columns in the order of the levels.
-
-        Column a has level `block_levels[a]` and population `block_populations[a]`.
-        `thermal_state` fills them in for a dense state from its `eigh`.  An
-        SU(2)-symmetric system rotates its sector vectors (`_rotated_sectors`),
-        and a stabilizer system turns each syndrome's logical basis by the
-        logical eigenvectors.
-        """
-        spin = self.blocks.spin
-        if spin is not None:
-            return _rotated_sectors(spin, self._axis, self.dimension)
-        d = self.dimension
-        logical = self._logical_spectrum[1]
-        out = (self.blocks.logical.basis.reshape(d, -1, len(logical)) @ logical).reshape(d, d)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
     def rho(self) -> np.ndarray:
-        """The dense density matrix, from the eigenvectors of populated levels only."""
-        occupied = self.block_populations > 0.0
-        vecs = self.eigenvectors[:, occupied]
-        rho = (vecs * self.block_populations[occupied]) @ vecs.conj().T
-        rho = (rho + rho.conj().T) / 2.0
+        """The dense density matrix, from the eigenvectors of populated levels only.
+
+        A frame state takes one `eigh` of H - mu.Q (ResourceError past the dense limit).
+        """
+        rho = None
+        if self.eigenvectors is None:
+            hamiltonian, *charges = self.blocks.observables
+            rho = hamiltonian.to_dense().copy()
+            for m, charge in zip(self.mu, charges):
+                rho -= m * charge.to_dense()
+            levels, vecs = np.linalg.eigh(rho)
+            p = _populations(levels, self.temperature)
+        else:
+            p, vecs = self.block_populations, self.eigenvectors
+        occupied = p > 0.0
+        vecs = vecs[:, occupied]
+        rho = np.matmul(vecs * p[occupied], vecs.conj().T, out=rho)
+        rho += rho.conj().T
+        rho /= 2.0
         rho.setflags(write=False)
         return rho
 
@@ -618,38 +577,6 @@ def _sector_term_means(spin: SpinLevels, p: np.ndarray, axis: np.ndarray) -> np.
     means = np.concatenate([cx + (cz - cx) * axis[spin.h_axes] ** 2, *(c * z for c in axis)])
     means.setflags(write=False)
     return means
-
-
-def _rotated_sectors(spin: SpinLevels, axis: np.ndarray, dimension: int) -> np.ndarray:
-    """The sector vectors in the computational basis, turned by U onto the eigenvectors of H - mu.Q.
-
-    U = e^{-i phi S^z} e^{-i theta S^y}, with theta and phi the polar
-    angles of the axis, takes S^z to n.S and commutes with H.  Its second
-    factor is the same real rotation e^{-i theta Y/2} on every site, applied
-    one site at a time in O(n 4^n), and its first is the phase
-    e^{-i phi m} on each basis state of S^z = m.  Raises ResourceError above
-    MAX_DENSE_QUBITS qubits, as the result is a dense matrix.
-    """
-    if dimension > 2**MAX_DENSE_QUBITS:
-        raise ResourceError(f"{dimension.bit_length() - 1} qubits exceeds the dense limit of {MAX_DENSE_QUBITS}")
-    out = np.zeros((dimension, dimension))
-    twice_m = np.empty(dimension)
-    start = 0
-    for states, vecs in spin.sectors:
-        out[states, start : start + len(vecs)] = vecs
-        twice_m[states] = spin.twice_m[start]
-        start += len(vecs)
-    theta, phi = math.acos(min(1.0, max(-1.0, axis[2]))), math.atan2(axis[1], axis[0])
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    rotation = np.array([[c, -s], [s, c]])
-    left = 1
-    while left < dimension:
-        # site k is the factor of size 2 after the first k sites
-        out = (rotation @ out.reshape(left, 2, -1)).reshape(dimension, dimension)
-        left *= 2
-    out = np.exp(-0.5j * phi * twice_m)[:, None] * out
-    out.setflags(write=False)
-    return out
 
 
 def _real_means(means: np.ndarray) -> np.ndarray:
@@ -812,8 +739,7 @@ def hessian_exact(system: ThermoSystem, state: ThermalState) -> np.ndarray:
         charges = frame.words
     else:
         vals, vecs, p = state.block_levels, state.eigenvectors, state.block_populations
-        d = state.dimension
-        charges = state.blocks.operators[1:].reshape(-1, d, d)
+        charges = state.blocks.operators[1:].reshape(-1, len(vals), len(vals))
     correlations = _correlations(vals[None], p[None], vecs[None], charges[:, None], state.charge_means, T)
     hessian = -correlations.real / T
     return (hessian + hessian.T) / 2.0

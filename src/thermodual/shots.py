@@ -185,6 +185,8 @@ def _conjugated_charge(system, state, charge_index, t, mode):
     T = state.temperature
     if mode == "generic":
         V = state.eigenvectors
+        if V is None:
+            raise ValueError("generic mode needs a dense-path state: a frame state holds no eigenvectors")
         lam = state.block_levels
         phases = np.exp(-1j * lam * t / T)
         q_eig = V.conj().T @ system.charges[charge_index].to_dense() @ V

@@ -10,6 +10,10 @@ import pytest
 
 from thermodual.cli import build_system, main, run_experiment, validate_config
 from thermodual.errors import ConfigError
+from thermodual.gibbs import thermal_state
+from thermodual.operators import Observable, PauliString
+
+from conftest import random_density
 
 HEISENBERG_CONFIG = {
     "label": "heis-test",
@@ -174,7 +178,7 @@ class TestRunCommand:
             raise AssertionError("an exact Heisenberg run reads the block means only")
 
         monkeypatch.setattr(ThermalState, "rho", property(refuse))
-        monkeypatch.setattr(ThermalState, "eigenvectors", property(refuse))
+        monkeypatch.setattr(Observable, "to_dense", refuse)
         payload = {
             "model": {
                 "kind": "heisenberg", "geometry": "line", "n": 6, "nnn": True,
@@ -194,7 +198,7 @@ class TestRunCommand:
             raise AssertionError("a first-order sampled run reads the term means of the S^z sectors")
 
         monkeypatch.setattr(ThermalState, "rho", property(refuse))
-        monkeypatch.setattr(ThermalState, "eigenvectors", property(refuse))
+        monkeypatch.setattr(Observable, "to_dense", refuse)
         payload = {
             "model": {
                 "kind": "heisenberg", "geometry": "line", "n": 6, "nnn": True,
@@ -425,12 +429,14 @@ class TestFrames:
     @pytest.mark.parametrize("variant", ["first_classical", "second_classical", "first_hqc", "second_hqc"])
     @pytest.mark.parametrize("model", list(BUILTIN_MODELS))
     def test_runs_without_the_dense_block(self, tmp_path, monkeypatch, model, variant):
+        # the encoded-state fidelity of the codes included: no 2^n x 2^n matrix at all
         from thermodual import gibbs
 
-        def refuse(system):
-            raise AssertionError("a built-in model took the dense block")
+        def refuse(arg):
+            raise AssertionError("a built-in model built a dense matrix")
 
         monkeypatch.setattr(gibbs, "_dense_block", refuse)
+        monkeypatch.setattr(Observable, "to_dense", refuse)
         solver = {"variant": variant, "epsilon": 0.2, "max_iter": 15}
         if variant.endswith("hqc"):
             solver["shots_per_iteration"] = 2000
@@ -446,9 +452,10 @@ class TestFrames:
         from thermodual import gibbs
 
         def refuse(*args):
-            raise AssertionError("the sampled Hessian read dense vectors")
+            raise AssertionError("the sampled Hessian read a dense matrix")
 
-        monkeypatch.setattr(gibbs, "_rotated_sectors", refuse)
+        monkeypatch.setattr(gibbs.ThermalState, "rho", property(refuse))
+        monkeypatch.setattr(Observable, "to_dense", refuse)
         config = validate_config({
             "model": {"kind": "heisenberg", "geometry": "line", "n": 12, "nnn": True, "targets": [0.6, -0.7, 0.9]},
             "solver": {"variant": "second_hqc", "max_iter": 1, "estimator_mode": mode},
@@ -457,6 +464,65 @@ class TestFrames:
         })
         assert run_experiment(config, tmp_path) == 0
         assert len((tmp_path / "runs.csv").read_text().splitlines()) == 3
+
+
+def _signed_code():
+    # the code of the signed-generator frame test: H = +ZZI - IZZ and a logical Z of phase -1
+    from thermodual.models import StabilizerCode
+    from thermodual.operators import parse_pauli
+
+    return StabilizerCode(
+        "signed", 3, 1, (parse_pauli("-ZZI"), parse_pauli("IZZ")), (parse_pauli("XXX"),), (parse_pauli("-ZII"),)
+    )
+
+
+def _fidelity_system(name):
+    """A stabilizer system whose charge words pin the whole logical target."""
+    from thermodual.encoding import all_words
+    from thermodual.models import build_stabilizer_system, builtin_code
+
+    if name == "detect422":
+        rho = random_density(np.random.default_rng(422), 4)
+        words = [w for w in all_words(2) if any(w)]
+        targets = [float(np.trace(PauliString(w).to_dense() @ rho).real) for w in words]
+        return build_stabilizer_system(builtin_code("detect422"), list(zip(words, targets)))
+    code, r = {
+        "repetition3": (builtin_code("repetition3"), (0.2, -0.1, 0.5)),
+        "perfect5": (builtin_code("perfect5"), (-0.3, 0.4, 0.1)),
+        "signed": (_signed_code(), (0.1, -0.2, 0.3)),
+        "pure": (builtin_code("repetition3"), (0.6, 0.0, 0.8)),
+    }[name]
+    return build_stabilizer_system(code, [((a,), t) for a, t in zip((1, 2, 3), r)])
+
+
+class TestEncodedFidelity:
+    """The fidelity from the logical frame against the dense state and the codespace-restricted one."""
+
+    @pytest.mark.parametrize("name", ["repetition3", "perfect5", "detect422", "signed", "pure"])
+    def test_matches_dense_references(self, name):
+        from types import SimpleNamespace
+
+        from thermodual.cli import _encoded_fidelity, _logical_target_from_charges
+        from thermodual.encoding import encoded_state
+        from thermodual.models import codespace_projector
+        from thermodual.oracle import state_fidelity
+
+        system = _fidelity_system(name)
+        code = system.code
+        sigma = encoded_state(code, _logical_target_from_charges(system))
+        vals, vecs = np.linalg.eigh(codespace_projector(code))
+        V = vecs[:, vals > 0.5]
+        assert V.shape[1] == 2**code.k
+        rng = np.random.default_rng(len(name))
+        for T in (0.2, 0.5, 1.0, 2.0):
+            for scale in (0.0, 0.3, 1.0):
+                mu = scale * rng.normal(size=system.n_charges)
+                fidelity = _encoded_fidelity(system, SimpleNamespace(final_mu=mu, temperature=T))
+                rho = thermal_state(system, mu, T).rho
+                assert fidelity == pytest.approx(state_fidelity(rho, sigma), abs=1e-8)
+                if T >= 0.5:
+                    restricted = state_fidelity(V.conj().T @ rho @ V, V.conj().T @ sigma @ V)
+                    assert fidelity == pytest.approx(restricted, abs=1e-10)
 
 
 def per_value_runs_csv(path, traces, n_charges):

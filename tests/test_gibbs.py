@@ -83,8 +83,10 @@ class TestThermalState:
             assert np.max(np.abs(A @ state.rho - state.rho @ A)) < 1e-9
 
     def test_spectral_decomposition_invariants(self, rng):
-        # a random system is one dense block; grid 2x3 nnn is assembled from its blocks
-        for system in (random_system(rng), build_heisenberg("grid", rows=2, cols=3, nnn=True)):
+        # only a dense-path state holds eigenvectors: a random system, and grid 2x3 nnn off its sectors
+        grid = build_heisenberg("grid", rows=2, cols=3, nnn=True)
+        assert thermal_state(grid, np.zeros(3), 0.5).eigenvectors is None
+        for system in (random_system(rng), replace(grid, su2_symmetric=False)):
             state = thermal_state(system, rng.normal(size=3), 0.5)
             A = effective_hamiltonian(system, state.mu)
             V = state.eigenvectors
@@ -509,23 +511,8 @@ class TestRotatedFrame:
         assert np.array_equal(hess, hess[0, 0] * np.eye(3)) and hess[0, 0] < 0.0
         assert np.array_equal(state.charge_means, np.zeros(3))
 
-    @pytest.mark.parametrize("name", list(ROTATED_SYSTEMS))
-    def test_lazy_vectors_are_eigenvectors_of_their_levels(self, name):
-        system = build_heisenberg(**ROTATED_SYSTEMS[name])
-        rng = np.random.default_rng(sum(map(ord, name)) + 2)
-        # mu = 0, the poles and the equator of the rotation, and random directions, small and large
-        mus = [np.zeros(3), [0.0, 0.0, 0.7], [0.0, 0.0, -0.7], [0.5, -0.5, 0.0], 1e-9 * rng.normal(size=3)]
-        mus += [scale * rng.normal(size=3) for scale in (1e-3, 0.3, 3.0)]
-        for mu in mus:
-            state = thermal_state(system, mu, 0.3)
-            assert "eigenvectors" not in state.__dict__
-            A = effective_hamiltonian(system, state.mu)
-            V = state.eigenvectors
-            assert np.max(np.abs(A @ V - V * state.block_levels)) <= 1e-10
-            assert np.max(np.abs(V.conj().T @ V - np.eye(system.dimension))) <= 1e-10
-
     def test_solves_make_no_eigensolve_once_the_blocks_exist(self, monkeypatch):
-        # the sampled run reads the Pauli-term means, so it takes the rotated eigenvectors
+        # the sampled run reads the Pauli-term means, which come off the sector levels
         from thermodual.optimize import ExactEstimator, OptimizerConfig, run
         from thermodual.shots import ShotEstimator
 
@@ -552,13 +539,6 @@ class TestRotatedFrame:
             eigen_blocks(bad)
 
 
-def _eigenvector_residual(system, state) -> float:
-    """max |A V - V diag(levels)| of the state's eigenvectors, relative to max(1, max |A|)."""
-    A = effective_hamiltonian(system, state.mu)
-    V = state.eigenvectors
-    return float(np.max(np.abs(A @ V - V * state.block_levels))) / max(1.0, float(np.max(np.abs(A))))
-
-
 SECTOR_SYSTEMS = {
     **{name: kwargs for name, kwargs in _heisenberg_family()},
     "line10-nnn": dict(geometry="line", n=10, nnn=True),
@@ -577,11 +557,11 @@ class TestSectors:
         tiny = rng.normal(size=3)
         T = 0.1 / (system.n_qubits * math.log(2))
         for mu in (np.zeros(3), 1e-9 * tiny / np.linalg.norm(tiny), rng.normal(size=3)):
-            state = thermal_state(system, mu, T)
-            expected = _observed(dense, thermal_state(dense, mu, T))
-            for value, want in zip(_observed(system, state), expected):
+            state, reference = thermal_state(system, mu, T), thermal_state(dense, mu, T)
+            observed = (*_observed(system, state), state.rho)
+            expected = (*_observed(dense, reference), reference.rho)
+            for value, want in zip(observed, expected):
                 assert _relative_gap(value, want) <= 1e-12
-            assert _eigenvector_residual(system, state) <= 1e-12
 
     def test_builds_no_dense_matrix(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -602,7 +582,7 @@ class TestSectors:
         state = thermal_state(build_heisenberg("line", n=11, nnn=True), [0.1, 0.2, 0.3], 0.1)
         assert np.isfinite(state.term_means).all() and np.isfinite(state.energy)
         with pytest.raises(ResourceError, match="dense limit of 10"):
-            state.eigenvectors
+            state.rho
 
     def test_hamiltonian_beyond_exchange_terms_is_refused(self):
         # (s0.s1)(s2.s3) commutes with every total spin, but it is no two-site exchange
@@ -633,9 +613,6 @@ class TestLogicalFrame:
                 expected = (*_observed(dense, reference), reference.rho)
                 for value, want in zip(observed, expected):
                     assert np.max(np.abs(np.subtract(value, want))) <= 1e-12
-                assert _eigenvector_residual(system, state) <= 1e-12
-                V = state.eigenvectors
-                assert np.max(np.abs(V.conj().T @ V - np.eye(system.dimension))) <= 1e-12
 
     def test_signed_generators_and_logicals(self):
         # H = +ZZI - IZZ and a logical Z of phase -1, whose charges carry the coefficient -1
@@ -704,12 +681,14 @@ class TestLogicalFrame:
         ShotEstimator(system, 1)
         assert system._eigen_blocks is None
         state = thermal_state(system, [0.2, -0.1], 0.5)
-        frame = eigen_blocks(system).logical
+        blocks = eigen_blocks(system)
         state.term_means
-        assert "basis" not in frame.__dict__ and "block_levels" not in state.__dict__
+        # the frame holds no vector of the 2^n states, and the dense matrices wait for rho
+        assert state.eigenvectors is None and "block_levels" not in state.__dict__
+        assert all(obs._dense is None for obs in blocks.observables)
         state.rho
-        assert "basis" in frame.__dict__
-        assert thermal_state(system, [0.0, 0.3], 0.5).blocks.logical is frame
+        assert all(obs._dense is not None for obs in blocks.observables)
+        assert thermal_state(system, [0.0, 0.3], 0.5).blocks.logical is blocks.logical
 
     def test_foreign_hamiltonian_or_charge_is_refused(self):
         system = _builtin("repetition3-axes")

@@ -7,7 +7,7 @@ from scipy.stats import binom, chisquare
 
 import thermodual.shots as shots
 from thermodual.encoding import all_words
-from thermodual.gibbs import LogicalFrame, hessian_exact, thermal_state
+from thermodual.gibbs import ThermalState, hessian_exact, thermal_state
 from thermodual.errors import NumericalIntegrityError
 from thermodual.models import build_heisenberg, build_stabilizer_system, builtin_code
 from thermodual.operators import PAULI_MATRICES, Observable, expectation, term_expectations
@@ -145,13 +145,25 @@ class TestHessianQuadrature:
             assert np.max(np.abs(quadrature - exact)) <= 1e-3
 
     def test_extensive_matches_generic_on_heisenberg(self):
-        system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
+        # generic mode reads eigenvectors, so the system leaves its sectors for the dense path
+        system = dataclasses.replace(build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0)), su2_symmetric=False)
         mu = np.array([0.3, -0.2, 0.1])
         T = 0.7
         state = thermal_state(system, mu, T)
         generic = hessian_fourier_quadrature(system, state, mode="generic")
         extensive = hessian_fourier_quadrature(system, state, mode="extensive")
         assert np.max(np.abs(generic - extensive)) <= 1e-6
+
+    @pytest.mark.parametrize("name", ["heisenberg", "repetition3"])
+    def test_generic_mode_refuses_a_frame_state(self, name):
+        system = build_heisenberg("line", n=3) if name == "heisenberg" else repetition_system()
+        state = thermal_state(system, np.full(system.n_charges, 0.2), 0.5)
+        for call in (
+            lambda: hessian_fourier_quadrature(system, state),
+            lambda: shots._conjugated_charge(system, state, 0, 0.3, "generic"),
+        ):
+            with pytest.raises(ValueError, match="dense-path state"):
+                call()
 
     def test_extensive_requires_extensive_charges(self):
         code = builtin_code("repetition3")
@@ -385,13 +397,11 @@ class TestFramePairMeans:
 
     @pytest.mark.parametrize("name", ["line6", "repetition3", "perfect5", "detect422", "detect422-words"])
     def test_hessian_builds_no_dense_matrix(self, monkeypatch, name):
-        from thermodual import gibbs
-
         def refuse(*args):
-            raise AssertionError("the sampled Hessian read dense vectors")
+            raise AssertionError("the sampled Hessian read a dense matrix")
 
-        monkeypatch.setattr(gibbs, "_rotated_sectors", refuse)
-        monkeypatch.setattr(LogicalFrame, "basis", property(refuse))
+        monkeypatch.setattr(Observable, "to_dense", refuse)
+        monkeypatch.setattr(ThermalState, "rho", property(refuse))
         system, _, modes = FRAME_CASES[name]
         state = thermal_state(system, np.full(system.n_charges, 0.2), 0.5)
         for mode in modes:
