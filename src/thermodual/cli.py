@@ -8,9 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 config error (infeasible targets included), 3
 numerical-integrity error or failed verification, 4 non-convergence under
---strict, 5 model beyond the dense size limit.  CSV floats carry 17
-significant digits so identical (config, seed) pairs reproduce artifacts
-byte for byte, independent of --workers.
+--strict, 5 model beyond the S^z sector limit (12 qubits) or the dense limit
+(10 qubits).  CSV floats carry 17 significant digits so identical (config,
+seed) pairs reproduce artifacts byte for byte, independent of --workers.
 """
 
 from __future__ import annotations
@@ -352,7 +352,7 @@ def _encoded_fidelity(system: ThermoSystem, trace: Trace) -> float | None:
     state = thermal_state(system, trace.final_mu, trace.temperature)
     frame = state.blocks.logical
     signs = {g.letters: g.phase.real for g in system.code.stabilizer_generators}
-    e = np.array([signs[g.letters] for g in frame.generators])
+    e = np.array([signs[word.letters] for _, word in system.hamiltonian.terms])
     p_code = float(np.prod((1.0 + e * state.term_means[state.blocks.term_slices[0]]) / 2.0))
     dim = 2**system.code.k
     rho_logical = (np.eye(dim) + np.tensordot(state.charge_means, frame.words, axes=1)) / dim
@@ -472,19 +472,19 @@ def _verify_formulas(seed: int):
 def _frame_gap(system: ThermoSystem, state, reference: ThermoSystem) -> float:
     """The largest gap of a state from the same state of a reference path, relative to max(1, |value|).
 
-    It compares the levels and populations in ascending order, ln Z, the
-    means, the Pauli-term means and the exact Hessian.  SU(2) and
-    stabilizer states are checked against the dense path.
+    It compares ln Z, the means, the Pauli-term means and the exact Hessian,
+    and the levels and populations in ascending order of a state that holds
+    them: an SU(2) state does, a stabilizer state keeps none.  Both are
+    checked against the dense path.
     """
     other = thermal_state(reference, state.mu, state.temperature)
+    spectrum = state.block_levels is not None
 
     def values(s):
         means = [s.energy, *s.charge_means]
         hessian = hessian_exact(system, s).ravel()
-        return (
-            np.sort(s.block_levels), np.sort(s.block_populations), [log_partition(s)], means,
-            s.term_means, hessian,
-        )
+        levels = (np.sort(s.block_levels), np.sort(s.block_populations)) if spectrum else ()
+        return (*levels, [log_partition(s)], means, s.term_means, hessian)
 
     return max(
         float(np.max(np.abs(np.subtract(a, b)))) / max(1.0, float(np.max(np.abs(b))))

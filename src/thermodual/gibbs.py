@@ -29,9 +29,9 @@ rho = rho_S (x) rho_L.  Each generator is an independent +-1 spin with mean
 the exact Hessian are those of the 2^k logical problem.  When every charge
 is one Pauli of one encoded qubit, each encoded qubit is a spin-1/2 in its
 own field and takes no eigensolve; other words take one 2^k `eigh` per
-state.  The levels and populations of all 2^n states are assembled only
-for the readers that ask for them.  Neither frame holds a vector of the 2^n
-states: the dense `rho` of a frame state takes one `eigh` of H - mu.Q.
+state.  A code state keeps nothing of size 2^n: no levels, populations or
+vectors.  Neither frame holds a vector of the 2^n states, so the dense `rho`
+of a frame state takes one `eigh` of H - mu.Q.
 
 Boltzmann weights are shifted so the largest is exactly 1 before
 normalization, which keeps everything finite at temperatures far below the
@@ -84,12 +84,12 @@ class SpinLevels:
     <a|Z_iZ_j|a> for each edge, then <a|Z_i|a> for each site.  `h_edges` and
     `h_axes` give the edge and the axis (0, 1, 2 for X, Y, Z) of each term of
     H, and `charge_sites` the site of each term of the charges, in term order.
-    `sectors` holds (basis states, real eigenvectors as columns) of each
-    sector, whose levels follow one another in that order; the sectors at m
-    and -m share one array of vectors.  The levels at z and -z pair up with
-    equal energies, and `up` indexes the levels with z > 0.  The tables of
-    the sampled Hessian, `pair_correlators` and `site_blocks`, are built on
-    first use.
+    `sectors[w]` holds (basis states, real eigenvectors as columns, slice of
+    the levels) of the sector with w spins down, for w = 0..n; the sectors at
+    m and -m share one array of vectors, and their levels follow one another.
+    The levels at z and -z pair up with equal energies, and `up` indexes the
+    levels with z > 0.  The tables of the sampled Hessian, `pair_correlators`
+    and `site_blocks`, are built on first use.
     """
 
     energies: np.ndarray
@@ -99,19 +99,7 @@ class SpinLevels:
     h_edges: np.ndarray
     h_axes: np.ndarray
     charge_sites: np.ndarray
-    sectors: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    @cached_property
-    def _by_down(self) -> list[tuple[np.ndarray, np.ndarray, slice]]:
-        """(basis states, vectors, slice of the levels) of the sector with w spins down, for w = 0..n."""
-        n = len(self.charge_sites)
-        out = [None] * (n + 1)
-        start = 0
-        for states, vecs in self.sectors:
-            w = (n - int(self.twice_m[start])) // 2
-            out[w] = (states, vecs, slice(start, start + len(vecs)))
-            start += len(vecs)
-        return out
+    sectors: tuple[tuple[np.ndarray, np.ndarray, slice], ...]
 
     @cached_property
     def pair_correlators(self) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +112,7 @@ class SpinLevels:
         n = len(self.charge_sites)
         place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
         xx, zz = np.empty((2, len(self.energies), n, n))
-        for w, (states, vecs, levels) in enumerate(self._by_down[: n // 2 + 1]):
+        for w, (states, vecs, levels) in enumerate(self.sectors[: n // 2 + 1]):
             spins = 1 - 2 * ((states[:, None] & place) != 0)
             pair_spins = (spins[:, :, None] * spins[:, None, :]).reshape(len(states), -1)
             zz[levels] = ((vecs * vecs).T @ pair_spins).reshape(-1, n, n)
@@ -134,7 +122,7 @@ class SpinLevels:
                 cols = np.searchsorted(states, states[rows] ^ (place[k] | place[l]))
                 xx[levels, k, l] = xx[levels, l, k] = np.einsum("sa,sa->a", vecs[rows], vecs[cols])
             for array in (xx, zz):
-                array[self._by_down[n - w][2]] = array[levels]
+                array[self.sectors[n - w][2]] = array[levels]
         for array in (xx, zz):
             array.setflags(write=False)
         return xx, zz
@@ -159,19 +147,19 @@ class SpinLevels:
         """
         n = len(self.charge_sites)
         place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
-        by_down = self._by_down
+        sectors = self.sectors
         z_entries, x_entries = [], []
         for w in range(n // 2 + 1):
-            states, vecs, levels = by_down[w]
+            states, vecs, levels = sectors[w]
             blocks = np.empty((n, len(vecs), len(vecs)))
             for k in range(n):
                 down = vecs[(states & place[k]) != 0]
                 blocks[k] = -2.0 * (down.T @ down)
                 blocks[k][np.diag_indices(len(vecs))] += 1.0
-            pairs = ((levels, levels),) if 2 * w == n else ((levels, levels), (by_down[n - w][2],) * 2)
+            pairs = ((levels, levels),) if 2 * w == n else ((levels, levels), (sectors[n - w][2],) * 2)
             z_entries.append((blocks, pairs))
         for w in range((n - 1) // 2 + 1):
-            (lower, w_lower, rows), (upper, w_upper, cols) = by_down[w], by_down[w + 1]
+            (lower, w_lower, rows), (upper, w_upper, cols) = sectors[w], sectors[w + 1]
             # the flipped sector lists its states in descending order
             order = np.argsort(upper)
             blocks = np.empty((n, len(w_lower), len(w_upper)))
@@ -179,7 +167,7 @@ class SpinLevels:
                 up = np.flatnonzero((lower & place[k]) == 0)
                 image = order[np.searchsorted(upper, lower[up] | place[k], sorter=order)]
                 blocks[k] = w_lower[up].T @ w_upper[image]
-            partner = (by_down[n - w][2], by_down[n - w - 1][2])
+            partner = (sectors[n - w][2], sectors[n - w - 1][2])
             x_entries.append((blocks, ((rows, cols),) if 2 * w + 1 == n else ((rows, cols), partner)))
         for blocks, _ in z_entries + x_entries:
             blocks.setflags(write=False)
@@ -190,29 +178,21 @@ class SpinLevels:
 class LogicalFrame:
     """A stabilizer code's H - mu.Q as the syndromes of H's terms times one 2^k logical problem.
 
-    H = sum_j h_j G_j, with `generators` the words G_j in H's term order and
-    `h` their coefficients.  Row s of `syndromes` holds the eigenvalue +-1 of
-    each G_j in syndrome s, the first all +1.  Logical basis state z is
-    X-bar^z applied to the state of trivial logical Z in its syndrome,
-    encoded qubit 0 the most significant bit, so each charge acts on it as
-    the matrix in `words`, alike in every syndrome.  `signs` is each charge's
-    coefficient +-1: the mean of its Pauli term is the sign times the charge
-    mean.  When each charge is the logical Pauli a of one encoded qubit q,
-    `axes` holds its slot 3q + a - 1; else it is None.
+    H = sum_j h_j G_j, with `h` the coefficients of H's generator terms G_j
+    in term order.  Logical basis state z is X-bar^z applied to the state of
+    trivial logical Z in its syndrome, encoded qubit 0 the most significant
+    bit, so each charge acts on it as the matrix in `words`, alike in every
+    syndrome.  `signs` is each charge's coefficient +-1: the mean of its
+    Pauli term is the sign times the charge mean.  When each charge is the
+    logical Pauli a of one encoded qubit q, `axes` holds its slot 3q + a - 1;
+    else it is None.
     """
 
     code: StabilizerCode
-    generators: tuple[PauliString, ...]
     h: np.ndarray
     words: np.ndarray
     signs: np.ndarray
     axes: np.ndarray | None
-
-    @cached_property
-    def syndromes(self) -> np.ndarray:
-        r = len(self.h)
-        bits = (np.arange(2**r)[:, None] >> np.arange(r - 1, -1, -1)) & 1
-        return 1.0 - 2.0 * bits
 
 
 @dataclass(frozen=True)
@@ -308,7 +288,8 @@ def _sector_blocks(system: ThermoSystem) -> EigenBlocks:
     flips = place[edges[:, 0]] | place[edges[:, 1]]
     down = np.count_nonzero(spins < 0, axis=1)
     everything = 2**n - 1
-    energies, twice_m, correlators, sectors = [], [], [], []
+    energies, twice_m, correlators = [], [], []
+    sectors, start = [None] * (n + 1), 0
     for w in range(n // 2 + 1):
         basis = np.flatnonzero(down == w)
         size = len(basis)
@@ -330,7 +311,9 @@ def _sector_blocks(system: ThermoSystem) -> EigenBlocks:
             energies.append(vals)
             twice_m.append(np.full(size, sign * twice, dtype=float))
             correlators.append(np.concatenate([xx, zz, sign * z], axis=1))
-            sectors.append((basis if sign > 0 else everything ^ basis, vecs))
+            levels = slice(start, start + size)
+            sectors[w if sign > 0 else n - w] = (basis if sign > 0 else everything ^ basis, vecs, levels)
+            start += size
     energies, twice_m = np.concatenate(energies), np.concatenate(twice_m)
     correlators = np.concatenate(correlators)
     up = np.flatnonzero(twice_m > 0)
@@ -348,8 +331,8 @@ def _logical_frame(system: ThermoSystem) -> EigenBlocks:
     NumericalIntegrityError.
     """
     code, words = system.code, system.charge_words
-    generators = tuple(word for _, word in system.hamiltonian.terms)
-    if sorted(g.letters for g in generators) != sorted(g.letters for g in code.stabilizer_generators):
+    generators = sorted(g.letters for g in code.stabilizer_generators)
+    if sorted(word.letters for _, word in system.hamiltonian.terms) != generators:
         raise NumericalIntegrityError(f"H is not a sum over the generators of {code.name}")
     if words is None or any(q != logical_pauli_product(code, w) for q, w in zip(system.charges, words)):
         raise NumericalIntegrityError(f"a charge is not the logical product of its word in {code.name}")
@@ -357,7 +340,6 @@ def _logical_frame(system: ThermoSystem) -> EigenBlocks:
     axes = np.array([3 * int(np.flatnonzero(w)[0]) + max(w) - 1 for w in words]) if single else None
     frame = LogicalFrame(
         code,
-        generators,
         system.hamiltonian.coefficients,
         np.stack([PauliString(tuple(w)).to_dense() for w in words]),
         np.array([q.coefficients[0] for q in system.charges]),
@@ -389,37 +371,22 @@ def eigen_blocks(system: ThermoSystem) -> EigenBlocks:
 class ThermalState:
     """rho proportional to exp(-(H - mu.Q)/T), held as the levels of H - mu.Q in its system's frame.
 
-    `block_levels` and `block_populations` run through the levels in the
-    frame's order.  A dense state holds them in ascending order, with the
-    `eigenvectors` of the same `eigh` as columns in the computational basis;
-    a frame state holds no eigenvectors.  An SU(2)-symmetric state runs
-    level by level through its S^z sectors.  A stabilizer state runs
-    syndrome by syndrome, each with the 2^k logical levels in ascending
-    order, and builds its levels and populations only when they are read.
+    `thermal_state` builds every state whole.  `block_levels` and
+    `block_populations` run through the levels in the frame's order.  A dense
+    state holds them in ascending order, with the `eigenvectors` of the same
+    `eigh` as columns in the computational basis.  An SU(2)-symmetric state
+    runs level by level through its S^z sectors and holds no eigenvectors.
+    A stabilizer state holds none of the three: it keeps nothing of size
+    2^n, and its means come from its syndromes and its 2^k logical problem.
     The means and the dense `rho` are computed on first use.
     """
 
     mu: np.ndarray
     temperature: float
     blocks: EigenBlocks
-    eigenvectors: np.ndarray | None = None
-
-    @cached_property
-    def block_levels(self) -> np.ndarray:
-        """The levels of H - mu.Q, which `thermal_state` fills in for every state but a stabilizer one.
-
-        Level (s, a) of a stabilizer state is sum_j h_j s_j plus logical level a.
-        """
-        frame = self.blocks.logical
-        levels = (frame.syndromes @ frame.h)[:, None] + self._logical_spectrum[0][None, :]
-        levels = levels.ravel()
-        levels.setflags(write=False)
-        return levels
-
-    @cached_property
-    def block_populations(self) -> np.ndarray:
-        """The Boltzmann populations of `block_levels`."""
-        return _populations(self.block_levels, self.temperature)
+    block_levels: np.ndarray | None
+    block_populations: np.ndarray | None
+    eigenvectors: np.ndarray | None
 
     @cached_property
     def _logical_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -542,10 +509,7 @@ class ThermalState:
         """
         rho = None
         if self.eigenvectors is None:
-            hamiltonian, *charges = self.blocks.observables
-            rho = hamiltonian.to_dense().copy()
-            for m, charge in zip(self.mu, charges):
-                rho -= m * charge.to_dense()
+            rho = _dense_effective(self.blocks.observables, self.mu)
             levels, vecs = np.linalg.eigh(rho)
             p = _populations(levels, self.temperature)
         else:
@@ -597,14 +561,19 @@ def _chemical_potentials(system: ThermoSystem, mu) -> np.ndarray:
     return mu
 
 
+def _dense_effective(observables: tuple[Observable, ...], mu: np.ndarray) -> np.ndarray:
+    """Dense H - mu.Q in a fresh buffer, summed from the cached dense matrices of H and then each charge."""
+    hamiltonian, *charges = observables
+    acc = hamiltonian.to_dense().astype(complex)
+    for m, charge in zip(mu, charges):
+        if m != 0.0:
+            acc -= m * charge.to_dense()
+    return acc
+
+
 def effective_hamiltonian(system: ThermoSystem, mu) -> np.ndarray:
     """Dense A = H - mu.Q."""
-    mu = _chemical_potentials(system, mu)
-    acc = system.hamiltonian.to_dense().astype(complex)
-    for m, charge in zip(mu, system.charges):
-        if m != 0.0:
-            acc = acc - m * charge.to_dense()
-    return acc
+    return _dense_effective((system.hamiltonian, *system.charges), _chemical_potentials(system, mu))
 
 
 def _populations(levels: np.ndarray, T: float) -> np.ndarray:
@@ -629,23 +598,19 @@ def thermal_state(system: ThermoSystem, mu, T: float) -> ThermalState:
     mu = _chemical_potentials(system, mu)
     mu.setflags(write=False)
     blocks = eigen_blocks(system)
-    state = ThermalState(mu, float(T), blocks)
     if blocks.logical is not None:
         # everything of a stabilizer state is computed when it is read
-        return state
+        return ThermalState(mu, float(T), blocks, None, None, None)
     if blocks.spin is not None:
         # a rotation takes H - mu.Q to H - |mu| 2S^z
-        levels = blocks.spin.energies - math.hypot(*mu) * blocks.spin.twice_m
+        levels, vectors = blocks.spin.energies - math.hypot(*mu) * blocks.spin.twice_m, None
         levels.setflags(write=False)
     else:
-        ops = blocks.operators
+        # the stacked operators, not `_dense_effective`: a sum charge by charge rounds differently
         d = system.dimension
-        spectrum = SpectralDecomposition.of((ops[0] - mu @ ops[1:]).reshape(d, d))
-        levels = spectrum.eigenvalues
-        state.__dict__["eigenvectors"] = spectrum.eigenvectors
-    # the cached properties' own slots, so reading them costs what a field does
-    state.__dict__.update(block_levels=levels, block_populations=_populations(levels, T))
-    return state
+        spectrum = SpectralDecomposition.of((blocks.operators[0] - mu @ blocks.operators[1:]).reshape(d, d))
+        levels, vectors = spectrum.eigenvalues, spectrum.eigenvectors
+    return ThermalState(mu, float(T), blocks, levels, _populations(levels, T), vectors)
 
 
 def log_partition(state: ThermalState) -> float:
@@ -686,11 +651,10 @@ def _logarithmic_mean_matrix(levels: np.ndarray, p: np.ndarray, T: float) -> np.
     With x = -|lambda_a - lambda_b|/T, the smaller population is the larger
     times e^x, so LM = max(p_a, p_b) expm1(x)/x, and LM(p, p) = p.  Taking x
     from the levels keeps LM exact where the populations nearly cancel or
-    the smaller one underflowed to zero.  Leading axes of levels and p are
-    batch axes; a and b run over the last one.
+    the smaller one underflowed to zero.
     """
-    x = -np.abs(levels[..., :, None] - levels[..., None, :]) / T
-    larger = np.maximum(p[..., :, None], p[..., None, :])
+    x = -np.abs(levels[:, None] - levels[None, :]) / T
+    larger = np.maximum(p[:, None], p[None, :])
     with np.errstate(invalid="ignore"):
         ratio = np.where(x == 0.0, 1.0, np.expm1(x) / x)
     return larger * ratio
@@ -740,22 +704,22 @@ def hessian_exact(system: ThermoSystem, state: ThermalState) -> np.ndarray:
     else:
         vals, vecs, p = state.block_levels, state.eigenvectors, state.block_populations
         charges = state.blocks.operators[1:].reshape(-1, len(vals), len(vals))
-    correlations = _correlations(vals[None], p[None], vecs[None], charges[:, None], state.charge_means, T)
+    correlations = _correlations(vals, p, vecs, charges, state.charge_means, T)
     hessian = -correlations.real / T
     return (hessian + hessian.T) / 2.0
 
 
 def _correlations(levels, populations, vecs, charges, means, T) -> np.ndarray:
-    """sum_ab LM(p_a, p_b) <a|Q_i - <Q_i>|b><b|Q_j - <Q_j>|a> over a stack of blocks, for all (i, j).
+    """sum_ab LM(p_a, p_b) <a|Q_i - <Q_i>|b><b|Q_j - <Q_j>|a> over the levels of one block, for all (i, j).
 
-    levels and populations have shape (count, size), vecs (count, size, size)
-    and charges, in block coordinates, (charges, count, size, size).
+    levels and populations have shape (size,), vecs (size, size) and
+    charges, in block coordinates, (charges, size, size).
     """
-    centered = vecs.conj().transpose(0, 2, 1) @ charges @ vecs
-    diagonal = np.arange(levels.shape[1])
-    centered[:, :, diagonal, diagonal] -= means[:, None, None]
+    centered = vecs.conj().T @ charges @ vecs
+    diagonal = np.arange(len(levels))
+    centered[:, diagonal, diagonal] -= means[:, None]
     lm = _logarithmic_mean_matrix(levels, populations, T)
-    return np.einsum("nab,inab,jnba->ij", lm, centered, centered)
+    return np.einsum("ab,iab,jba->ij", lm, centered, centered)
 
 
 def primal_free_energy(system: ThermoSystem, rho: np.ndarray, T: float) -> float:

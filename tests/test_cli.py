@@ -41,6 +41,31 @@ REPETITION_HQC_CONFIG = {
 }
 
 
+# second_hqc on the frames: the lazy S^z sector tables and the 2^k logical eigh run in the workers
+_FRAME_HQC = {
+    "variant": "second_hqc", "max_iter": 2, "shots_per_iteration": 20000, "hessian_samples_per_iteration": 20000,
+}
+_LINE6_NNN = {"kind": "heisenberg", "geometry": "line", "n": 6, "nnn": True, "targets": [0.6, -0.4, 0.5]}
+_DETECT422_ALL_WORDS = {
+    "kind": "stabilizer", "code": "detect422",
+    "charges": [{"word": f"{a}{b}", "target": 0.05} for a in range(4) for b in range(4) if a or b],
+}
+WORKER_CONFIGS = {
+    "repetition3-first_hqc": REPETITION_HQC_CONFIG,
+    **{
+        name: {
+            **REPETITION_HQC_CONFIG, "model": model, "repetitions": 2,
+            "solver": {**_FRAME_HQC, "estimator_mode": mode},
+        }
+        for name, model, mode in (
+            ("line6-nnn-generic", _LINE6_NNN, "generic"),
+            ("line6-nnn-extensive", _LINE6_NNN, "extensive"),
+            ("detect422-all-words", _DETECT422_ALL_WORDS, "generic"),
+        )
+    },
+}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -226,8 +251,9 @@ class TestRunCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("numerical integrity error: outcome mean nan")
 
-    def test_worker_counts_agree_bytewise(self, tmp_path):
-        config = write_config(tmp_path, REPETITION_HQC_CONFIG)
+    @pytest.mark.parametrize("name", list(WORKER_CONFIGS))
+    def test_worker_counts_agree_bytewise(self, tmp_path, name):
+        config = write_config(tmp_path, WORKER_CONFIGS[name])
         out1 = tmp_path / "w1"
         out2 = tmp_path / "w2"
         assert main(["run", "--config", str(config), "--out", str(out1), "--workers", "1"]) == 0

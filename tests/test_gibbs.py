@@ -459,15 +459,16 @@ ROTATED_SYSTEMS = {
 
 
 def _observed(system, state):
-    """Levels and populations in ascending order, ln Z, the means, the Pauli-term means and the Hessian."""
-    return (
-        np.sort(state.block_levels),
-        np.sort(state.block_populations),
-        log_partition(state),
-        [state.energy, *state.charge_means],
-        state.term_means,
-        hessian_exact(system, state),
-    )
+    """ln Z, the means, the Pauli-term means and the Hessian, then the levels and populations in ascending order.
+
+    The levels and populations come only from a state that holds them: a
+    code state keeps none, so its dense reference gives two values more.
+    """
+    values = [log_partition(state), [state.energy, *state.charge_means], state.term_means]
+    values.append(hessian_exact(system, state))
+    if state.block_levels is not None:
+        values += [np.sort(state.block_levels), np.sort(state.block_populations)]
+    return values
 
 
 def _relative_gap(value, reference) -> float:
@@ -490,7 +491,7 @@ class TestRotatedFrame:
             for mu in (np.zeros(3), 1e-9 * tiny / np.linalg.norm(tiny), rng.normal(size=3)):
                 observed = _observed(system, thermal_state(system, mu, T))
                 expected = _observed(dense, thermal_state(dense, mu, T))
-                for value, want in zip(observed, expected):
+                for value, want in zip(observed, expected, strict=True):
                     assert _relative_gap(value, want) <= 1e-12
 
     def test_hessian_keeps_its_digits_as_mu_vanishes(self):
@@ -558,9 +559,9 @@ class TestSectors:
         T = 0.1 / (system.n_qubits * math.log(2))
         for mu in (np.zeros(3), 1e-9 * tiny / np.linalg.norm(tiny), rng.normal(size=3)):
             state, reference = thermal_state(system, mu, T), thermal_state(dense, mu, T)
-            observed = (*_observed(system, state), state.rho)
-            expected = (*_observed(dense, reference), reference.rho)
-            for value, want in zip(observed, expected):
+            observed = (state.rho, *_observed(system, state))
+            expected = (reference.rho, *_observed(dense, reference))
+            for value, want in zip(observed, expected, strict=True):
                 assert _relative_gap(value, want) <= 1e-12
 
     def test_builds_no_dense_matrix(self, monkeypatch):
@@ -609,8 +610,9 @@ class TestLogicalFrame:
                 direction = rng.normal(size=system.n_charges)
                 mu = size * direction / np.linalg.norm(direction)
                 state, reference = thermal_state(system, mu, T), thermal_state(dense, mu, T)
-                observed = (*_observed(system, state), state.rho)
-                expected = (*_observed(dense, reference), reference.rho)
+                observed = (state.rho, *_observed(system, state))
+                expected = (reference.rho, *_observed(dense, reference))
+                assert len(observed) == len(expected) - 2
                 for value, want in zip(observed, expected):
                     assert np.max(np.abs(np.subtract(value, want))) <= 1e-12
 
@@ -627,8 +629,9 @@ class TestLogicalFrame:
         assert eigen_blocks(system).logical.signs.tolist() == [1.0, -1.0, -1.0]
         for mu, T in (([0.3, -0.5, 0.2], 0.4), ([0.0, 0.0, 0.0], 1.5), ([2.0, 1e-6, -1.0], 0.1)):
             state, reference = thermal_state(system, mu, T), thermal_state(dense, mu, T)
-            observed = (*_observed(system, state), state.rho)
-            expected = (*_observed(dense, reference), reference.rho)
+            observed = (state.rho, *_observed(system, state))
+            expected = (reference.rho, *_observed(dense, reference))
+            assert len(observed) == len(expected) - 2
             for value, want in zip(observed, expected):
                 assert np.max(np.abs(np.subtract(value, want))) <= 1e-12
 
@@ -675,16 +678,18 @@ class TestLogicalFrame:
         assert calls == [(4, 4)]
 
     def test_built_on_the_first_state_and_dense_basis_on_first_read(self):
-        from thermodual.shots import ShotEstimator
+        from thermodual.shots import ShotEstimator, _pair_means
 
         system = build_stabilizer_system(builtin_code("repetition3"), [((1,), 0.1), ((3,), 0.2)])
         ShotEstimator(system, 1)
         assert system._eigen_blocks is None
         state = thermal_state(system, [0.2, -0.1], 0.5)
         blocks = eigen_blocks(system)
-        state.term_means
-        # the frame holds no vector of the 2^n states, and the dense matrices wait for rho
-        assert state.eigenvectors is None and "block_levels" not in state.__dict__
+        state.term_means, state.energy, log_partition(state), hessian_exact(system, state)
+        _pair_means(system, state, "generic")(0, 1)
+        # the state keeps nothing of size 2^n, and the dense matrices wait for rho
+        assert state.block_levels is None and state.block_populations is None and state.eigenvectors is None
+        assert not hasattr(blocks.logical, "syndromes")
         assert all(obs._dense is None for obs in blocks.observables)
         state.rho
         assert all(obs._dense is not None for obs in blocks.observables)
