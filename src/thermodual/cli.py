@@ -21,6 +21,7 @@ import csv
 import inspect
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -275,10 +276,12 @@ def _run_repetition(task) -> tuple[Trace, float]:
 
 def _map_repetitions(experiment: _Experiment, repetitions: int, workers: int):
     tasks = [(experiment, rep) for rep in range(repetitions)]
-    if workers <= 1 or repetitions == 1:
+    # a forked pool starts all its workers at the first submit, so it gets no more than it has tasks or cores
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, repetitions, cores)
+    if workers <= 1:
         return [_run_repetition(task) for task in tasks]
-    # a forked pool starts all its workers at the first submit, so it gets no idle ones
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, repetitions)) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_repetition, tasks))
 
 
@@ -790,6 +793,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.command in ("run", "sweep") and args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         if args.command == "run":
             config = _load_config(args.config, args.seed)
             return run_experiment(config, Path(args.out), workers=args.workers, strict=args.strict)

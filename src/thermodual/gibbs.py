@@ -42,7 +42,7 @@ entropies use the 0*ln(0) = 0 convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -100,6 +100,12 @@ class SpinLevels:
     h_axes: np.ndarray
     charge_sites: np.ndarray
     sectors: tuple[tuple[np.ndarray, np.ndarray, slice], ...]
+
+    @cached_property
+    def term_columns(self) -> np.ndarray:
+        """The columns of `correlators` that the term means read, in order: <XX> and then <ZZ> of each H term's edge, then <Z> of each charge term's site."""
+        edges = (self.correlators.shape[1] - len(self.charge_sites)) // 2
+        return np.concatenate((self.h_edges, edges + self.h_edges, 2 * edges + self.charge_sites))
 
     @cached_property
     def pair_correlators(self) -> tuple[np.ndarray, np.ndarray]:
@@ -184,8 +190,8 @@ class LogicalFrame:
     bit, so each charge acts on it as the matrix in `words`, alike in every
     syndrome.  `signs` is each charge's coefficient +-1: the mean of its
     Pauli term is the sign times the charge mean.  When each charge is the
-    logical Pauli a of one encoded qubit q, `axes` holds its slot 3q + a - 1;
-    else it is None.
+    logical Pauli a of one encoded qubit q, `axes` holds its slot 3q + a - 1
+    and `qubits` its qubit q; else both are None.
     """
 
     code: StabilizerCode
@@ -193,6 +199,32 @@ class LogicalFrame:
     words: np.ndarray
     signs: np.ndarray
     axes: np.ndarray | None
+    qubits: np.ndarray | None
+    # the syndrome means of each temperature the frame has been solved at
+    _syndromes: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def syndrome_means(self, T: float) -> np.ndarray:
+        """<G_j> = -tanh(h_j/T) of each generator term of H, in term order, computed once per temperature."""
+        means = self._syndromes.get(T)
+        if means is None:
+            means = -np.tanh(self.h / T)
+            means.setflags(write=False)
+            self._syndromes[T] = means
+        return means
+
+    def spin_ratios(self, mu: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+        """(x, t/|h|) per encoded qubit at chemical potentials mu, for charges on single-qubit axes.
+
+        Encoded qubit q is a spin-1/2 in the field h_q, whose components are
+        the chemical potentials of its charges.  With x = |h_q|/T and
+        t = tanh(x), its means are h_q t/|h_q|.  t/|h_q| is taken as
+        (tanh(x)/x)/T, which tends to 1/T as |h_q| -> 0 and is 1/T there.
+        """
+        squares = np.bincount(self.axes, mu * mu, minlength=3 * self.code.k)
+        x = np.sqrt(np.add.reduce(squares.reshape(-1, 3), axis=1)) / T
+        # below 1e-300 tanh(x)/x is 1 to the last bit, so the floor only takes x = 0 to its limit
+        floored = np.maximum(x, 1e-300)
+        return x, np.tanh(floored) / floored / T
 
 
 @dataclass(frozen=True)
@@ -344,6 +376,7 @@ def _logical_frame(system: ThermoSystem) -> EigenBlocks:
         np.stack([PauliString(tuple(w)).to_dense() for w in words]),
         np.array([q.coefficients[0] for q in system.charges]),
         axes,
+        None if axes is None else axes // 3,
     )
     return EigenBlocks((system.hamiltonian, *system.charges), None, logical=frame)
 
@@ -395,39 +428,15 @@ class ThermalState:
         vals, vecs = np.linalg.eigh(-np.tensordot(self.mu, words, axes=1))
         return vals, vecs, _populations(vals, self.temperature)
 
-    @cached_property
-    def _qubit_fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(h, x, t/|h|) per encoded qubit of a stabilizer state whose charges are single-qubit axes.
-
-        Encoded qubit q is a spin-1/2 in the field h_q, whose components are
-        the chemical potentials of its charges.  With x = |h_q|/T and
-        t = tanh(x), its means are h_q t/|h_q|.  t/|h_q| is taken as
-        (tanh(x)/x)/T, which tends to 1/T as |h_q| -> 0 and is 1/T there.
-        """
-        frame = self.blocks.logical
-        T = self.temperature
-        h = np.zeros(3 * frame.code.k)
-        h[frame.axes] = self.mu
-        h = h.reshape(-1, 3)
-        x = np.sqrt((h * h).sum(axis=1)) / T
-        return h, x, np.divide(np.tanh(x), x, out=np.ones_like(x), where=x > 0.0) / T
-
-    @cached_property
     def _logical_means(self) -> np.ndarray:
-        """The charge means of a stabilizer state, from its logical problem."""
+        """The charge means of a stabilizer state, from its logical problem; `_means` and `term_means` keep them."""
         frame = self.blocks.logical
         if frame.axes is not None:
-            return self.mu * self._qubit_fields[2][frame.axes // 3]
+            # no cached property in between: the first read of each takes a lock
+            return self.mu * frame.spin_ratios(self.mu, self.temperature)[1][frame.qubits]
         _, vecs, p = self._logical_spectrum
         rho = (vecs * p) @ vecs.conj().T
         return _real_means(np.einsum("iab,ba->i", frame.words, rho))
-
-    @cached_property
-    def _syndrome_means(self) -> np.ndarray:
-        """<G_j> = -tanh(h_j/T) of each generator term of a stabilizer state's H, in term order."""
-        means = -np.tanh(self.blocks.logical.h / self.temperature)
-        means.setflags(write=False)
-        return means
 
     @property
     def _axis(self) -> np.ndarray:
@@ -463,9 +472,10 @@ class ThermalState:
             means = np.concatenate(([self.block_populations @ spin.energies], self.mu * self._spin_moments[0]))
             means.setflags(write=False)
             return means
-        if self.blocks.logical is not None:
-            energy = self.blocks.logical.h @ self._syndrome_means
-            means = np.concatenate(([energy], self._logical_means))
+        frame = self.blocks.logical
+        if frame is not None:
+            energy = frame.h @ frame.syndrome_means(self.temperature)
+            means = np.concatenate(([energy], self._logical_means()))
             means.setflags(write=False)
             return means
         # Tr[X rho] = sum X_mn conj(rho_mn), as rho is Hermitian
@@ -486,7 +496,7 @@ class ThermalState:
             return _sector_term_means(spin, self.block_populations, self._axis)
         frame = self.blocks.logical
         if frame is not None:
-            means = np.concatenate((self._syndrome_means, frame.signs * self._logical_means))
+            means = np.concatenate((frame.syndrome_means(self.temperature), frame.signs * self._logical_means()))
             means.setflags(write=False)
             return means
         return _real_means(np.concatenate([term_expectations(obs, self.rho) for obs in self.blocks.observables]))
@@ -533,12 +543,10 @@ def _sector_term_means(spin: SpinLevels, p: np.ndarray, axis: np.ndarray) -> np.
     correlators weighted by p, and a charge term sigma^c_i has mean
     n_c <Z_i>.
     """
-    edges = (spin.correlators.shape[1] - len(spin.charge_sites)) // 2
-    weighted = p @ spin.correlators
-    cx = weighted[spin.h_edges]
-    cz = weighted[edges + spin.h_edges]
-    z = weighted[2 * edges + spin.charge_sites]
-    means = np.concatenate([cx + (cz - cx) * axis[spin.h_axes] ** 2, *(c * z for c in axis)])
+    terms = len(spin.h_edges)
+    weighted = (p @ spin.correlators)[spin.term_columns]
+    cx, cz, z = weighted[:terms], weighted[terms : 2 * terms], weighted[2 * terms :]
+    means = np.concatenate((cx + (cz - cx) * (axis * axis)[spin.h_axes], np.multiply.outer(axis, z).ravel()))
     means.setflags(write=False)
     return means
 
@@ -626,7 +634,7 @@ def log_partition(state: ThermalState) -> float:
         syndromes = float(np.sum(_log_2cosh(frame.h / T)))
         if frame.axes is not None:
             # a spin-1/2 in a field of size x T per encoded qubit
-            return syndromes + float(np.sum(_log_2cosh(state._qubit_fields[1])))
+            return syndromes + float(np.sum(_log_2cosh(frame.spin_ratios(state.mu, T)[0])))
         vals, _, p = state._logical_spectrum
         return syndromes + float(-vals[0] / T - np.log(p[0]))
     lowest = int(np.argmin(state.block_levels))
@@ -688,7 +696,11 @@ def hessian_exact(system: ThermoSystem, state: ThermalState) -> np.ndarray:
     T = state.temperature
     frame = state.blocks.logical
     if frame is not None and frame.axes is not None:
-        h, x, ratio = state._qubit_fields
+        x, ratio = frame.spin_ratios(state.mu, T)
+        # the field h_q on each encoded qubit
+        h = np.zeros(3 * frame.code.k)
+        h[frame.axes] = state.mu
+        h = h.reshape(-1, 3)
         n = np.divide(h, (x * T)[:, None], out=np.zeros_like(h), where=x[:, None] > 0.0)
         # 1 - t^2 = sech^2(x), written without cancellation
         e = np.exp(-2.0 * x)

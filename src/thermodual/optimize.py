@@ -200,17 +200,15 @@ class _Evaluator:
         return self.q - self._estimate(state, False)[0]
 
     def full(self, state):
-        """The gradient and output-value estimates, and the error metric when a reference is set."""
+        """The gradient estimate and its norm, the output-value estimate, and the error metric when a reference is set."""
         charges, h_val = self._estimate(state, True)
         grad = self.q - charges
+        grad_norm = float(np.linalg.norm(grad))
         mu = state.mu
         f_est = float(mu @ self.q + h_val - mu @ charges)
-        err = (
-            error_metric(self.reference_energy, f_est, grad)
-            if self.reference_energy is not None
-            else None
-        )
-        return grad, f_est, err
+        # error_metric, on the norm taken once
+        err = abs(self.reference_energy - f_est) + grad_norm if self.reference_energy is not None else None
+        return grad, grad_norm, f_est, err
 
     def hessian(self, state) -> np.ndarray:
         idx = self.eval_index
@@ -400,8 +398,7 @@ def run(
 
     for m in range(config.max_iter + 1):
         state = ev.state(point)
-        grad, f_est, err = ev.full(state)
-        grad_norm = float(np.linalg.norm(grad))
+        grad, grad_norm, f_est, err = ev.full(state)
         trace.converged = grad_norm <= delta
         if trace.converged or m == config.max_iter:
             next_point, eta, fallback = None, step.eta, False
@@ -414,6 +411,6 @@ def run(
             break
         point = next_point
 
-    _, trace.final_value, trace.final_error_metric = ev.full(ev.state(point))
+    *_, trace.final_value, trace.final_error_metric = ev.full(ev.state(point))
     trace.final_mu = point.copy()
     return trace

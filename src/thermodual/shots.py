@@ -18,20 +18,22 @@ omega, and the average of cos(omega t) under p(t) is the density's
 characteristic function tanh(omega/2)/(omega/2), so wbar is exact and each
 pair's count of +1 outcomes is again one binomial draw.
 
-Randomness is organized as derived streams: a 64-bit mix of
-(master seed, evaluation, id) seeds each generator, so results never depend
-on evaluation order.  One evaluation of the charges and the energy makes
-one binomial call on one generator, over the terms of the charges in order
-and then of H (`estimate_observable` on an `ObservableGroup`).  A Hessian
-likewise makes one binomial call on one generator, over the pairs of every
-upper-triangle entry and then the two factor estimates of each entry.
+Randomness is organized as derived streams (Salmon et al., SC'11): a
+64-bit mix of (master seed, evaluation, id) keys each generator, a fresh
+PCG64 seeded by its own routine from the splitmix64 words of that key, so a
+stream's draws depend on nothing but its key, whatever was drawn before.
+One evaluation of the charges and the energy makes one binomial call on one
+generator, over the terms of the charges in order and then of H
+(`estimate_observable` on an `ObservableGroup`).  A Hessian likewise makes
+one binomial call on one generator, over the pairs of every upper-triangle
+entry and then the two factor estimates of each entry.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -65,9 +67,36 @@ def derive_stream_seed(master_seed: int, iteration: int, obs_id: int) -> int:
     return x
 
 
+@cache
+def _stream_words() -> type:
+    """The `ISeedSequence` class that seeds a bit generator with the splitmix64 sequence of one derived seed.
+
+    PCG64 asks for four 64-bit words: its 128-bit initial state is the first
+    two and its stream selector the last two.  splitmix64 is a bijection, so
+    distinct seeds give distinct first words and no two streams share a
+    state.  A 32-bit request takes the low half of each word.  The class is
+    made on the first draw: NumPy loads numpy.random on first use, and a run
+    that draws no shots never does.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StreamWords(ISeedSequence):
+        def __init__(self, seed: int):
+            self.seed = seed
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            x, words = self.seed, []
+            for _ in range(n_words):
+                x = (x + _GAMMA) & _MASK64
+                words.append(_mix64(x))
+            return np.array(words, dtype=np.uint64).astype(dtype, copy=False)
+
+    return StreamWords
+
+
 @dataclass(frozen=True)
 class RngStream:
-    """A point in the derived-stream tree; one generator hangs off each obs_id."""
+    """A point in the derived-stream tree; one generator, a fresh PCG64 on each call, hangs off each obs_id."""
 
     master_seed: int
     iteration: int = 0
@@ -78,7 +107,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         seed = derive_stream_seed(self.master_seed, self.iteration, self.obs_id)
-        return np.random.Generator(np.random.PCG64(seed))
+        return np.random.Generator(np.random.PCG64(_stream_words()(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +155,18 @@ def _binomial_means(values: np.ndarray, shots, rng: np.random.Generator) -> np.n
 
 
 class ObservableGroup:
-    """Observables measured together: the terms of each in turn, drawn in one binomial call."""
+    """Observables measured together: the terms of each in turn, drawn in one binomial call.
+
+    `weights` holds the coefficient of each term and `owners` the index of
+    the observable it belongs to.
+    """
 
     def __init__(self, observables):
         self.observables = tuple(observables)
         self.terms = tuple(term for obs in self.observables for term in obs.terms)
-        ends = np.cumsum([len(obs.terms) for obs in self.observables])
-        self.parts = tuple(slice(end - len(obs.terms), end) for obs, end in zip(self.observables, ends))
+        self.weights = np.array([coeff for coeff, _ in self.terms], dtype=float)
+        sizes = [len(obs.terms) for obs in self.observables]
+        self.owners = np.repeat(np.arange(len(sizes)), sizes)
 
 
 def estimate_observable(
@@ -142,17 +176,20 @@ def estimate_observable(
 
     Given an ObservableGroup, it estimates each of its observables from one
     binomial call over all their terms, and returns them as an array.  The
-    generator fills the counts element by element, so this equals one call
-    per observable, in order, on the same generator.
+    generator fills the counts element by element, and each estimate sums
+    its own terms' weighted outcomes one by one in term order, so this
+    equals one call per observable, in order, on the same generator,
+    exactly (to 0 ulp).
     """
     if shots_per_term < 1:
         raise ValueError("need at least one shot per term")
     if len(term_means) != len(obs.terms):
         raise ValueError(f"{len(term_means)} term means for {len(obs.terms)} terms")
+    group = obs if isinstance(obs, ObservableGroup) else ObservableGroup((obs,))
     outcomes = _binomial_means(term_means, shots_per_term, rng)
-    if isinstance(obs, ObservableGroup):
-        return np.array([float(q.coefficients @ outcomes[part]) for q, part in zip(obs.observables, obs.parts)])
-    return float(obs.coefficients @ outcomes)
+    # a sum per observable, which no other observable's terms can round differently, as a matrix product's rows would
+    estimates = np.bincount(group.owners, group.weights * outcomes, minlength=len(group.observables))
+    return estimates if group is obs else float(estimates[0])
 
 
 # ---------------------------------------------------------------------------
@@ -522,21 +559,26 @@ class ShotEstimator:
         generator, the charges' terms in order and then H's, so the charge
         estimates do not depend on `energy`.
         """
-        means = state.term_means
-        start = state.blocks.term_slices[0].stop
-        # H's terms come first in term order and last in draw order
-        values = np.concatenate((means[start:], means[:start])) if energy else means[start:]
+        order, group = self._measured[energy]
         rng = RngStream(self.master_seed, eval_index).generator()
-        estimates = estimate_observable(values, self._measured[energy], self.shots_per_term, rng)
+        estimates = estimate_observable(state.term_means[order], group, self.shots_per_term, rng)
         if not energy:
             return estimates, None
         return estimates[:-1], float(estimates[-1])
 
     @cached_property
-    def _measured(self) -> tuple[ObservableGroup, ObservableGroup]:
-        """What an evaluation measures: the charges, and the charges then H."""
-        charges = self.system.charges
-        return ObservableGroup(charges), ObservableGroup((*charges, self.system.hamiltonian))
+    def _measured(self) -> tuple[tuple[np.ndarray, ObservableGroup], ...]:
+        """What an evaluation measures, the charges and then the charges and H: the term means it draws, in order, and their group.
+
+        H's terms come first in term order and last in draw order.
+        """
+        charges, hamiltonian = self.system.charges, self.system.hamiltonian
+        start = len(hamiltonian.terms)
+        charge_terms = np.arange(start, start + sum(len(q.terms) for q in charges))
+        return (
+            (charge_terms, ObservableGroup(charges)),
+            (np.concatenate((charge_terms, np.arange(start))), ObservableGroup((*charges, hamiltonian))),
+        )
 
     def hessian(self, state: ThermalState, eval_index: int) -> np.ndarray:
         return estimate_hessian(

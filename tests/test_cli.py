@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -261,7 +262,9 @@ class TestRunCommand:
         assert (out1 / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
         assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
 
-    def test_pool_has_no_more_workers_than_repetitions(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The size of each process pool the CLI opens, on a host of 4 usable cores; no process starts."""
         import thermodual.cli as cli
 
         sizes = []
@@ -282,11 +285,44 @@ class TestRunCommand:
                 return map(fn, tasks)
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        return sizes
+
+    def test_pool_has_no_more_workers_than_repetitions(self, tmp_path, pool_sizes):
         payload = {**REPETITION_HQC_CONFIG, "repetitions": 2}
         config = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out), "--workers", "8"]) == 0
-        assert sizes == [2]
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("cores,expected", [(3, [3]), (1, [])], ids=["three_cores", "one_core"])
+    def test_pool_has_no_more_workers_than_usable_cores(self, tmp_path, monkeypatch, pool_sizes, cores, expected):
+        # one usable core runs the repetitions in this process, with no pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        payload = {**REPETITION_HQC_CONFIG, "repetitions": 5, "solver": {**REPETITION_HQC_CONFIG["solver"], "max_iter": 5}}
+        config = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--workers", "8"]) == 0
+        assert pool_sizes == expected
+
+    def test_usable_cores_fall_back_to_the_cpu_count(self, tmp_path, monkeypatch, pool_sizes):
+        # where the platform has no sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        payload = {**REPETITION_HQC_CONFIG, "repetitions": 5, "solver": {**REPETITION_HQC_CONFIG["solver"], "max_iter": 5}}
+        config = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--workers", "8"]) == 0
+        assert pool_sizes == [3]
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_workers_below_one_is_a_config_error(self, tmp_path, capsys, pool_sizes, command, workers):
+        config = write_config(tmp_path, REPETITION_HQC_CONFIG)
+        args = [command, "--config", str(config), "--out", str(tmp_path / "out"), "--workers", workers]
+        if command == "sweep":
+            args += ["--parameter", "shots", "--values", "100"]
+        assert main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: --workers must be at least 1, got {workers}"]
+        assert not (tmp_path / "out").exists() and pool_sizes == []
 
     def test_seed_override_changes_sampled_runs(self, tmp_path):
         config = write_config(tmp_path, REPETITION_HQC_CONFIG)
@@ -1060,3 +1096,13 @@ class TestEntryPoint:
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_import_loads_numpy_random_only_where_numpy_does(self):
+        # a run that draws no shots pays neither the time nor the memory of numpy.random
+        probe = (
+            "import sys, numpy; eager = 'numpy.random' in sys.modules; import thermodual, thermodual.cli; "
+            "print(eager or 'numpy.random' not in sys.modules)"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "True"

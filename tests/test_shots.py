@@ -52,6 +52,63 @@ class TestStreamDerivation:
         c = stream.with_observable(3).generator().random(10)
         assert not np.array_equal(a, c)
 
+    def test_draws_do_not_depend_on_other_streams(self):
+        # a stream's draws are the same alone, after other streams, and interleaved with them
+        streams = [RngStream(77, iteration, obs) for iteration in (0, 1, 9) for obs in (0, 1, shots.HESSIAN_ENTRY_BASE)]
+        alone = [stream.generator().binomial(1000, 0.3, size=6) for stream in streams]
+        for start in range(len(streams)):
+            order = streams[start:] + streams[:start]
+            generators = [stream.generator() for stream in order]
+            halves = [g.binomial(1000, 0.3, size=3) for g in generators]
+            halves = [np.concatenate((h, g.binomial(1000, 0.3, size=3))) for h, g in zip(halves, generators)]
+            for stream, drawn in zip(order, halves):
+                assert np.array_equal(drawn, alone[streams.index(stream)])
+
+    def test_no_two_streams_share_a_state(self):
+        # over the grid of test_pure_and_distinct
+        seen = {}
+        for iteration in range(24):
+            for obs in range(24):
+                state = RngStream(987654321, iteration, obs).generator().bit_generator.state["state"]
+                key = (state["state"], state["inc"])
+                assert key not in seen, f"{(iteration, obs)} shares the PCG64 state of {seen.get(key)}"
+                seen[key] = (iteration, obs)
+
+    def test_generator_is_pcg64_of_the_splitmix64_words(self):
+        # the words, from a splitmix64 written out here, seed PCG64 by its own routine
+        mask = (1 << 64) - 1
+
+        def splitmix64(x, count):
+            words = []
+            for _ in range(count):
+                x = (x + 0x9E3779B97F4A7C15) & mask
+                z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                words.append(z ^ (z >> 31))
+            return words
+
+        class Words(np.random.bit_generator.ISeedSequence):
+            def __init__(self, words):
+                self.words = words
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                assert (n_words, np.dtype(dtype)) == (4, np.uint64)
+                return np.array(self.words, dtype=np.uint64)
+
+        for master, iteration, obs in ((0, 0, 0), (987654321, 7, 3), (2**64 - 1, 2**40, shots.HESSIAN_ENTRY_BASE)):
+            stream = RngStream(master, iteration, obs)
+            words = splitmix64(derive_stream_seed(master, iteration, obs), 4)
+            reference = np.random.Generator(np.random.PCG64(Words(words)))
+            generator = stream.generator()
+            # PCG's stream increment is the last two words, shifted up one bit and made odd
+            assert generator.bit_generator.state["state"]["inc"] == ((words[2] << 64 | words[3]) << 1 | 1) % 2**128
+            assert generator.bit_generator.state == reference.bit_generator.state
+            assert np.array_equal(generator.binomial(1000, 0.4, size=20), reference.binomial(1000, 0.4, size=20))
+            assert np.array_equal(generator.random(5), reference.random(5))
+            # a 32-bit request: the low half of each word
+            halves = [word & 0xFFFFFFFF for word in words[:3]]
+            assert shots._stream_words()(derive_stream_seed(master, iteration, obs)).generate_state(3).tolist() == halves
+
 
 def estimate_on(rho, obs, shots_per_term, stream):
     """A shot estimate of Tr[obs rho], with the term means gathered from a dense rho."""
@@ -465,6 +522,17 @@ class TestShotEstimator:
         got, got_energy = estimator.estimate(state, 5, energy)
         assert got.tolist() == charges and got_energy == energy_estimate
 
+    @pytest.mark.parametrize("name", ["perfect5", "grid2x3", "random"])
+    def test_group_equals_one_call_per_observable(self, name):
+        # H and every charge in one call, against one call each, in order, on the same generator
+        system, state = pinned_case(name)
+        observables = (system.hamiltonian, *system.charges)
+        means = [state.term_means[part] for part in state.blocks.term_slices]
+        rng = RngStream(31, 2).generator()
+        each = [estimate_observable(m, obs, 29, rng) for m, obs in zip(means, observables)]
+        group = estimate_observable(state.term_means, shots.ObservableGroup(observables), 29, RngStream(31, 2).generator())
+        np.testing.assert_array_max_ulp(group, np.array(each), maxulp=0)
+
     @pytest.mark.parametrize("energy", [False, True])
     def test_an_evaluation_is_one_estimate_observable_call(self, monkeypatch, energy):
         # looked up on the module at each call, so a wrapper there sees every evaluation
@@ -503,85 +571,86 @@ class TestShotEstimator:
 # change to the estimators must leave them bit for bit as they are: a
 # rounding-level change in a probability moves a binomial count only when one
 # of the sampler's uniform draws lands within that rounding of a threshold.
+# A new stream set-up moves every draw, and so all of them.
 PINNED_OBSERVABLE = {
     ("repetition3", 11): [
-        -2.0,
-        0.45945945945945943,
-        -0.45945945945945943,
-        0.7837837837837838,
+        -1.945945945945946,
+        0.3513513513513513,
+        -0.5135135135135135,
+        0.8378378378378379,
     ],
     ("repetition3", 20251018): [
-        -2.0,
-        0.45945945945945943,
-        -0.29729729729729726,
-        0.6756756756756757,
+        -1.945945945945946,
+        0.6216216216216217,
+        0.08108108108108114,
+        0.8378378378378379,
     ],
     ("perfect5", 11): [
         -3.945945945945946,
-        0.45945945945945943,
-        -0.45945945945945943,
-        0.7837837837837838,
+        0.3513513513513513,
+        -0.5135135135135135,
+        0.8378378378378379,
     ],
     ("perfect5", 20251018): [
-        -4.0,
-        0.45945945945945943,
-        -0.29729729729729726,
-        0.6756756756756757,
+        -3.891891891891892,
+        0.6216216216216217,
+        0.08108108108108114,
+        0.8378378378378379,
     ],
     ("grid2x3", 11): [
-        -10.297297297297295,
-        -0.108108108108108,
+        -10.162162162162161,
         0.05405405405405417,
-        0.10810810810810811,
+        0.5945945945945946,
+        0.05405405405405417,
     ],
     ("grid2x3", 20251018): [
-        -11.35135135135135,
-        -0.2702702702702704,
-        0.16216216216216228,
-        0.05405405405405417,
+        -11.108108108108103,
+        0.5405405405405406,
+        0.6486486486486488,
+        0.4864864864864866,
     ],
 }
 
 PINNED_HESSIAN = {
     ("repetition3", "generic", 11): [
-        [-1.2087971646601143, -0.13250762713203904, 0.31489259362609917],
-        [-0.13250762713203904, -1.3393024886503324, -0.2222643760585225],
-        [0.31489259362609917, -0.2222643760585225, -0.7811028352761703],
+        [-1.2215531512116369, -0.21145397589877254, 0.3234944986088137],
+        [-0.21145397589877254, -1.272856332638852, -0.34117390193024066],
+        [0.3234944986088137, -0.34117390193024066, -0.7659202959930863],
     ],
     ("repetition3", "generic", 20251018): [
-        [-1.2708405905536653, -0.14929164842427725, 0.4715459301029726],
-        [-0.14929164842427725, -1.3078709354794356, -0.21473794964291407],
-        [0.4715459301029726, -0.21473794964291407, -0.7584749398196206],
+        [-1.194812597600326, -0.1791757303925018, 0.34320405554234296],
+        [-0.1791757303925018, -1.4248763545671441, -0.381205527304184],
+        [0.34320405554234296, -0.381205527304184, -0.7618976515265354],
     ],
     ("perfect5", "generic", 11): [
-        [-1.2087971646601143, -0.13250762713203904, 0.31489259362609917],
-        [-0.13250762713203904, -1.3393024886503324, -0.2222643760585225],
-        [0.31489259362609917, -0.2222643760585225, -0.7811028352761703],
+        [-1.2215531512116369, -0.21145397589877254, 0.3234944986088137],
+        [-0.21145397589877254, -1.272856332638852, -0.34117390193024066],
+        [0.3234944986088137, -0.34117390193024066, -0.7659202959930863],
     ],
     ("perfect5", "generic", 20251018): [
-        [-1.2708405905536653, -0.14929164842427725, 0.4715459301029726],
-        [-0.14929164842427725, -1.3078709354794356, -0.21473794964291407],
-        [0.4715459301029726, -0.21473794964291407, -0.7584749398196206],
+        [-1.194812597600326, -0.1791757303925018, 0.34320405554234296],
+        [-0.1791757303925018, -1.4248763545671441, -0.381205527304184],
+        [0.34320405554234296, -0.381205527304184, -0.7618976515265354],
     ],
     ("grid2x3", "generic", 11): [
-        [0.7006208608340101, -0.42236089139323396, -0.3900554251625287],
-        [-0.42236089139323396, -1.5275336815314704, 1.5565176885704453],
-        [-0.3900554251625287, 1.5565176885704453, -0.8869556216146882],
+        [0.3030989034233992, -2.14741337989977, -1.9130434782608685],
+        [-2.14741337989977, -0.08074566308792208, 2.273291282519809],
+        [-1.9130434782608685, 2.273291282519809, -1.2202852044295127],
     ],
     ("grid2x3", "extensive", 11): [
-        [-1.2124226174268604, -0.5962739348714952, -0.47701194690166],
-        [-0.5962739348714952, 1.515944579338095, 1.6434742103095765],
-        [-0.47701194690166, 1.6434742103095765, 0.5913052479505295],
+        [-0.13168370527225423, -1.9735003364215096, -1.6521739130434776],
+        [-1.9735003364215096, -0.1677021848270518, 2.44720432599807],
+        [-1.6521739130434776, 2.44720432599807, 0.518845230353098],
     ],
     ("grid2x3", "generic", 20251018): [
-        [-2.042229338206007, 1.8128416253547062, -0.5358215773330646],
-        [1.8128416253547062, -1.54203018567317, -0.17142419939556647],
-        [-0.5358215773330646, -0.17142419939556647, -0.26293985143445997],
+        [-4.28074431290126, -0.9416156783675332, -2.467907188168764],
+        [-0.9416156783675332, -1.3606596111912475, 1.7345758051050562],
+        [-2.467907188168764, 1.7345758051050562, -0.48074296271459455],
     ],
     ("grid2x3", "extensive", 20251018): [
-        [1.2621184878809486, 1.5519720601373148, -0.8836476642895879],
-        [1.5519720601373148, 1.5884045969355252, 0.08944536582182532],
-        [-0.8836476642895879, 0.08944536582182532, 0.2587992790003216],
+        [3.1975165566639587, -0.8546591566284031, -2.3809506664296336],
+        [-0.8546591566284031, 0.987166475765274, 1.5606627616267956],
+        [-2.3809506664296336, 1.5606627616267956, 0.21490921119844783],
     ],
 }
 
