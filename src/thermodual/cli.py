@@ -6,11 +6,12 @@ Subcommands:
   verify  self-check suites (formulas, gradients, codes, references)
   sweep   re-run one config across values of T, shots, or eta
 
-Exit codes: 0 success, 2 config error (infeasible targets included), 3
-numerical-integrity error or failed verification, 4 non-convergence under
---strict, 5 model beyond the S^z sector limit (12 qubits) or the dense limit
-(10 qubits).  CSV floats carry 17 significant digits so identical (config,
-seed) pairs reproduce artifacts byte for byte, independent of --workers.
+Exit codes: 0 success, 2 config error (infeasible targets and an --out that
+cannot be written included), 3 numerical-integrity error or failed
+verification, 4 non-convergence under --strict, 5 model beyond the S^z
+sector limit (12 qubits) or the dense limit (10 qubits).  CSV floats carry
+17 significant digits so identical (config, seed) pairs reproduce artifacts
+byte for byte, independent of --workers.
 """
 
 from __future__ import annotations
@@ -370,6 +371,14 @@ def _reference(system: ThermoSystem, oracle_block: dict) -> ReferenceEnergy | No
     return reference_energy(system)
 
 
+def _make_dir(path: Path):
+    """Create a directory and its parents, or raise ConfigError when they cannot be made."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory {path}: {exc.strerror}") from None
+
+
 def run_experiment(config: dict, out_dir: Path, workers: int = 1, strict: bool = False) -> int:
     system = build_system(config["model"])
     experiment = _prepare(system, config["solver"], config["seed"])
@@ -377,14 +386,17 @@ def run_experiment(config: dict, out_dir: Path, workers: int = 1, strict: bool =
     reference = _reference(system, config["oracle"])
     if reference is not None:
         experiment.reference_energy = reference.value
+    _make_dir(out_dir)
 
     results = _map_repetitions(experiment, config["repetitions"], workers)
     traces = [trace for trace, _ in results]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_runs_csv(out_dir / "runs.csv", traces, system.n_charges)
     if len(traces) > 1:
         _write_aggregate_csv(out_dir / "aggregate.csv", traces)
+    else:
+        # an aggregate left by an earlier run with repetitions
+        (out_dir / "aggregate.csv").unlink(missing_ok=True)
 
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
@@ -671,6 +683,10 @@ def run_verify(suite: str, seed: int, out_path: Path | None) -> int:
     else:
         raise ConfigError(f"unknown suite {suite!r}; choose from {sorted(suites)} or 'all'")
 
+    if out_path is not None:
+        _make_dir(out_path.parent)
+        if out_path.is_dir():
+            raise ConfigError(f"cannot write the report to {out_path}: it is a directory")
     all_checks = []
     for name in names:
         for label, passed, detail in suites[name](seed):
@@ -682,7 +698,6 @@ def run_verify(suite: str, seed: int, out_path: Path | None) -> int:
 
     ok = all(c["passed"] for c in all_checks)
     if out_path is not None:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(json.dumps({"passed": ok, "checks": all_checks}, indent=2) + "\n")
     print(f"{'OK' if ok else 'FAILED'}: {sum(c['passed'] for c in all_checks)}/{len(all_checks)} checks passed")
     return 0 if ok else 3
@@ -705,6 +720,7 @@ def run_sweep(config: dict, parameter: str, values, out_dir: Path, workers: int 
     system = build_system(config["model"])
     # the targets are the same for every value, so infeasible ones reject the whole sweep
     reference = _reference(system, config["oracle"])
+    _make_dir(out_dir)
 
     rows = []
     for v_index, value in enumerate(values):
@@ -726,7 +742,6 @@ def run_sweep(config: dict, parameter: str, values, out_dir: Path, workers: int 
                 _fmt(trace.final_error_metric), _fmt(_encoded_fidelity(system, trace)), "",
             ])
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = [
         "parameter", "value", "run_id", "status", "converged", "iterations",
         "final_value", "final_grad_norm", "final_error_metric", "fidelity", "detail",

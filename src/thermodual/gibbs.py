@@ -26,12 +26,12 @@ every charge is a logical word, which commutes with each G_j.  So the 2^n
 states split into 2^r syndromes times one 2^k logical space, and
 rho = rho_S (x) rho_L.  Each generator is an independent +-1 spin with mean
 -tanh(h_j/T), ln Z = sum_j ln 2cosh(h_j/T) + ln Z_L, and the charge means and
-the exact Hessian are those of the 2^k logical problem.  When every charge
-is one Pauli of one encoded qubit, each encoded qubit is a spin-1/2 in its
-own field and takes no eigensolve; other words take one 2^k `eigh` per
-state.  A code state keeps nothing of size 2^n: no levels, populations or
-vectors.  Neither frame holds a vector of the 2^n states, so the dense `rho`
-of a frame state takes one `eigh` of H - mu.Q.
+the exact Hessian are those of the 2^k logical problem, whose one `eigh` per
+state gives ln Z_L and the Hessian.  When every charge is one Pauli of one
+encoded qubit, each encoded qubit is a spin-1/2 in its own field, and the
+means take no eigensolve.  A code state keeps nothing of size 2^n: no
+levels, populations or vectors.  Neither frame holds a vector of the 2^n
+states, so the dense `rho` of a frame state takes one `eigh` of H - mu.Q.
 
 Boltzmann weights are shifted so the largest is exactly 1 before
 normalization, which keeps everything finite at temperatures far below the
@@ -212,8 +212,8 @@ class LogicalFrame:
             self._syndromes[T] = means
         return means
 
-    def spin_ratios(self, mu: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
-        """(x, t/|h|) per encoded qubit at chemical potentials mu, for charges on single-qubit axes.
+    def spin_ratios(self, mu: np.ndarray, T: float) -> np.ndarray:
+        """t/|h_q| per encoded qubit q at chemical potentials mu, for charges on single-qubit axes.
 
         Encoded qubit q is a spin-1/2 in the field h_q, whose components are
         the chemical potentials of its charges.  With x = |h_q|/T and
@@ -224,7 +224,7 @@ class LogicalFrame:
         x = np.sqrt(np.add.reduce(squares.reshape(-1, 3), axis=1)) / T
         # below 1e-300 tanh(x)/x is 1 to the last bit, so the floor only takes x = 0 to its limit
         floored = np.maximum(x, 1e-300)
-        return x, np.tanh(floored) / floored / T
+        return np.tanh(floored) / floored / T
 
 
 @dataclass(frozen=True)
@@ -433,7 +433,7 @@ class ThermalState:
         frame = self.blocks.logical
         if frame.axes is not None:
             # no cached property in between: the first read of each takes a lock
-            return self.mu * frame.spin_ratios(self.mu, self.temperature)[1][frame.qubits]
+            return self.mu * frame.spin_ratios(self.mu, self.temperature)[frame.qubits]
         _, vecs, p = self._logical_spectrum
         rho = (vecs * p) @ vecs.conj().T
         return _real_means(np.einsum("iab,ba->i", frame.words, rho))
@@ -626,17 +626,13 @@ def log_partition(state: ThermalState) -> float:
 
     The lowest level's shifted weight is exactly 1, so its population is
     1/sum(w) and ln Z = -lambda_0/T - ln p_0.  A stabilizer state adds
-    ln 2cosh(h_j/T) per generator to ln Z of its logical problem.
+    ln 2cosh(h_j/T) per generator to ln Z of its 2^k logical problem.
     """
     frame = state.blocks.logical
     T = state.temperature
     if frame is not None:
-        syndromes = float(np.sum(_log_2cosh(frame.h / T)))
-        if frame.axes is not None:
-            # a spin-1/2 in a field of size x T per encoded qubit
-            return syndromes + float(np.sum(_log_2cosh(frame.spin_ratios(state.mu, T)[0])))
         vals, _, p = state._logical_spectrum
-        return syndromes + float(-vals[0] / T - np.log(p[0]))
+        return float(np.sum(_log_2cosh(frame.h / T))) + float(-vals[0] / T - np.log(p[0]))
     lowest = int(np.argmin(state.block_levels))
     lam0 = state.block_levels[lowest]
     return float(-lam0 / T - np.log(state.block_populations[lowest]))
@@ -684,9 +680,7 @@ def hessian_exact(system: ThermoSystem, state: ThermalState) -> np.ndarray:
 
     A stabilizer state's charges act on its logical factor alone, and
     LM(p_s p_a, p_s p_b) = p_s LM(p_a, p_b), so the pair sum is that of the
-    2^k logical problem.  With single-qubit axis charges it is block
-    diagonal over encoded qubits: with t = tanh(|h_q|/T) and n = h_q/|h_q|,
-    qubit q's block is -(n n^T (1 - t^2)/T + (I - n n^T) t/|h_q|).
+    2^k logical problem, over the levels of its one `eigh`.
     """
     if state.blocks.spin is not None:
         per_mu, variance = state._spin_moments
@@ -695,21 +689,6 @@ def hessian_exact(system: ThermoSystem, state: ThermalState) -> np.ndarray:
         return -(per_mu * np.eye(len(n)) + (variance - per_mu) * np.outer(n, n))
     T = state.temperature
     frame = state.blocks.logical
-    if frame is not None and frame.axes is not None:
-        x, ratio = frame.spin_ratios(state.mu, T)
-        # the field h_q on each encoded qubit
-        h = np.zeros(3 * frame.code.k)
-        h[frame.axes] = state.mu
-        h = h.reshape(-1, 3)
-        n = np.divide(h, (x * T)[:, None], out=np.zeros_like(h), where=x[:, None] > 0.0)
-        # 1 - t^2 = sech^2(x), written without cancellation
-        e = np.exp(-2.0 * x)
-        sech2 = 4.0 * e / (1.0 + e) ** 2
-        per_qubit = ratio[:, None, None] * np.eye(3) + (sech2 / T - ratio)[:, None, None] * (n[:, :, None] * n[:, None, :])
-        k = len(h)
-        full = np.zeros((k, 3, k, 3))
-        full[np.arange(k), :, np.arange(k), :] = -per_qubit
-        return full.reshape(3 * k, 3 * k)[np.ix_(frame.axes, frame.axes)]
     if frame is not None:
         vals, vecs, p = state._logical_spectrum
         charges = frame.words

@@ -8,7 +8,8 @@ code, and for a Heisenberg model a maximum over the lowest levels of H in
 its S^z sectors, which `gibbs` builds once per system.  `check_feasible`
 decides whether any state meets the targets at all.
 `dual_eigenvalue_solve` maximizes the dual by supergradient ascent for any
-system; it is the independent cross-check of the closed forms.
+system; it is the independent cross-check of the closed forms, and it
+returns the best value it reached with no claim of convergence.
 The closeness report compares a Gibbs state against the maximally mixed state
 on the ground space, both by direct computation and by the closed forms that
 hold because the two states commute.
@@ -32,8 +33,6 @@ FEASIBILITY_TOLERANCE = 1e-9
 _DUAL_STEP = 1.0
 # adaptive-step ascent iterations that polish the best averaged iterate
 _POLISH_ITERATIONS = 400
-# a best dual value still rising by more than this near the end is low-confidence
-_CONVERGENCE_TOLERANCE = 1e-6
 # Renyi orders of the closeness report
 RENYI_ALPHAS = (0.5, 2.0, 3.0)
 
@@ -181,15 +180,6 @@ class DualSolution:
     value: float
     ground_multiplicity: int
     ground_projector: np.ndarray
-    low_confidence: bool
-
-
-def _ground_space(matrix: np.ndarray):
-    vals, vecs = np.linalg.eigh(matrix)
-    tol = max(1e-8, 1e-10 * float(vals[-1] - vals[0]))
-    mask = vals <= vals[0] + tol
-    basis = vecs[:, mask]
-    return float(vals[0]), basis @ basis.conj().T, int(mask.sum())
 
 
 def dual_eigenvalue_solve(system: ThermoSystem, iterations: int = 2000) -> DualSolution:
@@ -201,9 +191,9 @@ def dual_eigenvalue_solve(system: ThermoSystem, iterations: int = 2000) -> DualS
     value along the running average of the iterates; the second phase
     polishes the best averaged iterate with up to _POLISH_ITERATIONS steps of
     monotone adaptive-step ascent, which converges quickly wherever the
-    minimum eigenvalue is simple.  If the best value is still improving by
-    more than _CONVERGENCE_TOLERANCE near the end of the budget, the solution
-    is flagged low-confidence.
+    minimum eigenvalue is simple and stops once its step falls to machine
+    scale.  Where the optimum sits on a degenerate minimum eigenvalue the
+    ascent can stall short of it, and nothing here detects that.
     """
     q = np.asarray(system.targets, dtype=float)
     c = system.n_charges
@@ -222,7 +212,6 @@ def dual_eigenvalue_solve(system: ThermoSystem, iterations: int = 2000) -> DualS
     running_sum = np.zeros(c)
     best_value = -np.inf
     best_mu = mu.copy()
-    best_history = []
 
     for m in range(1, iterations + 1):
         running_sum += mu
@@ -231,12 +220,10 @@ def dual_eigenvalue_solve(system: ThermoSystem, iterations: int = 2000) -> DualS
         if value > best_value:
             best_value = value
             best_mu = averaged.copy()
-        best_history.append(best_value)
         mu = mu + (_DUAL_STEP / np.sqrt(m)) * supergradient(mu)
 
     step = 0.25
     mu = best_mu.copy()
-    settled = False
     for _ in range(_POLISH_ITERATIONS):
         candidate = mu + step * supergradient(mu)
         value = dual_value(candidate)
@@ -248,27 +235,13 @@ def dual_eigenvalue_solve(system: ThermoSystem, iterations: int = 2000) -> DualS
         else:
             step *= 0.5
             if step < 1e-14:
-                # monotone ascent stalled at machine scale: converged
-                settled = True
+                # monotone ascent stalled at machine scale
                 break
-        best_history.append(best_value)
 
-    if settled:
-        low_confidence = False
-    else:
-        tail = max(25, len(best_history) // 20)
-        low_confidence = bool(best_history[-1] - best_history[-tail] > _CONVERGENCE_TOLERANCE)
-
-    lam_min, projector, multiplicity = _ground_space(
-        effective_hamiltonian(system, best_mu)
-    )
-    return DualSolution(
-        mu_star=best_mu,
-        value=best_value,
-        ground_multiplicity=multiplicity,
-        ground_projector=projector,
-        low_confidence=low_confidence,
-    )
+    # the ground space of H - mu*.Q: the levels within a tolerance of the lowest
+    vals, vecs = np.linalg.eigh(effective_hamiltonian(system, best_mu))
+    ground = vecs[:, vals <= vals[0] + max(1e-8, 1e-10 * float(vals[-1] - vals[0]))]
+    return DualSolution(best_mu, best_value, ground.shape[1], ground @ ground.conj().T)
 
 
 def complementary_slackness_residual(

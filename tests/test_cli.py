@@ -187,6 +187,17 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_single_run_removes_a_stale_aggregate(self, tmp_path):
+        payload = {**REPETITION_HQC_CONFIG, "repetitions": 2, "oracle": {"enable": False}}
+        payload["solver"] = {**payload["solver"], "max_iter": 5}
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
+        assert (out / "aggregate.csv").exists()
+        payload["repetitions"] = 1
+        assert main(["run", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
+        assert not (out / "aggregate.csv").exists()
+        assert json.loads((out / "summary.json").read_text())["repetitions"] == 1
+
     def test_strict_flags_non_convergence(self, tmp_path):
         stuck = json.loads(json.dumps(HEISENBERG_CONFIG))
         stuck["model"]["targets"] = [2.9, 0.0, 0.0]  # feasible, but near |q| = n
@@ -888,6 +899,43 @@ class TestExitCodes:
         config = write_config(tmp_path, payload)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,out", [
+        ("run", "taken"),
+        ("sweep", "taken"),
+        ("verify", "taken/report.json"),
+        ("verify", "."),
+    ])
+    def test_unwritable_out_refused_before_any_work(self, tmp_path, monkeypatch, capsys, command, out):
+        # --out names an existing file, a path through one, or a directory where the report goes
+        import thermodual.cli as cli
+
+        def work(*args, **kwargs):
+            raise AssertionError("work started on an --out that cannot be written")
+
+        monkeypatch.setattr(cli, "_map_repetitions", work)
+        monkeypatch.setattr(cli, "_verify_codes", work)
+        (tmp_path / "taken").write_text("")
+        config = str(write_config(tmp_path, REPETITION_HQC_CONFIG))
+        argv = {
+            "run": ["run", "--config", config],
+            "sweep": ["sweep", "--config", config, "--parameter", "T", "--values", "0.5"],
+            "verify": ["verify", "codes"],
+        }[command]
+        assert main([*argv, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: cannot")
+        assert (tmp_path / "taken").read_text() == ""
+
+    def test_extensive_mode_takes_a_one_site_logical(self, tmp_path):
+        # repetition3's logical Z is ZII, a single-site charge; its logical X, XXX, is refused above
+        payload = {
+            **REPETITION_HQC_CONFIG, "model": repetition_model({"word": "3", "target": 0.5}), "repetitions": 1,
+            "solver": {**_FRAME_HQC, "estimator_mode": "extensive"},
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["runs"][0]["iterations"] >= 1
 
     @pytest.mark.parametrize("parameter,values", [
         ("shots", "inf"),

@@ -650,7 +650,7 @@ class TestLogicalFrame:
         assert np.array_equal(at_zero, -np.eye(6) / 0.5)
 
     def test_axis_charges_take_no_eigensolve(self, monkeypatch):
-        # every solver variant, sampled ones included, runs on the closed form of each encoded qubit
+        # the first-order variants, the sampled one included, run on the closed form of each encoded qubit
         from thermodual.optimize import ExactEstimator, OptimizerConfig, run
         from thermodual.shots import ShotEstimator
 
@@ -661,21 +661,25 @@ class TestLogicalFrame:
             monkeypatch.setattr(np.linalg, name, lambda *a, _s=solver, **k: calls.append(1) or _s(*a, **k))
         for variant, estimator in (
             ("first_classical", ExactEstimator(system)),
-            ("second_classical", ExactEstimator(system)),
             ("first_hqc", ShotEstimator(system, 3)),
         ):
             trace = run(system, OptimizerConfig(variant=variant, max_iter=300), estimator)
             assert trace.iterations > 1
         assert calls == []
 
-    def test_other_words_take_one_logical_eigensolve_per_state(self, monkeypatch):
-        system = _builtin("detect422-all")
+    @pytest.mark.parametrize("name", ["detect422-all", "detect422-axes", "perfect5-axes"])
+    def test_one_logical_eigensolve_per_state(self, monkeypatch, name):
+        # axis charges take their means in closed form, other words from the one 2^k eigh that ln Z and the Hessian read
+        system = _builtin(name)
+        dim = 2**system.code.k
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k: calls.append(a.shape) or eigh(a, *r, **k))
-        state = thermal_state(system, np.linspace(-0.5, 0.5, 15), 0.4)
-        state.term_means, state.energy, log_partition(state), hessian_exact(system, state)
-        assert calls == [(4, 4)]
+        state = thermal_state(system, np.linspace(-0.5, 0.5, system.n_charges), 0.4)
+        state.term_means, state.energy
+        assert calls == ([] if eigen_blocks(system).logical.axes is not None else [(dim, dim)])
+        log_partition(state), hessian_exact(system, state)
+        assert calls == [(dim, dim)]
 
     def test_built_on_the_first_state_and_dense_basis_on_first_read(self):
         from thermodual.shots import ShotEstimator, _pair_means

@@ -43,7 +43,6 @@ class TestDualSolve:
         system = perfect5_system()
         solution = dual_eigenvalue_solve(system, iterations=1000)
         assert solution.value == pytest.approx(-4.0, abs=1e-3)
-        assert not solution.low_confidence
 
     def test_no_charges_gives_minimum_eigenvalue(self):
         ham = build_heisenberg("line", n=3).hamiltonian
