@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 success, 2 config error (infeasible targets and an --out that
 cannot be written included), 3 numerical-integrity error or failed
 verification, 4 non-convergence under --strict, 5 model beyond the S^z
-sector limit (12 qubits) or the dense limit (10 qubits).  CSV floats carry
+sector limit (12 qubits) or the dense limit (10 qubits), or more trace
+records than MAX_TRACE_RECORDS.  CSV floats carry
 17 significant digits so identical (config, seed) pairs reproduce artifacts
 byte for byte, independent of --workers.
 """
@@ -35,7 +36,7 @@ from .errors import ConfigError, NumericalIntegrityError, ResourceError
 from .gibbs import gradient, hessian_exact, log_partition, objective_f, smoothness_L, thermal_state
 from .models import ThermoSystem
 from .operators import term_expectations
-from .optimize import ExactEstimator, OptimizerConfig, Trace, first_order_step_size, run
+from .optimize import ExactEstimator, OptimizerConfig, Trace, first_order_step_size, run_stack
 from .oracle import (
     ReferenceEnergy,
     check_feasible,
@@ -48,6 +49,9 @@ from .shots import ESTIMATOR_MODES, ShotEstimator, _pair_means, derive_stream_se
 SUMMARY_SCHEMA_VERSION = 2
 _REP_TAG = 1 << 23
 _SWEEP_TAG = 1 << 24
+# trace records one solve may keep over all its repetitions, R x (max_iter + 2): far above any real
+# config (the first_hqc defaults keep 5010), and low enough that the records fit in memory
+MAX_TRACE_RECORDS = 10**7
 
 # JSON types of the schema tables that have no Python type; a tuple lists the allowed strings
 _VECTOR3 = "a list of 3 finite numbers"
@@ -239,10 +243,19 @@ class _Experiment:
     reference_energy: float | None = None
 
 
-def _prepare(system: ThermoSystem, solver: dict, seed: int) -> _Experiment:
-    """Build the solver's inputs once, or raise ConfigError for settings it would refuse."""
+def _prepare(system: ThermoSystem, solver: dict, seed: int, repetitions: int) -> _Experiment:
+    """Build the solver's inputs once, or raise ConfigError for settings it would refuse.
+
+    ResourceError refuses more than MAX_TRACE_RECORDS trace records, before anything is allocated.
+    """
     try:
         optimizer = _optimizer(solver)
+        records = repetitions * (optimizer.max_iter + 2)
+        if records > MAX_TRACE_RECORDS:
+            raise ResourceError(
+                f"{repetitions} repetitions of max_iter {optimizer.max_iter} keep up to {records} trace records, "
+                f"above the limit of {MAX_TRACE_RECORDS}"
+            )
         if not optimizer.is_second_order:
             first_order_step_size(system, optimizer)
         if optimizer.is_sampled:
@@ -257,33 +270,45 @@ def _prepare(system: ThermoSystem, solver: dict, seed: int) -> _Experiment:
     return _Experiment(system, optimizer, estimator, mu0, seed)
 
 
-def _run_repetition(task) -> tuple[Trace, float]:
-    """One repetition and its wall time; top-level so process pools can pickle it."""
-    experiment, rep = task
-    estimator = experiment.estimator
-    if isinstance(estimator, ShotEstimator):
-        estimator = estimator.reseeded(derive_stream_seed(experiment.seed, rep, _REP_TAG))
-    system = experiment.system
+def _run_chunk(task) -> list[tuple[Trace, float]]:
+    """Repetitions of one experiment stepped together, each with the chunk's wall time over its size.
+
+    Top-level so process pools can pickle it.
+    """
+    experiment, reps = task
+    estimator = experiment.estimator.reseeded([derive_stream_seed(experiment.seed, rep, _REP_TAG) for rep in reps])
     start = time.perf_counter()
-    trace = run(
-        system,
+    traces = run_stack(
+        experiment.system,
         experiment.optimizer,
         estimator,
         mu0=experiment.mu0,
         reference_energy=experiment.reference_energy,
     )
-    return trace, time.perf_counter() - start
+    wall = (time.perf_counter() - start) / len(reps)
+    return [(trace, wall) for trace in traces]
 
 
 def _map_repetitions(experiment: _Experiment, repetitions: int, workers: int):
-    tasks = [(experiment, rep) for rep in range(repetitions)]
+    """Every repetition's trace and wall time, in order.
+
+    First-order repetitions step together, in one contiguous chunk per
+    worker; second-order ones run one at a time.
+    """
     # a forked pool starts all its workers at the first submit, so it gets no more than it has tasks or cores
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, repetitions, cores)
+    if experiment.optimizer.is_second_order:
+        bounds = range(repetitions + 1)
+    else:
+        bounds = [repetitions * w // workers for w in range(workers + 1)]
+    tasks = [(experiment, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
     if workers <= 1:
-        return [_run_repetition(task) for task in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_repetition, tasks))
+        chunks = map(_run_chunk, tasks)
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_run_chunk, tasks))
+    return [result for chunk in chunks for result in chunk]
 
 
 def _fmt_floats(values) -> list[str]:
@@ -381,7 +406,7 @@ def _make_dir(path: Path):
 
 def run_experiment(config: dict, out_dir: Path, workers: int = 1, strict: bool = False) -> int:
     system = build_system(config["model"])
-    experiment = _prepare(system, config["solver"], config["seed"])
+    experiment = _prepare(system, config["solver"], config["seed"], config["repetitions"])
     # after _prepare's step-size gate: a refused solver exits before any reference work
     reference = _reference(system, config["oracle"])
     if reference is not None:
@@ -728,7 +753,7 @@ def run_sweep(config: dict, parameter: str, values, out_dir: Path, workers: int 
         solver = {**config["solver"], _SWEEP_KEYS[parameter]: setting}
         seed = derive_stream_seed(config["seed"], v_index, _SWEEP_TAG)
         try:
-            experiment = _prepare(system, solver, seed)
+            experiment = _prepare(system, solver, seed, config["repetitions"])
             if reference is not None:
                 experiment.reference_energy = reference.value
             results = _map_repetitions(experiment, config["repetitions"], workers)

@@ -10,4 +10,4 @@ class NumericalIntegrityError(RuntimeError):
 
 
 class ResourceError(RuntimeError):
-    """A computation would exceed the configured dense-matrix size limit."""
+    """A computation would exceed a configured size limit: a dense matrix, S^z sectors or trace records."""

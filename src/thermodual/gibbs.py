@@ -202,6 +202,8 @@ class LogicalFrame:
     qubits: np.ndarray | None
     # the syndrome means of each temperature the frame has been solved at
     _syndromes: dict = field(default_factory=dict, repr=False, compare=False)
+    # the bincount slots and ratio indices of `axis_means` for each shape of stack
+    _row_slots: dict = field(default_factory=dict, repr=False, compare=False)
 
     def syndrome_means(self, T: float) -> np.ndarray:
         """<G_j> = -tanh(h_j/T) of each generator term of H, in term order, computed once per temperature."""
@@ -212,19 +214,35 @@ class LogicalFrame:
             self._syndromes[T] = means
         return means
 
-    def spin_ratios(self, mu: np.ndarray, T: float) -> np.ndarray:
-        """t/|h_q| per encoded qubit q at chemical potentials mu, for charges on single-qubit axes.
+    def axis_means(self, mu: np.ndarray, T: float) -> np.ndarray:
+        """The charge means at chemical potentials mu, or at each row of a stack of them, for charges on single-qubit axes.
 
         Encoded qubit q is a spin-1/2 in the field h_q, whose components are
         the chemical potentials of its charges.  With x = |h_q|/T and
         t = tanh(x), its means are h_q t/|h_q|.  t/|h_q| is taken as
         (tanh(x)/x)/T, which tends to 1/T as |h_q| -> 0 and is 1/T there.
+        Every step is elementwise or sums one row's own squares in order (one
+        bincount, its slots offset per row), so each row is bit for bit what
+        it is alone.
         """
-        squares = np.bincount(self.axes, mu * mu, minlength=3 * self.code.k)
+        rows = mu.shape[:-1]
+        if rows not in self._row_slots:
+            offsets = np.arange(math.prod(rows)).reshape(*rows, 1)
+            self._row_slots[rows] = ((self.axes + 3 * self.code.k * offsets).ravel(), self.qubits + self.code.k * offsets)
+        slots, qubits = self._row_slots[rows]
+        squares = np.bincount(slots, (mu * mu).ravel(), minlength=3 * self.code.k * math.prod(rows))
         x = np.sqrt(np.add.reduce(squares.reshape(-1, 3), axis=1)) / T
         # below 1e-300 tanh(x)/x is 1 to the last bit, so the floor only takes x = 0 to its limit
         floored = np.maximum(x, 1e-300)
-        return np.tanh(floored) / floored / T
+        return mu * (np.tanh(floored) / floored / T)[qubits]
+
+    def term_means(self, charge_means: np.ndarray, T: float) -> np.ndarray:
+        """The Pauli-term means, H's generator terms and then each charge's word, of charge means or of each row of a stack of them."""
+        syndromes = self.syndrome_means(T)
+        means = np.empty((*charge_means.shape[:-1], len(syndromes) + len(self.signs)))
+        means[..., : len(syndromes)] = syndromes
+        np.multiply(self.signs, charge_means, out=means[..., len(syndromes) :])
+        return means
 
 
 @dataclass(frozen=True)
@@ -400,6 +418,16 @@ def eigen_blocks(system: ThermoSystem) -> EigenBlocks:
     return blocks
 
 
+class _cached(cached_property):
+    """`cached_property` without the lock Python 3.11 takes on every first read, as Python 3.12 takes none."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class ThermalState:
     """rho proportional to exp(-(H - mu.Q)/T), held as the levels of H - mu.Q in its system's frame.
@@ -421,7 +449,7 @@ class ThermalState:
     block_populations: np.ndarray | None
     eigenvectors: np.ndarray | None
 
-    @cached_property
+    @_cached
     def _logical_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Levels, eigenvectors and populations of the logical problem -mu.P of a stabilizer state."""
         words = self.blocks.logical.words
@@ -432,8 +460,7 @@ class ThermalState:
         """The charge means of a stabilizer state, from its logical problem; `_means` and `term_means` keep them."""
         frame = self.blocks.logical
         if frame.axes is not None:
-            # no cached property in between: the first read of each takes a lock
-            return self.mu * frame.spin_ratios(self.mu, self.temperature)[frame.qubits]
+            return frame.axis_means(self.mu, self.temperature)
         _, vecs, p = self._logical_spectrum
         rho = (vecs * p) @ vecs.conj().T
         return _real_means(np.einsum("iab,ba->i", frame.words, rho))
@@ -444,7 +471,7 @@ class ThermalState:
         r = math.hypot(*self.mu)
         return self.mu / r if r > 0.0 else np.array([0.0, 0.0, 1.0])
 
-    @cached_property
+    @_cached
     def _spin_moments(self) -> tuple[float, float]:
         """<z>/|mu| and Var(z)/T of z = 2S^z in the rotated frame of an SU(2)-symmetric system.
 
@@ -463,7 +490,7 @@ class ThermalState:
         centered = spin.twice_m - r * per_mu
         return per_mu, float(self.block_populations @ (centered * centered)) / T
 
-    @cached_property
+    @_cached
     def _means(self) -> np.ndarray:
         """Tr[X rho] for X = H, Q_1, ..., from the dense rho, the rotated or the logical frame."""
         spin = self.blocks.spin
@@ -481,7 +508,7 @@ class ThermalState:
         # Tr[X rho] = sum X_mn conj(rho_mn), as rho is Hermitian
         return _real_means(self.blocks.operators @ self.rho.ravel().conj())
 
-    @cached_property
+    @_cached
     def term_means(self) -> np.ndarray:
         """Tr[P rho] for every Pauli term P of H and then of each charge, in term order.
 
@@ -496,7 +523,7 @@ class ThermalState:
             return _sector_term_means(spin, self.block_populations, self._axis)
         frame = self.blocks.logical
         if frame is not None:
-            means = np.concatenate((frame.syndrome_means(self.temperature), frame.signs * self._logical_means()))
+            means = frame.term_means(self._logical_means(), self.temperature)
             means.setflags(write=False)
             return means
         return _real_means(np.concatenate([term_expectations(obs, self.rho) for obs in self.blocks.observables]))
@@ -511,7 +538,7 @@ class ThermalState:
         """Tr[Q_i rho] for each charge."""
         return self._means[1:]
 
-    @cached_property
+    @_cached
     def rho(self) -> np.ndarray:
         """The dense density matrix, from the eigenvectors of populated levels only.
 
@@ -531,6 +558,25 @@ class ThermalState:
         rho /= 2.0
         rho.setflags(write=False)
         return rho
+
+
+def stacked_term_means(states) -> np.ndarray:
+    """`term_means` of a stack of states of one system at one temperature, one row each, read off each state.
+
+    Stabilizer states on single-qubit axes that have not computed theirs
+    yet compute them together first (`LogicalFrame.axis_means`), bit for bit.
+    """
+    frame = states[0].blocks.logical
+    if frame is not None and frame.axes is not None:
+        fresh = [state for state in states if "term_means" not in vars(state)]
+        if fresh:
+            T = states[0].temperature
+            means = frame.term_means(frame.axis_means(np.array([state.mu for state in fresh]), T), T)
+            means.setflags(write=False)
+            for state, row in zip(fresh, means):
+                # the cache `ThermalState.term_means` fills on first use
+                vars(state)["term_means"] = row
+    return np.array([state.term_means for state in states])
 
 
 def _sector_term_means(spin: SpinLevels, p: np.ndarray, axis: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""One dual-ascent driver, `run`, for all four solver variants.
+"""One dual-ascent loop, `run_stack`, for all four solver variants.
 
 Each iteration estimates the charge expectations and the energy at the
 current point, records them, and stops once the gradient-estimate norm falls
@@ -11,13 +11,21 @@ semi-definite.  The returned value is mu.q + H_est - sum_i mu_i Q_est_i,
 evaluated with fresh estimates at the final point, and so is the final
 error metric: the estimate that stopped the run is selected for a small
 gradient norm, so its own error would be biased low.
+
+`run_stack` steps an (R, c) stack of points, one per row of the estimator:
+the repetitions of one experiment, alike but for their shot seed.  First
+order steps the rows in lockstep, with one estimator call per iteration;
+each row keeps its own streams, stop and `Trace`, and is bit for bit what
+it is alone, as the stack's arithmetic is elementwise and every reduction
+is taken per row.  Second order backtracks differently in every run, so it
+steps one row at a time.  `run` is the stack of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -95,16 +103,21 @@ class OptimizerConfig:
 
 
 class Estimator(Protocol):
-    """Expectation source: exact traces or simulated measurement."""
+    """Expectation source: exact traces or simulated measurement, with one row per repetition."""
 
-    def estimate(
-        self, state: ThermalState, eval_index: int, energy: bool
-    ) -> tuple[np.ndarray, float | None]:
-        """The charge estimates, and the energy estimate when `energy` is set (else None)."""
+    def estimate_rows(
+        self, states: list[ThermalState], rows, eval_index: int, energy: bool
+    ) -> tuple[np.ndarray, list[float] | None]:
+        """The charge estimates of each state, state k on the streams of row `rows[k]`, and the energy estimates when `energy` is set (else None)."""
         ...
 
     def hessian(self, state: ThermalState, eval_index: int) -> np.ndarray: ...
 
+    def reseeded(self, master_seed) -> "Estimator":
+        """The same estimator with one row per seed of a sequence."""
+        ...
+
+    rows: int  # repetitions stepped together
     shots_per_term: int  # shots drawn per measured Pauli term; 0 when exact
 
     @property
@@ -112,30 +125,34 @@ class Estimator(Protocol):
 
 
 class ExactEstimator:
-    """Noiseless estimator reading the exact means of the thermal state."""
+    """Noiseless estimator reading the exact means of the thermal state; its rows draw nothing and are alike."""
 
     shots_per_term = 0
 
-    def __init__(self, system: ThermoSystem):
+    def __init__(self, system: ThermoSystem, rows: int = 1):
         self.system = system
+        self.rows = rows
 
-    def estimate(
-        self, state: ThermalState, eval_index: int, energy: bool
-    ) -> tuple[np.ndarray, float | None]:
-        # a fresh contiguous copy: `mu @ charges` on the strided view of the means
+    def estimate_rows(
+        self, states: list[ThermalState], rows, eval_index: int, energy: bool
+    ) -> tuple[np.ndarray, list[float] | None]:
+        # fresh contiguous rows: `mu @ charges` on the strided view of a dense state's means
         # rounds differently and moves exact runs in their last digit
-        return np.array(state.charge_means), (state.energy if energy else None)
+        charges = np.array([state.charge_means for state in states])
+        return charges, ([state.energy for state in states] if energy else None)
 
     def hessian(self, state: ThermalState, eval_index: int) -> np.ndarray:
         return hessian_exact(self.system, state)
+
+    def reseeded(self, master_seed) -> "ExactEstimator":
+        return ExactEstimator(self.system, len(master_seed))
 
     @property
     def shots_per_hessian_eval(self) -> int:
         return 0
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     iteration: int
     mu: np.ndarray
     f_estimate: float
@@ -167,13 +184,18 @@ class Trace:
         return self.records[-1].grad_norm
 
 
+def _norm(vector: np.ndarray) -> float:
+    """np.linalg.norm of a real vector, the same sqrt of the same dot product, without its dispatch."""
+    return math.sqrt(vector.dot(vector))
+
+
 def error_metric(E_ref: float, f_estimate: float, grad_estimate) -> float:
     """|E_ref - f_estimate| + ||grad_estimate||_2."""
     return abs(E_ref - f_estimate) + float(np.linalg.norm(grad_estimate))
 
 
 class _Evaluator:
-    """Counts estimator calls so derived shot streams never collide, and the shots they draw."""
+    """Counts estimator calls so derived shot streams never collide, and the shots one row draws."""
 
     def __init__(self, system, estimator, T, reference_energy):
         self.system = system
@@ -182,33 +204,43 @@ class _Evaluator:
         self.T = T
         self.reference_energy = reference_energy
         self.eval_index = 0
-        self._shots = 0  # drawn since the last drain_shots()
+        self._shots = 0  # drawn by each row since the last drain_shots()
         self._charge_shots = estimator.shots_per_term * sum(len(q.terms) for q in system.charges)
         self._energy_shots = estimator.shots_per_term * len(system.hamiltonian.terms)
 
     def state(self, mu) -> ThermalState:
         return thermal_state(self.system, mu, self.T)
 
-    def _estimate(self, state, energy: bool) -> tuple[np.ndarray, float | None]:
-        """The estimator's charges (and energy) under a fresh evaluation index."""
+    def _estimate(self, states, rows, energy: bool, final: bool = False) -> tuple[np.ndarray, list[float] | None]:
+        """The estimator's charges (and energies) of a stack under a fresh evaluation index.
+
+        A final estimate, which no record counts, leaves its index to the rows still running.
+        """
         idx = self.eval_index
-        self.eval_index += 1
-        self._shots += self._charge_shots + (self._energy_shots if energy else 0)
-        return self.estimator.estimate(state, idx, energy)
+        if not final:
+            self.eval_index += 1
+            self._shots += self._charge_shots + (self._energy_shots if energy else 0)
+        return self.estimator.estimate_rows(states, rows, idx, energy)
 
     def gradient_only(self, state) -> np.ndarray:
-        return self.q - self._estimate(state, False)[0]
+        return self.q - self._estimate((state,), [0], False)[0][0]
 
-    def full(self, state):
-        """The gradient estimate and its norm, the output-value estimate, and the error metric when a reference is set."""
-        charges, h_val = self._estimate(state, True)
-        grad = self.q - charges
-        grad_norm = float(np.linalg.norm(grad))
-        mu = state.mu
-        f_est = float(mu @ self.q + h_val - mu @ charges)
-        # error_metric, on the norm taken once
-        err = abs(self.reference_energy - f_est) + grad_norm if self.reference_energy is not None else None
-        return grad, grad_norm, f_est, err
+    def full(self, states, rows, final: bool = False):
+        """The gradient estimates, and per row, as alone, their norm, the output-value estimate and the error metric (None without a reference)."""
+        charges, energies = self._estimate(states, rows, True, final)
+        q, reference = self.q, self.reference_energy
+        grads = q - charges
+        norms, values, errors = [], [], []
+        for state, grad, charge, h_val in zip(states, grads, charges, energies):
+            grad_norm = _norm(grad)
+            mu = state.mu
+            # `mu @ q`, the same dot product, without the dispatch of matmul
+            f_est = float(mu.dot(q) + h_val - mu.dot(charge))
+            norms.append(grad_norm)
+            values.append(f_est)
+            # error_metric, on the norm taken once
+            errors.append(abs(reference - f_est) + grad_norm if reference is not None else None)
+        return grads, norms, values, errors
 
     def hessian(self, state) -> np.ndarray:
         idx = self.eval_index
@@ -217,7 +249,7 @@ class _Evaluator:
         return self.estimator.hessian(state, idx)
 
     def drain_shots(self) -> int:
-        """Shots drawn since the previous call."""
+        """Shots each row drew since the previous call."""
         used, self._shots = self._shots, 0
         return used
 
@@ -236,10 +268,11 @@ def first_order_step_size(system: ThermoSystem, config: OptimizerConfig) -> floa
 
 
 class _GradientStep:
-    """Ascent along the gradient with a fixed step size, plain or Nesterov-accelerated.
+    """Ascent along the gradient with a fixed step size, plain or Nesterov-accelerated, of a stack of rows.
 
-    Under Nesterov the evaluated point is the look-ahead; the iterate itself
-    and the momentum are kept here.
+    Under Nesterov the evaluated point is the look-ahead; the iterates
+    themselves and the momentum are kept here.  Rows in lockstep have taken
+    equally many steps, so they share the momentum.
     """
 
     def __init__(self, system: ThermoSystem, config: OptimizerConfig, mu0: np.ndarray):
@@ -248,8 +281,12 @@ class _GradientStep:
         self.mu = mu0
         self.momentum = 1.0
 
-    def __call__(self, point, state, grad, grad_norm):
-        new_mu = point + self.eta * grad
+    def keep(self, positions):
+        """Keep the iterates of the rows at these positions of the stack, the ones still stepping."""
+        self.mu = self.mu[positions]
+
+    def __call__(self, points, states, grads, grad_norms):
+        new_mu = points + self.eta * grads
         if not self.nesterov:
             return new_mu, self.eta, False
         momentum_next = (1.0 + math.sqrt(1.0 + 4.0 * self.momentum**2)) / 2.0
@@ -309,7 +346,9 @@ class _NewtonStep:
         self.regularize = config.variant == "second_hqc"
         self.floor = config.hessian_regularization_floor
 
-    def __call__(self, mu, state, grad, grad_norm):
+    def __call__(self, points, states, grads, grad_norms):
+        # a stack of one row
+        mu, state, grad, grad_norm = points[0], states[0], grads[0], grad_norms[0]
         hess = self.ev.hessian(state)
         if self.regularize:
             hess = _regularize(hess, self.floor)
@@ -320,18 +359,18 @@ class _NewtonStep:
         if fallback:
             self.clean_steps = 0
             accepted = self._rescue(mu, grad, grad_norm, f_here)
-        return accepted, self.eta, fallback
+        return accepted[None], self.eta, fallback
 
     def _backtrack(self, mu, step, grad_norm, f_here):
         """The capped Newton candidate after backtracking, or None when none passes."""
         ev = self.ev
-        step_norm = float(np.linalg.norm(step))
+        step_norm = _norm(step)
         trial = min(self.eta, STEP_CAP / step_norm) if step_norm > 0 else self.eta
         for backtracks in range(MAX_BACKTRACKS):
             candidate = mu - trial * step
             cand_state = ev.state(candidate)
             cand_grad = ev.gradient_only(cand_state)
-            ok = float(np.linalg.norm(cand_grad)) < grad_norm
+            ok = _norm(cand_grad) < grad_norm
             if ok and self.exact_objective:
                 ok = objective_f(ev.system, cand_state) >= f_here - 1e-12 * max(1.0, abs(f_here))
             if ok:
@@ -359,13 +398,85 @@ class _NewtonStep:
             if self.exact_objective:
                 ok = objective_f(ev.system, cand_state) > f_here
             else:
-                ok = float(np.linalg.norm(cand_grad)) < grad_norm
+                ok = _norm(cand_grad) < grad_norm
             if ok:
                 self.rescue_step *= 2.0
                 return candidate
             self.rescue_step = max(self.rescue_step / 2.0, 1e-6 * self.base_step)
         # no vetted move found; take the conservative smooth-ascent step
         return mu + self.base_step * grad
+
+
+def run_stack(
+    system: ThermoSystem,
+    config: OptimizerConfig,
+    estimator: Estimator,
+    mu0=None,
+    reference_energy: float | None = None,
+) -> list[Trace]:
+    """Maximize the dual over mu toward the system's targets with the variant's step rule, once per row of the estimator.
+
+    Each iteration estimates the charges and the energy at every running
+    row's point and records them; a row stops once its gradient-estimate
+    norm is at most delta, or after max_iter updates.  Otherwise the step
+    rule, gradient for first order and Newton for second order, picks its
+    next point.  Infeasible targets are not detected here and simply show
+    up as a gradient norm that never crosses the threshold.  Each row's
+    output value and final error metric come from a fresh estimate at its
+    last point.  A second-order run takes one row.
+    """
+    T = config.resolved_temperature(system)
+    delta = config.resolved_delta()
+    if config.is_second_order and estimator.rows != 1:
+        raise ValueError("a second-order run backtracks on its own: step one row at a time")
+    ev = _Evaluator(system, estimator, T, reference_energy)
+    traces = [Trace(config.variant, T) for _ in range(estimator.rows)]
+
+    start = np.zeros(system.n_charges) if mu0 is None else np.asarray(mu0, dtype=float)
+    # the points of the running rows, with the row and the trace of each
+    points = np.tile(start, (estimator.rows, 1))
+    rows, stack = list(range(estimator.rows)), list(traces)
+    if config.is_second_order:
+        step = _NewtonStep(system, config, ev)
+    else:
+        step = _GradientStep(system, config, points)
+
+    for m in range(config.max_iter + 1):
+        states = [ev.state(point) for point in points]
+        grads, norms, values, errors = ev.full(states, rows)
+        stopped = [k for k, norm in enumerate(norms) if norm <= delta or m == config.max_iter]
+        eta, fallback, next_points = step.eta, False, None
+        if not stopped:
+            next_points, eta, fallback = step(points, states, grads, norms)
+        else:
+            moving = [k for k in range(len(points)) if k not in stopped]
+            if moving:
+                step.keep(moving)
+                next_points, eta, fallback = step(
+                    points[moving], [states[k] for k in moving], grads[moving], [norms[k] for k in moving]
+                )
+        shots = ev.drain_shots()
+        for trace, state, value, norm, error in zip(stack, states, values, norms, errors):
+            # a state's mu is a read-only copy of its point
+            trace.records.append(TraceRecord(m, state.mu, value, norm, error, eta, shots, fallback))
+        if stopped:
+            _finish(ev, [stack[k] for k in stopped], [rows[k] for k in stopped], [states[k] for k in stopped], delta)
+            if not moving:
+                break
+            rows, stack = [rows[k] for k in moving], [stack[k] for k in moving]
+        points = next_points
+    return traces
+
+
+def _finish(ev: _Evaluator, traces: list[Trace], rows: list[int], states: list[ThermalState], delta: float):
+    """The final fields of rows that stopped, from fresh estimates at their last states.
+
+    They draw at the index the running rows take next, as each would alone.
+    """
+    *_, values, errors = ev.full(states, rows, final=True)
+    for trace, state, value, error in zip(traces, states, values, errors):
+        trace.converged = trace.records[-1].grad_norm <= delta
+        trace.final_value, trace.final_error_metric, trace.final_mu = value, error, state.mu
 
 
 def run(
@@ -375,42 +486,6 @@ def run(
     mu0=None,
     reference_energy: float | None = None,
 ) -> Trace:
-    """Maximize the dual over mu toward the system's targets with the variant's step rule.
-
-    Each iteration estimates the charges and the energy at the current
-    point and records them; the run stops once the gradient-estimate norm
-    is at most delta, or after max_iter updates.  Otherwise the step rule,
-    gradient for first order and Newton for second order, picks the next
-    point.  Infeasible targets are not detected here and simply show up as
-    a gradient norm that never crosses the threshold.  The output value
-    and the final error metric come from a fresh estimate at the last point.
-    """
-    T = config.resolved_temperature(system)
-    delta = config.resolved_delta()
-    ev = _Evaluator(system, estimator, T, reference_energy)
-    trace = Trace(config.variant, T)
-
-    point = np.zeros(system.n_charges) if mu0 is None else np.asarray(mu0, dtype=float).copy()
-    if config.is_second_order:
-        step = _NewtonStep(system, config, ev)
-    else:
-        step = _GradientStep(system, config, point)
-
-    for m in range(config.max_iter + 1):
-        state = ev.state(point)
-        grad, grad_norm, f_est, err = ev.full(state)
-        trace.converged = grad_norm <= delta
-        if trace.converged or m == config.max_iter:
-            next_point, eta, fallback = None, step.eta, False
-        else:
-            next_point, eta, fallback = step(point, state, grad, grad_norm)
-        trace.records.append(
-            TraceRecord(m, point.copy(), f_est, grad_norm, err, eta, ev.drain_shots(), fallback)
-        )
-        if next_point is None:
-            break
-        point = next_point
-
-    *_, trace.final_value, trace.final_error_metric = ev.full(ev.state(point))
-    trace.final_mu = point.copy()
+    """`run_stack` of an estimator with one row, and its one trace."""
+    [trace] = run_stack(system, config, estimator, mu0, reference_energy)
     return trace

@@ -398,16 +398,3 @@ def closeness_metrics(H: np.ndarray, beta: float) -> ClosenessReport:
     )
     return report
 
-
-def beta_for_trace_distance(eps: float, gap: float, dim: int, ground_dim: int) -> float:
-    """Inverse temperature so the trace-distance bound evaluates to eps."""
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    return np.log(((1 - eps) / eps) * ((dim - ground_dim) / ground_dim)) / gap
-
-
-def beta_for_relative_entropy(eps: float, gap: float, dim: int, ground_dim: int) -> float:
-    """Inverse temperature so the relative-entropy bound evaluates to eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return np.log((1.0 / np.expm1(eps)) * ((dim - ground_dim) / ground_dim)) / gap

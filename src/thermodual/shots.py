@@ -24,21 +24,23 @@ PCG64 seeded by its own routine from the splitmix64 words of that key, so a
 stream's draws depend on nothing but its key, whatever was drawn before.
 One evaluation of the charges and the energy makes one binomial call on one
 generator, over the terms of the charges in order and then of H
-(`estimate_observable` on an `ObservableGroup`).  A Hessian likewise makes
-one binomial call on one generator, over the pairs of every upper-triangle
-entry and then the two factor estimates of each entry.
+(`estimate_observable` on an `ObservableGroup`); a `ShotEstimator` with one
+master seed per row draws a stack of states, one per row, in one such call,
+each row on its own generator.  A Hessian likewise makes one binomial call
+on one generator, over the pairs of every upper-triangle entry and then the
+two factor estimates of each entry.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, lru_cache, reduce
 
 import numpy as np
 
 from .errors import NumericalIntegrityError
-from .gibbs import ThermalState
+from .gibbs import ThermalState, stacked_term_means
 from .models import ThermoSystem
 from .operators import PAULI_MATRICES, Observable
 
@@ -49,11 +51,17 @@ ESTIMATOR_MODES = ("generic", "extensive")
 
 # stream id of a Hessian's one generator; an evaluation draws from id 0
 HESSIAN_ENTRY_BASE = 1 << 21
+# 64-bit words PCG64 asks its seed sequence for
+PCG64_WORDS = 4
+# values per row up to which a binomial call per value is cheaper than one call per row
+SCALAR_DRAWS = 12
+# evaluations whose stream words a ShotEstimator derives for every row in one pass
+WORD_BLOCK = 64
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 finalizer."""
-    z &= _MASK64
+def _mix64(z):
+    """splitmix64 finalizer, of a Python int or elementwise of a uint64 array."""
+    z = z & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -63,33 +71,54 @@ def derive_stream_seed(master_seed: int, iteration: int, obs_id: int) -> int:
     """Pure 64-bit derivation; distinct (iteration, id) give distinct streams."""
     x = _mix64(master_seed & _MASK64)
     for value in (iteration, obs_id):
-        x = _mix64((x + _GAMMA) ^ _mix64(value & _MASK64))
+        x = _derive_step(x, _mix64(value & _MASK64))
     return x
+
+
+def _derive_step(x, mixed_value):
+    """One step of `derive_stream_seed`: fold in the mix of one key, elementwise on uint64 arrays too."""
+    return _mix64((x + _GAMMA) ^ mixed_value)
+
+
+@lru_cache(maxsize=64)
+def _mixed_evaluations(first: int) -> np.ndarray:
+    """_mix64 of the WORD_BLOCK evaluation indices from `first`, as a column; shared by every estimator."""
+    mixed = _mix64(np.arange(first, first + WORD_BLOCK, dtype=np.uint64)[:, None])
+    mixed.setflags(write=False)
+    return mixed
+
+
+def _splitmix_words(seeds, count: int) -> np.ndarray:
+    """The first `count` splitmix64 words of one derived seed, or of each of a uint64 array of them on a new last axis."""
+    if isinstance(seeds, int):
+        return np.array([_mix64(seeds + k * _GAMMA) for k in range(1, count + 1)], dtype=np.uint64)
+    return _mix64(seeds[..., None] + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA))
 
 
 @cache
 def _stream_words() -> type:
     """The `ISeedSequence` class that seeds a bit generator with the splitmix64 sequence of one derived seed.
 
-    PCG64 asks for four 64-bit words: its 128-bit initial state is the first
-    two and its stream selector the last two.  splitmix64 is a bijection, so
-    distinct seeds give distinct first words and no two streams share a
-    state.  A 32-bit request takes the low half of each word.  The class is
-    made on the first draw: NumPy loads numpy.random on first use, and a run
-    that draws no shots never does.
+    PCG64 asks for PCG64_WORDS 64-bit words: its 128-bit initial state is
+    the first two and its stream selector the last two.  splitmix64 is a
+    bijection, so distinct seeds give distinct first words and no two
+    streams share a state.  A 32-bit request takes the low half of each
+    word.  Words derived already, with the seed left None, are handed over
+    as they are.  The class is made on the first draw: NumPy loads
+    numpy.random on first use, and a run that draws no shots never does.
     """
     from numpy.random.bit_generator import ISeedSequence
 
     class StreamWords(ISeedSequence):
-        def __init__(self, seed: int):
+        def __init__(self, seed: int | None, words: np.ndarray | None = None):
             self.seed = seed
+            self.words = words
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            x, words = self.seed, []
-            for _ in range(n_words):
-                x = (x + _GAMMA) & _MASK64
-                words.append(_mix64(x))
-            return np.array(words, dtype=np.uint64).astype(dtype, copy=False)
+            words = self.words
+            if words is None or len(words) != n_words:
+                words = _splitmix_words(self.seed, n_words)
+            return words.astype(dtype, copy=False)
 
     return StreamWords
 
@@ -133,20 +162,30 @@ def tent_characteristic(omega) -> np.ndarray:
     return np.where(zero, 1.0, np.tanh(half) / np.where(zero, 1.0, half))
 
 
-def _binomial_means(values: np.ndarray, shots, rng: np.random.Generator) -> np.ndarray:
+def _binomial_means(values: np.ndarray, shots, rng) -> np.ndarray:
     """Mean of `shots` +-1 outcomes with P(+1) = (1 + v)/2, for each v in values.
 
     The count of +1 outcomes is one Binomial(shots, (1 + v)/2) draw per value,
-    all in one call on rng; `shots` is one count or an array of one per
-    value.  A value that is not finite, or exceeds 1 in magnitude beyond
-    rounding, raises NumericalIntegrityError.
+    in order: a row of values on one generator `rng`, or each row of a stack
+    on its own generator of the sequence `rng`.  `shots` is one count or an
+    array of one per column.  A row of a stack with at most SCALAR_DRAWS
+    values takes a call per value, which skips the array call's argument
+    checks and draws the same counts.  A value that is not finite, or
+    exceeds 1 in magnitude beyond rounding, in any row raises
+    NumericalIntegrityError before any draw.
     """
     # written so that NaN fails it too
     if not np.abs(values).max(initial=0.0) <= 1.0 + 1e-9:
         bad = values[~(np.abs(values) <= 1.0 + 1e-9)][0]
         raise NumericalIntegrityError(f"outcome mean {bad} is not a number in [-1, 1]")
     probs = np.minimum(np.maximum((1.0 + values) / 2.0, 0.0), 1.0)
-    return 2.0 * rng.binomial(shots, probs) / shots - 1.0
+    if values.ndim == 1:
+        return 2.0 * rng.binomial(shots, probs) / shots - 1.0
+    if isinstance(shots, int) and probs.shape[1] <= SCALAR_DRAWS:
+        counts = [[g.binomial(shots, p) for p in row] for g, row in zip(rng, probs.tolist())]
+    else:
+        counts = [g.binomial(shots, row) for g, row in zip(rng, probs)]
+    return 2.0 * np.array(counts) / shots - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +208,7 @@ class ObservableGroup:
         self.owners = np.repeat(np.arange(len(sizes)), sizes)
 
 
-def estimate_observable(
-    term_means: np.ndarray, obs: Observable | ObservableGroup, shots_per_term: int, rng: np.random.Generator
-) -> float | np.ndarray:
+def estimate_observable(term_means, obs: Observable | ObservableGroup, shots_per_term: int, rng):
     """Unbiased shot estimate of <obs> = sum_k c_k <P_k>, given each term's mean <P_k>.
 
     Given an ObservableGroup, it estimates each of its observables from one
@@ -180,16 +217,27 @@ def estimate_observable(
     its own terms' weighted outcomes one by one in term order, so this
     equals one call per observable, in order, on the same generator,
     exactly (to 0 ulp).
+
+    Given a stack of term means, one row per state, and one generator per
+    row, the estimates gain a leading row axis: each row draws on its own
+    generator, and one `bincount` with owners offset per row sums every
+    row's terms apart, in order, as a call per row would.
     """
     if shots_per_term < 1:
         raise ValueError("need at least one shot per term")
-    if len(term_means) != len(obs.terms):
-        raise ValueError(f"{len(term_means)} term means for {len(obs.terms)} terms")
+    means = np.asarray(term_means)
+    if means.shape[-1] != len(obs.terms):
+        raise ValueError(f"{means.shape[-1]} term means for {len(obs.terms)} terms")
     group = obs if isinstance(obs, ObservableGroup) else ObservableGroup((obs,))
-    outcomes = _binomial_means(term_means, shots_per_term, rng)
+    outcomes = _binomial_means(means, shots_per_term, rng)
     # a sum per observable, which no other observable's terms can round differently, as a matrix product's rows would
-    estimates = np.bincount(group.owners, group.weights * outcomes, minlength=len(group.observables))
-    return estimates if group is obs else float(estimates[0])
+    if means.ndim == 1:
+        estimates = np.bincount(group.owners, group.weights * outcomes, minlength=len(group.observables))
+        return estimates if group is obs else float(estimates[0])
+    rows, size = len(means), len(group.observables)
+    owners = group.owners + size * np.arange(rows)[:, None]
+    estimates = np.bincount(owners.ravel(), (group.weights * outcomes).ravel(), minlength=rows * size)
+    return estimates.reshape(rows, size) if group is obs else estimates
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +548,15 @@ class ShotEstimator:
     is split half onto time samples over the pair estimates and half onto the
     mean-product factor estimates.  Extensive mode is checked against the
     system's charges when the estimator is built, before any Hessian.
+
+    `master_seed` is one seed, or a sequence of them with one row of
+    streams each; `estimate` and `hessian` draw on the first row's.
     """
 
     def __init__(
         self,
         system: ThermoSystem,
-        master_seed: int,
+        master_seed,
         shots_per_iteration: int = 10_000,
         hessian_samples_per_iteration: int = 10_000_000,
         mode: str = "generic",
@@ -521,7 +572,7 @@ class ShotEstimator:
             if budget < 1:
                 raise ValueError(f"{name} must be at least 1, got {budget}")
         self.system = system
-        self.master_seed = int(master_seed)
+        self._seed_rows(master_seed)
         self.mode = mode
 
         term_counts = [len(q.terms) for q in system.charges]
@@ -544,27 +595,69 @@ class ShotEstimator:
         self._pair_total = pair_total
         self._factor_total = factor_total
 
-    def reseeded(self, master_seed: int) -> "ShotEstimator":
-        """The same estimator drawing its shots from another master seed."""
+    def _seed_rows(self, master_seed):
+        seeds = (master_seed,) if np.ndim(master_seed) == 0 else master_seed
+        self.master_seeds = tuple(int(seed) for seed in seeds)
+        # the first step of derive_stream_seed, which depends on the master seed alone
+        self._mixed_masters = np.array([_mix64(seed & _MASK64) for seed in self.master_seeds], dtype=np.uint64)
+        # (first evaluation, words) of the block of streams derived last
+        self._block = None
+
+    @property
+    def rows(self) -> int:
+        return len(self.master_seeds)
+
+    def reseeded(self, master_seed) -> "ShotEstimator":
+        """The same estimator drawing its shots from another master seed, or one row per seed of a sequence."""
         other = copy.copy(self)
-        other.master_seed = int(master_seed)
+        other._seed_rows(master_seed)
         return other
+
+    def _row_words(self, eval_index: int) -> np.ndarray:
+        """The PCG64 words of each row's stream at one evaluation, keyed as `RngStream(seed, eval_index)` keys it.
+
+        One pass of the steps of `derive_stream_seed` on arrays derives them
+        for a block of WORD_BLOCK evaluations; stream id 0 mixes to 0.
+        """
+        first = eval_index - eval_index % WORD_BLOCK
+        if self._block is None or self._block[0] != first:
+            seeds = _derive_step(_derive_step(self._mixed_masters, _mixed_evaluations(first)), 0)
+            self._block = (first, _splitmix_words(seeds, PCG64_WORDS))
+        return self._block[1][eval_index - first]
+
+    def estimate_rows(
+        self, states, rows, eval_index: int, energy: bool
+    ) -> tuple[np.ndarray, list[float] | None]:
+        """Shot estimates of the charges, and of H when `energy` is set (else None), of each state of a stack.
+
+        `rows[k]`, in increasing order, is the row of `states[k]`, which
+        draws what `RngStream(master_seeds[rows[k]], eval_index).generator()`
+        draws: the charges' terms in order and then H's, so the charge
+        estimates do not depend on `energy`.  One `estimate_observable` call
+        draws them all.
+        """
+        order, group = self._measured[energy]
+        words = self._row_words(eval_index)
+        words_class = _stream_words()
+        generators = [
+            np.random.Generator(np.random.PCG64(words_class(None, row)))
+            for row in (words if len(rows) == len(words) else words[rows])
+        ]
+        if len(states) == 1:
+            # a stack of one draws as one state does, on one-dimensional arrays
+            estimates = estimate_observable(states[0].term_means[order], group, self.shots_per_term, generators[0])[None]
+        else:
+            estimates = estimate_observable(stacked_term_means(states)[:, order], group, self.shots_per_term, generators)
+        if not energy:
+            return estimates, None
+        return estimates[:, :-1], estimates[:, -1].tolist()
 
     def estimate(
         self, state: ThermalState, eval_index: int, energy: bool
     ) -> tuple[np.ndarray, float | None]:
-        """Shot estimates of the charges, and of H when `energy` is set, at one evaluation.
-
-        One `estimate_observable` call draws them all from the evaluation's
-        generator, the charges' terms in order and then H's, so the charge
-        estimates do not depend on `energy`.
-        """
-        order, group = self._measured[energy]
-        rng = RngStream(self.master_seed, eval_index).generator()
-        estimates = estimate_observable(state.term_means[order], group, self.shots_per_term, rng)
-        if not energy:
-            return estimates, None
-        return estimates[:-1], float(estimates[-1])
+        """Shot estimates of the charges, and of H when `energy` is set, of one state on the first row's streams."""
+        charges, energies = self.estimate_rows((state,), [0], eval_index, energy)
+        return charges[0], (None if energies is None else energies[0])
 
     @cached_property
     def _measured(self) -> tuple[tuple[np.ndarray, ObservableGroup], ...]:
@@ -586,7 +679,7 @@ class ShotEstimator:
             state,
             self.time_samples,
             self.factor_shots,
-            RngStream(self.master_seed, eval_index),
+            RngStream(self.master_seeds[0], eval_index),
             mode=self.mode,
         )
 

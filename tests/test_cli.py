@@ -263,6 +263,76 @@ class TestRunCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("numerical integrity error: outcome mean nan")
 
+    def test_a_bad_mean_in_one_row_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the repetitions step as one stack: a NaN term mean of one row refuses the stack
+        import thermodual.shots as shots
+
+        stacked = shots.stacked_term_means
+
+        def one_bad_row(states):
+            means = stacked(states)
+            means[len(means) // 2, 0] = np.nan
+            return means
+
+        monkeypatch.setattr(shots, "stacked_term_means", one_bad_row)
+        config = write_config(tmp_path, REPETITION_HQC_CONFIG)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical integrity error: outcome mean nan")
+
+    def test_staggered_stops_follow_in_the_aggregate(self, tmp_path):
+        # a reachable delta stops the repetitions at different iterations
+        payload = {**REPETITION_HQC_CONFIG, "repetitions": 6, "oracle": {"enable": False}}
+        payload["solver"] = {**payload["solver"], "epsilon": 0.2, "delta": 0.03, "max_iter": 300}
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
+        iterations = [run["iterations"] for run in json.loads((out / "summary.json").read_text())["runs"]]
+        assert len(set(iterations)) >= 3
+        with open(out / "aggregate.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == max(iterations)
+        assert [int(row["n_runs"]) for row in rows] == [sum(n > it for n in iterations) for it in range(len(rows))]
+
+    @pytest.mark.parametrize("variant,chunks", [
+        ("first_hqc", [[0], [1, 2], [3, 4]]),
+        ("second_hqc", [[0], [1], [2], [3], [4]]),
+    ])
+    def test_repetitions_chunked_per_worker(self, tmp_path, monkeypatch, pool_sizes, variant, chunks):
+        # first order: one contiguous chunk per worker, stepped as one stack; second order: one run at a time
+        import thermodual.cli as cli
+
+        seen = []
+        run_stack = cli.run_stack
+
+        def spy(system, config, estimator, **kwargs):
+            seen.append(list(estimator.master_seeds))
+            return run_stack(system, config, estimator, **kwargs)
+
+        monkeypatch.setattr(cli, "run_stack", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        payload = {**REPETITION_HQC_CONFIG, "repetitions": 5, "oracle": {"enable": False}}
+        payload["solver"] = {**_FRAME_HQC, "variant": variant}
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, payload)), "--out", str(out), "--workers", "3"]) == 0
+        seeds = [cli.derive_stream_seed(payload["seed"], rep, cli._REP_TAG) for rep in range(5)]
+        assert seen == [[seeds[rep] for rep in chunk] for chunk in chunks]
+        walls = [run["wall_time_s"] for run in json.loads((out / "summary.json").read_text())["runs"]]
+        assert [len({walls[rep] for rep in chunk}) for chunk in chunks] == [1] * len(chunks)
+
+    def test_uneven_chunks_agree_bytewise(self, tmp_path, monkeypatch):
+        # five first-order repetitions on three workers step in chunks of 1, 2 and 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        payload = {
+            **REPETITION_HQC_CONFIG, "model": _LINE6_NNN, "repetitions": 5,
+            "solver": {"variant": "first_hqc", "max_iter": 20, "shots_per_iteration": 4000},
+        }
+        config = write_config(tmp_path, payload)
+        outs = [tmp_path / f"w{workers}" for workers in (1, 3)]
+        for out, workers in zip(outs, ("1", "3")):
+            assert main(["run", "--config", str(config), "--out", str(out), "--workers", workers]) == 0
+        for name in ("runs.csv", "aggregate.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     @pytest.mark.parametrize("name", list(WORKER_CONFIGS))
     def test_worker_counts_agree_bytewise(self, tmp_path, name):
         config = write_config(tmp_path, WORKER_CONFIGS[name])
@@ -625,7 +695,7 @@ class TestRunsCsv:
 
         config = validate_config(payload)
         system = build_system(config["model"])
-        experiment = _prepare(system, config["solver"], config["seed"])
+        experiment = _prepare(system, config["solver"], config["seed"], config["repetitions"])
         traces = [
             run(system, experiment.optimizer, experiment.estimator, reference_energy=reference)
             for _ in range(2)
@@ -926,6 +996,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("config error: cannot")
         assert (tmp_path / "taken").read_text() == ""
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    # the last: one record past the limit
+    @pytest.mark.parametrize("repetitions,max_iter", [(10**12, 60), (5, 10**12), (1, 10**7 - 1)])
+    def test_trace_records_bounded_before_any_work(self, tmp_path, monkeypatch, capsys, command, repetitions, max_iter):
+        # R x (max_iter + 2) trace records above MAX_TRACE_RECORDS exit 5 before any solve starts
+        import thermodual.cli as cli
+
+        def work(*args, **kwargs):
+            raise AssertionError("a solve started past the trace-record limit")
+
+        monkeypatch.setattr(cli, "_map_repetitions", work)
+        payload = {**REPETITION_HQC_CONFIG, "repetitions": repetitions}
+        payload["solver"] = {**payload["solver"], "max_iter": max_iter}
+        config = str(write_config(tmp_path, payload))
+        argv = ["run", "--config", config] if command == "run" else [
+            "sweep", "--config", config, "--parameter", "T", "--values", "0.5"
+        ]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("resource error: ") and str(cli.MAX_TRACE_RECORDS) in err[0]
+
+    def test_trace_records_at_the_limit_reach_the_solve(self, tmp_path, monkeypatch):
+        import thermodual.cli as cli
+
+        class Reached(Exception):
+            pass
+
+        def solve(experiment, repetitions, workers):
+            raise Reached(repetitions)
+
+        monkeypatch.setattr(cli, "_map_repetitions", solve)
+        # max_iter 60: 62 records per repetition
+        payload = {**REPETITION_HQC_CONFIG, "repetitions": cli.MAX_TRACE_RECORDS // 62}
+        with pytest.raises(Reached):
+            main(["run", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path / "out")])
 
     def test_extensive_mode_takes_a_one_site_logical(self, tmp_path):
         # repetition3's logical Z is ZII, a single-site charge; its logical X, XXX, is refused above

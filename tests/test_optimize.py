@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from thermodual.errors import NumericalIntegrityError
 from thermodual.gibbs import hessian_exact, thermal_state
 from thermodual.models import build_heisenberg, build_stabilizer_system, builtin_code
 from thermodual.operators import expectation
@@ -13,6 +14,7 @@ from thermodual.optimize import (
     error_metric,
     first_order_step_size,
     run,
+    run_stack,
 )
 from thermodual.oracle import dual_eigenvalue_solve
 from thermodual.shots import ShotEstimator
@@ -346,3 +348,88 @@ class TestErrorMetric:
         tail = errors[len(errors) // 2 :]
         windows = [np.mean(tail[i : i + 10]) for i in range(0, len(tail) - 10, 10)]
         assert all(b <= a + 1e-12 for a, b in zip(windows, windows[1:]))
+
+
+def _axis_code(name):
+    return build_stabilizer_system(builtin_code(name), [((1,), 0.2), ((2,), -0.1), ((3,), 0.3)])
+
+
+def _all_words_code():
+    words = [(a, b) for a in range(4) for b in range(4) if a or b]
+    return build_stabilizer_system(builtin_code("detect422"), [(w, 0.03 * (k % 5) - 0.06) for k, w in enumerate(words)])
+
+
+LOCKSTEP_SYSTEMS = {
+    "repetition3": lambda: _axis_code("repetition3"),
+    "perfect5": lambda: _axis_code("perfect5"),
+    "detect422-axes": lambda: build_stabilizer_system(
+        builtin_code("detect422"),
+        [((a, 0), t) for a, t in zip((1, 2, 3), (0.2, 0.0, 0.3))] + [((0, a), t) for a, t in zip((1, 2, 3), (0.1, 0.25, -0.2))],
+    ),
+    "detect422-all-words": _all_words_code,
+    "line6": lambda: build_heisenberg("line", n=6, nnn=True, targets=(0.5, -0.3, 0.6)),
+    "grid2x3": lambda: build_heisenberg("grid", rows=2, cols=3, nnn=True, targets=(0.3, 0.2, -0.4)),
+}
+
+
+def _same_trace(a, b):
+    """Every record field and every final field, bit for bit."""
+    assert a.iterations == b.iterations and a.converged == b.converged
+    for x, y in zip(a.records, b.records):
+        assert x.iteration == y.iteration and np.array_equal(x.mu, y.mu)
+        assert (x.f_estimate, x.grad_norm, x.error_metric, x.step_size, x.shots_used, x.fallback) == (
+            y.f_estimate, y.grad_norm, y.error_metric, y.step_size, y.shots_used, y.fallback
+        )
+    assert np.array_equal(a.final_mu, b.final_mu)
+    assert (a.final_value, a.final_error_metric) == (b.final_value, b.final_error_metric)
+
+
+class TestLockstep:
+    """R repetitions stepped as one stack against each run alone."""
+
+    SEEDS = [101, 2**64 - 3, 7]
+
+    @pytest.mark.parametrize("variant", ["first_hqc", "first_classical"])
+    @pytest.mark.parametrize("name", list(LOCKSTEP_SYSTEMS))
+    def test_stack_matches_lone_runs(self, name, variant):
+        system = LOCKSTEP_SYSTEMS[name]()
+        cfg = OptimizerConfig(variant=variant, max_iter=25, delta=1e-12)
+        assert cfg.resolved_nesterov() == (variant == "first_classical")
+        if variant == "first_hqc":
+            estimator = ShotEstimator(system, self.SEEDS, shots_per_iteration=3000)
+            lone = [estimator.reseeded(seed) for seed in self.SEEDS]
+        else:
+            estimator = ExactEstimator(system, rows=len(self.SEEDS))
+            lone = [ExactEstimator(system)] * len(self.SEEDS)
+        stack = run_stack(system, cfg, estimator, reference_energy=-1.5)
+        assert len(stack) == len(self.SEEDS)
+        for trace, alone in zip(stack, lone):
+            _same_trace(trace, run(system, cfg, alone, reference_energy=-1.5))
+        if variant == "first_hqc":
+            assert len({trace.final_value for trace in stack}) == len(self.SEEDS)
+
+    def test_staggered_stops(self):
+        # a reachable delta stops the rows at different iterations
+        system = _axis_code("repetition3")
+        cfg = OptimizerConfig(variant="first_hqc", epsilon=0.2, max_iter=300, delta=0.03)
+        seeds = list(range(11, 17))
+        stack = run_stack(system, cfg, ShotEstimator(system, seeds, shots_per_iteration=4000), reference_energy=-1.0)
+        assert len({trace.iterations for trace in stack}) >= 3
+        assert all(trace.converged for trace in stack)
+        for seed, trace in zip(seeds, stack):
+            _same_trace(trace, run(system, cfg, ShotEstimator(system, seed, shots_per_iteration=4000), reference_energy=-1.0))
+
+    def test_second_order_takes_one_row(self):
+        system = _axis_code("repetition3")
+        with pytest.raises(ValueError, match="one row at a time"):
+            run_stack(system, OptimizerConfig(variant="second_hqc"), ShotEstimator(system, [1, 2]))
+
+    def test_a_bad_mean_in_one_row_is_refused(self):
+        system = _axis_code("perfect5")
+        estimator = ShotEstimator(system, [1, 2, 3])
+        states = [thermal_state(system, np.full(3, 0.1 * k), 0.2) for k in range(3)]
+        means = np.array(states[1].term_means)
+        means[-1] = np.nan
+        vars(states[1])["term_means"] = means
+        with pytest.raises(NumericalIntegrityError, match="outcome mean nan"):
+            estimator.estimate_rows(states, [0, 1, 2], 4, True)

@@ -10,8 +10,6 @@ from thermodual.models import ThermoSystem, build_heisenberg, build_stabilizer_s
 from thermodual.operators import PauliString
 from thermodual.oracle import (
     _logical_margin,
-    beta_for_relative_entropy,
-    beta_for_trace_distance,
     check_feasible,
     closeness_metrics,
     complementary_slackness_residual,
@@ -25,6 +23,19 @@ from thermodual.oracle import (
     trace_distance,
 )
 
+
+def beta_for_trace_distance(eps: float, gap: float, dim: int, ground_dim: int) -> float:
+    """Inverse temperature so the trace-distance bound evaluates to eps."""
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
+    return np.log(((1 - eps) / eps) * ((dim - ground_dim) / ground_dim)) / gap
+
+
+def beta_for_relative_entropy(eps: float, gap: float, dim: int, ground_dim: int) -> float:
+    """Inverse temperature so the relative-entropy bound evaluates to eps."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return np.log((1.0 / np.expm1(eps)) * ((dim - ground_dim) / ground_dim)) / gap
 
 
 def perfect5_system():

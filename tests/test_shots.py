@@ -556,6 +556,35 @@ class TestShotEstimator:
         with pytest.raises(NumericalIntegrityError, match=str(bad)):
             estimator.estimate(state, 0, True)
 
+    @pytest.mark.parametrize("eval_index", [0, 63, 64, 200])
+    @pytest.mark.parametrize("name", ["perfect5", "detect422", "grid2x3", "random"])
+    def test_rows_draw_what_their_streams_draw(self, name, eval_index):
+        # each row of a stack, across the blocks its stream words are derived in, against a call per row
+        system, state = pinned_case(name)
+        seeds = [5, 2**64 - 1, 2**40 + 17]
+        stacked = ShotEstimator(system, seeds, shots_per_iteration=900)
+        states = [thermal_state(system, state.mu * scale, state.temperature) for scale in (1.0, 0.5, -0.8)]
+        charges, energies = stacked.estimate_rows(states, [0, 1, 2], eval_index, True)
+        order, group = stacked._measured[True]
+        for seed, row, charge, energy in zip(seeds, states, charges, energies):
+            # the means of the same state built alone
+            means = thermal_state(system, row.mu, row.temperature).term_means
+            rng = RngStream(seed, eval_index).generator()
+            expected = estimate_observable(means[order], group, stacked.shots_per_term, rng)
+            assert charge.tolist() == expected[:-1].tolist() and energy == expected[-1]
+        # a stack of the last two rows draws what they draw in the whole stack
+        tail, _ = stacked.estimate_rows(states[1:], [1, 2], eval_index, False)
+        assert np.array_equal(tail, charges[1:])
+
+    @pytest.mark.parametrize("size", [1, 5, 12, 13, 40])
+    def test_a_draw_per_value_matches_one_call_per_row(self, monkeypatch, size):
+        # below SCALAR_DRAWS values a row takes one binomial call per value, on the same generator
+        values = np.random.default_rng(size).uniform(-1.0, 1.0, (2, size))
+        draw = lambda: shots._binomial_means(values, 37, [RngStream(3, k).generator() for k in range(2)])
+        per_value = draw()
+        monkeypatch.setattr(shots, "SCALAR_DRAWS", -1)
+        assert np.array_equal(per_value, draw())
+
     def test_hessian_uses_mode(self):
         system = build_heisenberg("line", n=3, targets=(1.0, 0.0, 1.0))
         state = thermal_state(system, np.zeros(3), 0.8)
