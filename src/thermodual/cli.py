@@ -513,9 +513,9 @@ def _frame_gap(system: ThermoSystem, state, reference: ThermoSystem) -> float:
     """The largest gap of a state from the same state of a reference path, relative to max(1, |value|).
 
     It compares ln Z, the means, the Pauli-term means and the exact Hessian,
-    and the levels and populations in ascending order of a state that holds
-    them: an SU(2) state does, a stabilizer state keeps none.  Both are
-    checked against the dense path.
+    and the levels and populations in ascending order of a state that gives
+    them: an SU(2) state builds them from its sectors when they are read, a
+    stabilizer state keeps none.  Both are checked against the dense path.
     """
     other = thermal_state(reference, state.mu, state.temperature)
     spectrum = state.block_levels is not None
@@ -558,6 +558,8 @@ def _verify_gradients(seed: int):
     repetition3 and perfect5 and all 15 words of detect422.  So are the
     sampled Hessian's pair means, of the Heisenberg models in both modes on
     the dense path that keeps `conserved`, and of the codes in generic mode.
+    The Heisenberg models are also checked against the dense path at their
+    solver's default T = epsilon/(n ln 2), where most levels underflow.
     """
     rng = np.random.default_rng(seed)
     codes = {name: models.builtin_code(name) for name in ("repetition3", "perfect5", "detect422")}
@@ -590,9 +592,11 @@ def _verify_gradients(seed: int):
         worst_terms = max(worst_terms, float(np.max(np.abs(state.term_means - dense))))
         if system.su2_symmetric:
             reference = replace(system, conserved=False, su2_symmetric=False)
-            worst_su2 = max(worst_su2, _frame_gap(system, state, reference))
             dense = replace(system, su2_symmetric=False)
-            worst_pairs = max(worst_pairs, _pair_gap(system, state, dense, ESTIMATOR_MODES))
+            cold = thermal_state(system, mu, OptimizerConfig().resolved_temperature(system))
+            for frame in (state, cold):
+                worst_su2 = max(worst_su2, _frame_gap(system, frame, reference))
+                worst_pairs = max(worst_pairs, _pair_gap(system, frame, dense, ESTIMATOR_MODES))
         elif system.code is not None:
             dense = replace(system, conserved=False)
             worst_frame = max(worst_frame, _frame_gap(system, state, dense))

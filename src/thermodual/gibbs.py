@@ -15,10 +15,13 @@ SU(2)-symmetric systems need no eigensolve per call and no matrix of size
 fixed, so the levels are E_a - |mu| z_a, with E_a the levels of H on its
 S^z sectors and z_a = 2m_a.  Each sector is built from the exchange terms on
 its basis states and diagonalized once per system, the sectors at -m by a
-global spin flip.  The populations, ln Z, the means, the Pauli-term means
-and the exact Hessian follow in closed form from what each level stores.
-The sampled Hessian reads tables of the sector vectors that its first call
-builds (`SpinLevels.pair_correlators` and `site_blocks`).
+global spin flip.  Within a sector every level moves by the same -|mu| z,
+so the sums over each sector at T, built once per temperature
+(`SpinLevels.sector_sums`), fix a state by its n + 1 sector weights: ln Z,
+the means, the Pauli-term means and the exact Hessian follow in closed form
+from them, and no array of the 2^n levels is read unless a state's levels
+or populations are.  The sampled Hessian reads sector sums too, and tables
+of the sector vectors that its first call builds (`SpinLevels.site_blocks`).
 
 Stabilizer codes are taken in their logical frame (Gottesman,
 quant-ph/9705052).  H = sum_j h_j G_j over r independent generators, and
@@ -77,93 +80,92 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class SpinLevels:
-    """The levels of an SU(2)-symmetric H on its S^z sectors, and what each one contributes to the means.
+    """The levels of an SU(2)-symmetric H on its S^z sectors, and the sums over each sector at each temperature.
 
-    Level a has energy E_a and z_a = 2m_a.  Row a of `correlators` holds
-    <a|X_iX_j|a>, which equals <a|Y_iY_j|a>, for each edge (i, j) of H, then
-    <a|Z_iZ_j|a> for each edge, then <a|Z_i|a> for each site.  `h_edges` and
-    `h_axes` give the edge and the axis (0, 1, 2 for X, Y, Z) of each term of
-    H, and `charge_sites` the site of each term of the charges, in term order.
-    `sectors[w]` holds (basis states, real eigenvectors as columns, slice of
-    the levels) of the sector with w spins down, for w = 0..n; the sectors at
-    m and -m share one array of vectors, and their levels follow one another.
-    The levels at z and -z pair up with equal energies, and `up` indexes the
-    levels with z > 0.  The tables of the sampled Hessian, `pair_correlators`
-    and `site_blocks`, are built on first use.
+    Level a has energy E_a.  `sectors[w]` holds (basis states, real
+    eigenvectors as columns, slice of the levels) of the sector with w spins
+    down, z = 2m = n - 2w, for w = 0..n, its levels in ascending order; the
+    sectors at m and -m share one array of vectors and one of energies.
+    `h_sites` and `h_axes` give the two sites and the axis (0, 1, 2 for X,
+    Y, Z) of each term of H, and `charge_sites` the site of each term of the
+    charges, in term order.  A state reads its sectors' sums at its
+    temperature (`sector_sums`), built once per temperature.  The X blocks
+    of the sampled Hessian (`site_blocks`) are built on first use.
     """
 
     energies: np.ndarray
-    twice_m: np.ndarray
-    up: np.ndarray
-    correlators: np.ndarray
-    h_edges: np.ndarray
+    h_sites: np.ndarray
     h_axes: np.ndarray
     charge_sites: np.ndarray
     sectors: tuple[tuple[np.ndarray, np.ndarray, slice], ...]
+    # the sector sums of each temperature the levels have been summed at
+    _sums: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @cached_property
-    def term_columns(self) -> np.ndarray:
-        """The columns of `correlators` that the term means read, in order: <XX> and then <ZZ> of each H term's edge, then <Z> of each charge term's site."""
-        edges = (self.correlators.shape[1] - len(self.charge_sites)) // 2
-        return np.concatenate((self.h_edges, edges + self.h_edges, 2 * edges + self.charge_sites))
+    def sector_sums(self, T: float) -> "SectorSums":
+        """What each sector contributes at temperature T, summed once per temperature.
 
-    @cached_property
-    def pair_correlators(self) -> tuple[np.ndarray, np.ndarray]:
-        """<a|X_kX_l|a>, which equals <a|Y_kY_l|a>, and <a|Z_kZ_l|a> for every level a and every pair of sites.
-
-        Each has shape (levels, n, n), with 1 on the diagonal.  Both stay the
-        same under the global spin flip, so the sectors at m and -m share one
-        computation.
+        The correlators of sector w are read off its density matrix
+        W diag(q) W^T on its basis states, from the levels whose populations
+        q within the sector do not underflow.  On a basis state Z_i is its
+        spin s_i, and X_kX_l + Y_kY_l moves the spins of sites k and l into
+        each other's places with weight 2 where they differ, so <Z_kZ_l>
+        sums the diagonal times s_k s_l, and <X_kX_l> = <Y_kY_l> the entries
+        between basis states one such move apart.  The global spin flip maps
+        the sector at m onto -m with the same energies and vectors, and
+        negates each <Z_i>.
         """
-        n = len(self.charge_sites)
-        place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
-        xx, zz = np.empty((2, len(self.energies), n, n))
-        for w, (states, vecs, levels) in enumerate(self.sectors[: n // 2 + 1]):
-            spins = 1 - 2 * ((states[:, None] & place) != 0)
-            pair_spins = (spins[:, :, None] * spins[:, None, :]).reshape(len(states), -1)
-            zz[levels] = ((vecs * vecs).T @ pair_spins).reshape(-1, n, n)
-            xx[levels] = np.eye(n)
-            for k, l in zip(*np.triu_indices(n, 1)):
-                rows = np.flatnonzero(spins[:, k] != spins[:, l])
-                cols = np.searchsorted(states, states[rows] ^ (place[k] | place[l]))
-                xx[levels, k, l] = xx[levels, l, k] = np.einsum("sa,sa->a", vecs[rows], vecs[cols])
-            for array in (xx, zz):
-                array[self.sectors[n - w][2]] = array[levels]
-        for array in (xx, zz):
-            array.setflags(write=False)
-        return xx, zz
+        sums = self._sums.get(T)
+        if sums is None:
+            n = len(self.charge_sites)
+            place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
+            k, l = np.triu_indices(n, 1)
+            within = np.empty(len(self.energies))
+            log_weights, energy = np.empty((2, n + 1))
+            xx, zz = np.empty((2, n + 1, n, n))
+            z = np.empty((n + 1, n))
+            for w, (states, vecs, levels) in enumerate(self.sectors[: n // 2 + 1]):
+                e = self.energies[levels]
+                q = _populations(e, T)
+                kept = q > 0.0
+                rho = (vecs[:, kept] * q[kept]) @ vecs[:, kept].T
+                spins = 1 - 2 * ((states[:, None] & place) != 0)
+                diagonal = np.diagonal(rho)
+                z[w], zz[w], xx[w] = diagonal @ spins, (spins.T * diagonal) @ spins, np.eye(n)
+                rows, pairs = np.nonzero(spins[:, k] != spins[:, l])
+                cols = np.searchsorted(states, states[rows] ^ (place[k] | place[l])[pairs])
+                xx[w, k, l] = xx[w, l, k] = np.bincount(pairs, rho[rows, cols], minlength=len(k))
+                flip = n - w
+                within[levels] = within[self.sectors[flip][2]] = q
+                # the lowest level's shifted weight is exactly 1, so q_0 = 1/Z_w
+                log_weights[w] = log_weights[flip] = -math.log(q[0]) - e[0] / T
+                energy[w] = energy[flip] = q @ e
+                xx[flip], zz[flip], z[flip] = xx[w], zz[w], (-z[w] if flip != w else z[w])
+            i, j = self.h_sites.T
+            terms = np.concatenate((xx[:, i, j], zz[:, i, j], z[:, self.charge_sites]), axis=1)
+            twice_m = n - 2.0 * np.arange(n + 1)
+            for array in (twice_m, log_weights, energy, terms, xx, zz, within):
+                array.setflags(write=False)
+            sums = self._sums[T] = SectorSums(self, T, twice_m, log_weights, energy, terms, xx, zz, within)
+        return sums
 
     @cached_property
-    def site_blocks(self) -> tuple[tuple, tuple]:
-        """Each site's Z_k on every sector and X_k between adjacent sectors, in the sector vectors.
+    def site_blocks(self) -> tuple:
+        """Each site's X_k between adjacent sectors, in the sector vectors.
 
-        Two tuples, of Z and then of X entries.  Entry (blocks, level pairs):
-        blocks[k] is W_r^T P_k W_c, and each (r, c) in level pairs is a pair
-        of sectors, as slices of the levels, whose vectors W_r and W_c these
-        are.  Z_k = 1 - 2 n_k, with n_k the projector onto site k down, so its
-        block is gathered from the rows of W with site k down.  X_k takes a
-        state of w spins down with site k up to one of w + 1, so
-        W_w^T X_k W_{w+1} gathers those rows of W_w and the rows of W_{w+1}
-        they map to.  The global spin flip F commutes with X_k and negates
-        Z_k, and the sectors at m and -m are F of each other with one array of
-        vectors.  So the sectors with w <= n/2 and the pairs (w, w + 1) with
-        w <= (n - 1)/2 carry blocks, and their flipped partners come as
-        further level pairs: Z_k Z_l is even under F, and the pair (w, w + 1)
-        flips to (n - w, n - w - 1).
+        Entry (blocks, level pairs): blocks[k] is W_r^T X_k W_c, and each
+        (r, c) in level pairs is a pair of sectors, as slices of the levels,
+        whose vectors W_r and W_c these are.  X_k takes a state of w spins
+        down with site k up to one of w + 1, so W_w^T X_k W_{w+1} gathers
+        those rows of W_w and the rows of W_{w+1} they map to.  The global
+        spin flip F commutes with X_k, and the sectors at m and -m are F of
+        each other with one array of vectors.  So the pairs (w, w + 1) with
+        w <= (n - 1)/2 carry blocks, and each flips to (n - w, n - w - 1),
+        which comes as a further level pair.
         """
         n = len(self.charge_sites)
         place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
         sectors = self.sectors
-        z_entries, x_entries = [], []
-        for w in range(n // 2 + 1):
-            states, vecs, levels = sectors[w]
-            blocks = np.empty((n, len(vecs), len(vecs)))
-            for k in range(n):
-                down = vecs[(states & place[k]) != 0]
-                blocks[k] = -2.0 * (down.T @ down)
-                blocks[k][np.diag_indices(len(vecs))] += 1.0
-            pairs = ((levels, levels),) if 2 * w == n else ((levels, levels), (sectors[n - w][2],) * 2)
-            z_entries.append((blocks, pairs))
+        entries = []
         for w in range((n - 1) // 2 + 1):
             (lower, w_lower, rows), (upper, w_upper, cols) = sectors[w], sectors[w + 1]
             # the flipped sector lists its states in descending order
@@ -173,11 +175,68 @@ class SpinLevels:
                 up = np.flatnonzero((lower & place[k]) == 0)
                 image = order[np.searchsorted(upper, lower[up] | place[k], sorter=order)]
                 blocks[k] = w_lower[up].T @ w_upper[image]
-            partner = (sectors[n - w][2], sectors[n - w - 1][2])
-            x_entries.append((blocks, ((rows, cols),) if 2 * w + 1 == n else ((rows, cols), partner)))
-        for blocks, _ in z_entries + x_entries:
             blocks.setflags(write=False)
-        return tuple(z_entries), tuple(x_entries)
+            partner = (sectors[n - w][2], sectors[n - w - 1][2])
+            entries.append((blocks, ((rows, cols),) if 2 * w + 1 == n else ((rows, cols), partner)))
+        return tuple(entries)
+
+
+@dataclass(frozen=True)
+class SectorSums:
+    """What each S^z sector of an SU(2)-symmetric H contributes at one temperature T, indexed by w = 0..n spins down.
+
+    Within a sector every level of H - |mu| 2S^z moves by the same -|mu| z_w,
+    z_w = `twice_m[w]`, so the populations within it are those of H alone:
+    `within` holds them for every level.  With E0_w the sector's lowest level
+    and ln Z_w(T) = ln sum_a exp(-(E_a - E0_w)/T) over it, `log_weights`
+    holds ln Z_w - E0_w/T, the sector's log-weight at mu = 0; a state at |mu|
+    adds |mu| z_w/T.  The state reads its means off the sums over each
+    sector: `energy` holds the mean energy U_w, `xx` and `zz` the
+    correlators <X_kX_l> = <Y_kY_l> and <Z_kZ_l> of every pair of sites,
+    shape (n + 1, n, n) with 1 on the diagonal, and `terms` the correlators
+    that the term means read: <XX> and then <ZZ> on each H term's sites,
+    then <Z> on each charge term's site.  `z_pairs`, which the sampled
+    Hessian reads, is built on first use.
+    """
+
+    spin: SpinLevels
+    temperature: float
+    twice_m: np.ndarray
+    log_weights: np.ndarray
+    energy: np.ndarray
+    terms: np.ndarray
+    xx: np.ndarray
+    zz: np.ndarray
+    within: np.ndarray
+
+    @cached_property
+    def z_pairs(self) -> np.ndarray:
+        """sum_ab LM(q_a, q_b) (Z_k)_ab (Z_l)_ab over the level pairs of each sector, for all (k, l): (n + 1, n, n).
+
+        q are the populations `within` and LM their logarithmic mean, which
+        is (q_a + q_b) phi(omega_ab)/2 with phi the tent characteristic of
+        the sampled Hessian.  Z_k = 1 - 2 n_k, with n_k the projector onto
+        site k down, so its block W^T Z_k W is gathered from the rows of the
+        sector vectors W with site k down.  The global spin flip negates Z_k
+        and maps sector w onto n - w with the same vectors, so the two share
+        one sum.  The blocks are not kept.
+        """
+        spin = self.spin
+        n = len(spin.charge_sites)
+        place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
+        sums = np.empty((n + 1, n, n))
+        for w in range(n // 2 + 1):
+            states, vecs, levels = spin.sectors[w]
+            blocks = np.empty((n, len(vecs), len(vecs)))
+            for k in range(n):
+                down = vecs[(states & place[k]) != 0]
+                blocks[k] = -2.0 * (down.T @ down)
+                blocks[k][np.diag_indices(len(vecs))] += 1.0
+            flat = blocks.reshape(n, -1)
+            kernel = _logarithmic_mean_matrix(spin.energies[levels], self.within[levels], self.temperature)
+            sums[w] = sums[n - w] = (flat * kernel.ravel()) @ flat.T
+        sums.setflags(write=False)
+        return sums
 
 
 @dataclass(frozen=True)
@@ -282,7 +341,7 @@ def _exchange_terms(system: ThermoSystem):
     2S^y, 2S^z, each the sum of one Pauli over every site; anything else
     raises NumericalIntegrityError.  The three couplings of an edge are
     equal, as H conserves the charges.  Returns (edges as (i, j) rows,
-    couplings, edge and axis of each term of H, site of each charge term).
+    couplings, sites and axis of each term of H, site of each charge term).
     """
     n = system.n_qubits
     if len(system.charges) != 3:
@@ -293,43 +352,42 @@ def _exchange_terms(system: ThermoSystem):
                 f"charge {axis} is not 2S^{'xyz'[axis]}, one {'XYZ'[axis]} on every site with coefficient 1: "
                 "its levels may sit at non-integer 2m"
             )
-    edges: dict[tuple[int, ...], int] = {}
     couplings: dict[tuple[int, ...], float] = {}
-    h_edges, h_axes = [], []
+    h_sites, h_axes = [], []
     for coeff, word in system.hamiltonian.terms:
         sites = tuple(k for k, letter in enumerate(word.letters) if letter)
         letters = {word.letters[k] for k in sites}
         if len(sites) != 2 or len(letters) != 1:
             raise NumericalIntegrityError(f"term {word} of an SU(2)-symmetric H is not an exchange XX, YY or ZZ")
-        h_edges.append(edges.setdefault(sites, len(edges)))
+        h_sites.append(sites)
         couplings[sites] = coeff
         h_axes.append(letters.pop() - 1)
     # the three charges order their terms alike, by the site of their one letter
     charge_sites = [word.letters.index(1) for _, word in system.charges[0].terms]
     return (
-        np.array(list(edges), dtype=np.int64).reshape(-1, 2),
+        np.array(list(couplings), dtype=np.int64).reshape(-1, 2),
         np.array(list(couplings.values())),
-        np.array(h_edges, dtype=np.intp),
+        np.array(h_sites, dtype=np.intp).reshape(-1, 2),
         np.array(h_axes, dtype=np.intp),
         np.array(charge_sites, dtype=np.intp),
     )
 
 
 def _sector_blocks(system: ThermoSystem) -> EigenBlocks:
-    """H of an SU(2)-symmetric system diagonalized on its S^z sectors, with each level's correlators.
+    """H of an SU(2)-symmetric system diagonalized on its S^z sectors.
 
     A basis state with w spins down (bits set, site 0 the most significant
     bit) has 2m = n - 2w.  On it Z_iZ_j is +-1, and X_iX_j + Y_iY_j moves
     the pair's two spins into each other's places with weight 2 when they
     differ and gives 0 when they agree, so H is real on each sector and
     takes one `eigh` for each m >= 0.  The global spin flip maps the sector
-    m onto -m with the same vectors and energies and each <Z_i> negated.
+    m onto -m with the same vectors and energies.
     Raises ResourceError above MAX_SECTOR_QUBITS qubits.
     """
     n = system.n_qubits
     if n > MAX_SECTOR_QUBITS:
         raise ResourceError(f"{n} qubits exceeds the S^z sector limit of {MAX_SECTOR_QUBITS}")
-    edges, couplings, h_edges, h_axes, charge_sites = _exchange_terms(system)
+    edges, couplings, h_sites, h_axes, charge_sites = _exchange_terms(system)
     place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
     states = np.arange(2**n, dtype=np.int64)
     spins = 1 - 2 * ((states[:, None] & place) != 0)
@@ -338,8 +396,7 @@ def _sector_blocks(system: ThermoSystem) -> EigenBlocks:
     flips = place[edges[:, 0]] | place[edges[:, 1]]
     down = np.count_nonzero(spins < 0, axis=1)
     everything = 2**n - 1
-    energies, twice_m, correlators = [], [], []
-    sectors, start = [None] * (n + 1), 0
+    energies, sectors, start = [], [None] * (n + 1), 0
     for w in range(n // 2 + 1):
         basis = np.flatnonzero(down == w)
         size = len(basis)
@@ -349,27 +406,16 @@ def _sector_blocks(system: ThermoSystem) -> EigenBlocks:
         cols = np.searchsorted(basis, basis[rows] ^ flips[edge])
         h[rows, cols] = 2.0 * couplings[edge]
         vals, vecs = np.linalg.eigh(h)
-        weights = (vecs * vecs).T
-        xx = np.empty((size, len(edges)))
-        for e in range(len(edges)):
-            pairs = edge == e
-            xx[:, e] = np.einsum("sa,sa->a", vecs[rows[pairs]], vecs[cols[pairs]])
-        zz, z = weights @ pair_spins[basis], weights @ spins[basis]
         vecs.setflags(write=False)
-        twice = n - 2 * w
-        for sign in ((1, -1) if twice > 0 else (1,)):
+        for sign in ((1, -1) if 2 * w < n else (1,)):
             energies.append(vals)
-            twice_m.append(np.full(size, sign * twice, dtype=float))
-            correlators.append(np.concatenate([xx, zz, sign * z], axis=1))
             levels = slice(start, start + size)
             sectors[w if sign > 0 else n - w] = (basis if sign > 0 else everything ^ basis, vecs, levels)
             start += size
-    energies, twice_m = np.concatenate(energies), np.concatenate(twice_m)
-    correlators = np.concatenate(correlators)
-    up = np.flatnonzero(twice_m > 0)
-    for array in (energies, twice_m, up, correlators, h_edges, h_axes, charge_sites):
+    energies = np.concatenate(energies)
+    for array in (energies, h_sites, h_axes, charge_sites):
         array.setflags(write=False)
-    spin = SpinLevels(energies, twice_m, up, correlators, h_edges, h_axes, charge_sites, tuple(sectors))
+    spin = SpinLevels(energies, h_sites, h_axes, charge_sites, tuple(sectors))
     return EigenBlocks((system.hamiltonian, *system.charges), None, spin)
 
 
@@ -432,22 +478,71 @@ class _cached(cached_property):
 class ThermalState:
     """rho proportional to exp(-(H - mu.Q)/T), held as the levels of H - mu.Q in its system's frame.
 
-    `thermal_state` builds every state whole.  `block_levels` and
-    `block_populations` run through the levels in the frame's order.  A dense
-    state holds them in ascending order, with the `eigenvectors` of the same
-    `eigh` as columns in the computational basis.  An SU(2)-symmetric state
-    runs level by level through its S^z sectors and holds no eigenvectors.
-    A stabilizer state holds none of the three: it keeps nothing of size
-    2^n, and its means come from its syndromes and its 2^k logical problem.
-    The means and the dense `rho` are computed on first use.
+    A dense state holds the `spectrum` of its one `eigh`, a frame state
+    nothing but mu and T, and everything else is computed on first use.
+    `block_levels` and `block_populations` run through the levels in the
+    frame's order: a dense state's in ascending order, with `eigenvectors`
+    as columns in the computational basis.  An SU(2)-symmetric state builds
+    them from its S^z sectors, but its means, ln Z and exact Hessian read
+    only its n + 1 sector weights (`_sectors`).  A stabilizer state has none
+    of the three: it keeps nothing of size 2^n, and its means come from its
+    syndromes and its 2^k logical problem.
     """
 
     mu: np.ndarray
     temperature: float
     blocks: EigenBlocks
-    block_levels: np.ndarray | None
-    block_populations: np.ndarray | None
-    eigenvectors: np.ndarray | None
+    spectrum: SpectralDecomposition | None
+
+    @property
+    def eigenvectors(self) -> np.ndarray | None:
+        return None if self.spectrum is None else self.spectrum.eigenvectors
+
+    @_cached
+    def block_levels(self) -> np.ndarray | None:
+        spin = self.blocks.spin
+        if spin is None:
+            return None if self.spectrum is None else self.spectrum.eigenvalues
+        levels = np.empty(len(spin.energies))
+        for w, (_, _, part) in enumerate(spin.sectors):
+            levels[part] = spin.energies[part] - self._radius * (len(spin.sectors) - 1 - 2 * w)
+        levels.setflags(write=False)
+        return levels
+
+    @_cached
+    def block_populations(self) -> np.ndarray | None:
+        spin = self.blocks.spin
+        if spin is None:
+            return None if self.spectrum is None else _populations(self.spectrum.eigenvalues, self.temperature)
+        sums, weights, _ = self._sectors
+        populations = np.empty(len(sums.within))
+        for (_, _, levels), weight in zip(spin.sectors, weights):
+            populations[levels] = weight * sums.within[levels]
+        populations.setflags(write=False)
+        return populations
+
+    @_cached
+    def _radius(self) -> float:
+        """|mu|: a rotation takes H - mu.Q to H - |mu| 2S^z."""
+        return math.hypot(*self.mu.tolist())
+
+    @_cached
+    def _sectors(self) -> tuple[SectorSums, np.ndarray, float]:
+        """The sector sums at T of an SU(2)-symmetric state, the population of each sector and ln Z.
+
+        Sector w has log-weight ln Z_w - (E0_w - |mu| z_w)/T; the largest is
+        shifted to 0, so ln Z is it plus the log of the shifted sum.
+        """
+        sums = self.blocks.spin.sector_sums(self.temperature)
+        # in place: n + 1 entries, where each NumPy call costs more than its arithmetic
+        weights = sums.twice_m * (self._radius / self.temperature)
+        weights += sums.log_weights
+        top = np.maximum.reduce(weights)
+        weights -= top
+        np.exp(weights, out=weights)
+        total = np.add.reduce(weights)
+        weights /= total
+        return sums, weights, float(top + math.log(total))
 
     @_cached
     def _logical_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -468,35 +563,36 @@ class ThermalState:
     @property
     def _axis(self) -> np.ndarray:
         """n = mu/|mu|, the axis the rotation takes z to; z itself at mu = 0, where any axis serves."""
-        r = math.hypot(*self.mu)
+        r = self._radius
         return self.mu / r if r > 0.0 else np.array([0.0, 0.0, 1.0])
 
     @_cached
-    def _spin_moments(self) -> tuple[float, float]:
-        """<z>/|mu| and Var(z)/T of z = 2S^z in the rotated frame of an SU(2)-symmetric system.
+    def _z_per_mu(self) -> float:
+        """<z>/|mu| of z = 2S^z in the rotated frame of an SU(2)-symmetric system.
 
-        The partner at -z of each level at z > 0 holds its population p
-        times e^{-2|mu|z/T}, so <z>/|mu| is the sum over those levels of
-        z p (1 - e^{-2|mu|z/T})/|mu|, with no cancellation as |mu| -> 0,
+        The partner n - w of each sector w at z > 0 holds its population P
+        times e^{-2|mu|z/T}, so <z>/|mu| is the sum over those sectors of
+        z P (1 - e^{-2|mu|z/T})/|mu|, with no cancellation as |mu| -> 0,
         where it tends to Var(z)/T.
         """
-        spin = self.blocks.spin
-        T = self.temperature
-        r = math.hypot(*self.mu)
-        z = spin.twice_m[spin.up]
-        p = self.block_populations[spin.up]
-        ratio = -np.expm1(-2.0 * r * z / T) / r if r > 0.0 else 2.0 * z / T
-        per_mu = float(np.sum(z * p * ratio))
-        centered = spin.twice_m - r * per_mu
-        return per_mu, float(self.block_populations @ (centered * centered)) / T
+        sums, p, _ = self._sectors
+        T, r = self.temperature, self._radius
+        # the sectors w < n/2 have z > 0
+        up = len(p) // 2
+        z = sums.twice_m[:up]
+        if r > 0.0:
+            return float(np.expm1(z * (-2.0 * r / T)).dot(z * p[:up])) / -r
+        return float(z.dot(z * p[:up])) * 2.0 / T
 
     @_cached
     def _means(self) -> np.ndarray:
         """Tr[X rho] for X = H, Q_1, ..., from the dense rho, the rotated or the logical frame."""
-        spin = self.blocks.spin
-        if spin is not None:
+        if self.blocks.spin is not None:
+            sums, p, _ = self._sectors
+            means = np.empty(1 + len(self.mu))
+            means[0] = p.dot(sums.energy)
             # <Q> = (mu/|mu|) <z>
-            means = np.concatenate(([self.block_populations @ spin.energies], self.mu * self._spin_moments[0]))
+            np.multiply(self.mu, self._z_per_mu, out=means[1:])
             means.setflags(write=False)
             return means
         frame = self.blocks.logical
@@ -515,12 +611,13 @@ class ThermalState:
         `blocks.term_slices` says which entries belong to which observable.
         A dense state gathers each term from `rho` along the word's basis
         action.  SU(2)-symmetric systems read them off the correlators of
-        their levels (`_sector_term_means`), and stabilizer systems off the
+        their sectors (`_sector_term_means`), and stabilizer systems off the
         syndromes and the charge means.
         """
         spin = self.blocks.spin
         if spin is not None:
-            return _sector_term_means(spin, self.block_populations, self._axis)
+            sums, p, _ = self._sectors
+            return _sector_term_means(spin, p @ sums.terms, self._axis)
         frame = self.blocks.logical
         if frame is not None:
             means = frame.term_means(self._logical_means(), self.temperature)
@@ -579,18 +676,17 @@ def stacked_term_means(states) -> np.ndarray:
     return np.array([state.term_means for state in states])
 
 
-def _sector_term_means(spin: SpinLevels, p: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """The Pauli-term means of an SU(2)-symmetric state, from its populations p and axis n = mu/|mu|.
+def _sector_term_means(spin: SpinLevels, weighted: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """The Pauli-term means of an SU(2)-symmetric state, from `SectorSums.terms` weighted by its sectors and its axis n = mu/|mu|.
 
     In the rotated frame rho is diagonal on the sector levels, and U^dag
     sigma^c U = sum_d R_cd sigma^d with R_cz = n_c.  Between the real sector
     states only <XX> = <YY> and <ZZ> of one pair survive, so a term of axis c
     on an edge has mean cx + (cz - cx) n_c^2, where cx and cz are those two
-    correlators weighted by p, and a charge term sigma^c_i has mean
-    n_c <Z_i>.
+    correlators weighted by the populations, and a charge term sigma^c_i
+    has mean n_c <Z_i>.
     """
-    terms = len(spin.h_edges)
-    weighted = (p @ spin.correlators)[spin.term_columns]
+    terms = len(spin.h_axes)
     cx, cz, z = weighted[:terms], weighted[terms : 2 * terms], weighted[2 * terms :]
     means = np.concatenate((cx + (cz - cx) * (axis * axis)[spin.h_axes], np.multiply.outer(axis, z).ravel()))
     means.setflags(write=False)
@@ -652,28 +748,26 @@ def thermal_state(system: ThermoSystem, mu, T: float) -> ThermalState:
     mu = _chemical_potentials(system, mu)
     mu.setflags(write=False)
     blocks = eigen_blocks(system)
-    if blocks.logical is not None:
-        # everything of a stabilizer state is computed when it is read
-        return ThermalState(mu, float(T), blocks, None, None, None)
-    if blocks.spin is not None:
-        # a rotation takes H - mu.Q to H - |mu| 2S^z
-        levels, vectors = blocks.spin.energies - math.hypot(*mu) * blocks.spin.twice_m, None
-        levels.setflags(write=False)
-    else:
-        # the stacked operators, not `_dense_effective`: a sum charge by charge rounds differently
-        d = system.dimension
-        spectrum = SpectralDecomposition.of((blocks.operators[0] - mu @ blocks.operators[1:]).reshape(d, d))
-        levels, vectors = spectrum.eigenvalues, spectrum.eigenvectors
-    return ThermalState(mu, float(T), blocks, levels, _populations(levels, T), vectors)
+    if blocks.operators is None:
+        # everything of a frame state is computed when it is read
+        return ThermalState(mu, float(T), blocks, None)
+    # the stacked operators, not `_dense_effective`: a sum charge by charge rounds differently
+    d = system.dimension
+    spectrum = SpectralDecomposition.of((blocks.operators[0] - mu @ blocks.operators[1:]).reshape(d, d))
+    return ThermalState(mu, float(T), blocks, spectrum)
 
 
 def log_partition(state: ThermalState) -> float:
     """ln Tr[exp(-(H - mu.Q)/T)], read off the state's normalizer.
 
     The lowest level's shifted weight is exactly 1, so its population is
-    1/sum(w) and ln Z = -lambda_0/T - ln p_0.  A stabilizer state adds
-    ln 2cosh(h_j/T) per generator to ln Z of its 2^k logical problem.
+    1/sum(w) and ln Z = -lambda_0/T - ln p_0.  An SU(2)-symmetric state
+    sums its sector weights (`ThermalState._sectors`), and a stabilizer
+    state adds ln 2cosh(h_j/T) per generator to ln Z of its 2^k logical
+    problem.
     """
+    if state.blocks.spin is not None:
+        return state._sectors[2]
     frame = state.blocks.logical
     T = state.temperature
     if frame is not None:
@@ -722,15 +816,18 @@ def hessian_exact(system: ThermoSystem, state: ThermalState) -> np.ndarray:
 
     SU(2)-symmetric systems take the closed form of the rotated frame:
     with n = mu/|mu|, the Hessian is -(n n^T Var(z)/T + (I - n n^T) <z>/|mu|),
-    which is -Var(z)/T I at mu = 0.
+    which is -Var(z)/T I at mu = 0.  Var(z) is summed over the sectors about
+    the mean, and <z>/|mu| is `ThermalState._z_per_mu`.
 
     A stabilizer state's charges act on its logical factor alone, and
     LM(p_s p_a, p_s p_b) = p_s LM(p_a, p_b), so the pair sum is that of the
     2^k logical problem, over the levels of its one `eigh`.
     """
     if state.blocks.spin is not None:
-        per_mu, variance = state._spin_moments
-        r = math.hypot(*state.mu)
+        sums, p, _ = state._sectors
+        per_mu, r = state._z_per_mu, state._radius
+        centered = sums.twice_m - r * per_mu
+        variance = float(p @ (centered * centered)) / state.temperature
         n = state.mu / r if r > 0.0 else np.zeros_like(state.mu)
         return -(per_mu * np.eye(len(n)) + (variance - per_mu) * np.outer(n, n))
     T = state.temperature

@@ -394,27 +394,26 @@ def _sector_pair_sums(state: ThermalState) -> tuple[np.ndarray, np.ndarray]:
     """Gx and Gz of an SU(2)-symmetric state, over every pair of sites (k, l).
 
     Gz is sum_ab p_a phi((E_a - E_b)/T) (Z_k)_ab (Z_l)_ab over the level
-    pairs within one sector, and Gx the same sum of X_k over the level pairs
-    of adjacent sectors, with omega_ab = (lambda_a - lambda_b)/T.  Each
-    ordered pair (a, b) between two sectors also appears as (b, a), so each
-    block takes the kernel (p_a + p_b) phi(omega_ab), halved within a sector.
+    pairs within one sector.  Within sector w the populations are P_w times
+    those of H alone, so Gz is sum_w P_w Gz_w(T), with Gz_w of
+    `SectorSums.z_pairs`.  Gx is the same sum of X_k over the level pairs of
+    adjacent sectors, with omega_ab = (lambda_a - lambda_b)/T, which moves
+    with |mu|.  Each ordered pair (a, b) between two sectors also appears as
+    (b, a), so each block takes the kernel (p_a + p_b) phi(omega_ab).
     """
     spin = state.blocks.spin
     n = len(spin.charge_sites)
     lam, p, T = state.block_levels, state.block_populations, state.temperature
-    sums = []
-    for entries in spin.site_blocks:
-        total = np.zeros((n, n))
-        for blocks, level_pairs in entries:
-            kernel = sum(
-                (p[r, None] + p[None, c]) * tent_characteristic((lam[r, None] - lam[None, c]) / T)
-                for r, c in level_pairs
-            )
-            flat = blocks.reshape(n, -1)
-            total += (flat * kernel.ravel()) @ flat.T
-        sums.append(total)
-    gz, gx = sums
-    return gx, gz / 2.0
+    gx = np.zeros((n, n))
+    for blocks, level_pairs in spin.site_blocks:
+        kernel = sum(
+            (p[r, None] + p[None, c]) * tent_characteristic((lam[r, None] - lam[None, c]) / T)
+            for r, c in level_pairs
+        )
+        flat = blocks.reshape(n, -1)
+        gx += (flat * kernel.ravel()) @ flat.T
+    sums, weights, _ = state._sectors
+    return gx, np.tensordot(weights, sums.z_pairs, axes=1)
 
 
 def _spin_pairs(state: ThermalState, mode: str):
@@ -427,18 +426,18 @@ def _spin_pairs(state: ThermalState, mode: str):
     sector sums of `_sector_pair_sums`.  In extensive mode the site
     generator mu.sigma turns the transverse part at 2|mu|/T and leaves the
     axial one, so Gx = phi(2|mu|/T) cx and Gz = cz, the population-weighted
-    <X_kX_l> and <Z_kZ_l> of `SpinLevels.pair_correlators`.  Rows are the
-    charge terms of Q_i in generic mode and the sites in extensive mode;
-    columns are the charge terms of Q_j, term t on site `charge_sites[t]`.
-    Every charge coefficient is 1.
+    <X_kX_l> and <Z_kZ_l>: the sector weights times `SectorSums.xx` and
+    `zz`.  Rows are the charge terms of Q_i in generic mode and the sites in
+    extensive mode; columns are the charge terms of Q_j, term t on site
+    `charge_sites[t]`.  Every charge coefficient is 1.
     """
     sites = state.blocks.spin.charge_sites
     n = len(sites)
     if mode == "extensive":
-        p = state.block_populations
-        cx, cz = (p @ table.reshape(len(p), -1) for table in state.blocks.spin.pair_correlators)
-        gx = tent_characteristic(2.0 * np.linalg.norm(state.mu) / state.temperature) * cx.reshape(n, n)
-        gz, rows = cz.reshape(n, n), np.arange(n)
+        sums, weights, _ = state._sectors
+        cx, cz = (np.tensordot(weights, table, axes=1) for table in (sums.xx, sums.zz))
+        gx = tent_characteristic(2.0 * np.linalg.norm(state.mu) / state.temperature) * cx
+        gz, rows = cz, np.arange(n)
     else:
         (gx, gz), rows = _sector_pair_sums(state), sites
     gx, gz = gx[np.ix_(rows, sites)].ravel(), gz[np.ix_(rows, sites)].ravel()

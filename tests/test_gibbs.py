@@ -540,6 +540,77 @@ class TestRotatedFrame:
             eigen_blocks(bad)
 
 
+class _Refused:
+    """Stands in for an array of the 2^n levels: any use of it fails."""
+
+    # binary operators with an ndarray defer to the methods below
+    __array_ufunc__ = None
+
+    def _refuse(self, *args):
+        raise AssertionError("read an array of the 2^n levels")
+
+    __array__ = __len__ = __iter__ = __getitem__ = _refuse
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __matmul__ = __rmatmul__ = _refuse
+
+
+class TestSectorSums:
+    """SU(2) states from their n + 1 sector weights on the sums over each S^z sector at T."""
+
+    @pytest.mark.parametrize("name", ["line6-nnn", "grid2x3-nnn"])
+    def test_matches_dense_path(self, name):
+        system = build_heisenberg(**ROTATED_SYSTEMS[name], targets=(0.4, -0.3, 0.5))
+        dense = replace(system, conserved=False, su2_symmetric=False)
+        direction = np.array([0.48, -0.6, 0.64])
+        for T in (0.1 / (system.n_qubits * math.log(2)), 1.0):
+            # at |mu| = 100 T the sectors at z and -z differ by e^{-200 z}, which underflows
+            for size in (0.0, 1e-12, 0.7, 100.0 * T):
+                state = thermal_state(system, size * direction, T)
+                observed = _observed(system, state)
+                expected = _observed(dense, thermal_state(dense, size * direction, T))
+                for value, want in zip(observed, expected, strict=True):
+                    assert _relative_gap(value, want) <= 1e-12
+            assert 0.0 in state._sectors[1]
+
+    def test_each_temperature_keeps_its_own_sums(self):
+        system = build_heisenberg("line", n=6, nnn=True)
+        mu = np.array([0.3, -0.2, 0.1])
+        cold, warm = thermal_state(system, mu, 0.1), thermal_state(system, mu, 1.0)
+        cold.term_means, warm.term_means
+        spin = eigen_blocks(system).spin
+        assert cold._sectors[0] is spin.sector_sums(0.1) and warm._sectors[0] is spin.sector_sums(1.0)
+        assert thermal_state(system, -mu, 0.1)._sectors[0] is cold._sectors[0]
+        assert cold._sectors[0].temperature == 0.1 and warm._sectors[0].temperature == 1.0
+        # what a state reads does not depend on the temperatures summed before it
+        for T, state in ((0.1, cold), (1.0, warm)):
+            alone = thermal_state(build_heisenberg("line", n=6, nnn=True), mu, T)
+            assert log_partition(state) == log_partition(alone)
+            assert np.array_equal(state.term_means, alone.term_means)
+
+    def test_evaluations_read_no_array_of_the_levels(self):
+        # once the sums at T exist, the solvers read n + 1 sector weights
+        from thermodual.optimize import ExactEstimator, OptimizerConfig, run
+        from thermodual.shots import ShotEstimator
+
+        system = build_heisenberg("grid", rows=2, cols=3, nnn=True, targets=(0.3, 0.1, -0.4))
+        T = OptimizerConfig().resolved_temperature(system)
+        spin = eigen_blocks(system).spin
+        spin.sector_sums(T)
+        for name in ("energies", "sectors"):
+            # a frozen dataclass, as `eigen_blocks` caches on the frozen system
+            object.__setattr__(spin, name, _Refused())
+        state = thermal_state(system, [0.2, -0.1, 0.3], T)
+        state.energy, state.charge_means, state.term_means, log_partition(state), hessian_exact(system, state)
+        for variant, estimator in (
+            ("first_classical", ExactEstimator(system)),
+            ("second_classical", ExactEstimator(system)),
+            ("first_hqc", ShotEstimator(system, 3)),
+        ):
+            trace = run(system, OptimizerConfig(variant=variant, max_iter=100), estimator)
+            assert trace.iterations > 1
+        with pytest.raises(AssertionError, match="2\\^n levels"):
+            state.block_levels
+
+
 SECTOR_SYSTEMS = {
     **{name: kwargs for name, kwargs in _heisenberg_family()},
     "line10-nnn": dict(geometry="line", n=10, nnn=True),

@@ -261,9 +261,12 @@ class TestStepRecords:
         return [(r.step_size, r.fallback) for r in trace.records]
 
     # These second_classical paths cross a kink of the dual, where a rounding
-    # change moves them: line 3 nnn takes other steps on the dense path than
-    # in the rotated frame.  So the line 5 pin runs on the dense path, the
-    # oracle, and the rotated frame of SU(2) systems has pins of its own.
+    # change moves them: there the Hessian's eigenvalue along mu is rounding,
+    # and its sign decides whether the Newton step ascends.  Line 5 at
+    # (-0.1, 1.5, 0.1) takes other steps on the dense path than in the
+    # rotated frame.  So the line 5 pin at those targets runs on the dense
+    # path, the oracle, and the rotated frame of SU(2) systems has pins of
+    # its own at targets whose steps the dense path shares up to rounding.
 
     def test_second_classical_remembers_the_backtracked_eta(self):
         # the capped step backtracks once, and clean steps double the kept eta back to 1
@@ -276,22 +279,22 @@ class TestStepRecords:
         assert self._records(system, cfg) == [(eta, False) for eta in etas]
 
     def test_second_classical_fallbacks_in_the_rotated_frame(self):
-        # backtracking halves eta to 1/64, and iteration 3 takes the safeguarded
-        # gradient step; clean steps then double eta back to 1
-        system = build_heisenberg("line", n=3, nnn=True, targets=(1.2, -0.4, 0.3))
+        # iteration 2 takes the safeguarded gradient step, later backtracking
+        # halves eta to 1/8, and clean steps then double it back to 1
+        system = build_heisenberg("line", n=3, nnn=True, targets=(1.3, 0.9, -1.5))
         cfg = OptimizerConfig(variant="second_classical", epsilon=0.1)
-        fallbacks = {3}
-        etas = [1.0] * 5 + [2.0**-6] * 3 + [2.0**-k for k in range(5, 0, -1)] + [1.0] * 4
+        fallbacks = {2}
+        etas = [1.0] * 5 + [2.0**-3] * 2 + [2.0**-2, 2.0**-1] + [1.0] * 4
         assert self._records(system, cfg) == [
             (eta, m in fallbacks) for m, eta in enumerate(etas)
         ]
 
     def test_second_classical_backtracked_eta_in_the_rotated_frame(self):
-        system = build_heisenberg("line", n=5, targets=(-0.1, 1.5, 0.1))
+        system = build_heisenberg("line", n=5, targets=(1.2, -0.8, 0.4))
         cfg = OptimizerConfig(variant="second_classical", epsilon=0.1)
-        kept = 0.020252833340097757
+        kept = 0.016398512779305558
         etas = [1.0] * 4 + [kept, kept] + [2.0**k * kept for k in range(1, 6)] + [1.0] * 4
-        assert 32 * kept == 0.6480906668831282
+        assert 32 * kept == 0.5247524089377779
         assert self._records(system, cfg) == [(eta, False) for eta in etas]
 
     def test_nesterov_keeps_its_fixed_step(self):
