@@ -711,6 +711,8 @@ def run_verify(suite: str, seed: int, out_path: Path | None) -> int:
         names = [suite]
     else:
         raise ConfigError(f"unknown suite {suite!r}; choose from {sorted(suites)} or 'all'")
+    if seed < 0:
+        raise ConfigError(f"verify --seed must be non-negative, got {seed}")
 
     if out_path is not None:
         _make_dir(out_path.parent)
@@ -803,9 +805,12 @@ def _load_config(path: str, seed_override: int | None) -> dict:
 
 def _sweep_values(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"--values must be comma-separated numbers, got {text!r}") from None
+        values = []
+    if not values:
+        raise ConfigError(f"--values must be comma-separated numbers, got {text!r}")
+    return values
 
 
 def main(argv=None) -> int:

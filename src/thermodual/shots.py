@@ -22,13 +22,14 @@ Randomness is organized as derived streams (Salmon et al., SC'11): a
 64-bit mix of (master seed, evaluation, id) keys each generator, a fresh
 PCG64 seeded by its own routine from the splitmix64 words of that key, so a
 stream's draws depend on nothing but its key, whatever was drawn before.
-One evaluation of the charges and the energy makes one binomial call on one
-generator, over the terms of the charges in order and then of H
-(`estimate_observable` on an `ObservableGroup`); a `ShotEstimator` with one
-master seed per row draws a stack of states, one per row, in one such call,
-each row on its own generator.  A Hessian likewise makes one binomial call
-on one generator, over the pairs of every upper-triangle entry and then the
-two factor estimates of each entry.
+Every draw takes one path, `_binomial_means`, over a stack of rows, each on
+its own generator.  A `ShotEstimator` with one master seed per row measures a
+stack of states in one `estimate_observable` call on an `ObservableGroup`,
+each row the charges' terms in order and then H's; a lone evaluation is a
+stack of one.  A Hessian is one row on one generator: the pairs of every
+upper-triangle entry, then the two factor estimates of each entry.  A row of
+at most SCALAR_DRAWS values takes a binomial call per value, a longer row one
+call; both draw the same counts.
 """
 
 from __future__ import annotations
@@ -88,39 +89,38 @@ def _mixed_evaluations(first: int) -> np.ndarray:
     return mixed
 
 
-def _splitmix_words(seeds, count: int) -> np.ndarray:
-    """The first `count` splitmix64 words of one derived seed, or of each of a uint64 array of them on a new last axis."""
-    if isinstance(seeds, int):
-        return np.array([_mix64(seeds + k * _GAMMA) for k in range(1, count + 1)], dtype=np.uint64)
-    return _mix64(seeds[..., None] + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA))
+def _splitmix_words(seeds: np.ndarray) -> np.ndarray:
+    """The PCG64_WORDS splitmix64 words of each of a uint64 array of derived seeds, on a new last axis."""
+    return _mix64(seeds[..., None] + np.arange(1, PCG64_WORDS + 1, dtype=np.uint64) * np.uint64(_GAMMA))
 
 
 @cache
 def _stream_words() -> type:
-    """The `ISeedSequence` class that seeds a bit generator with the splitmix64 sequence of one derived seed.
+    """The `ISeedSequence` class that seeds a bit generator with the splitmix64 words of one derived seed.
 
     PCG64 asks for PCG64_WORDS 64-bit words: its 128-bit initial state is
     the first two and its stream selector the last two.  splitmix64 is a
     bijection, so distinct seeds give distinct first words and no two
-    streams share a state.  A 32-bit request takes the low half of each
-    word.  Words derived already, with the seed left None, are handed over
-    as they are.  The class is made on the first draw: NumPy loads
-    numpy.random on first use, and a run that draws no shots never does.
+    streams share a state.  It holds the PCG64_WORDS words; a request for
+    fewer takes the first ones, and a 32-bit one the low half of each.  The
+    class is made on the first draw: NumPy loads numpy.random on first use,
+    and a run that draws no shots never does.
     """
     from numpy.random.bit_generator import ISeedSequence
 
     class StreamWords(ISeedSequence):
-        def __init__(self, seed: int | None, words: np.ndarray | None = None):
-            self.seed = seed
+        def __init__(self, words: np.ndarray):
             self.words = words
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            words = self.words
-            if words is None or len(words) != n_words:
-                words = _splitmix_words(self.seed, n_words)
-            return words.astype(dtype, copy=False)
+            return self.words[:n_words].astype(dtype, copy=False)
 
     return StreamWords
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """A fresh PCG64 generator seeded with one stream's words."""
+    return np.random.Generator(np.random.PCG64(_stream_words()(words)))
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         seed = derive_stream_seed(self.master_seed, self.iteration, self.obs_id)
-        return np.random.Generator(np.random.PCG64(_stream_words()(seed)))
+        return _generator(_splitmix_words(np.array(seed, dtype=np.uint64)))
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +162,15 @@ def tent_characteristic(omega) -> np.ndarray:
     return np.where(zero, 1.0, np.tanh(half) / np.where(zero, 1.0, half))
 
 
-def _binomial_means(values: np.ndarray, shots, rng) -> np.ndarray:
-    """Mean of `shots` +-1 outcomes with P(+1) = (1 + v)/2, for each v in values.
+def _binomial_means(values: np.ndarray, shots, generators) -> np.ndarray:
+    """Mean of `shots` +-1 outcomes with P(+1) = (1 + v)/2, for each v in a stack of rows of values.
 
     The count of +1 outcomes is one Binomial(shots, (1 + v)/2) draw per value,
-    in order: a row of values on one generator `rng`, or each row of a stack
-    on its own generator of the sequence `rng`.  `shots` is one count or an
-    array of one per column.  A row of a stack with at most SCALAR_DRAWS
-    values takes a call per value, which skips the array call's argument
-    checks and draws the same counts.  A value that is not finite, or
-    exceeds 1 in magnitude beyond rounding, in any row raises
+    in order, each row on its own generator of the sequence `generators`.
+    `shots` is one count or an array of one per column.  A row with at most
+    SCALAR_DRAWS values takes a call per value, which skips the array call's
+    argument checks and draws the same counts.  A value that is not finite,
+    or exceeds 1 in magnitude beyond rounding, in any row raises
     NumericalIntegrityError before any draw.
     """
     # written so that NaN fails it too
@@ -179,12 +178,10 @@ def _binomial_means(values: np.ndarray, shots, rng) -> np.ndarray:
         bad = values[~(np.abs(values) <= 1.0 + 1e-9)][0]
         raise NumericalIntegrityError(f"outcome mean {bad} is not a number in [-1, 1]")
     probs = np.minimum(np.maximum((1.0 + values) / 2.0, 0.0), 1.0)
-    if values.ndim == 1:
-        return 2.0 * rng.binomial(shots, probs) / shots - 1.0
     if isinstance(shots, int) and probs.shape[1] <= SCALAR_DRAWS:
-        counts = [[g.binomial(shots, p) for p in row] for g, row in zip(rng, probs.tolist())]
+        counts = [[g.binomial(shots, p) for p in row] for g, row in zip(generators, probs.tolist())]
     else:
-        counts = [g.binomial(shots, row) for g, row in zip(rng, probs)]
+        counts = [g.binomial(shots, row) for g, row in zip(generators, probs)]
     return 2.0 * np.array(counts) / shots - 1.0
 
 
@@ -221,7 +218,8 @@ def estimate_observable(term_means, obs: Observable | ObservableGroup, shots_per
     Given a stack of term means, one row per state, and one generator per
     row, the estimates gain a leading row axis: each row draws on its own
     generator, and one `bincount` with owners offset per row sums every
-    row's terms apart, in order, as a call per row would.
+    row's terms apart, in order, as a call per row would.  One row of term
+    means is drawn as a stack of one.
     """
     if shots_per_term < 1:
         raise ValueError("need at least one shot per term")
@@ -229,15 +227,15 @@ def estimate_observable(term_means, obs: Observable | ObservableGroup, shots_per
     if means.shape[-1] != len(obs.terms):
         raise ValueError(f"{means.shape[-1]} term means for {len(obs.terms)} terms")
     group = obs if isinstance(obs, ObservableGroup) else ObservableGroup((obs,))
-    outcomes = _binomial_means(means, shots_per_term, rng)
+    stack, generators = (means, rng) if means.ndim > 1 else (means[None], (rng,))
+    outcomes = _binomial_means(stack, shots_per_term, generators)
     # a sum per observable, which no other observable's terms can round differently, as a matrix product's rows would
-    if means.ndim == 1:
-        estimates = np.bincount(group.owners, group.weights * outcomes, minlength=len(group.observables))
-        return estimates if group is obs else float(estimates[0])
-    rows, size = len(means), len(group.observables)
+    rows, size = len(stack), len(group.observables)
     owners = group.owners + size * np.arange(rows)[:, None]
     estimates = np.bincount(owners.ravel(), (group.weights * outcomes).ravel(), minlength=rows * size)
-    return estimates.reshape(rows, size) if group is obs else estimates
+    if means.ndim > 1:
+        return estimates.reshape(rows, size) if group is obs else estimates
+    return estimates if group is obs else float(estimates[0])
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +523,7 @@ def estimate_hessian(
     values = np.concatenate((*wbar, *factors))
     pair_count = sum(len(w) for w in wbar)
     counts = np.repeat((time_samples, shots), (pair_count, len(values) - pair_count))
-    outcomes = _binomial_means(values, counts, stream.with_observable(HESSIAN_ENTRY_BASE).generator())
+    outcomes = _binomial_means(values[None], counts, (stream.with_observable(HESSIAN_ENTRY_BASE).generator(),))[0]
     parts = np.split(outcomes, np.cumsum([len(part) for part in (*wbar, *factors)])[:-1])
     pair_outcomes, factor_outcomes = parts[: len(entries)], parts[len(entries) :]
     hessian = np.zeros((c, c))
@@ -549,7 +547,7 @@ class ShotEstimator:
     system's charges when the estimator is built, before any Hessian.
 
     `master_seed` is one seed, or a sequence of them with one row of
-    streams each; `estimate` and `hessian` draw on the first row's.
+    streams each; `hessian` draws on the first row's.
     """
 
     def __init__(
@@ -621,7 +619,7 @@ class ShotEstimator:
         first = eval_index - eval_index % WORD_BLOCK
         if self._block is None or self._block[0] != first:
             seeds = _derive_step(_derive_step(self._mixed_masters, _mixed_evaluations(first)), 0)
-            self._block = (first, _splitmix_words(seeds, PCG64_WORDS))
+            self._block = (first, _splitmix_words(seeds))
         return self._block[1][eval_index - first]
 
     def estimate_rows(
@@ -637,26 +635,11 @@ class ShotEstimator:
         """
         order, group = self._measured[energy]
         words = self._row_words(eval_index)
-        words_class = _stream_words()
-        generators = [
-            np.random.Generator(np.random.PCG64(words_class(None, row)))
-            for row in (words if len(rows) == len(words) else words[rows])
-        ]
-        if len(states) == 1:
-            # a stack of one draws as one state does, on one-dimensional arrays
-            estimates = estimate_observable(states[0].term_means[order], group, self.shots_per_term, generators[0])[None]
-        else:
-            estimates = estimate_observable(stacked_term_means(states)[:, order], group, self.shots_per_term, generators)
+        generators = [_generator(row) for row in (words if len(rows) == len(words) else words[rows])]
+        estimates = estimate_observable(stacked_term_means(states)[:, order], group, self.shots_per_term, generators)
         if not energy:
             return estimates, None
         return estimates[:, :-1], estimates[:, -1].tolist()
-
-    def estimate(
-        self, state: ThermalState, eval_index: int, energy: bool
-    ) -> tuple[np.ndarray, float | None]:
-        """Shot estimates of the charges, and of H when `energy` is set, of one state on the first row's streams."""
-        charges, energies = self.estimate_rows((state,), [0], eval_index, energy)
-        return charges[0], (None if energies is None else energies[0])
 
     @cached_property
     def _measured(self) -> tuple[tuple[np.ndarray, ObservableGroup], ...]:

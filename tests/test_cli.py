@@ -795,6 +795,13 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "reference_energy", lambda system: ReferenceEnergy(1.0, "su2"))
         assert main(["verify", "references"]) == 3
 
+    @pytest.mark.parametrize("suite", ["formulas", "gradients", "codes", "references", "all"])
+    def test_negative_seed_refused_before_any_suite(self, tmp_path, capsys, suite):
+        out = tmp_path / "report.json"
+        assert main(["verify", suite, "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: verify --seed must be non-negative, got -1\n"
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_temperature_sweep_fidelity_monotone(self, tmp_path):
@@ -1053,6 +1060,8 @@ class TestExitCodes:
         ("T", "0.5,nan"),
         ("eta", "0.001,-inf"),
         ("T", "0.5,abc"),
+        ("T", ","),
+        ("eta", ""),
     ])
     def test_sweep_values_checked_before_any_run(self, tmp_path, monkeypatch, capsys, parameter, values):
         import thermodual.cli as cli

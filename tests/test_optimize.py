@@ -331,7 +331,7 @@ class TestErrorMetric:
         trace = run(system, cfg, estimator, reference_energy=E)
         # one evaluation per record, then the fresh one at the last point
         state = thermal_state(system, trace.final_mu, trace.temperature)
-        charges, energy = estimator.estimate(state, trace.iterations, True)
+        (charges,), (energy,) = estimator.estimate_rows((state,), [0], trace.iterations, True)
         mu, q = trace.final_mu, np.asarray(system.targets, dtype=float)
         f_est = float(mu @ q + energy - mu @ charges)
         assert trace.final_value == f_est

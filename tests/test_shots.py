@@ -107,7 +107,7 @@ class TestStreamDerivation:
             assert np.array_equal(generator.random(5), reference.random(5))
             # a 32-bit request: the low half of each word
             halves = [word & 0xFFFFFFFF for word in words[:3]]
-            assert shots._stream_words()(derive_stream_seed(master, iteration, obs)).generate_state(3).tolist() == halves
+            assert shots._stream_words()(np.array(words, dtype=np.uint64)).generate_state(3).tolist() == halves
 
 
 def estimate_on(rho, obs, shots_per_term, stream):
@@ -493,8 +493,8 @@ class TestShotEstimator:
         exact = expectation(system.charges[2], state.rho)
         wide = ShotEstimator(system, 11, shots_per_iteration=100)
         tight = ShotEstimator(system, 11, shots_per_iteration=1_000_000)
-        err_wide = abs(wide.estimate(state, 0, False)[0][2] - exact)
-        err_tight = abs(tight.estimate(state, 0, False)[0][2] - exact)
+        err_wide = abs(wide.estimate_rows((state,), [0], 0, False)[0][0, 2] - exact)
+        err_tight = abs(tight.estimate_rows((state,), [0], 0, False)[0][0, 2] - exact)
         assert err_tight < max(err_wide, 5e-3)
 
     @pytest.mark.parametrize("name", ["repetition3", "grid2x3"])
@@ -502,11 +502,11 @@ class TestShotEstimator:
         # one generator per evaluation draws the charges first, so measuring H changes none
         system, state = pinned_case(name)
         estimator = ShotEstimator(system, 17, shots_per_iteration=500)
-        charges, energy = estimator.estimate(state, 6, True)
-        alone, none = estimator.estimate(state, 6, False)
+        charges, (energy,) = estimator.estimate_rows((state,), [0], 6, True)
+        alone, none = estimator.estimate_rows((state,), [0], 6, False)
         assert none is None and isinstance(energy, float)
         assert np.array_equal(charges, alone)
-        assert not np.array_equal(charges, estimator.estimate(state, 7, False)[0])
+        assert not np.array_equal(charges, estimator.estimate_rows((state,), [0], 7, False)[0])
 
     @pytest.mark.parametrize("energy", [False, True])
     @pytest.mark.parametrize("name", ["repetition3", "grid2x3"])
@@ -519,8 +519,8 @@ class TestShotEstimator:
         shots = estimator.shots_per_term
         charges = [estimate_observable(m, q, shots, rng) for m, q in zip(means[1:], system.charges)]
         energy_estimate = estimate_observable(means[0], system.hamiltonian, shots, rng) if energy else None
-        got, got_energy = estimator.estimate(state, 5, energy)
-        assert got.tolist() == charges and got_energy == energy_estimate
+        got, got_energies = estimator.estimate_rows((state,), [0], 5, energy)
+        assert got.tolist() == [charges] and got_energies == ([energy_estimate] if energy else None)
 
     @pytest.mark.parametrize("name", ["perfect5", "grid2x3", "random"])
     def test_group_equals_one_call_per_observable(self, name):
@@ -540,7 +540,7 @@ class TestShotEstimator:
         calls = []
         inner = shots.estimate_observable
         monkeypatch.setattr(shots, "estimate_observable", lambda m, obs, *a: calls.append(len(obs.terms)) or inner(m, obs, *a))
-        ShotEstimator(system, 23).estimate(state, 5, energy)
+        ShotEstimator(system, 23).estimate_rows((state,), [0], 5, energy)
         measured = system.charges + (system.hamiltonian,) * energy
         assert calls == [sum(len(q.terms) for q in measured)]
 
@@ -552,9 +552,9 @@ class TestShotEstimator:
         means[state.blocks.term_slices[0].stop - 1] = bad
         state.__dict__["term_means"] = means
         estimator = ShotEstimator(system, 23)
-        assert estimator.estimate(state, 0, False)[1] is None
+        assert estimator.estimate_rows((state,), [0], 0, False)[1] is None
         with pytest.raises(NumericalIntegrityError, match=str(bad)):
-            estimator.estimate(state, 0, True)
+            estimator.estimate_rows((state,), [0], 0, True)
 
     @pytest.mark.parametrize("eval_index", [0, 63, 64, 200])
     @pytest.mark.parametrize("name", ["perfect5", "detect422", "grid2x3", "random"])
@@ -684,6 +684,17 @@ PINNED_HESSIAN = {
 }
 
 
+# (name, seed): the charge estimates and the energy estimate of one evaluation
+# of one state, a stack of one, at 500 shots per iteration.  repetition3's 5
+# terms are at most SCALAR_DRAWS, grid2x3's 51 are more.
+PINNED_ONE_ROW = {
+    ("repetition3", 11): ([0.3799999999999999, -0.24, 0.8], -2.0),
+    ("repetition3", 20251018): ([0.56, -0.26, 0.74], -1.98),
+    ("grid2x3", 11): ([0.0, -0.19999999999999996, 0.20000000000000018], -11.800000000000002),
+    ("grid2x3", 20251018): ([0.7999999999999999, 0.19999999999999984, -0.4], -7.5),
+}
+
+
 class TestPinnedOutputs:
     @pytest.mark.parametrize("name,seed", sorted(PINNED_OBSERVABLE))
     def test_estimate_observable(self, name, seed):
@@ -703,3 +714,10 @@ class TestPinnedOutputs:
         system, state = pinned_case(name)
         estimator = ShotEstimator(system, seed, hessian_samples_per_iteration=20_000, mode=mode)
         assert estimator.hessian(state, 4).tolist() == PINNED_HESSIAN[(name, mode, seed)]
+
+    @pytest.mark.parametrize("name,seed", sorted(PINNED_ONE_ROW))
+    def test_one_row_estimate(self, name, seed):
+        system, state = pinned_case(name)
+        estimator = ShotEstimator(system, seed, shots_per_iteration=500)
+        charges, energies = estimator.estimate_rows((state,), [0], 3, True)
+        assert (charges[0].tolist(), energies[0]) == PINNED_ONE_ROW[(name, seed)]
