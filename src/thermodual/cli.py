@@ -510,21 +510,17 @@ def _verify_formulas(seed: int):
 
 
 def _frame_gap(system: ThermoSystem, state, reference: ThermoSystem) -> float:
-    """The largest gap of a state from the same state of a reference path, relative to max(1, |value|).
+    """The largest gap of a frame state from the same state of a reference path, relative to max(1, |value|).
 
-    It compares ln Z, the means, the Pauli-term means and the exact Hessian,
-    and the levels and populations in ascending order of a state that gives
-    them: an SU(2) state builds them from its sectors when they are read, a
-    stabilizer state keeps none.  Both are checked against the dense path.
+    It compares ln Z, the means, the Pauli-term means and the exact Hessian.
+    A frame state, SU(2) or stabilizer, holds no levels to compare: only mu,
+    T and its frame.  Both kinds are checked against the dense path.
     """
     other = thermal_state(reference, state.mu, state.temperature)
-    spectrum = state.block_levels is not None
 
     def values(s):
         means = [s.energy, *s.charge_means]
-        hessian = hessian_exact(system, s).ravel()
-        levels = (np.sort(s.block_levels), np.sort(s.block_populations)) if spectrum else ()
-        return (*levels, [log_partition(s)], means, s.term_means, hessian)
+        return ([log_partition(s)], means, s.term_means, hessian_exact(system, s).ravel())
 
     return max(
         float(np.max(np.abs(np.subtract(a, b)))) / max(1.0, float(np.max(np.abs(b))))
@@ -797,6 +793,8 @@ def _load_config(path: str, seed_override: int | None) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file cannot be read: {path}: {exc}") from None
     config = validate_config(raw)
     if seed_override is not None:
         config["seed"] = seed_override

@@ -15,13 +15,13 @@ SU(2)-symmetric systems need no eigensolve per call and no matrix of size
 fixed, so the levels are E_a - |mu| z_a, with E_a the levels of H on its
 S^z sectors and z_a = 2m_a.  Each sector is built from the exchange terms on
 its basis states and diagonalized once per system, the sectors at -m by a
-global spin flip.  Within a sector every level moves by the same -|mu| z,
+global spin flip.  Each sector keeps its own levels, and no array runs over
+all 2^n of them.  Within a sector every level moves by the same -|mu| z,
 so the sums over each sector at T, built once per temperature
 (`SpinLevels.sector_sums`), fix a state by its n + 1 sector weights: ln Z,
 the means, the Pauli-term means and the exact Hessian follow in closed form
-from them, and no array of the 2^n levels is read unless a state's levels
-or populations are.  The sampled Hessian reads sector sums too, and tables
-of the sector vectors that its first call builds (`SpinLevels.site_blocks`).
+from them.  The sampled Hessian reads sector sums too, and tables of the
+sector vectors that its first call builds (`SpinLevels.site_blocks`).
 
 Stabilizer codes are taken in their logical frame (Gottesman,
 quant-ph/9705052).  H = sum_j h_j G_j over r independent generators, and
@@ -32,9 +32,9 @@ rho = rho_S (x) rho_L.  Each generator is an independent +-1 spin with mean
 the exact Hessian are those of the 2^k logical problem, whose one `eigh` per
 state gives ln Z_L and the Hessian.  When every charge is one Pauli of one
 encoded qubit, each encoded qubit is a spin-1/2 in its own field, and the
-means take no eigensolve.  A code state keeps nothing of size 2^n: no
-levels, populations or vectors.  Neither frame holds a vector of the 2^n
-states, so the dense `rho` of a frame state takes one `eigh` of H - mu.Q.
+means take no eigensolve.  A frame state holds only mu, T and its frame,
+and neither frame holds a vector of the 2^n states, so the dense `rho` of a
+frame state takes one `eigh` of H - mu.Q.
 
 Boltzmann weights are shifted so the largest is exactly 1 before
 normalization, which keeps everything finite at temperatures far below the
@@ -82,22 +82,21 @@ class SpectralDecomposition:
 class SpinLevels:
     """The levels of an SU(2)-symmetric H on its S^z sectors, and the sums over each sector at each temperature.
 
-    Level a has energy E_a.  `sectors[w]` holds (basis states, real
-    eigenvectors as columns, slice of the levels) of the sector with w spins
-    down, z = 2m = n - 2w, for w = 0..n, its levels in ascending order; the
-    sectors at m and -m share one array of vectors and one of energies.
-    `h_sites` and `h_axes` give the two sites and the axis (0, 1, 2 for X,
-    Y, Z) of each term of H, and `charge_sites` the site of each term of the
-    charges, in term order.  A state reads its sectors' sums at its
-    temperature (`sector_sums`), built once per temperature.  The X blocks
-    of the sampled Hessian (`site_blocks`) are built on first use.
+    `sectors[w]` holds (basis states, real eigenvectors as columns, levels
+    E_a in ascending order) of the sector with w spins down, z = 2m = n - 2w,
+    for w = 0..n; the sectors at m and -m share one array of vectors and one
+    of levels, and no array holds all 2^n levels.  `h_sites` and `h_axes`
+    give the two sites and the axis (0, 1, 2 for X, Y, Z) of each term of H,
+    and `charge_sites` the site of each term of the charges, in term order.
+    A state reads its sectors' sums at its temperature (`sector_sums`),
+    built once per temperature.  The X blocks of the sampled Hessian
+    (`site_blocks`) are built on first use.
     """
 
-    energies: np.ndarray
     h_sites: np.ndarray
     h_axes: np.ndarray
     charge_sites: np.ndarray
-    sectors: tuple[tuple[np.ndarray, np.ndarray, slice], ...]
+    sectors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     # the sector sums of each temperature the levels have been summed at
     _sums: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -119,12 +118,11 @@ class SpinLevels:
             n = len(self.charge_sites)
             place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
             k, l = np.triu_indices(n, 1)
-            within = np.empty(len(self.energies))
+            within = [None] * (n + 1)
             log_weights, energy = np.empty((2, n + 1))
             xx, zz = np.empty((2, n + 1, n, n))
             z = np.empty((n + 1, n))
-            for w, (states, vecs, levels) in enumerate(self.sectors[: n // 2 + 1]):
-                e = self.energies[levels]
+            for w, (states, vecs, e) in enumerate(self.sectors[: n // 2 + 1]):
                 q = _populations(e, T)
                 kept = q > 0.0
                 rho = (vecs[:, kept] * q[kept]) @ vecs[:, kept].T
@@ -135,7 +133,7 @@ class SpinLevels:
                 cols = np.searchsorted(states, states[rows] ^ (place[k] | place[l])[pairs])
                 xx[w, k, l] = xx[w, l, k] = np.bincount(pairs, rho[rows, cols], minlength=len(k))
                 flip = n - w
-                within[levels] = within[self.sectors[flip][2]] = q
+                within[w] = within[flip] = q
                 # the lowest level's shifted weight is exactly 1, so q_0 = 1/Z_w
                 log_weights[w] = log_weights[flip] = -math.log(q[0]) - e[0] / T
                 energy[w] = energy[flip] = q @ e
@@ -143,31 +141,31 @@ class SpinLevels:
             i, j = self.h_sites.T
             terms = np.concatenate((xx[:, i, j], zz[:, i, j], z[:, self.charge_sites]), axis=1)
             twice_m = n - 2.0 * np.arange(n + 1)
-            for array in (twice_m, log_weights, energy, terms, xx, zz, within):
+            for array in (twice_m, log_weights, energy, terms, xx, zz):
                 array.setflags(write=False)
-            sums = self._sums[T] = SectorSums(self, T, twice_m, log_weights, energy, terms, xx, zz, within)
+            sums = self._sums[T] = SectorSums(self, T, twice_m, log_weights, energy, terms, xx, zz, tuple(within))
         return sums
 
     @cached_property
     def site_blocks(self) -> tuple:
         """Each site's X_k between adjacent sectors, in the sector vectors.
 
-        Entry (blocks, level pairs): blocks[k] is W_r^T X_k W_c, and each
-        (r, c) in level pairs is a pair of sectors, as slices of the levels,
-        whose vectors W_r and W_c these are.  X_k takes a state of w spins
-        down with site k up to one of w + 1, so W_w^T X_k W_{w+1} gathers
-        those rows of W_w and the rows of W_{w+1} they map to.  The global
-        spin flip F commutes with X_k, and the sectors at m and -m are F of
-        each other with one array of vectors.  So the pairs (w, w + 1) with
-        w <= (n - 1)/2 carry blocks, and each flips to (n - w, n - w - 1),
-        which comes as a further level pair.
+        Entry (blocks, sector pairs): blocks[k] is W_r^T X_k W_c, and each
+        (r, c) in sector pairs is a pair of sector indices whose vectors W_r
+        and W_c these are.  X_k takes a state of w spins down with site k up
+        to one of w + 1, so W_w^T X_k W_{w+1} gathers those rows of W_w and
+        the rows of W_{w+1} they map to.  The global spin flip F commutes
+        with X_k, and the sectors at m and -m are F of each other with one
+        array of vectors.  So the pairs (w, w + 1) with w <= (n - 1)/2 carry
+        blocks, and each flips to (n - w, n - w - 1), which comes as a
+        further sector pair.
         """
         n = len(self.charge_sites)
         place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
         sectors = self.sectors
         entries = []
         for w in range((n - 1) // 2 + 1):
-            (lower, w_lower, rows), (upper, w_upper, cols) = sectors[w], sectors[w + 1]
+            (lower, w_lower, _), (upper, w_upper, _) = sectors[w], sectors[w + 1]
             # the flipped sector lists its states in descending order
             order = np.argsort(upper)
             blocks = np.empty((n, len(w_lower), len(w_upper)))
@@ -176,8 +174,7 @@ class SpinLevels:
                 image = order[np.searchsorted(upper, lower[up] | place[k], sorter=order)]
                 blocks[k] = w_lower[up].T @ w_upper[image]
             blocks.setflags(write=False)
-            partner = (sectors[n - w][2], sectors[n - w - 1][2])
-            entries.append((blocks, ((rows, cols),) if 2 * w + 1 == n else ((rows, cols), partner)))
+            entries.append((blocks, ((w, w + 1),) if 2 * w + 1 == n else ((w, w + 1), (n - w, n - w - 1))))
         return tuple(entries)
 
 
@@ -187,16 +184,16 @@ class SectorSums:
 
     Within a sector every level of H - |mu| 2S^z moves by the same -|mu| z_w,
     z_w = `twice_m[w]`, so the populations within it are those of H alone:
-    `within` holds them for every level.  With E0_w the sector's lowest level
-    and ln Z_w(T) = ln sum_a exp(-(E_a - E0_w)/T) over it, `log_weights`
-    holds ln Z_w - E0_w/T, the sector's log-weight at mu = 0; a state at |mu|
-    adds |mu| z_w/T.  The state reads its means off the sums over each
-    sector: `energy` holds the mean energy U_w, `xx` and `zz` the
-    correlators <X_kX_l> = <Y_kY_l> and <Z_kZ_l> of every pair of sites,
-    shape (n + 1, n, n) with 1 on the diagonal, and `terms` the correlators
-    that the term means read: <XX> and then <ZZ> on each H term's sites,
-    then <Z> on each charge term's site.  `z_pairs`, which the sampled
-    Hessian reads, is built on first use.
+    `within[w]` holds those of sector w, one array for m and -m.  With E0_w
+    the sector's lowest level and ln Z_w(T) = ln sum_a exp(-(E_a - E0_w)/T)
+    over it, `log_weights` holds ln Z_w - E0_w/T, the sector's log-weight at
+    mu = 0; a state at |mu| adds |mu| z_w/T.  The state reads its means off
+    the sums over each sector: `energy` holds the mean energy U_w, `xx` and
+    `zz` the correlators <X_kX_l> = <Y_kY_l> and <Z_kZ_l> of every pair of
+    sites, shape (n + 1, n, n) with 1 on the diagonal, and `terms` the
+    correlators that the term means read: <XX> and then <ZZ> on each H
+    term's sites, then <Z> on each charge term's site.  `z_pairs`, which the
+    sampled Hessian reads, is built on first use.
     """
 
     spin: SpinLevels
@@ -207,7 +204,7 @@ class SectorSums:
     terms: np.ndarray
     xx: np.ndarray
     zz: np.ndarray
-    within: np.ndarray
+    within: tuple[np.ndarray, ...]
 
     @cached_property
     def z_pairs(self) -> np.ndarray:
@@ -226,14 +223,14 @@ class SectorSums:
         place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
         sums = np.empty((n + 1, n, n))
         for w in range(n // 2 + 1):
-            states, vecs, levels = spin.sectors[w]
+            states, vecs, energies = spin.sectors[w]
             blocks = np.empty((n, len(vecs), len(vecs)))
             for k in range(n):
                 down = vecs[(states & place[k]) != 0]
                 blocks[k] = -2.0 * (down.T @ down)
                 blocks[k][np.diag_indices(len(vecs))] += 1.0
             flat = blocks.reshape(n, -1)
-            kernel = _logarithmic_mean_matrix(spin.energies[levels], self.within[levels], self.temperature)
+            kernel = _logarithmic_mean_matrix(energies, self.within[w], self.temperature)
             sums[w] = sums[n - w] = (flat * kernel.ravel()) @ flat.T
         sums.setflags(write=False)
         return sums
@@ -395,8 +392,7 @@ def _sector_blocks(system: ThermoSystem) -> EigenBlocks:
     diagonal = pair_spins @ couplings
     flips = place[edges[:, 0]] | place[edges[:, 1]]
     down = np.count_nonzero(spins < 0, axis=1)
-    everything = 2**n - 1
-    energies, sectors, start = [], [None] * (n + 1), 0
+    sectors = [None] * (n + 1)
     for w in range(n // 2 + 1):
         basis = np.flatnonzero(down == w)
         size = len(basis)
@@ -406,16 +402,13 @@ def _sector_blocks(system: ThermoSystem) -> EigenBlocks:
         cols = np.searchsorted(basis, basis[rows] ^ flips[edge])
         h[rows, cols] = 2.0 * couplings[edge]
         vals, vecs = np.linalg.eigh(h)
+        vals.setflags(write=False)
         vecs.setflags(write=False)
-        for sign in ((1, -1) if 2 * w < n else (1,)):
-            energies.append(vals)
-            levels = slice(start, start + size)
-            sectors[w if sign > 0 else n - w] = (basis if sign > 0 else everything ^ basis, vecs, levels)
-            start += size
-    energies = np.concatenate(energies)
-    for array in (energies, h_sites, h_axes, charge_sites):
+        sectors[w] = (basis, vecs, vals)
+        sectors[n - w] = ((2**n - 1) ^ basis, vecs, vals) if 2 * w < n else sectors[w]
+    for array in (h_sites, h_axes, charge_sites):
         array.setflags(write=False)
-    spin = SpinLevels(energies, h_sites, h_axes, charge_sites, tuple(sectors))
+    spin = SpinLevels(h_sites, h_axes, charge_sites, tuple(sectors))
     return EigenBlocks((system.hamiltonian, *system.charges), None, spin)
 
 
@@ -478,15 +471,14 @@ class _cached(cached_property):
 class ThermalState:
     """rho proportional to exp(-(H - mu.Q)/T), held as the levels of H - mu.Q in its system's frame.
 
-    A dense state holds the `spectrum` of its one `eigh`, a frame state
-    nothing but mu and T, and everything else is computed on first use.
-    `block_levels` and `block_populations` run through the levels in the
-    frame's order: a dense state's in ascending order, with `eigenvectors`
-    as columns in the computational basis.  An SU(2)-symmetric state builds
-    them from its S^z sectors, but its means, ln Z and exact Hessian read
-    only its n + 1 sector weights (`_sectors`).  A stabilizer state has none
-    of the three: it keeps nothing of size 2^n, and its means come from its
-    syndromes and its 2^k logical problem.
+    A dense state holds the `spectrum` of its one `eigh`: its levels in
+    ascending order, with their eigenvectors as columns in the computational
+    basis, and `block_populations` holds their populations.  A frame state
+    holds only mu, T and its frame, and has neither (both None); everything
+    else is computed on first use.  An SU(2)-symmetric state's means, ln Z
+    and exact Hessian read only its n + 1 sector weights (`_sectors`), and a
+    stabilizer state's come from its syndromes and its 2^k logical problem.
+    Nothing outside a state writes into it.
     """
 
     mu: np.ndarray
@@ -494,32 +486,9 @@ class ThermalState:
     blocks: EigenBlocks
     spectrum: SpectralDecomposition | None
 
-    @property
-    def eigenvectors(self) -> np.ndarray | None:
-        return None if self.spectrum is None else self.spectrum.eigenvectors
-
-    @_cached
-    def block_levels(self) -> np.ndarray | None:
-        spin = self.blocks.spin
-        if spin is None:
-            return None if self.spectrum is None else self.spectrum.eigenvalues
-        levels = np.empty(len(spin.energies))
-        for w, (_, _, part) in enumerate(spin.sectors):
-            levels[part] = spin.energies[part] - self._radius * (len(spin.sectors) - 1 - 2 * w)
-        levels.setflags(write=False)
-        return levels
-
     @_cached
     def block_populations(self) -> np.ndarray | None:
-        spin = self.blocks.spin
-        if spin is None:
-            return None if self.spectrum is None else _populations(self.spectrum.eigenvalues, self.temperature)
-        sums, weights, _ = self._sectors
-        populations = np.empty(len(sums.within))
-        for (_, _, levels), weight in zip(spin.sectors, weights):
-            populations[levels] = weight * sums.within[levels]
-        populations.setflags(write=False)
-        return populations
+        return None if self.spectrum is None else _populations(self.spectrum.eigenvalues, self.temperature)
 
     @_cached
     def _radius(self) -> float:
@@ -642,12 +611,12 @@ class ThermalState:
         A frame state takes one `eigh` of H - mu.Q (ResourceError past the dense limit).
         """
         rho = None
-        if self.eigenvectors is None:
+        if self.spectrum is None:
             rho = _dense_effective(self.blocks.observables, self.mu)
             levels, vecs = np.linalg.eigh(rho)
             p = _populations(levels, self.temperature)
         else:
-            p, vecs = self.block_populations, self.eigenvectors
+            p, vecs = self.block_populations, self.spectrum.eigenvectors
         occupied = p > 0.0
         vecs = vecs[:, occupied]
         rho = np.matmul(vecs * p[occupied], vecs.conj().T, out=rho)
@@ -658,21 +627,16 @@ class ThermalState:
 
 
 def stacked_term_means(states) -> np.ndarray:
-    """`term_means` of a stack of states of one system at one temperature, one row each, read off each state.
+    """`term_means` of a stack of states of one system at one temperature, one row each.
 
-    Stabilizer states on single-qubit axes that have not computed theirs
-    yet compute them together first (`LogicalFrame.axis_means`), bit for bit.
+    Stabilizer states on single-qubit axes compute theirs together
+    (`LogicalFrame.axis_means`), each row bit for bit what the state's own
+    `term_means` gives; any other stack reads each state's.
     """
     frame = states[0].blocks.logical
     if frame is not None and frame.axes is not None:
-        fresh = [state for state in states if "term_means" not in vars(state)]
-        if fresh:
-            T = states[0].temperature
-            means = frame.term_means(frame.axis_means(np.array([state.mu for state in fresh]), T), T)
-            means.setflags(write=False)
-            for state, row in zip(fresh, means):
-                # the cache `ThermalState.term_means` fills on first use
-                vars(state)["term_means"] = row
+        T = states[0].temperature
+        return frame.term_means(frame.axis_means(np.array([state.mu for state in states]), T), T)
     return np.array([state.term_means for state in states])
 
 
@@ -760,11 +724,11 @@ def thermal_state(system: ThermoSystem, mu, T: float) -> ThermalState:
 def log_partition(state: ThermalState) -> float:
     """ln Tr[exp(-(H - mu.Q)/T)], read off the state's normalizer.
 
-    The lowest level's shifted weight is exactly 1, so its population is
-    1/sum(w) and ln Z = -lambda_0/T - ln p_0.  An SU(2)-symmetric state
-    sums its sector weights (`ThermalState._sectors`), and a stabilizer
-    state adds ln 2cosh(h_j/T) per generator to ln Z of its 2^k logical
-    problem.
+    The lowest level, level 0 of an ascending `eigh`, has shifted weight
+    exactly 1, so its population is 1/sum(w) and ln Z = -lambda_0/T - ln p_0.
+    An SU(2)-symmetric state sums its sector weights (`ThermalState._sectors`),
+    and a stabilizer state adds ln 2cosh(h_j/T) per generator to ln Z of its
+    2^k logical problem.
     """
     if state.blocks.spin is not None:
         return state._sectors[2]
@@ -773,9 +737,7 @@ def log_partition(state: ThermalState) -> float:
     if frame is not None:
         vals, _, p = state._logical_spectrum
         return float(np.sum(_log_2cosh(frame.h / T))) + float(-vals[0] / T - np.log(p[0]))
-    lowest = int(np.argmin(state.block_levels))
-    lam0 = state.block_levels[lowest]
-    return float(-lam0 / T - np.log(state.block_populations[lowest]))
+    return float(-state.spectrum.eigenvalues[0] / T - np.log(state.block_populations[0]))
 
 
 def objective_f(system: ThermoSystem, state: ThermalState) -> float:
@@ -836,7 +798,7 @@ def hessian_exact(system: ThermoSystem, state: ThermalState) -> np.ndarray:
         vals, vecs, p = state._logical_spectrum
         charges = frame.words
     else:
-        vals, vecs, p = state.block_levels, state.eigenvectors, state.block_populations
+        vals, vecs, p = state.spectrum.eigenvalues, state.spectrum.eigenvectors, state.block_populations
         charges = state.blocks.operators[1:].reshape(-1, len(vals), len(vals))
     correlations = _correlations(vals, p, vecs, charges, state.charge_means, T)
     hessian = -correlations.real / T

@@ -150,8 +150,10 @@ class ThermoSystem:
 
 
 def _heisenberg_edges(geometry, n, rows, cols, nnn, J, lam) -> tuple[int, list]:
-    """Site count and (i, j, coupling) edges of a line of n sites or a rows x cols lattice."""
+    """Site count and (i, j, coupling) edges of a line of n sites or a rows x cols lattice, never both."""
     if geometry == "line":
+        if rows is not None or cols is not None:
+            raise ConfigError("line geometry takes n, not rows or cols")
         if n is None or n < 2:
             raise ConfigError("line geometry needs n >= 2")
         edges = [(i, i + 1, J) for i in range(n - 1)]
@@ -160,6 +162,8 @@ def _heisenberg_edges(geometry, n, rows, cols, nnn, J, lam) -> tuple[int, list]:
         return n, edges
     if geometry != "grid":
         raise ConfigError(f"unknown geometry {geometry!r}")
+    if n is not None:
+        raise ConfigError("grid geometry takes rows and cols, not n")
     if rows is None or cols is None or min(rows, cols) < 1 or rows * cols < 2:
         raise ConfigError("grid geometry needs rows, cols >= 1 with rows*cols >= 2")
     if nnn and (rows < 2 or cols < 2):

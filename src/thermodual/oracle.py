@@ -140,7 +140,8 @@ def _su2_reference(system: ThermoSystem) -> float:
     With mu = r q/|q| a global rotation takes H - mu.Q to H - 2 r S^z and
     leaves H fixed.  H conserves S^z, so lambda_min(H - 2 r S^z) is
     min_m (e_m - 2 r m), each e_m the lowest level of the sector S^z = m:
-    the first of its slice of the sector build `gibbs` keeps on the system.
+    the first of the sector's own levels in the sector build `gibbs` keeps
+    on the system.
     A rotation by pi maps the sector m onto -m, so m >= 0 suffices.  The
     objective is concave and piecewise linear in r, so its maximum sits at
     r = 0 or where two of the lines e_m - 2 r m cross.
@@ -149,7 +150,7 @@ def _su2_reference(system: ThermoSystem) -> float:
     n = system.n_qubits
     # sector w holds m = n/2 - w, its levels in ascending order
     M = n / 2.0 - np.arange(n // 2 + 1)
-    E = np.array([spin.energies[levels.start] for _, _, levels in spin.sectors[: n // 2 + 1]])
+    E = np.array([energies[0] for _, _, energies in spin.sectors[: n // 2 + 1]])
     norm = float(np.linalg.norm(system.targets))
     crossings = [
         (E[a] - E[b]) / (2.0 * (M[a] - M[b]))

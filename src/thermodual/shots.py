@@ -267,10 +267,9 @@ def _conjugated_charge(system, state, charge_index, t, mode):
     """Dense e^{-iAt/T} Q_i e^{iAt/T}, or its per-site reduction for extensive charges."""
     T = state.temperature
     if mode == "generic":
-        V = state.eigenvectors
-        if V is None:
+        if state.spectrum is None:
             raise ValueError("generic mode needs a dense-path state: a frame state holds no eigenvectors")
-        lam = state.block_levels
+        V, lam = state.spectrum.eigenvectors, state.spectrum.eigenvalues
         phases = np.exp(-1j * lam * t / T)
         q_eig = V.conj().T @ system.charges[charge_index].to_dense() @ V
         conj = (phases[:, None] * q_eig) * phases.conj()[None, :]
@@ -397,20 +396,23 @@ def _sector_pair_sums(state: ThermalState) -> tuple[np.ndarray, np.ndarray]:
     `SectorSums.z_pairs`.  Gx is the same sum of X_k over the level pairs of
     adjacent sectors, with omega_ab = (lambda_a - lambda_b)/T, which moves
     with |mu|.  Each ordered pair (a, b) between two sectors also appears as
-    (b, a), so each block takes the kernel (p_a + p_b) phi(omega_ab).
+    (b, a), so each block takes the kernel (p_a + p_b) phi(omega_ab), built
+    from the two sectors' own arrays: the levels lambda = E - |mu| z_w of
+    sector w and the populations P_w times `SectorSums.within[w]`.
     """
     spin = state.blocks.spin
-    n = len(spin.charge_sites)
-    lam, p, T = state.block_levels, state.block_populations, state.temperature
+    sums, weights, _ = state._sectors
+    n, T = len(spin.charge_sites), state.temperature
+    lam = [energies - state._radius * (n - 2 * w) for w, (_, _, energies) in enumerate(spin.sectors)]
+    p = [weight * within for weight, within in zip(weights, sums.within)]
     gx = np.zeros((n, n))
-    for blocks, level_pairs in spin.site_blocks:
+    for blocks, sector_pairs in spin.site_blocks:
         kernel = sum(
-            (p[r, None] + p[None, c]) * tent_characteristic((lam[r, None] - lam[None, c]) / T)
-            for r, c in level_pairs
+            (p[r][:, None] + p[c][None, :]) * tent_characteristic((lam[r][:, None] - lam[c][None, :]) / T)
+            for r, c in sector_pairs
         )
         flat = blocks.reshape(n, -1)
         gx += (flat * kernel.ravel()) @ flat.T
-    sums, weights, _ = state._sectors
     return gx, np.tensordot(weights, sums.z_pairs, axes=1)
 
 
@@ -479,8 +481,7 @@ def _pair_means(system: ThermoSystem, state: ThermalState, mode: str):
     if mode == "extensive":
         comps = _site_components(system)
         return lambda i, j: _extensive_pairs(system, state, i, j, comps)
-    V = state.eigenvectors
-    lam = state.block_levels
+    V, lam = state.spectrum.eigenvectors, state.spectrum.eigenvalues
     eig_terms = [np.stack([V.conj().T @ pv for pv in _pauli_rows(q, V)]) for q in system.charges]
     omega = (lam[:, None] - lam[None, :]) / state.temperature
     kernel = state.block_populations[:, None] * tent_characteristic(omega)

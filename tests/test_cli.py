@@ -253,10 +253,11 @@ class TestRunCommand:
         assert [run["iterations"] for run in summary["runs"]] == [31, 31]
 
     def test_mean_that_is_not_finite_exits_3(self, tmp_path, monkeypatch, capsys):
-        from thermodual.gibbs import ThermalState
+        from thermodual.gibbs import LogicalFrame
 
+        # the code's frame gives every state, and every stack of them, NaN term means
         monkeypatch.setattr(
-            ThermalState, "term_means", property(lambda state: np.full(5, np.nan))
+            LogicalFrame, "term_means", lambda frame, charge_means, T: np.full((*charge_means.shape[:-1], 5), np.nan)
         )
         config = write_config(tmp_path, REPETITION_HQC_CONFIG)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
@@ -934,6 +935,12 @@ class TestExitCodes:
         ("solver", "hessian_samples_per_iteration", 2**63, 2),
         # nothing reads a tolerance, so the key is unknown
         ("oracle", "tolerance", 1e-6, 2),
+        # the other geometry's size keys, which it would ignore
+        ("model", "rows", 2, 2),
+        ("model", "cols", 2, 2),
+        (None, "model", {
+            "kind": "heisenberg", "geometry": "grid", "n": 40, "rows": 2, "cols": 2, "targets": [1.0, 0.0, 1.0],
+        }, 2),
     ])
     def test_one_line_message_and_no_traceback(self, tmp_path, block, key, value, code):
         payload = json.loads(json.dumps(HEISENBERG_CONFIG))
@@ -1249,6 +1256,22 @@ class TestEntryPoint:
 
     def test_missing_config_is_config_error(self):
         assert main(["run", "--config", "/nonexistent/config.json"]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, command, kind):
+        # a directory, or a file that is not UTF-8: one line and exit 2, not a traceback
+        if kind == "directory":
+            config = tmp_path / "config"
+            config.mkdir()
+        else:
+            config = tmp_path / "config.json"
+            config.write_bytes(b'{"label": "\xff"}')
+        argv = ["run"] if command == "run" else ["sweep", "--parameter", "T", "--values", "0.5"]
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: config file cannot be read")
+        assert not (tmp_path / "out").exists()
 
     def test_import_loads_no_scipy(self):
         # run, sweep and verify need NumPy alone; SciPy serves the quadrature references

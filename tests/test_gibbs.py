@@ -83,14 +83,14 @@ class TestThermalState:
             assert np.max(np.abs(A @ state.rho - state.rho @ A)) < 1e-9
 
     def test_spectral_decomposition_invariants(self, rng):
-        # only a dense-path state holds eigenvectors: a random system, and grid 2x3 nnn off its sectors
+        # only a dense-path state holds a spectrum: a random system, and grid 2x3 nnn off its sectors
         grid = build_heisenberg("grid", rows=2, cols=3, nnn=True)
-        assert thermal_state(grid, np.zeros(3), 0.5).eigenvectors is None
+        assert thermal_state(grid, np.zeros(3), 0.5).spectrum is None
         for system in (random_system(rng), replace(grid, su2_symmetric=False)):
             state = thermal_state(system, rng.normal(size=3), 0.5)
             A = effective_hamiltonian(system, state.mu)
-            V = state.eigenvectors
-            assert np.max(np.abs(A - (V * state.block_levels) @ V.conj().T)) < 1e-10
+            V = state.spectrum.eigenvectors
+            assert np.max(np.abs(A - (V * state.spectrum.eigenvalues) @ V.conj().T)) < 1e-10
             assert np.max(np.abs(V.conj().T @ V - np.eye(V.shape[0]))) < 1e-10
             rebuilt = (V * state.block_populations) @ V.conj().T
             assert np.max(np.abs(rebuilt - state.rho)) < 1e-14
@@ -213,7 +213,8 @@ class TestHessian:
         system = build_heisenberg("line", n=4, nnn=True)
         mu, T = np.array([0.0, 0.0, 8.0]), 0.02
         state = thermal_state(system, mu, T)
-        assert np.count_nonzero(state.block_populations) < system.dimension
+        # a sector's weight, and so the populations of its levels, underflow
+        assert 0.0 in state._sectors[1]
         hess = hessian_exact(system, state)
         for i in range(3):
             e = np.zeros(3)
@@ -369,9 +370,12 @@ class TestEigenspaceBlocks:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtin_systems_take_their_own_frame(self, name):
-        blocks = eigen_blocks(_builtin(name))
+        system = _builtin(name)
+        blocks = eigen_blocks(system)
         assert (blocks.spin is not None) != (blocks.logical is not None)
         assert blocks.operators is None
+        # a frame state holds only mu, T and its frame
+        assert thermal_state(system, np.zeros(system.n_charges), 0.5).spectrum is None
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_matches_dense_path(self, name):
@@ -389,7 +393,7 @@ class TestEigenspaceBlocks:
             for value, want in (
                 (gradient(system, a), gradient(dense, b)),
                 (hessian_exact(system, a), hessian_exact(dense, b)),
-                (a.block_levels, b.block_levels),
+                (a.spectrum.eigenvalues, b.spectrum.eigenvalues),
                 (a.term_means, b.term_means),
                 (a.rho, b.rho),
             ):
@@ -459,16 +463,12 @@ ROTATED_SYSTEMS = {
 
 
 def _observed(system, state):
-    """ln Z, the means, the Pauli-term means and the Hessian, then the levels and populations in ascending order.
+    """ln Z, the means, the Pauli-term means and the Hessian.
 
-    The levels and populations come only from a state that holds them: a
-    code state keeps none, so its dense reference gives two values more.
+    A frame state holds no levels, so its sector levels are checked against
+    the dense spectrum on their own (`TestSectors`).
     """
-    values = [log_partition(state), [state.energy, *state.charge_means], state.term_means]
-    values.append(hessian_exact(system, state))
-    if state.block_levels is not None:
-        values += [np.sort(state.block_levels), np.sort(state.block_populations)]
-    return values
+    return [log_partition(state), [state.energy, *state.charge_means], state.term_means, hessian_exact(system, state)]
 
 
 def _relative_gap(value, reference) -> float:
@@ -541,13 +541,13 @@ class TestRotatedFrame:
 
 
 class _Refused:
-    """Stands in for an array of the 2^n levels: any use of it fails."""
+    """Stands in for the sector levels: any use of it fails."""
 
     # binary operators with an ndarray defer to the methods below
     __array_ufunc__ = None
 
     def _refuse(self, *args):
-        raise AssertionError("read an array of the 2^n levels")
+        raise AssertionError("read the sector levels")
 
     __array__ = __len__ = __iter__ = __getitem__ = _refuse
     __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __matmul__ = __rmatmul__ = _refuse
@@ -595,9 +595,8 @@ class TestSectorSums:
         T = OptimizerConfig().resolved_temperature(system)
         spin = eigen_blocks(system).spin
         spin.sector_sums(T)
-        for name in ("energies", "sectors"):
-            # a frozen dataclass, as `eigen_blocks` caches on the frozen system
-            object.__setattr__(spin, name, _Refused())
+        # a frozen dataclass, as `eigen_blocks` caches on the frozen system
+        object.__setattr__(spin, "sectors", _Refused())
         state = thermal_state(system, [0.2, -0.1, 0.3], T)
         state.energy, state.charge_means, state.term_means, log_partition(state), hessian_exact(system, state)
         for variant, estimator in (
@@ -607,8 +606,9 @@ class TestSectorSums:
         ):
             trace = run(system, OptimizerConfig(variant=variant, max_iter=100), estimator)
             assert trace.iterations > 1
-        with pytest.raises(AssertionError, match="2\\^n levels"):
-            state.block_levels
+        # the sums at another temperature read the levels
+        with pytest.raises(AssertionError, match="sector levels"):
+            spin.sector_sums(2.0 * T)
 
 
 SECTOR_SYSTEMS = {
@@ -630,10 +630,20 @@ class TestSectors:
         T = 0.1 / (system.n_qubits * math.log(2))
         for mu in (np.zeros(3), 1e-9 * tiny / np.linalg.norm(tiny), rng.normal(size=3)):
             state, reference = thermal_state(system, mu, T), thermal_state(dense, mu, T)
+            assert state.spectrum is None
             observed = (state.rho, *_observed(system, state))
             expected = (reference.rho, *_observed(dense, reference))
             for value, want in zip(observed, expected, strict=True):
                 assert _relative_gap(value, want) <= 1e-12
+
+    @pytest.mark.parametrize("name", list(SECTOR_SYSTEMS))
+    def test_sector_levels_are_the_dense_spectrum(self, name):
+        # the levels of all n + 1 sectors, the sectors at m and -m each counted, are the spectrum of H
+        system = build_heisenberg(**SECTOR_SYSTEMS[name])
+        levels = np.sort(np.concatenate([energies for _, _, energies in eigen_blocks(system).spin.sectors]))
+        dense = np.linalg.eigvalsh(system.hamiltonian.to_dense())
+        assert levels.shape == dense.shape
+        assert float(np.max(np.abs(levels - dense) / np.maximum(1.0, np.abs(dense)))) <= 1e-12
 
     def test_builds_no_dense_matrix(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -681,10 +691,10 @@ class TestLogicalFrame:
                 direction = rng.normal(size=system.n_charges)
                 mu = size * direction / np.linalg.norm(direction)
                 state, reference = thermal_state(system, mu, T), thermal_state(dense, mu, T)
+                assert state.spectrum is None
                 observed = (state.rho, *_observed(system, state))
                 expected = (reference.rho, *_observed(dense, reference))
-                assert len(observed) == len(expected) - 2
-                for value, want in zip(observed, expected):
+                for value, want in zip(observed, expected, strict=True):
                     assert np.max(np.abs(np.subtract(value, want))) <= 1e-12
 
     def test_signed_generators_and_logicals(self):
@@ -702,8 +712,7 @@ class TestLogicalFrame:
             state, reference = thermal_state(system, mu, T), thermal_state(dense, mu, T)
             observed = (state.rho, *_observed(system, state))
             expected = (reference.rho, *_observed(dense, reference))
-            assert len(observed) == len(expected) - 2
-            for value, want in zip(observed, expected):
+            for value, want in zip(observed, expected, strict=True):
                 assert np.max(np.abs(np.subtract(value, want))) <= 1e-12
 
     def test_hessian_keeps_its_digits_as_mu_vanishes(self):
@@ -763,7 +772,7 @@ class TestLogicalFrame:
         state.term_means, state.energy, log_partition(state), hessian_exact(system, state)
         _pair_means(system, state, "generic")(0, 1)
         # the state keeps nothing of size 2^n, and the dense matrices wait for rho
-        assert state.block_levels is None and state.block_populations is None and state.eigenvectors is None
+        assert state.spectrum is None and state.block_populations is None
         assert not hasattr(blocks.logical, "syndromes")
         assert all(obs._dense is None for obs in blocks.observables)
         state.rho

@@ -159,6 +159,17 @@ class TestHeisenberg:
         with pytest.raises(ConfigError):
             build_heisenberg("line", n=3, lam=1.5)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(geometry="grid", n=40, rows=2, cols=2),
+        dict(geometry="line", n=4, rows=2),
+        dict(geometry="line", n=4, cols=2),
+        dict(geometry="line", n=4, rows=2, cols=2),
+    ])
+    def test_the_other_geometrys_size_keys_are_refused(self, kwargs):
+        # a grid would ignore n, and a line rows and cols
+        with pytest.raises(ConfigError, match="geometry takes"):
+            build_heisenberg(**kwargs)
+
 
 class TestBuiltinCodes:
     def test_unknown_name(self):

@@ -427,12 +427,19 @@ class TestLockstep:
         with pytest.raises(ValueError, match="one row at a time"):
             run_stack(system, OptimizerConfig(variant="second_hqc"), ShotEstimator(system, [1, 2]))
 
-    def test_a_bad_mean_in_one_row_is_refused(self):
+    def test_a_bad_mean_in_one_row_is_refused(self, monkeypatch):
+        import thermodual.shots as shots
+
         system = _axis_code("perfect5")
         estimator = ShotEstimator(system, [1, 2, 3])
         states = [thermal_state(system, np.full(3, 0.1 * k), 0.2) for k in range(3)]
-        means = np.array(states[1].term_means)
-        means[-1] = np.nan
-        vars(states[1])["term_means"] = means
+        stacked = shots.stacked_term_means
+
+        def one_bad_row(rows):
+            means = stacked(rows)
+            means[1, -1] = np.nan
+            return means
+
+        monkeypatch.setattr(shots, "stacked_term_means", one_bad_row)
         with pytest.raises(NumericalIntegrityError, match="outcome mean nan"):
             estimator.estimate_rows(states, [0, 1, 2], 4, True)

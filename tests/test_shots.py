@@ -545,12 +545,17 @@ class TestShotEstimator:
         assert calls == [sum(len(q.terms) for q in measured)]
 
     @pytest.mark.parametrize("bad", [float("nan"), 1.5])
-    def test_refuses_a_bad_mean_of_the_last_observable(self, bad):
+    def test_refuses_a_bad_mean_of_the_last_observable(self, monkeypatch, bad):
         system, state = pinned_case("repetition3")
-        means = np.array(state.term_means)
-        # H's terms come first in term order and are drawn last
-        means[state.blocks.term_slices[0].stop - 1] = bad
-        state.__dict__["term_means"] = means
+        stacked = shots.stacked_term_means
+
+        def bad_last_term_of_h(states):
+            means = stacked(states)
+            # H's terms come first in term order and are drawn last
+            means[:, state.blocks.term_slices[0].stop - 1] = bad
+            return means
+
+        monkeypatch.setattr(shots, "stacked_term_means", bad_last_term_of_h)
         estimator = ShotEstimator(system, 23)
         assert estimator.estimate_rows((state,), [0], 0, False)[1] is None
         with pytest.raises(NumericalIntegrityError, match=str(bad)):
